@@ -52,7 +52,7 @@ func run() error {
 		ckptDir    = flag.String("checkpoint-dir", "", "journal every MrMC run's stages under this directory (per-run subdirectories; enables -resume)")
 		shuffleBuf = flag.Int("shuffle-buffer", 0, "map-side sort buffer bytes for MrMC runs; >0 switches jobs onto the external spill-and-merge shuffle (0 = in-memory)")
 		candidate  = flag.String("candidate", "exact", "candidate-pair generation for MrMC runs: exact (all-pairs) or lsh (banded candidates + log-round connected components)")
-		storeBits  = flag.Int("store-bbits", 0, "signature store packing for MrMC runs: 0 = full 64-bit slots (bit-identical default), 1..16 = b-bit minwise packing, -1 = legacy per-run slices")
+		storeBits  = flag.Int("store-bbits", 0, "signature store packing for MrMC runs: 0 = full 64-bit slots (default), 1..16 = b-bit minwise packing")
 		resume     checkpoint.ResumeFlag
 	)
 	flag.Var(&resume, "resume", "resume interrupted MrMC runs from -checkpoint-dir; 'force' discards all journals first")

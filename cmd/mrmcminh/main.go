@@ -61,7 +61,7 @@ func run() error {
 		faultSeed    = flag.Int64("fault-seed", 1, "seed for probabilistic fault injection")
 		ckptDir      = flag.String("checkpoint-dir", "", "journal each pipeline stage's committed output under this directory (enables -resume after a driver crash)")
 		shuffleBuf   = flag.Int("shuffle-buffer", 0, "map-side sort buffer bytes; >0 switches jobs onto the external spill-and-merge shuffle (0 = in-memory)")
-		storeBits    = flag.Int("store-bbits", 0, "signature store packing: 0 = full 64-bit slots (bit-identical default), 1..16 = b-bit minwise packing (8-64x smaller resident signatures, approximate), -1 = legacy per-run slices")
+		storeBits    = flag.Int("store-bbits", 0, "signature store packing: 0 = full 64-bit slots (default), 1..16 = b-bit minwise packing (8-64x smaller resident signatures, approximate)")
 		resume       checkpoint.ResumeFlag
 	)
 	flag.Var(&resume, "resume", "resume from -checkpoint-dir, skipping stages whose checkpoint validates; 'force' discards the journal first")

@@ -84,7 +84,7 @@ func run() error {
 		ckptDir    = flag.String("checkpoint-dir", "", "journal each STORE's committed bytes under this directory (enables -resume)")
 		shuffleBuf = flag.Int("shuffle-buffer", 0, "map-side sort buffer bytes; >0 switches the script's jobs onto the external spill-and-merge shuffle (0 = in-memory)")
 		candidate  = flag.String("candidate", "exact", "candidate-pair generation for -algorithm3: exact (all-pairs) or lsh (banded candidates + log-round connected components)")
-		storeBits  = flag.Int("store-bbits", 0, "signature store packing for the clustering UDFs: 0 = full 64-bit slots (bit-identical default), 1..16 = b-bit minwise packing, -1 = legacy per-call slices")
+		storeBits  = flag.Int("store-bbits", 0, "signature store packing for the GreedyClustering and LSHClustering UDFs: 0 = full 64-bit slots (default), 1..16 = b-bit minwise packing")
 		resume     checkpoint.ResumeFlag
 	)
 	flag.Var(params, "p", "script parameter NAME=VALUE (repeatable)")

@@ -3,6 +3,8 @@ package baselines
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -150,6 +152,47 @@ func TestMCLSHRecoversTaxa(t *testing.T) {
 	}
 	if acc := accuracyOf(t, c, truth); acc < 90 {
 		t.Errorf("MC-LSH accuracy %.1f", acc)
+	}
+}
+
+// TestMCLSHMatchesGoldens pins MC-LSH to the assignments recorded in
+// testdata/mclsh.golden on Table II samples whose band buckets hold many
+// representatives, so the candidate order decides labels. On a mismatch
+// it prints the actual line, ready to paste in when the change is
+// intended.
+func TestMCLSHMatchesGoldens(t *testing.T) {
+	data, err := os.ReadFile("testdata/mclsh.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldens := map[string]string{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if name, labels, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			goldens[name] = labels
+		}
+	}
+	for _, sid := range []string{"S1", "S2", "S3"} {
+		spec, err := simulate.TableIISpec(sid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			reads, _, err := simulate.BuildWholeMetagenome(spec, 0.002, 0.01, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, theta := range []float64{0.3, 0.5, 0.7} {
+				c, err := MCLSH{}.Cluster(reads, Options{Threshold: theta, Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%s/seed=%d/theta=%.1f", sid, seed, theta)
+				got := strings.Trim(fmt.Sprint([]int(c)), "[]")
+				if want, ok := goldens[name]; !ok || got != want {
+					t.Errorf("%s differs from testdata/mclsh.golden (recorded: %t); actual line:\n%s %s", name, ok, name, got)
+				}
+			}
+		}
 	}
 }
 

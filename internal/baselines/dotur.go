@@ -45,7 +45,7 @@ func alignmentMatrixClustering(reads []fasta.Record, opt Options, link cluster.L
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	m := cluster.BuildMatrixParallelFunc(len(reads), 0, func(i, j int) float64 {
+	m := cluster.BuildMatrixParallel(len(reads), 0, func(i, j int) float64 {
 		var res align.Result
 		if fullAlignment {
 			res = align.Global(reads[i].Seq, reads[j].Seq, align.DefaultScoring)

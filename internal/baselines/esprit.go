@@ -43,7 +43,7 @@ func (Esprit) Cluster(reads []fasta.Record, opt Options) (metrics.Clustering, er
 	limit := (1 - opt.Threshold) + espritPruneSlack
 	// Screen + align per pair, fanned out over all cores by the tiled
 	// parallel matrix builder (counters are read-only here).
-	m := cluster.BuildMatrixParallelFunc(n, 0, func(i, j int) float64 {
+	m := cluster.BuildMatrixParallel(n, 0, func(i, j int) float64 {
 		d := kmer.WordDistance(counters[i], counters[j], len(reads[i].Seq), len(reads[j].Seq))
 		if d > limit {
 			return 0 // screened out: unrelated

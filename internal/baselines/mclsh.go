@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"github.com/metagenomics/mrmcminh/internal/cluster"
 	"github.com/metagenomics/mrmcminh/internal/fasta"
 	"github.com/metagenomics/mrmcminh/internal/kmer"
 	"github.com/metagenomics/mrmcminh/internal/metrics"
@@ -12,7 +13,8 @@ import (
 // from a banded locality-sensitive-hash index over minhash signatures —
 // only bucket-colliding representatives are checked exactly, trading a
 // small recall loss for a large constant-factor speedup over scanning all
-// representatives.
+// representatives. It is cluster.GreedyLSH with a fixed 10×5 banding and
+// the matched-positions estimator.
 type MCLSH struct{}
 
 // Name implements Method.
@@ -45,33 +47,6 @@ func (MCLSH) Cluster(reads []fasta.Record, opt Options) (metrics.Clustering, err
 	for i := range reads {
 		sigs[i] = sk.Sketch(e.Set(reads[i].Seq))
 	}
-	idx, err := minhash.NewBandIndex(mclshBands, mclshRows)
-	if err != nil {
-		return nil, err
-	}
-	assign := freshClustering(n)
-	repLabel := map[int]int{} // band-index id -> cluster label
-	next := 0
-	for i := 0; i < n; i++ {
-		placed := false
-		if !sigs[i].Empty() {
-			for _, cand := range idx.Candidates(sigs[i]) {
-				if minhash.MatchedPositions.Similarity(sigs[i], idx.Signature(cand)) >= opt.Threshold {
-					assign[i] = repLabel[cand]
-					placed = true
-					break
-				}
-			}
-		}
-		if !placed {
-			id, err := idx.Add(sigs[i])
-			if err != nil {
-				return nil, err
-			}
-			repLabel[id] = next
-			assign[i] = next
-			next++
-		}
-	}
-	return assign, nil
+	src := cluster.NewSliceSource(sigs, minhash.MatchedPositions)
+	return cluster.GreedyLSH(src, opt.Threshold, cluster.LSHOptions{Bands: mclshBands, Rows: mclshRows})
 }

@@ -58,9 +58,9 @@ type Config struct {
 	// run: the exact all-pairs path (default) or the sub-quadratic
 	// LSH+connected-components path (see core.CandidateLSH).
 	Candidate core.CandidateGen
-	// StoreBits selects the signature backing of every MrMC-MinH run
-	// (see core.Options.StoreBits): 0 store-backed full width (default,
-	// bit-identical), -1 legacy slices, 1..16 b-bit packed.
+	// StoreBits selects the signature store backing of every MrMC-MinH
+	// run (see core.Options.StoreBits): 0 full width (default), 1..16
+	// b-bit packed.
 	StoreBits int
 	// CheckpointStore, when non-nil, journals every MrMC-MinH run's
 	// stages under a per-run content-addressed directory (run name plus

@@ -57,7 +57,7 @@ func agreesWithTruth(t *testing.T, c metrics.Clustering, truth []int, wantCluste
 
 func TestGreedyRecoversGroups(t *testing.T) {
 	sigs, truth := sketchGroups(t, 4, 10, 1)
-	c, err := Greedy(sigs, GreedyOptions{Threshold: 0.5, Estimator: minhash.MatchedPositions})
+	c, err := Greedy(NewSliceSource(sigs, minhash.MatchedPositions), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestGreedyRecoversGroups(t *testing.T) {
 
 func TestGreedySetOverlapEstimator(t *testing.T) {
 	sigs, truth := sketchGroups(t, 3, 8, 2)
-	c, err := Greedy(sigs, GreedyOptions{Threshold: 0.4, Estimator: minhash.SetOverlap})
+	c, err := Greedy(NewSliceSource(sigs, minhash.SetOverlap), 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestGreedySetOverlapEstimator(t *testing.T) {
 
 func TestGreedyThresholdOneSplitsNonIdentical(t *testing.T) {
 	sigs, _ := sketchGroups(t, 1, 5, 3)
-	c, err := Greedy(sigs, GreedyOptions{Threshold: 1, Estimator: minhash.MatchedPositions})
+	c, err := Greedy(NewSliceSource(sigs, minhash.MatchedPositions), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestGreedyThresholdOneSplitsNonIdentical(t *testing.T) {
 
 func TestGreedyThresholdZeroMergesAll(t *testing.T) {
 	sigs, _ := sketchGroups(t, 4, 5, 4)
-	c, err := Greedy(sigs, GreedyOptions{Threshold: 0, Estimator: minhash.MatchedPositions})
+	c, err := Greedy(NewSliceSource(sigs, minhash.MatchedPositions), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestGreedyLowerThresholdFewerClusters(t *testing.T) {
 	sigs, _ := sketchGroups(t, 5, 6, 5)
 	prev := -1
 	for _, theta := range []float64{0.9, 0.5, 0.1} {
-		c, err := Greedy(sigs, GreedyOptions{Threshold: theta, Estimator: minhash.MatchedPositions})
+		c, err := Greedy(NewSliceSource(sigs, minhash.MatchedPositions), theta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestGreedyEmptySignaturesSingletons(t *testing.T) {
 		sk.Sketch(kmer.Set{}),
 		sk.Sketch(kmer.FromSlice([]uint64{1, 2, 3})),
 	}
-	c, err := Greedy(sigs, GreedyOptions{Threshold: 0.0, Estimator: minhash.MatchedPositions})
+	c, err := Greedy(NewSliceSource(sigs, minhash.MatchedPositions), 0.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,16 +137,17 @@ func TestGreedyEmptySignaturesSingletons(t *testing.T) {
 }
 
 func TestGreedyValidation(t *testing.T) {
-	if _, err := Greedy(nil, GreedyOptions{Threshold: -0.1}); err == nil {
+	empty := NewSliceSource(nil, minhash.SetOverlap)
+	if _, err := Greedy(empty, -0.1); err == nil {
 		t.Fatal("negative threshold accepted")
 	}
-	if _, err := Greedy(nil, GreedyOptions{Threshold: 1.1}); err == nil {
+	if _, err := Greedy(empty, 1.1); err == nil {
 		t.Fatal("threshold > 1 accepted")
 	}
 }
 
 func TestGreedyEmptyInput(t *testing.T) {
-	c, err := Greedy(nil, GreedyOptions{Threshold: 0.5})
+	c, err := Greedy(NewSliceSource(nil, minhash.SetOverlap), 0.5)
 	if err != nil || len(c) != 0 {
 		t.Fatalf("c=%v err=%v", c, err)
 	}
@@ -164,7 +165,7 @@ func TestGreedyAllAssigned(t *testing.T) {
 			}
 			sigs[i] = sk.Sketch(set)
 		}
-		c, err := Greedy(sigs, GreedyOptions{Threshold: 0.5, Estimator: minhash.MatchedPositions})
+		c, err := Greedy(NewSliceSource(sigs, minhash.MatchedPositions), 0.5)
 		if err != nil {
 			return false
 		}
@@ -180,29 +181,26 @@ func TestGreedyAllAssigned(t *testing.T) {
 	}
 }
 
+// TestGreedyOrdered runs Algorithm 1 in an explicit processing order
+// (reverse input order here), expressed as a permuted Subset of the
+// source, and maps the labels back to input positions.
 func TestGreedyOrdered(t *testing.T) {
 	sigs, truth := sketchGroups(t, 3, 6, 7)
 	order := make([]int, len(sigs))
 	for i := range order {
 		order[i] = len(sigs) - 1 - i // reverse order
 	}
-	c, err := GreedyOrdered(sigs, order, GreedyOptions{Threshold: 0.5, Estimator: minhash.MatchedPositions})
+	got, err := Greedy(Subset(NewSliceSource(sigs, minhash.MatchedPositions), order), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := make(metrics.Clustering, len(sigs))
+	for k, i := range order {
+		c[i] = got[k]
+	}
 	agreesWithTruth(t, c, truth, 3)
-}
-
-func TestGreedyOrderedValidation(t *testing.T) {
-	sigs, _ := sketchGroups(t, 1, 3, 8)
-	if _, err := GreedyOrdered(sigs, []int{0, 1}, GreedyOptions{Threshold: 0.5}); err == nil {
-		t.Fatal("short order accepted")
-	}
-	if _, err := GreedyOrdered(sigs, []int{0, 0, 1}, GreedyOptions{Threshold: 0.5}); err == nil {
-		t.Fatal("duplicate order accepted")
-	}
-	if _, err := GreedyOrdered(sigs, []int{0, 1, 9}, GreedyOptions{Threshold: 0.5}); err == nil {
-		t.Fatal("out-of-range order accepted")
+	if c[len(sigs)-1] != 0 {
+		t.Fatalf("the first read processed got label %d, want 0", c[len(sigs)-1])
 	}
 }
 
@@ -236,15 +234,6 @@ func TestMatrixBasics(t *testing.T) {
 	}
 	if _, err := NewMatrix(-1); err == nil {
 		t.Fatal("negative size accepted")
-	}
-}
-
-func TestMatrixSymmetrize(t *testing.T) {
-	m := MustMatrix(2)
-	m.data[0*2+1] = 0.9 // write one side directly
-	m.Symmetrize()
-	if m.Get(1, 0) != m.Get(0, 1) || m.Get(0, 1) < 0.89 {
-		t.Fatal("Symmetrize failed")
 	}
 }
 
@@ -359,7 +348,7 @@ func TestHierarchicalInvalidLinkage(t *testing.T) {
 func TestHierarchicalFromSignaturesRecoversGroups(t *testing.T) {
 	sigs, truth := sketchGroups(t, 4, 8, 11)
 	for _, link := range []Linkage{Single, Average, Complete} {
-		c, err := HierarchicalFromSignatures(sigs, minhash.MatchedPositions, link, 0.5)
+		c, err := HierarchicalFromSource(NewSliceSource(sigs, minhash.MatchedPositions), link, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +357,7 @@ func TestHierarchicalFromSignaturesRecoversGroups(t *testing.T) {
 }
 
 func TestHierarchicalThresholdValidation(t *testing.T) {
-	if _, err := HierarchicalFromSignatures(nil, minhash.MatchedPositions, Average, 1.5); err == nil {
+	if _, err := HierarchicalFromSource(NewSliceSource(nil, minhash.MatchedPositions), Average, 1.5); err == nil {
 		t.Fatal("bad threshold accepted")
 	}
 }
@@ -501,7 +490,9 @@ func BenchmarkGreedy1000(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Greedy(sigs, GreedyOptions{Threshold: 0.9, Estimator: minhash.MatchedPositions}); err != nil {
+		// The source is built per iteration: preparing the signatures is
+		// part of every batch clustering call.
+		if _, err := Greedy(NewSliceSource(sigs, minhash.MatchedPositions), 0.9); err != nil {
 			b.Fatal(err)
 		}
 	}

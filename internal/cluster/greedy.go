@@ -1,45 +1,36 @@
 // Package cluster implements the paper's two clustering algorithms over
 // minwise-hash signatures: the greedy incremental procedure (Algorithm 1)
 // and agglomerative hierarchical clustering over an all-pairs similarity
-// matrix (Algorithm 2) with single, average and complete linkage.
+// matrix (Algorithm 2) with single, average and complete linkage. Every
+// algorithm reads its corpus through a SigSource.
 package cluster
 
 import (
 	"fmt"
 
 	"github.com/metagenomics/mrmcminh/internal/metrics"
-	"github.com/metagenomics/mrmcminh/internal/minhash"
 )
 
-// GreedyOptions parameterizes Algorithm 1.
-type GreedyOptions struct {
-	// Threshold θ: a sequence joins the current cluster when its estimated
-	// Jaccard similarity to the representative is at least θ.
-	Threshold float64
-	// Estimator selects how signature similarity is computed; the paper's
-	// Algorithm 1 line 9 uses minhash.SetOverlap.
-	Estimator minhash.Estimator
-}
-
-// Validate rejects out-of-range thresholds.
-func (o GreedyOptions) Validate() error {
-	if o.Threshold < 0 || o.Threshold > 1 {
-		return fmt.Errorf("cluster: threshold must be in [0,1], got %v", o.Threshold)
+// checkTheta rejects a clustering threshold outside [0,1].
+func checkTheta(theta float64) error {
+	if theta < 0 || theta > 1 {
+		return fmt.Errorf("cluster: threshold must be in [0,1], got %v", theta)
 	}
 	return nil
 }
 
 // Greedy runs Algorithm 1: repeatedly take the first unassigned sequence
 // as a new cluster's representative, then sweep all remaining unassigned
-// sequences into the cluster when their similarity to the representative
-// reaches the threshold. Sequences with empty signatures each form their
-// own singleton cluster (they carry no features to compare).
-func Greedy(sigs []minhash.Signature, opt GreedyOptions) (metrics.Clustering, error) {
-	if err := opt.Validate(); err != nil {
+// sequences into the cluster when their estimated Jaccard similarity to
+// the representative reaches θ. Sequences with empty signatures each form
+// their own singleton cluster (they carry no features to compare). A
+// different processing order (e.g. CD-HIT's longest-first) is a permuted
+// Subset of the source.
+func Greedy(src SigSource, theta float64) (metrics.Clustering, error) {
+	if err := checkTheta(theta); err != nil {
 		return nil, err
 	}
-	n := len(sigs)
-	prep := minhash.PrepareAll(sigs)
+	n := src.Len()
 	assign := make(metrics.Clustering, n)
 	for i := range assign {
 		assign[i] = -1
@@ -52,62 +43,14 @@ func Greedy(sigs []minhash.Signature, opt GreedyOptions) (metrics.Clustering, er
 		label := next
 		next++
 		assign[first] = label
-		rep := prep[first]
-		if rep.Empty() {
+		if src.Empty(first) {
 			continue // nothing can match an empty signature
 		}
 		for j := first + 1; j < n; j++ {
 			if assign[j] >= 0 {
 				continue
 			}
-			if opt.Estimator.SimilarityPrepared(rep, prep[j]) >= opt.Threshold {
-				assign[j] = label
-			}
-		}
-	}
-	return assign, nil
-}
-
-// GreedyOrdered is Greedy with an explicit processing order (useful for
-// abundance-sorted variants like CD-HIT's longest-first strategy). order
-// must be a permutation of [0,len(sigs)).
-func GreedyOrdered(sigs []minhash.Signature, order []int, opt GreedyOptions) (metrics.Clustering, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	if len(order) != len(sigs) {
-		return nil, fmt.Errorf("cluster: order has %d entries for %d signatures", len(order), len(sigs))
-	}
-	n := len(sigs)
-	seen := make([]bool, n)
-	for _, idx := range order {
-		if idx < 0 || idx >= n || seen[idx] {
-			return nil, fmt.Errorf("cluster: order is not a permutation")
-		}
-		seen[idx] = true
-	}
-	prep := minhash.PrepareAll(sigs)
-	assign := make(metrics.Clustering, n)
-	for i := range assign {
-		assign[i] = -1
-	}
-	next := 0
-	for oi, first := range order {
-		if assign[first] >= 0 {
-			continue
-		}
-		label := next
-		next++
-		assign[first] = label
-		rep := prep[first]
-		if rep.Empty() {
-			continue
-		}
-		for _, j := range order[oi+1:] {
-			if assign[j] >= 0 {
-				continue
-			}
-			if opt.Estimator.SimilarityPrepared(rep, prep[j]) >= opt.Threshold {
+			if src.Similarity(first, j) >= theta {
 				assign[j] = label
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"github.com/metagenomics/mrmcminh/internal/metrics"
-	"github.com/metagenomics/mrmcminh/internal/minhash"
 )
 
 // LSHOptions sizes the banding index used to accelerate greedy clustering.
@@ -59,59 +58,18 @@ func kneeOf(bands, rows int) float64 {
 // checks only representatives sharing at least one LSH band — the
 // MC-LSH acceleration folded into MrMC-MinH as an optional fast path.
 // Results can differ slightly from exact Greedy when a qualifying
-// representative never collides (missed-candidate recall loss).
-func GreedyLSH(sigs []minhash.Signature, opt GreedyOptions, lsh LSHOptions) (metrics.Clustering, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	sigLen := 0
-	for _, s := range sigs {
-		if len(s) > sigLen {
-			sigLen = len(s)
-		}
-	}
-	if len(sigs) > 0 {
-		if err := lsh.Validate(sigLen); err != nil {
-			return nil, err
-		}
-	}
-	idx, err := minhash.NewBandIndex(lsh.Bands, lsh.Rows)
+// representative never collides (missed-candidate recall loss). It is
+// the batch form of the banded Incremental: the labels are those of
+// adding elements 0..n-1 in order.
+func GreedyLSH(src SigSource, theta float64, lsh LSHOptions) (metrics.Clustering, error) {
+	inc, err := NewIncremental(src, theta, &lsh)
 	if err != nil {
 		return nil, err
 	}
-	prep := minhash.PrepareAll(sigs)
-	assign := make(metrics.Clustering, len(sigs))
+	assign := make(metrics.Clustering, src.Len())
 	for i := range assign {
-		assign[i] = -1
-	}
-	repLabel := map[int]int{}
-	var repOrig []int // band-index id -> original signature index
-	var candBuf []int // reused across queries (CandidatesInto)
-	next := 0
-	for i, sig := range sigs {
-		placed := false
-		if !sig.Empty() {
-			candBuf = idx.CandidatesInto(sig, candBuf[:0])
-			for _, cand := range candBuf {
-				if opt.Estimator.SimilarityPrepared(prep[i], prep[repOrig[cand]]) >= opt.Threshold {
-					assign[i] = repLabel[cand]
-					placed = true
-					break
-				}
-			}
-		}
-		if !placed {
-			id, err := idx.Add(sig)
-			if err != nil {
-				return nil, err
-			}
-			if id != len(repOrig) {
-				return nil, fmt.Errorf("cluster: LSH index id drift")
-			}
-			repOrig = append(repOrig, i)
-			repLabel[id] = next
-			assign[i] = next
-			next++
+		if assign[i], err = inc.Add(i); err != nil {
+			return nil, err
 		}
 	}
 	return assign, nil

@@ -1,10 +1,9 @@
 package cluster
 
 import (
+	"math/rand"
 	"testing"
 	"time"
-
-	"math/rand"
 
 	"github.com/metagenomics/mrmcminh/internal/kmer"
 	"github.com/metagenomics/mrmcminh/internal/minhash"
@@ -44,12 +43,12 @@ func TestLSHOptionsValidate(t *testing.T) {
 
 func TestGreedyLSHMatchesGreedyOnSeparatedGroups(t *testing.T) {
 	sigs, truth := sketchGroups(t, 5, 10, 41)
-	opt := GreedyOptions{Threshold: 0.5, Estimator: minhash.MatchedPositions}
-	exact, err := Greedy(sigs, opt)
+	src := NewSliceSource(sigs, minhash.MatchedPositions)
+	exact, err := Greedy(src, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsh, err := GreedyLSH(sigs, opt, GeometryFor(len(sigs[0]), 0.5))
+	lsh, err := GreedyLSH(src, 0.5, GeometryFor(len(sigs[0]), 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,15 +60,16 @@ func TestGreedyLSHMatchesGreedyOnSeparatedGroups(t *testing.T) {
 }
 
 func TestGreedyLSHEmptyInputAndValidation(t *testing.T) {
-	c, err := GreedyLSH(nil, GreedyOptions{Threshold: 0.5}, LSHOptions{Bands: 2, Rows: 2})
+	empty := NewSliceSource(nil, minhash.SetOverlap)
+	c, err := GreedyLSH(empty, 0.5, LSHOptions{Bands: 2, Rows: 2})
 	if err != nil || len(c) != 0 {
 		t.Fatalf("c=%v err=%v", c, err)
 	}
-	if _, err := GreedyLSH(nil, GreedyOptions{Threshold: 2}, LSHOptions{Bands: 2, Rows: 2}); err == nil {
+	if _, err := GreedyLSH(empty, 2, LSHOptions{Bands: 2, Rows: 2}); err == nil {
 		t.Fatal("bad threshold accepted")
 	}
 	sigs, _ := sketchGroups(t, 1, 3, 42)
-	if _, err := GreedyLSH(sigs, GreedyOptions{Threshold: 0.5}, LSHOptions{Bands: 100, Rows: 100}); err == nil {
+	if _, err := GreedyLSH(NewSliceSource(sigs, minhash.SetOverlap), 0.5, LSHOptions{Bands: 100, Rows: 100}); err == nil {
 		t.Fatal("oversized geometry accepted")
 	}
 }
@@ -91,14 +91,14 @@ func TestGreedyLSHScalesBetterThanExact(t *testing.T) {
 		}
 		sigs[i] = sk.Sketch(set)
 	}
-	opt := GreedyOptions{Threshold: 0.6, Estimator: minhash.MatchedPositions}
+	src := NewSliceSource(sigs, minhash.MatchedPositions)
 	start := time.Now()
-	if _, err := Greedy(sigs, opt); err != nil {
+	if _, err := Greedy(src, 0.6); err != nil {
 		t.Fatal(err)
 	}
 	exactTime := time.Since(start)
 	start = time.Now()
-	if _, err := GreedyLSH(sigs, opt, GeometryFor(100, 0.6)); err != nil {
+	if _, err := GreedyLSH(src, 0.6, GeometryFor(100, 0.6)); err != nil {
 		t.Fatal(err)
 	}
 	lshTime := time.Since(start)

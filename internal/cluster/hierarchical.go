@@ -209,10 +209,10 @@ func (d *Dendrogram) Heights() []float64 {
 }
 
 // SimilarityMatrix computes the dense all-pairs matrix from signatures
-// sequentially with the legacy per-pair estimator — the reference
-// implementation that BuildMatrixParallel must match cell for cell.
-// Production paths use BuildMatrixParallel (prepared signatures, tiled
-// worker fan-out); the MapReduce row-parallel path lives in
+// sequentially with the unprepared per-pair estimator — the independent
+// reference that BuildMatrixParallel over a source must match cell for
+// cell. Production paths use BuildMatrixParallel (prepared signatures,
+// tiled worker fan-out); the MapReduce row-parallel path lives in
 // internal/core.
 func SimilarityMatrix(sigs []minhash.Signature, est minhash.Estimator) *Matrix {
 	n := len(sigs)
@@ -225,14 +225,14 @@ func SimilarityMatrix(sigs []minhash.Signature, est minhash.Estimator) *Matrix {
 	return m
 }
 
-// HierarchicalFromSignatures is the end-to-end Algorithm 2: matrix, then
-// dendrogram, then cut at θ. The matrix is built with the parallel tiled
-// kernel over all available cores.
-func HierarchicalFromSignatures(sigs []minhash.Signature, est minhash.Estimator, link Linkage, theta float64) (metrics.Clustering, error) {
-	if theta < 0 || theta > 1 {
-		return nil, fmt.Errorf("cluster: threshold must be in [0,1], got %v", theta)
+// HierarchicalFromSource is the end-to-end Algorithm 2 over a signature
+// source: parallel tiled matrix build from the source's pairwise kernel,
+// dendrogram, cut at θ.
+func HierarchicalFromSource(src SigSource, link Linkage, theta float64) (metrics.Clustering, error) {
+	if err := checkTheta(theta); err != nil {
+		return nil, err
 	}
-	m := BuildMatrixParallel(sigs, est, 0)
+	m := BuildMatrixParallel(src.Len(), 0, src.Similarity)
 	d, err := Hierarchical(m, HierarchicalOptions{Linkage: link})
 	if err != nil {
 		return nil, err

@@ -1,38 +1,36 @@
 package cluster
 
-import (
-	"fmt"
-
-	"github.com/metagenomics/mrmcminh/internal/minhash"
-)
+import "fmt"
 
 // Incremental is an online version of Algorithm 1: reads arrive one at a
-// time (a sequencer streaming out of a run, or an HDFS ingest pipe) and
-// are labelled immediately against the representatives seen so far. The
-// greedy algorithm is inherently order-sensitive, so the incremental and
-// batch variants agree given the same arrival order.
+// time (a sequencer streaming out of a run, or the serving daemon's
+// ingest) and are labelled immediately against the representatives seen
+// so far. Representatives stay in the source (the store arena): they are
+// remembered by index, never copied out. The greedy algorithm is
+// order-sensitive, so the online and batch variants agree given the same
+// arrival order.
 type Incremental struct {
-	opt GreedyOptions
+	src   SigSource
+	theta float64
 	// lsh, when non-nil, indexes representatives for sub-linear lookup.
-	lsh *minhash.BandIndex
-	// reps holds prepared representative signatures: indexed by label on
-	// the exact-scan path, by LSH id when lsh is non-nil.
-	reps    []minhash.Prepared
-	repOf   []int // lsh id -> cluster label (when lsh is used)
-	nLabels int
+	// Representatives enter it in label order, so an entry id is its
+	// cluster's label.
+	lsh     *LSHIndex
+	candBuf []int
+	reps    []int // cluster label -> source index of its representative
 	nReads  int
 }
 
-// NewIncremental starts an empty online clusterer. Pass a nil lshGeometry
-// for exact representative scans, or a geometry (see GeometryFor) for the
-// banded fast path.
-func NewIncremental(opt GreedyOptions, lshGeometry *LSHOptions) (*Incremental, error) {
-	if err := opt.Validate(); err != nil {
+// NewIncremental starts an online clusterer over src. Pass a nil
+// lshGeometry for exact representative scans, or a geometry (see
+// GeometryFor) for the banded fast path.
+func NewIncremental(src SigSource, theta float64, lshGeometry *LSHOptions) (*Incremental, error) {
+	if err := checkTheta(theta); err != nil {
 		return nil, err
 	}
-	inc := &Incremental{opt: opt}
+	inc := &Incremental{src: src, theta: theta}
 	if lshGeometry != nil {
-		idx, err := minhash.NewBandIndex(lshGeometry.Bands, lshGeometry.Rows)
+		idx, err := NewLSHIndex(src, *lshGeometry)
 		if err != nil {
 			return nil, err
 		}
@@ -41,47 +39,39 @@ func NewIncremental(opt GreedyOptions, lshGeometry *LSHOptions) (*Incremental, e
 	return inc, nil
 }
 
-// Add labels one signature and returns its cluster id. New clusters are
-// created on demand; labels are stable for the lifetime of the clusterer.
-func (inc *Incremental) Add(sig minhash.Signature) (int, error) {
-	if inc.lsh != nil && len(sig) < inc.lsh.SignatureLen() {
-		return 0, fmt.Errorf("cluster: signature length %d below LSH geometry %d", len(sig), inc.lsh.SignatureLen())
+// Add labels source element i and returns its cluster id. Elements must
+// be added at most once; labels are stable for the clusterer's lifetime.
+func (inc *Incremental) Add(i int) (int, error) {
+	if i < 0 || i >= inc.src.Len() {
+		return 0, fmt.Errorf("cluster: source index %d out of range [0,%d)", i, inc.src.Len())
 	}
 	inc.nReads++
-	prep := minhash.Prepare(sig)
-	if !sig.Empty() {
+	if !inc.src.Empty(i) {
 		if inc.lsh != nil {
-			for _, cand := range inc.lsh.Candidates(sig) {
-				if inc.opt.Estimator.SimilarityPrepared(prep, inc.reps[cand]) >= inc.opt.Threshold {
-					return inc.repOf[cand], nil
+			inc.candBuf = inc.lsh.Candidates(i, inc.candBuf[:0])
+			for _, label := range inc.candBuf {
+				if inc.src.Similarity(i, inc.reps[label]) >= inc.theta {
+					return label, nil
 				}
 			}
 		} else {
 			for label, rep := range inc.reps {
-				if inc.opt.Estimator.SimilarityPrepared(prep, rep) >= inc.opt.Threshold {
+				if inc.src.Similarity(i, rep) >= inc.theta {
 					return label, nil
 				}
 			}
 		}
 	}
-	label := inc.nLabels
-	inc.nLabels++
+	label := len(inc.reps)
+	inc.reps = append(inc.reps, i)
 	if inc.lsh != nil {
-		id, err := inc.lsh.Add(sig)
-		if err != nil {
-			return 0, err
-		}
-		if id != len(inc.repOf) {
-			return 0, fmt.Errorf("cluster: LSH index id drift")
-		}
-		inc.repOf = append(inc.repOf, label)
+		inc.lsh.Add(i)
 	}
-	inc.reps = append(inc.reps, prep)
 	return label, nil
 }
 
 // NumClusters returns the number of clusters created so far.
-func (inc *Incremental) NumClusters() int { return inc.nLabels }
+func (inc *Incremental) NumClusters() int { return len(inc.reps) }
 
 // NumReads returns the number of signatures processed.
 func (inc *Incremental) NumReads() int { return inc.nReads }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"github.com/metagenomics/mrmcminh/internal/metrics"
-	"github.com/metagenomics/mrmcminh/internal/minhash"
 )
 
 // Multi-level output — the paper (§I) produces "clustering results at
@@ -70,14 +69,13 @@ func LevelsAreNested(levels []Level) bool {
 // Representatives picks one medoid-like representative per cluster: the
 // member with the highest summed similarity to its cluster mates (ties
 // broken by lowest index). For singleton clusters the sole member is
-// returned. Sequences enter as signatures so the choice uses the same
-// estimator as clustering did.
-func Representatives(labels metrics.Clustering, sigs []minhash.Signature, est minhash.Estimator) (map[int]int, error) {
-	if len(labels) != len(sigs) {
-		return nil, fmt.Errorf("cluster: %d labels for %d signatures", len(labels), len(sigs))
+// returned. Similarities come from the source, so the choice uses the
+// same estimator as clustering did.
+func Representatives(labels metrics.Clustering, src SigSource) (map[int]int, error) {
+	if len(labels) != src.Len() {
+		return nil, fmt.Errorf("cluster: %d labels for %d signatures", len(labels), src.Len())
 	}
 	members := labels.Members()
-	prep := minhash.PrepareAll(sigs)
 	reps := make(map[int]int, len(members))
 	for id, idx := range members {
 		if len(idx) == 1 {
@@ -89,7 +87,7 @@ func Representatives(labels metrics.Clustering, sigs []minhash.Signature, est mi
 			score := 0.0
 			for _, j := range idx {
 				if i != j {
-					score += est.SimilarityPrepared(prep[i], prep[j])
+					score += src.Similarity(i, j)
 				}
 			}
 			if score > bestScore {

@@ -49,11 +49,12 @@ func TestLevelsAreNestedDetectsViolation(t *testing.T) {
 
 func TestRepresentatives(t *testing.T) {
 	sigs, _ := sketchGroups(t, 2, 5, 31)
-	labels, err := Greedy(sigs, GreedyOptions{Threshold: 0.5, Estimator: minhash.MatchedPositions})
+	src := NewSliceSource(sigs, minhash.MatchedPositions)
+	labels, err := Greedy(src, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reps, err := Representatives(labels, sigs, minhash.MatchedPositions)
+	reps, err := Representatives(labels, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestRepresentatives(t *testing.T) {
 func TestRepresentativesSingleton(t *testing.T) {
 	sk := minhash.MustSketcher(10, 5, 1)
 	sigs := []minhash.Signature{sk.Sketch(kmer.FromSlice([]uint64{1, 2}))}
-	reps, err := Representatives([]int{0}, sigs, minhash.MatchedPositions)
+	reps, err := Representatives([]int{0}, NewSliceSource(sigs, minhash.MatchedPositions))
 	if err != nil || reps[0] != 0 {
 		t.Fatalf("reps %v err %v", reps, err)
 	}
@@ -83,7 +84,7 @@ func TestRepresentativesMedoidChoice(t *testing.T) {
 	shared := kmer.FromSlice([]uint64{10, 20, 30, 40, 50})
 	distinct := kmer.FromSlice([]uint64{10, 20, 99, 98, 97})
 	sigs := []minhash.Signature{sk.Sketch(shared), sk.Sketch(shared), sk.Sketch(distinct)}
-	reps, err := Representatives([]int{0, 0, 0}, sigs, minhash.MatchedPositions)
+	reps, err := Representatives([]int{0, 0, 0}, NewSliceSource(sigs, minhash.MatchedPositions))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestRepresentativesMedoidChoice(t *testing.T) {
 }
 
 func TestRepresentativesValidation(t *testing.T) {
-	if _, err := Representatives([]int{0, 0}, nil, minhash.MatchedPositions); err == nil {
+	if _, err := Representatives([]int{0, 0}, NewSliceSource(nil, minhash.MatchedPositions)); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 }

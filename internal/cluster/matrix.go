@@ -42,8 +42,8 @@ func (m *Matrix) Set(i, j int, v float64) {
 
 // SetRow fills row i from a dense slice of length N (used by the MR path,
 // which computes whole rows in map tasks). Both triangles are written —
-// (i,j) and (j,i) — so a matrix assembled row by row is symmetric without
-// a separate Symmetrize pass. Values at [i] are ignored.
+// (i,j) and (j,i) — so a matrix assembled row by row is symmetric.
+// Values at [i] are ignored.
 func (m *Matrix) SetRow(i int, row []float64) error {
 	if len(row) != m.n {
 		return fmt.Errorf("cluster: row length %d != matrix size %d", len(row), m.n)
@@ -69,19 +69,4 @@ func (m *Matrix) Get(i, j int) float64 {
 		return 1
 	}
 	return float64(m.data[i*m.n+j])
-}
-
-// Symmetrize copies the max of (i,j) and (j,i) into both cells. Set and
-// SetRow already write both triangles, so this is only needed for
-// matrices whose cells were filled from genuinely asymmetric sources.
-func (m *Matrix) Symmetrize() {
-	for i := 0; i < m.n; i++ {
-		for j := i + 1; j < m.n; j++ {
-			a, b := m.data[i*m.n+j], m.data[j*m.n+i]
-			if a < b {
-				a = b
-			}
-			m.data[i*m.n+j], m.data[j*m.n+i] = a, a
-		}
-	}
 }

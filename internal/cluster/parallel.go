@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"github.com/metagenomics/mrmcminh/internal/minhash"
 )
 
 // matrixTile is the row/column block edge of the parallel matrix build.
@@ -14,27 +12,16 @@ import (
 // filled.
 const matrixTile = 64
 
-// BuildMatrixParallel computes the all-pairs similarity matrix from
-// signatures using a pool of workers (0 means GOMAXPROCS). Signatures
-// are Prepared once so every pair comparison is allocation-free, and
-// row blocks are fanned out over the pool with each worker writing only
-// its own rows — lock-free and race-free by construction. The result is
-// cell-for-cell identical to SimilarityMatrix regardless of worker
-// count.
-func BuildMatrixParallel(sigs []minhash.Signature, est minhash.Estimator, workers int) *Matrix {
-	prep := minhash.PrepareAll(sigs)
-	return BuildMatrixParallelFunc(len(sigs), workers, func(i, j int) float64 {
-		return est.SimilarityPrepared(prep[i], prep[j])
-	})
-}
-
-// BuildMatrixParallelFunc fills an n×n symmetric similarity matrix from
-// an arbitrary pairwise kernel, tiled and fanned out over a worker pool
-// (0 workers means GOMAXPROCS). sim is called once per unordered pair
+// BuildMatrixParallel fills an n×n symmetric similarity matrix from a
+// pairwise kernel — a source's Similarity, or an alignment score —
+// tiled and fanned out over a worker pool (0 workers means GOMAXPROCS).
+// Row blocks go to the workers, each writing only its own rows, so the
+// build is lock-free and race-free by construction and its result is
+// the same for every worker count. sim is called once per unordered pair
 // (i<j) and must be safe for concurrent calls; the diagonal is fixed at
 // 1 by the Matrix type. The alignment-based baselines (DOTUR, Mothur,
 // ESPRIT) share this builder with the sketch path.
-func BuildMatrixParallelFunc(n, workers int, sim func(i, j int) float64) *Matrix {
+func BuildMatrixParallel(n, workers int, sim func(i, j int) float64) *Matrix {
 	m := MustMatrix(n)
 	if n < 2 {
 		return m

@@ -34,17 +34,18 @@ func benchSigs(n int, seed int64) []minhash.Signature {
 }
 
 // TestBuildMatrixParallelMatchesSequential pins the tiled parallel
-// builder to the legacy sequential reference, cell for cell, for both
-// estimators and several worker counts (including counts that do not
-// divide the tile grid).
+// builder over a source to the sequential unprepared reference, cell for
+// cell, for both estimators and several worker counts (including counts
+// that do not divide the tile grid).
 func TestBuildMatrixParallelMatchesSequential(t *testing.T) {
 	sigs := benchSigs(150, 3)
 	sigs[17] = minhash.Signature(nil)                             // nil signature
 	sigs[63] = minhash.MustSketcher(100, 5, 1).Sketch(kmer.Set{}) // empty feature set
 	for _, est := range []minhash.Estimator{minhash.SetOverlap, minhash.MatchedPositions} {
 		want := SimilarityMatrix(sigs, est)
+		src := NewSliceSource(sigs, est)
 		for _, workers := range []int{0, 1, 2, 3, 7, 16} {
-			got := BuildMatrixParallel(sigs, est, workers)
+			got := BuildMatrixParallel(src.Len(), workers, src.Similarity)
 			if got.N() != want.N() {
 				t.Fatalf("est %v workers %d: size %d != %d", est, workers, got.N(), want.N())
 			}
@@ -61,7 +62,7 @@ func TestBuildMatrixParallelMatchesSequential(t *testing.T) {
 
 func TestBuildMatrixParallelFuncTiny(t *testing.T) {
 	for _, n := range []int{0, 1, 2} {
-		m := BuildMatrixParallelFunc(n, 4, func(i, j int) float64 { return 0.5 })
+		m := BuildMatrixParallel(n, 4, func(i, j int) float64 { return 0.5 })
 		if m.N() != n {
 			t.Fatalf("n=%d: got size %d", n, m.N())
 		}
@@ -75,13 +76,13 @@ func TestBuildMatrixParallelFuncTiny(t *testing.T) {
 // with more workers than row blocks; run under -race (the CI race job
 // covers this package) it proves the row-block writers never overlap.
 func TestBuildMatrixParallelConcurrentStress(t *testing.T) {
-	sigs := benchSigs(130, 5) // 3 row blocks of 64, workers capped to blocks
+	src := NewSliceSource(benchSigs(130, 5), minhash.SetOverlap) // 3 row blocks of 64, workers capped to blocks
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m := BuildMatrixParallel(sigs, minhash.SetOverlap, 8)
+			m := BuildMatrixParallel(src.Len(), 8, src.Similarity)
 			for i := 0; i < m.N(); i++ {
 				for j := 0; j < i; j++ {
 					if m.Get(i, j) != m.Get(j, i) {
@@ -97,8 +98,9 @@ func TestBuildMatrixParallelConcurrentStress(t *testing.T) {
 
 // TestHierarchicalKernelPathEquivalence is the acceptance check at the
 // paper's whole-metagenome defaults (k=5, n=100 hashes, θ=0.9): the
-// legacy sequential matrix and the parallel prepared-kernel matrix must
-// produce identical dendrograms and identical flat clusterings.
+// sequential unprepared matrix and the parallel prepared-kernel matrix
+// over a source must produce identical dendrograms and identical flat
+// clusterings.
 func TestHierarchicalKernelPathEquivalence(t *testing.T) {
 	sigs := benchSigs(120, 9)
 	for _, link := range []Linkage{Single, Average, Complete} {
@@ -106,7 +108,8 @@ func TestHierarchicalKernelPathEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kernel, err := Hierarchical(BuildMatrixParallel(sigs, minhash.SetOverlap, 0), HierarchicalOptions{Linkage: link})
+		src := NewSliceSource(sigs, minhash.SetOverlap)
+		kernel, err := Hierarchical(BuildMatrixParallel(src.Len(), 0, src.Similarity), HierarchicalOptions{Linkage: link})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,6 +141,13 @@ func BenchmarkBuildMatrixSequential500(b *testing.B) {
 	}
 }
 
+// buildOverSource prepares sigs as a source and builds the matrix from
+// its kernel — preparation included, as in every batch clustering call.
+func buildOverSource(sigs []minhash.Signature, workers int) *Matrix {
+	src := NewSliceSource(sigs, minhash.SetOverlap)
+	return BuildMatrixParallel(src.Len(), workers, src.Similarity)
+}
+
 // BenchmarkBuildMatrixParallel500 is the kernel path: prepared
 // signatures, tiled row blocks over all cores.
 func BenchmarkBuildMatrixParallel500(b *testing.B) {
@@ -145,7 +155,7 @@ func BenchmarkBuildMatrixParallel500(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = BuildMatrixParallel(sigs, minhash.SetOverlap, 0)
+		_ = buildOverSource(sigs, 0)
 	}
 }
 
@@ -156,6 +166,6 @@ func BenchmarkBuildMatrixParallel500OneWorker(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = BuildMatrixParallel(sigs, minhash.SetOverlap, 1)
+		_ = buildOverSource(sigs, 1)
 	}
 }

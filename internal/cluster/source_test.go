@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/metagenomics/mrmcminh/internal/metrics"
 	"github.com/metagenomics/mrmcminh/internal/minhash"
 )
 
@@ -51,70 +52,121 @@ func clusteringsEqual(t *testing.T, name string, got, want []int) {
 	}
 }
 
-// TestGreedySourceEquivalence pins GreedySource over a SliceSource to be
-// identical to the slice-backed Greedy oracle.
+// greedyReference is Algorithm 1 written directly over signature slices
+// with the unprepared Estimator.Similarity — the independent reference
+// Greedy over a source is pinned to.
+func greedyReference(sigs []minhash.Signature, est minhash.Estimator, theta float64) metrics.Clustering {
+	assign := make(metrics.Clustering, len(sigs))
+	for i := range assign {
+		assign[i] = -1
+	}
+	next := 0
+	for first := range sigs {
+		if assign[first] >= 0 {
+			continue
+		}
+		assign[first] = next
+		for j := first + 1; j < len(sigs) && !sigs[first].Empty(); j++ {
+			if assign[j] < 0 && est.Similarity(sigs[first], sigs[j]) >= theta {
+				assign[j] = next
+			}
+		}
+		next++
+	}
+	return assign
+}
+
+// greedyLSHReference is banded Algorithm 1 written directly over
+// signature slices: per-band maps from band hash to representative
+// labels, a fresh seen-set per query, candidates tried in first-seen
+// order across bands, and the unprepared Estimator.Similarity.
+func greedyLSHReference(sigs []minhash.Signature, est minhash.Estimator, theta float64, geo LSHOptions) metrics.Clustering {
+	buckets := make([]map[uint64][]int, geo.Bands)
+	for b := range buckets {
+		buckets[b] = map[uint64][]int{}
+	}
+	var reps []int
+	assign := make(metrics.Clustering, len(sigs))
+	for i, sig := range sigs {
+		assign[i] = -1
+		seen := map[int]bool{}
+		for b := 0; b < geo.Bands && assign[i] < 0 && !sig.Empty(); b++ {
+			for _, label := range buckets[b][minhash.BandHash(sig, b, geo.Rows)] {
+				if !seen[label] && assign[i] < 0 {
+					seen[label] = true
+					if est.Similarity(sig, sigs[reps[label]]) >= theta {
+						assign[i] = label
+					}
+				}
+			}
+		}
+		if assign[i] < 0 {
+			assign[i] = len(reps)
+			for b := range buckets {
+				h := minhash.BandHash(sig, b, geo.Rows)
+				buckets[b][h] = append(buckets[b][h], len(reps))
+			}
+			reps = append(reps, i)
+		}
+	}
+	return assign
+}
+
+// TestGreedySourceEquivalence pins Greedy over a SliceSource to the
+// slice-level reference.
 func TestGreedySourceEquivalence(t *testing.T) {
 	sigs := sourceTestSigs(150, 40, 6, 11, 1)
 	for _, est := range []minhash.Estimator{minhash.SetOverlap, minhash.MatchedPositions} {
-		opt := GreedyOptions{Threshold: 0.6, Estimator: est}
-		want, err := Greedy(sigs, opt)
+		got, err := Greedy(NewSliceSource(sigs, est), 0.6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := GreedySource(NewSliceSource(sigs, est), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clusteringsEqual(t, "GreedySource", got, want)
+		clusteringsEqual(t, "Greedy", got, greedyReference(sigs, est, 0.6))
 	}
-	if _, err := GreedySource(NewSliceSource(nil, minhash.SetOverlap), GreedyOptions{Threshold: 2}); err == nil {
+	if _, err := Greedy(NewSliceSource(nil, minhash.SetOverlap), 2); err == nil {
 		t.Fatal("bad threshold: expected error")
 	}
 }
 
-// TestGreedyLSHSourceEquivalence pins GreedyLSHSource — including its
-// replicated BandIndex candidate ordering — identical to GreedyLSH.
+// TestGreedyLSHSourceEquivalence pins GreedyLSH — including the band
+// index's candidate order — to the slice-level banded reference.
 func TestGreedyLSHSourceEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		sigs := sourceTestSigs(200, 40, 8, 13, seed)
-		opt := GreedyOptions{Threshold: 0.6, Estimator: minhash.SetOverlap}
 		lsh := LSHOptions{Bands: 8, Rows: 5}
-		want, err := GreedyLSH(sigs, opt, lsh)
+		got, err := GreedyLSH(NewSliceSource(sigs, minhash.SetOverlap), 0.6, lsh)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := GreedyLSHSource(NewSliceSource(sigs, opt.Estimator), opt, lsh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clusteringsEqual(t, "GreedyLSHSource", got, want)
+		clusteringsEqual(t, "GreedyLSH", got, greedyLSHReference(sigs, minhash.SetOverlap, 0.6, lsh))
 	}
 }
 
 func TestGreedyLSHSourceValidation(t *testing.T) {
 	src := NewSliceSource(sourceTestSigs(10, 20, 2, 0, 4), minhash.SetOverlap)
-	if _, err := GreedyLSHSource(src, GreedyOptions{Threshold: 0.5}, LSHOptions{Bands: 7, Rows: 5}); err == nil {
+	if _, err := GreedyLSH(src, 0.5, LSHOptions{Bands: 7, Rows: 5}); err == nil {
 		t.Fatal("oversized geometry: expected error")
 	}
-	if _, err := GreedyLSHSource(src, GreedyOptions{Threshold: -1}, LSHOptions{Bands: 4, Rows: 5}); err == nil {
+	if _, err := GreedyLSH(src, -1, LSHOptions{Bands: 4, Rows: 5}); err == nil {
 		t.Fatal("bad threshold: expected error")
 	}
 	empty := NewSliceSource(nil, minhash.SetOverlap)
-	if _, err := GreedyLSHSource(empty, GreedyOptions{Threshold: 0.5}, LSHOptions{Bands: 0, Rows: 5}); err == nil {
+	if _, err := GreedyLSH(empty, 0.5, LSHOptions{Bands: 0, Rows: 5}); err == nil {
 		t.Fatal("zero bands: expected error even on empty input")
 	}
-	got, err := GreedyLSHSource(empty, GreedyOptions{Threshold: 0.5}, LSHOptions{Bands: 4, Rows: 5})
+	got, err := GreedyLSH(empty, 0.5, LSHOptions{Bands: 4, Rows: 5})
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty source: got %v, %v", got, err)
 	}
 }
 
-// TestHierarchicalFromSourceEquivalence pins HierarchicalFromSource
-// identical to HierarchicalFromSignatures for every linkage.
+// TestHierarchicalFromSourceEquivalence pins HierarchicalFromSource to
+// the dendrogram of the sequential unprepared SimilarityMatrix, for
+// every linkage.
 func TestHierarchicalFromSourceEquivalence(t *testing.T) {
 	sigs := sourceTestSigs(90, 30, 5, 10, 2)
 	for _, link := range []Linkage{Single, Average, Complete} {
-		want, err := HierarchicalFromSignatures(sigs, minhash.SetOverlap, link, 0.6)
+		d, err := Hierarchical(SimilarityMatrix(sigs, minhash.SetOverlap), HierarchicalOptions{Linkage: link})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,47 +174,44 @@ func TestHierarchicalFromSourceEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clusteringsEqual(t, link.String(), got, want)
+		clusteringsEqual(t, link.String(), got, d.CutAt(0.6))
 	}
 	if _, err := HierarchicalFromSource(NewSliceSource(sigs, minhash.SetOverlap), Single, 1.5); err == nil {
 		t.Fatal("bad threshold: expected error")
 	}
 }
 
-// TestIncrementalSourceEquivalence pins IncrementalSource identical to
-// Incremental given the same arrival order, with and without banding.
+// TestIncrementalSourceEquivalence pins Incremental to the slice-level
+// references given the same arrival order: the exact scan to the greedy
+// reference, the banded path to the banded one.
 func TestIncrementalSourceEquivalence(t *testing.T) {
 	sigs := sourceTestSigs(120, 40, 6, 9, 3)
-	opt := GreedyOptions{Threshold: 0.6, Estimator: minhash.SetOverlap}
+	src := NewSliceSource(sigs, minhash.SetOverlap)
 	for _, geo := range []*LSHOptions{nil, {Bands: 8, Rows: 5}} {
-		ref, err := NewIncremental(opt, geo)
+		want := greedyReference(sigs, minhash.SetOverlap, 0.6)
+		if geo != nil {
+			want = greedyLSHReference(sigs, minhash.SetOverlap, 0.6, *geo)
+		}
+		inc, err := NewIncremental(src, 0.6, geo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, err := NewIncrementalSource(NewSliceSource(sigs, opt.Estimator), opt, geo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, sig := range sigs {
-			want, err := ref.Add(sig)
+		for i := range sigs {
+			got, err := inc.Add(i)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := src.Add(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("geo=%v read %d: label %d, want %d", geo, i, got, want)
+			if got != want[i] {
+				t.Fatalf("geo=%v read %d: label %d, want %d", geo, i, got, want[i])
 			}
 		}
-		if src.NumClusters() != ref.NumClusters() || src.NumReads() != ref.NumReads() {
+		if inc.NumClusters() != want.NumClusters() || inc.NumReads() != len(sigs) {
 			t.Fatalf("geo=%v: counts %d/%d vs %d/%d", geo,
-				src.NumClusters(), src.NumReads(), ref.NumClusters(), ref.NumReads())
+				inc.NumClusters(), inc.NumReads(), want.NumClusters(), len(sigs))
 		}
 	}
-	src, _ := NewIncrementalSource(NewSliceSource(sigs, opt.Estimator), opt, nil)
-	if _, err := src.Add(len(sigs)); err == nil {
+	inc, _ := NewIncremental(src, 0.6, nil)
+	if _, err := inc.Add(len(sigs)); err == nil {
 		t.Fatal("out-of-range index: expected error")
 	}
 }
@@ -196,14 +245,9 @@ func TestSubsetSourceProjects(t *testing.T) {
 		}
 	}
 	// Clustering a subset equals clustering the copied-out slice.
-	opt := GreedyOptions{Threshold: 0.6, Estimator: minhash.SetOverlap}
-	want, err := Greedy(picked, opt)
+	got, err := Greedy(sub, 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := GreedySource(sub, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clusteringsEqual(t, "subset greedy", got, want)
+	clusteringsEqual(t, "subset greedy", got, greedyReference(picked, minhash.SetOverlap, 0.6))
 }

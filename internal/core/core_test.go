@@ -66,6 +66,8 @@ func TestOptionsValidate(t *testing.T) {
 		{Theta: 1.5},
 		{Theta: -0.1},
 		{Mode: Mode(7)},
+		{StoreBits: -1}, // the per-run slice path is gone
+		{StoreBits: 17},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {
@@ -316,6 +318,11 @@ func TestRunScriptValidation(t *testing.T) {
 	}
 	if _, err := RunScript(fs, smallCluster(), ScriptParams{Input: "/missing", K: 5, NumHash: 10}, 1); err == nil {
 		t.Fatal("missing input accepted")
+	}
+	for _, bits := range []int{-1, 17} {
+		if _, err := RunScriptOpts(fs, smallCluster(), ScriptParams{K: 5, NumHash: 10}, 1, ScriptOptions{StoreBits: bits}); err == nil {
+			t.Fatalf("StoreBits=%d accepted", bits)
+		}
 	}
 }
 

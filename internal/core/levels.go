@@ -58,19 +58,14 @@ func RunLevels(reads []fasta.Record, opt Options, thetas []float64) (*LevelsResu
 	}
 	res.Virtual += skOut.Virtual
 	res.Jobs++
-	// Same source routing as Run: the matrix rows read borrowed store rows
-	// unless the legacy slice oracle (StoreBits == -1) is requested.
-	var src cluster.SigSource = cluster.NewSliceSource(sigs, opt.Estimator)
-	if opt.StoreBits >= 0 {
-		store, err := buildStore(reads, sigs, opt)
-		if err != nil {
-			return nil, err
-		}
-		view, err := store.View(opt.Estimator)
-		if err != nil {
-			return nil, err
-		}
-		src = view
+	// Same source as Run: the matrix rows read borrowed store rows.
+	store, err := buildStore(reads, sigs, opt)
+	if err != nil {
+		return nil, err
+	}
+	src, err := store.View(opt.Estimator)
+	if err != nil {
+		return nil, err
 	}
 	m, simOut, err := similarityJob(engine, src, opt)
 	if err != nil {
@@ -109,5 +104,5 @@ func PickRepresentatives(reads []fasta.Record, labels metrics.Clustering, opt Op
 	if err != nil {
 		return nil, err
 	}
-	return cluster.Representatives(labels, sigs, opt.Estimator)
+	return cluster.Representatives(labels, cluster.NewSliceSource(sigs, opt.Estimator))
 }

@@ -51,9 +51,9 @@ func pairKey(i, j int) string { return fmt.Sprintf("%012d:%012d", i, j) }
 // lshEdgesJobs runs candidate generation and verification as two chained
 // MapReduce jobs and returns the verified θ-edges, sorted. Signatures are
 // read through the source — band hashes and pair similarities come off
-// borrowed store rows (or prepared slices on the legacy path) without
-// materializing any per-task signature copies.
-func lshEdgesJobs(engine *mapreduce.Engine, src sigSource, opt Options) ([]cluster.Edge, []*mapreduce.Result, error) {
+// borrowed store rows without materializing any per-task signature
+// copies.
+func lshEdgesJobs(engine *mapreduce.Engine, src cluster.SigSource, opt Options) ([]cluster.Edge, []*mapreduce.Result, error) {
 	lsh := lshGeometry(opt)
 	cap := lshBucketCap(opt)
 
@@ -167,7 +167,7 @@ func lshEdgesJobs(engine *mapreduce.Engine, src sigSource, opt Options) ([]clust
 // each connected component (components are grouped in the shuffle, members
 // arrive as values) and returns each read's (component, local label)
 // resolved to a global label by first appearance in read order.
-func lshFinishJob(engine *mapreduce.Engine, src sigSource, comps []int, opt Options) (metrics.Clustering, *mapreduce.Result, error) {
+func lshFinishJob(engine *mapreduce.Engine, src cluster.SigSource, comps []int, opt Options) (metrics.Clustering, *mapreduce.Result, error) {
 	n := src.Len()
 	records := make([]mapreduce.KeyValue, n)
 	for i := range records {
@@ -201,14 +201,11 @@ func lshFinishJob(engine *mapreduce.Engine, src sigSource, comps []int, opt Opti
 			} else {
 				// Restrict the source to the component — an index remap, no
 				// signature copies — and run the exact algorithm over it.
-				// GreedySource/HierarchicalFromSource over a subset are
-				// pinned bit-identical to the copied-slice legacy path by
-				// the cluster equivalence tests.
 				sub := cluster.Subset(src, members)
 				var err error
 				switch opt.Mode {
 				case GreedyMode:
-					labels, err = cluster.GreedySource(sub, cluster.GreedyOptions{Threshold: opt.Theta, Estimator: opt.Estimator})
+					labels, err = cluster.Greedy(sub, opt.Theta)
 				case HierarchicalMode:
 					labels, err = cluster.HierarchicalFromSource(sub, opt.Linkage, opt.Theta)
 				}
@@ -256,7 +253,7 @@ func lshFinishJob(engine *mapreduce.Engine, src sigSource, comps []int, opt Opti
 // clusterLSHCC drives the LSH candidate stage, connected components and
 // the per-component finish, threading each stage through the checkpoint
 // runner exactly like the exact path's stages.
-func clusterLSHCC(engine *mapreduce.Engine, src sigSource, sigsHash string, opt Options, res *Result, ck *ckptRunner, addJob func(*mapreduce.Result)) error {
+func clusterLSHCC(engine *mapreduce.Engine, src cluster.SigSource, sigsHash string, opt Options, res *Result, ck *ckptRunner, addJob func(*mapreduce.Result)) error {
 	lsh := lshGeometry(opt)
 	edgeParams := map[string]string{
 		"theta":      fmt.Sprint(opt.Theta),

@@ -126,11 +126,9 @@ type Options struct {
 	// dropped from that bucket (counted in lsh.bucket_overflow) — they
 	// stay reachable through their other bands.
 	LSHBucketCap int
-	// StoreBits selects where signatures live between pipeline stages.
-	// 0 (the default): a sharded signature store (internal/sigstore)
-	// holds full 64-bit signatures and every downstream stage borrows
-	// from its arenas — bit-identical to the legacy slice path.
-	// -1: legacy per-run Go slices, kept as the equivalence oracle.
+	// StoreBits selects how the sharded signature store (internal/sigstore)
+	// that every stage after the sketch borrows from holds signatures.
+	// 0 (the default): full 64-bit signatures.
 	// 1..16: the store packs signatures to b bits per slot (b-bit
 	// minwise hashing, Li & König) for an 8–64× smaller resident
 	// footprint; clustering then runs the collision-corrected estimator
@@ -222,8 +220,8 @@ func (o Options) Validate() error {
 	if o.Candidate != CandidateExact && o.Candidate != CandidateLSH {
 		return fmt.Errorf("core: invalid candidate generator %d", o.Candidate)
 	}
-	if o.StoreBits < -1 || o.StoreBits > 16 {
-		return fmt.Errorf("core: StoreBits must be -1 (slices), 0 (full store) or 1..16 (packed), got %d", o.StoreBits)
+	if o.StoreBits < 0 || o.StoreBits > 16 {
+		return fmt.Errorf("core: StoreBits must be 0 (full store) or 1..16 (packed), got %d", o.StoreBits)
 	}
 	if o.Candidate == CandidateLSH {
 		if o.Theta <= 0 {
@@ -455,28 +453,21 @@ func Run(reads []fasta.Record, opt Options) (*Result, error) {
 	}
 	if opt.StoreBits == 0 {
 		// Full-width store: built from the signatures on either path
-		// (fresh sketch or checkpoint restore). Its sketch checkpoint
-		// stays the legacy signature codec, so journals written by the
-		// slice path resume under the store path and vice versa.
+		// (fresh sketch or checkpoint restore). Its sketch checkpoint is
+		// the plain signature codec.
 		if store, err = buildStore(reads, sigs, opt); err != nil {
 			return nil, err
 		}
 	}
-	var src sigSource
-	if store != nil {
-		view, err := store.View(opt.Estimator)
-		if err != nil {
-			return nil, err
-		}
-		src = view
-		if res.Counters == nil {
-			res.Counters = make(map[string]int64)
-		}
-		res.Counters["sigstore.resident_bytes"] = store.ResidentBytes()
-		res.Counters["sigstore.reads"] = int64(store.Len())
-	} else {
-		src = cluster.NewSliceSource(sigs, opt.Estimator)
+	src, err := store.View(opt.Estimator)
+	if err != nil {
+		return nil, err
 	}
+	if res.Counters == nil {
+		res.Counters = make(map[string]int64)
+	}
+	res.Counters["sigstore.resident_bytes"] = store.ResidentBytes()
+	res.Counters["sigstore.reads"] = int64(store.Len())
 	var sigsHash string
 	if opt.Checkpoint != nil {
 		sigsHash = checkpoint.HashBytes(sigBytes)
@@ -619,31 +610,13 @@ func sketchJob(engine *mapreduce.Engine, reads []fasta.Record, opt Options) ([]m
 	return sigs, out, nil
 }
 
-// sigSource is the pipeline's view of a signature corpus: the cluster
-// package's SigSource kernel interface plus borrowed payload access for
-// shuffle emission. Satisfied by cluster.SliceSource (legacy,
-// StoreBits == -1) and sigstore.View (store-backed, the default).
-type sigSource interface {
-	cluster.SigSource
-	// Sig returns the borrowed full signature for i (nil on packed
-	// stores).
-	Sig(i int) minhash.Signature
-	// PackedSig returns the borrowed packed signature for i (the zero
-	// value on full-width sources).
-	PackedSig(i int) minhash.BBitSignature
-}
-
 // buildStore ingests a sketched corpus into a sharded signature store.
 // Rows are keyed by read index (PutBatch from dense ID 0), which keeps
-// store-backed runs index-aligned with the legacy path even when a FASTA
-// repeats a read ID; the translator additionally registers each read ID
+// the store index-aligned with the reads even when a FASTA repeats a
+// read ID; the translator additionally registers each read ID
 // (duplicates resolve to their first occurrence).
 func buildStore(reads []fasta.Record, sigs []minhash.Signature, opt Options) (*sigstore.Store, error) {
-	bits := opt.StoreBits
-	if bits < 0 {
-		bits = 0
-	}
-	st, err := sigstore.New(sigstore.Config{NumHashes: opt.NumHashes, Bits: bits})
+	st, err := sigstore.New(sigstore.Config{NumHashes: opt.NumHashes, Bits: opt.StoreBits})
 	if err != nil {
 		return nil, err
 	}
@@ -661,10 +634,9 @@ func buildStore(reads []fasta.Record, sigs []minhash.Signature, opt Options) (*s
 // greedyJob runs Algorithm 1 inside a single reducer (the paper's GROUP
 // ALL followed by the GreedyClustering UDF). Every read's signature rides
 // the shuffle as a borrowed row — full 64-bit words or b-bit packed,
-// whichever the store holds — and on the store-backed paths the reducer
-// then clusters by borrowing from the store directly instead of
-// materializing the shuffled copies.
-func greedyJob(engine *mapreduce.Engine, src sigSource, opt Options) (metrics.Clustering, *mapreduce.Result, error) {
+// whichever the store holds — and the reducer then clusters by borrowing
+// from the store directly instead of materializing the shuffled copies.
+func greedyJob(engine *mapreduce.Engine, src *sigstore.View, opt Options) (metrics.Clustering, *mapreduce.Result, error) {
 	type indexedSig struct {
 		idx int
 		sig minhash.Signature
@@ -697,27 +669,13 @@ func greedyJob(engine *mapreduce.Engine, src sigSource, opt Options) (metrics.Cl
 			emit(kv)
 			return nil
 		},
-		Reduce: func(_ string, values []any, emit func(mapreduce.KeyValue)) error {
-			gopt := cluster.GreedyOptions{Threshold: opt.Theta, Estimator: opt.Estimator}
+		Reduce: func(_ string, _ []any, emit func(mapreduce.KeyValue)) error {
 			var got metrics.Clustering
 			var err error
-			if opt.StoreBits < 0 {
-				// Legacy slice oracle: rebuild the corpus from the shuffled
-				// records, exactly as the pre-store pipeline did.
-				ordered := make([]minhash.Signature, len(values))
-				for _, v := range values {
-					is := v.(indexedSig)
-					ordered[is.idx] = is.sig
-				}
-				if opt.UseLSH {
-					got, err = cluster.GreedyLSH(ordered, gopt, cluster.GeometryFor(opt.NumHashes, opt.Theta))
-				} else {
-					got, err = cluster.Greedy(ordered, gopt)
-				}
-			} else if opt.UseLSH {
-				got, err = cluster.GreedyLSHSource(src, gopt, cluster.GeometryFor(opt.NumHashes, opt.Theta))
+			if opt.UseLSH {
+				got, err = cluster.GreedyLSH(src, opt.Theta, cluster.GeometryFor(opt.NumHashes, opt.Theta))
 			} else {
-				got, err = cluster.GreedySource(src, gopt)
+				got, err = cluster.Greedy(src, opt.Theta)
 			}
 			if err != nil {
 				return err
@@ -736,8 +694,8 @@ func greedyJob(engine *mapreduce.Engine, src sigSource, opt Options) (metrics.Cl
 // similarityJob computes the all-pairs matrix with row-partitioned map
 // tasks (paper §III-C: "calculation of all pairwise similarity is
 // performed in parallel by performing a row-wise partition"). Map tasks
-// read pairs straight off the source — prepared slices or store arenas —
-// so the O(n²) row scans are allocation-free either way.
+// read pairs straight off the store's arenas, so the O(n²) row scans are
+// allocation-free.
 func similarityJob(engine *mapreduce.Engine, src cluster.SigSource, opt Options) (*cluster.Matrix, *mapreduce.Result, error) {
 	n := src.Len()
 	m, err := cluster.NewMatrix(n)

@@ -95,9 +95,11 @@ type ScriptOptions struct {
 	// jobs (see mapreduce.Job.ShuffleBufferBytes); 0 keeps the in-memory
 	// shuffle.
 	ShuffleBufferBytes int
-	// StoreBits selects the signature backing of the clustering UDFs
-	// (see Options.StoreBits): 0 store-backed full width (default),
-	// -1 legacy slices, 1..16 b-bit packed.
+	// StoreBits selects the signature store backing of the clustering
+	// UDFs GreedyClustering and LSHClustering (see Options.StoreBits):
+	// 0 full width (default), 1..16 b-bit packed. The exact script's
+	// hierarchical branch (CalculatePairwiseSimilarity) always compares
+	// full-width signatures.
 	StoreBits int
 }
 
@@ -160,8 +162,8 @@ func RunScriptOpts(fs *dfs.FileSystem, clusterCfg mapreduce.Cluster, p ScriptPar
 	if rec.Enabled() {
 		fs.SetTrace(rec)
 	}
-	if so.StoreBits < -1 || so.StoreBits > 16 {
-		return nil, fmt.Errorf("core: StoreBits must be -1 (slices), 0 (full store) or 1..16 (packed), got %d", so.StoreBits)
+	if so.StoreBits < 0 || so.StoreBits > 16 {
+		return nil, fmt.Errorf("core: StoreBits must be 0 (full store) or 1..16 (packed), got %d", so.StoreBits)
 	}
 	ctx := &pig.Context{
 		FS:                 fs,

@@ -355,7 +355,7 @@ func agglomerativeClusteringUDF(_ *pig.Context, args []pig.Value) (pig.Value, er
 		}
 	}
 	// SetRow writes both triangles and the similarity rows are symmetric
-	// by construction, so no Symmetrize post-pass is needed.
+	// by construction, so the assembled matrix is symmetric.
 	dend, err := cluster.Hierarchical(m, cluster.HierarchicalOptions{Linkage: link})
 	if err != nil {
 		return nil, err
@@ -374,7 +374,9 @@ func agglomerativeClusteringUDF(_ *pig.Context, args []pig.Value) (pig.Value, er
 
 // greedyClusteringUDF is Algorithm 3 step 9: greedy clustering over the
 // grouped bag of (signature, seqid) tuples, emitting (seqid, clusterlabel).
-func greedyClusteringUDF(_ *pig.Context, args []pig.Value) (pig.Value, error) {
+// The signatures are clustered on the configured store backing (see
+// clusterSource), whose width numhash must match.
+func greedyClusteringUDF(ctx *pig.Context, args []pig.Value) (pig.Value, error) {
 	if len(args) != 3 {
 		return nil, fmt.Errorf("GreedyClustering expects (bag, numhash, cutoff), got %d args", len(args))
 	}
@@ -382,25 +384,23 @@ func greedyClusteringUDF(_ *pig.Context, args []pig.Value) (pig.Value, error) {
 	if !ok {
 		return nil, fmt.Errorf("GreedyClustering: first arg is %T, want bag", args[0])
 	}
+	numhash, err := pig.AsInt(args[1])
+	if err != nil {
+		return nil, err
+	}
 	cutoff, err := pig.AsFloat(args[2])
 	if err != nil {
 		return nil, err
 	}
-	sigs := make([]minhash.Signature, len(bag))
-	ids := make([]string, len(bag))
-	for i, tup := range bag {
-		sig, ok := tup.Fields[0].(minhash.Signature)
-		if !ok {
-			return nil, fmt.Errorf("GreedyClustering: bag tuple field is %T", tup.Fields[0])
-		}
-		sigs[i] = sig
-		id, err := pig.AsString(tup.Fields[1])
-		if err != nil {
-			return nil, err
-		}
-		ids[i] = id
+	sigs, ids, err := bagSignatures("GreedyClustering", bag)
+	if err != nil {
+		return nil, err
 	}
-	labels, err := cluster.Greedy(sigs, cluster.GreedyOptions{Threshold: cutoff, Estimator: minhash.SetOverlap})
+	src, err := clusterSource(ctx, numhash, sigs)
+	if err != nil {
+		return nil, err
+	}
+	labels, err := cluster.Greedy(src, cutoff)
 	if err != nil {
 		return nil, err
 	}
@@ -447,19 +447,9 @@ func lshClusteringUDF(ctx *pig.Context, args []pig.Value) (pig.Value, error) {
 	if cutoff <= 0 {
 		return nil, fmt.Errorf("LSHClustering: cutoff must be > 0, got %v", cutoff)
 	}
-	sigs := make([]minhash.Signature, len(bag))
-	ids := make([]string, len(bag))
-	for i, tup := range bag {
-		sig, ok := tup.Fields[0].(minhash.Signature)
-		if !ok {
-			return nil, fmt.Errorf("LSHClustering: bag tuple field is %T", tup.Fields[0])
-		}
-		sigs[i] = sig
-		id, err := pig.AsString(tup.Fields[1])
-		if err != nil {
-			return nil, err
-		}
-		ids[i] = id
+	sigs, ids, err := bagSignatures("LSHClustering", bag)
+	if err != nil {
+		return nil, err
 	}
 	src, err := clusterSource(ctx, numhash, sigs)
 	if err != nil {
@@ -483,7 +473,7 @@ func lshClusteringUDF(ctx *pig.Context, args []pig.Value) (pig.Value, error) {
 			var err error
 			switch mode {
 			case "greedy":
-				labels, err = cluster.GreedySource(sub, cluster.GreedyOptions{Threshold: cutoff, Estimator: minhash.SetOverlap})
+				labels, err = cluster.Greedy(sub, cutoff)
 			case "hierarchical":
 				link, lerr := cluster.ParseLinkage(linkName)
 				if lerr != nil {
@@ -518,17 +508,34 @@ func lshClusteringUDF(ctx *pig.Context, args []pig.Value) (pig.Value, error) {
 	return out, nil
 }
 
-// clusterSource routes a UDF's signature bag onto the configured backing:
-// a sharded signature store (ctx.StoreBits >= 0 — 0 full-width, 1..16
-// b-bit packed) whose view the clustering borrows from, or legacy
-// per-call slices (-1).
+// bagSignatures splits a grouped bag of (signature, seqid) tuples into
+// its signatures and read IDs; udf names the caller in errors.
+func bagSignatures(udf string, bag pig.Bag) ([]minhash.Signature, []string, error) {
+	sigs := make([]minhash.Signature, len(bag))
+	ids := make([]string, len(bag))
+	for i, tup := range bag {
+		sig, ok := tup.Fields[0].(minhash.Signature)
+		if !ok {
+			return nil, nil, fmt.Errorf("%s: bag tuple field is %T", udf, tup.Fields[0])
+		}
+		sigs[i] = sig
+		id, err := pig.AsString(tup.Fields[1])
+		if err != nil {
+			return nil, nil, err
+		}
+		ids[i] = id
+	}
+	return sigs, ids, nil
+}
+
+// clusterSource puts a UDF's signature bag into a sharded signature store
+// of width numhash — full 64-bit slots, or b-bit packed when
+// ctx.StoreBits is 1..16 — and returns the view the clustering borrows
+// from.
 func clusterSource(ctx *pig.Context, numhash int, sigs []minhash.Signature) (cluster.SigSource, error) {
 	bits := 0
 	if ctx != nil {
 		bits = ctx.StoreBits
-	}
-	if bits < 0 {
-		return cluster.NewSliceSource(sigs, minhash.SetOverlap), nil
 	}
 	st, err := sigstore.New(sigstore.Config{NumHashes: numhash, Bits: bits})
 	if err != nil {
@@ -545,63 +552,29 @@ func clusterSource(ctx *pig.Context, numhash int, sigs []minhash.Signature) (clu
 }
 
 // lshComponentsSource finds the connected components of the verified
-// θ-edge graph with an in-process banded index and union-find (the
+// θ-edge graph with the shared in-process band index and union-find (the
 // UDF-local analogue of the pipeline's bands/verify/CC MapReduce stages).
-// It replicates the BandIndex candidate discipline over the source —
-// per-band buckets in insertion order, generation-stamped dedup — so the
-// edge set matches the slice-based index exactly.
+// Every read with features is queried against the reads indexed before
+// it and then indexed itself, so each candidate pair is verified once.
 func lshComponentsSource(src cluster.SigSource, numhash int, cutoff float64) ([]int, error) {
-	geo := cluster.GeometryFor(numhash, cutoff)
-	buckets := make([]map[uint64][]int, geo.Bands)
-	for b := range buckets {
-		buckets[b] = make(map[uint64][]int)
+	ix, err := cluster.NewLSHIndex(src, cluster.GeometryFor(numhash, cutoff))
+	if err != nil {
+		return nil, err
 	}
 	var edges []cluster.Edge
-	var candBuf []int
-	var added []int // band-index id -> read index (empty sigs stay out)
-	var marks []uint32
-	var gen uint32
-	validated := false
+	var cands []int
 	for i := 0; i < src.Len(); i++ {
 		if src.Empty(i) {
 			continue // no features: singleton component, like the exact path
 		}
-		if !validated {
-			if err := geo.Validate(src.NumHashes()); err != nil {
-				return nil, err
-			}
-			validated = true
-		}
-		gen++
-		if gen == 0 { // generation counter wrapped: invalidate stale marks
-			for k := range marks {
-				marks[k] = 0
-			}
-			gen = 1
-		}
-		candBuf = candBuf[:0]
-		for b := 0; b < geo.Bands; b++ {
-			h := src.BandHash(i, b, geo.Rows)
-			for _, id := range buckets[b][h] {
-				if marks[id] != gen {
-					marks[id] = gen
-					candBuf = append(candBuf, id)
-				}
-			}
-		}
-		for _, cand := range candBuf {
-			j := added[cand]
+		cands = ix.Candidates(i, cands[:0])
+		for _, id := range cands {
+			j := ix.Member(id)
 			if src.Similarity(j, i) >= cutoff {
 				edges = append(edges, cluster.Edge{U: j, V: i})
 			}
 		}
-		id := len(added)
-		added = append(added, i)
-		marks = append(marks, 0)
-		for b := 0; b < geo.Bands; b++ {
-			h := src.BandHash(i, b, geo.Rows)
-			buckets[b][h] = append(buckets[b][h], id)
-		}
+		ix.Add(i)
 	}
 	return cluster.ConnectedComponents(src.Len(), edges)
 }

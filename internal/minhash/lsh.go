@@ -1,92 +1,11 @@
 package minhash
 
-import "fmt"
-
-// BandIndex is a locality-sensitive-hashing index over minwise signatures,
-// the data structure behind the authors' earlier MC-LSH algorithm: the
-// signature is split into b bands of r rows each; two signatures become
-// candidates if any band hashes identically. The probability that a pair
-// with Jaccard similarity s collides in at least one band is
-// 1 - (1 - s^r)^b, an S-curve with threshold near (1/b)^(1/r).
-type BandIndex struct {
-	Bands   int
-	Rows    int
-	buckets []map[uint64][]int // per band: band-hash -> signature ids
-	sigs    []Signature
-	// marks/gen implement allocation-free candidate dedup: marks[id]
-	// holds the generation of the last query that saw id, so a query
-	// only needs one counter bump instead of a fresh set.
-	marks []uint32
-	gen   uint32
-}
-
-// NewBandIndex creates an index for signatures of length bands*rows.
-func NewBandIndex(bands, rows int) (*BandIndex, error) {
-	if bands < 1 || rows < 1 {
-		return nil, fmt.Errorf("minhash: bands and rows must be positive (got %d, %d)", bands, rows)
-	}
-	idx := &BandIndex{Bands: bands, Rows: rows, buckets: make([]map[uint64][]int, bands)}
-	for i := range idx.buckets {
-		idx.buckets[i] = make(map[uint64][]int)
-	}
-	return idx, nil
-}
-
-// SignatureLen returns the required signature length bands*rows.
-func (ix *BandIndex) SignatureLen() int { return ix.Bands * ix.Rows }
-
-// Add inserts a signature and returns its id.
-func (ix *BandIndex) Add(sig Signature) (int, error) {
-	if len(sig) < ix.SignatureLen() {
-		return 0, fmt.Errorf("minhash: signature length %d < bands*rows %d", len(sig), ix.SignatureLen())
-	}
-	id := len(ix.sigs)
-	ix.sigs = append(ix.sigs, sig)
-	ix.marks = append(ix.marks, 0)
-	for b := 0; b < ix.Bands; b++ {
-		h := BandHash(sig, b, ix.Rows)
-		ix.buckets[b][h] = append(ix.buckets[b][h], id)
-	}
-	return id, nil
-}
-
-// Candidates returns the distinct ids of previously added signatures that
-// share at least one band with sig (excluding none; callers filter self).
-func (ix *BandIndex) Candidates(sig Signature) []int {
-	return ix.CandidatesInto(sig, nil)
-}
-
-// CandidatesInto appends the distinct candidate ids for sig to buf
-// (usually buf[:0] of a reused slice) and returns the extended slice. The
-// result order is identical to Candidates — first encounter across bands
-// — but the dedup set is a generation-stamped array owned by the index,
-// so a hot caller like GreedyLSH performs zero allocations per query once
-// buf has grown to its working size.
-func (ix *BandIndex) CandidatesInto(sig Signature, buf []int) []int {
-	ix.gen++
-	if ix.gen == 0 { // generation counter wrapped: invalidate stale marks
-		for i := range ix.marks {
-			ix.marks[i] = 0
-		}
-		ix.gen = 1
-	}
-	for b := 0; b < ix.Bands; b++ {
-		h := BandHash(sig, b, ix.Rows)
-		for _, id := range ix.buckets[b][h] {
-			if ix.marks[id] != ix.gen {
-				ix.marks[id] = ix.gen
-				buf = append(buf, id)
-			}
-		}
-	}
-	return buf
-}
-
-// Signature returns the stored signature for id.
-func (ix *BandIndex) Signature(id int) Signature { return ix.sigs[id] }
-
-// Len returns the number of indexed signatures.
-func (ix *BandIndex) Len() int { return len(ix.sigs) }
+// Banding: an LSH scheme splits a signature into b bands of r rows and
+// treats two signatures as candidates when any band hashes identically.
+// A pair with Jaccard similarity s collides in at least one band with
+// probability 1 - (1 - s^r)^b, an S-curve with threshold near
+// (1/b)^(1/r). The index itself lives in internal/cluster (LSHIndex);
+// this file holds the band hash and the collision curve.
 
 // FNV-1a parameters (hash/fnv's 64-bit variant).
 const (
@@ -98,8 +17,8 @@ const (
 // the little-endian bytes of each row value — bit-compatible with feeding
 // the same bytes through hash/fnv, but inlined so hashing a band performs
 // zero allocations (the hasher + 8-byte buffer the stdlib path allocated
-// per band per signature). This is both BandIndex's bucket hash and the
-// map-side bucket key of the LSH candidate-generation MapReduce stage.
+// per band per signature). This is both the LSH index's bucket hash and
+// the map-side bucket key of the LSH candidate-generation MapReduce stage.
 func BandHash(sig Signature, band, rows int) uint64 {
 	h := uint64(fnvOffset64)
 	for r := band * rows; r < band*rows+rows; r++ {

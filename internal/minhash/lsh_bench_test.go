@@ -23,24 +23,6 @@ func bandHashLegacy(sig Signature, band, rows int) uint64 {
 	return h.Sum64()
 }
 
-// candidatesLegacy is the pre-optimization query: a fresh map and result
-// slice per call. Kept as the before/after reference for
-// BenchmarkCandidates.
-func candidatesLegacy(ix *BandIndex, sig Signature) []int {
-	seen := make(map[int]struct{})
-	var out []int
-	for b := 0; b < ix.Bands; b++ {
-		h := BandHash(sig, b, ix.Rows)
-		for _, id := range ix.buckets[b][h] {
-			if _, dup := seen[id]; !dup {
-				seen[id] = struct{}{}
-				out = append(out, id)
-			}
-		}
-	}
-	return out
-}
-
 func randomSignatures(n, sigLen int, seed int64) []Signature {
 	rng := rand.New(rand.NewSource(seed))
 	sigs := make([]Signature, n)
@@ -69,50 +51,6 @@ func TestBandHashMatchesFNV(t *testing.T) {
 	}
 }
 
-func TestCandidatesIntoMatchesCandidates(t *testing.T) {
-	ix, err := NewBandIndex(16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigs := randomSignatures(200, 64, 11)
-	for _, s := range sigs {
-		if _, err := ix.Add(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf []int
-	for i, s := range sigs {
-		want := candidatesLegacy(ix, s)
-		buf = ix.CandidatesInto(s, buf[:0])
-		if len(buf) != len(want) {
-			t.Fatalf("sig %d: CandidatesInto found %d candidates, legacy %d", i, len(buf), len(want))
-		}
-		for j := range buf {
-			if buf[j] != want[j] {
-				t.Fatalf("sig %d: candidate order diverges at %d: %d vs %d", i, j, buf[j], want[j])
-			}
-		}
-	}
-}
-
-func TestCandidatesIntoGenerationWrap(t *testing.T) {
-	ix, err := NewBandIndex(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig := Signature{1, 2, 3, 4, 5, 6, 7, 8}
-	if _, err := ix.Add(sig); err != nil {
-		t.Fatal(err)
-	}
-	ix.gen = ^uint32(0) - 1 // force the counter through zero
-	for i := 0; i < 4; i++ {
-		got := ix.CandidatesInto(sig, nil)
-		if len(got) != 1 || got[0] != 0 {
-			t.Fatalf("query %d after wrap: got %v, want [0]", i, got)
-		}
-	}
-}
-
 func BenchmarkBandHashLegacy(b *testing.B) {
 	sig := randomSignatures(1, 100, 3)[0]
 	b.ReportAllocs()
@@ -135,38 +73,4 @@ func BenchmarkBandHash(b *testing.B) {
 		}
 	}
 	_ = sink
-}
-
-func benchIndex(b *testing.B) (*BandIndex, []Signature) {
-	b.Helper()
-	ix, err := NewBandIndex(16, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sigs := randomSignatures(1000, 64, 5)
-	for _, s := range sigs {
-		if _, err := ix.Add(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return ix, sigs
-}
-
-func BenchmarkCandidatesLegacy(b *testing.B) {
-	ix, sigs := benchIndex(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = candidatesLegacy(ix, sigs[i%len(sigs)])
-	}
-}
-
-func BenchmarkCandidatesInto(b *testing.B) {
-	ix, sigs := benchIndex(b)
-	var buf []int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = ix.CandidatesInto(sigs[i%len(sigs)], buf[:0])
-	}
 }

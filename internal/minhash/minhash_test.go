@@ -201,70 +201,6 @@ func TestSignatureEqualLengthMismatch(t *testing.T) {
 	}
 }
 
-func TestBandIndexValidation(t *testing.T) {
-	if _, err := NewBandIndex(0, 5); err == nil {
-		t.Error("bands=0 should fail")
-	}
-	if _, err := NewBandIndex(5, 0); err == nil {
-		t.Error("rows=0 should fail")
-	}
-	ix, _ := NewBandIndex(5, 4)
-	if _, err := ix.Add(make(Signature, 10)); err == nil {
-		t.Error("short signature should fail")
-	}
-}
-
-func TestBandIndexFindsSimilar(t *testing.T) {
-	s := MustSketcher(40, 8, 21)
-	rng := rand.New(rand.NewSource(22))
-	base := kmer.Set{}
-	for i := 0; i < 300; i++ {
-		base.Add(rng.Uint64() % kmer.FeatureSpace(8))
-	}
-	// near: shares ~90% of elements with base
-	near := kmer.Set{}
-	i := 0
-	for v := range base {
-		if i%10 != 0 {
-			near.Add(v)
-		}
-		i++
-	}
-	for len(near) < len(base) {
-		near.Add(rng.Uint64() % kmer.FeatureSpace(8))
-	}
-	// far: disjoint random set
-	far := kmer.Set{}
-	for len(far) < 300 {
-		far.Add(rng.Uint64() % kmer.FeatureSpace(8))
-	}
-
-	ix, _ := NewBandIndex(10, 4)
-	baseID, err := ix.Add(s.Sketch(base))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cands := ix.Candidates(s.Sketch(near))
-	found := false
-	for _, id := range cands {
-		if id == baseID {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("band index missed a highly similar signature")
-	}
-	if len(ix.Candidates(s.Sketch(far))) != 0 {
-		t.Fatal("band index matched a disjoint signature")
-	}
-	if ix.Len() != 1 {
-		t.Fatalf("Len = %d", ix.Len())
-	}
-	if !ix.Signature(baseID).Equal(s.Sketch(base)) {
-		t.Fatal("stored signature mismatch")
-	}
-}
-
 func TestCollisionProbability(t *testing.T) {
 	// s=1 always collides, s=0 never.
 	if p := CollisionProbability(1, 10, 4); p != 1 {

@@ -126,11 +126,10 @@ type Context struct {
 	// a matching entry restores the checkpointed bytes, a mismatched one
 	// is a typed error (requires Checkpoint).
 	Resume bool
-	// StoreBits selects the signature backing of the clustering UDFs:
-	// 0 (the default) borrows rows from a sharded full-width signature
-	// store, -1 uses legacy per-call slices, 1..16 packs signatures to b
-	// bits per slot (lossy b-bit minwise estimation). Script output is
-	// bit-identical for 0 and -1.
+	// StoreBits selects the signature store backing of the clustering
+	// UDFs (GreedyClustering, LSHClustering): 0 (the default) borrows
+	// rows from a sharded full-width signature store, 1..16 packs
+	// signatures to b bits per slot (lossy b-bit minwise estimation).
 	StoreBits int
 }
 

@@ -90,7 +90,7 @@ type State struct {
 	dir    string
 	store  *sigstore.Store
 	live   *liveSource
-	inc    *cluster.IncrementalSource
+	inc    *cluster.Incremental
 	wal    *WAL
 	inj    *faults.Injector
 
@@ -209,13 +209,12 @@ func Open(dir string, p Params, resume bool, inj *faults.Injector) (*State, erro
 	}
 
 	st.live = &liveSource{est: p.Estimator, bits: p.Bits, numHashes: p.NumHashes}
-	opt := cluster.GreedyOptions{Threshold: p.Theta, Estimator: p.Estimator}
 	var geom *cluster.LSHOptions
 	if p.UseLSH {
 		g := cluster.GeometryFor(p.NumHashes, p.Theta)
 		geom = &g
 	}
-	inc, err := cluster.NewIncrementalSource(st.live, opt, geom)
+	inc, err := cluster.NewIncremental(st.live, p.Theta, geom)
 	if err != nil {
 		return nil, err
 	}
