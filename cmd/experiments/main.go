@@ -21,11 +21,7 @@ import (
 	"strings"
 
 	"github.com/metagenomics/mrmcminh/internal/bench"
-	"github.com/metagenomics/mrmcminh/internal/checkpoint"
-	"github.com/metagenomics/mrmcminh/internal/core"
-	"github.com/metagenomics/mrmcminh/internal/faults"
-	"github.com/metagenomics/mrmcminh/internal/mapreduce"
-	"github.com/metagenomics/mrmcminh/internal/trace"
+	"github.com/metagenomics/mrmcminh/internal/cli"
 )
 
 func main() {
@@ -36,73 +32,26 @@ func main() {
 }
 
 func run() error {
+	shared := cli.Register(flag.CommandLine)
+	shared.Batch()
 	var (
-		table      = flag.Int("table", 0, "regenerate table 3, 4 or 5")
-		figure     = flag.Int("figure", 0, "regenerate figure 2")
-		ablation   = flag.String("ablation", "", "run ablation: theta, estimator, speculative, errormodel, bbit or scaling")
-		svg        = flag.String("svg", "", "write the Figure 2 chart to this SVG file")
-		all        = flag.Bool("all", false, "run everything")
-		scale      = flag.Float64("scale", 0.01, "dataset scale in (0,1]")
-		seed       = flag.Int64("seed", 1, "generation seed")
-		nodes      = flag.Int("nodes", 8, "simulated cluster nodes for MrMC runs")
-		samples    = flag.String("samples", "", "comma-separated sample subset (tables 3 and 5)")
-		traceOut   = flag.String("trace", "", "write a task trace of all MrMC runs here (.jsonl = JSON lines, anything else = Chrome trace_event)")
-		faultSpec  = flag.String("faults", "", "fault-injection plan for MrMC runs: 'chaos' or comma-separated crash=P,kill=NODE@DUR,... (results unchanged; modelled time includes recovery)")
-		faultSeed  = flag.Int64("fault-seed", 1, "seed for probabilistic fault injection")
-		ckptDir    = flag.String("checkpoint-dir", "", "journal every MrMC run's stages under this directory (per-run subdirectories; enables -resume)")
-		shuffleBuf = flag.Int("shuffle-buffer", 0, "map-side sort buffer bytes for MrMC runs; >0 switches jobs onto the external spill-and-merge shuffle (0 = in-memory)")
-		candidate  = flag.String("candidate", "exact", "candidate-pair generation for MrMC runs: exact (all-pairs) or lsh (banded candidates + log-round connected components)")
-		storeBits  = flag.Int("store-bbits", 0, "signature store packing for MrMC runs: 0 = full 64-bit slots (default), 1..16 = b-bit minwise packing")
-		resume     checkpoint.ResumeFlag
+		table    = flag.Int("table", 0, "regenerate table 3, 4 or 5")
+		figure   = flag.Int("figure", 0, "regenerate figure 2")
+		ablation = flag.String("ablation", "", "run ablation: theta, estimator, speculative, errormodel, bbit or scaling")
+		svg      = flag.String("svg", "", "write the Figure 2 chart to this SVG file")
+		all      = flag.Bool("all", false, "run everything")
+		scale    = flag.Float64("scale", 0.01, "dataset scale in (0,1]")
+		samples  = flag.String("samples", "", "comma-separated sample subset (tables 3 and 5)")
 	)
-	flag.Var(&resume, "resume", "resume interrupted MrMC runs from -checkpoint-dir; 'force' discards all journals first")
 	flag.Parse()
-
-	var rec *trace.Recorder
-	if *traceOut != "" {
-		rec = trace.New()
-	}
-	cfg := bench.DefaultConfig()
-	cfg.Scale = *scale
-	cfg.Seed = *seed
-	cfg.Cluster = mapreduce.Cluster{Nodes: *nodes, SlotsPerNode: 2, Cost: mapreduce.DefaultCostModel}
-	cfg.Trace = rec
-	cfg.ShuffleBufferBytes = *shuffleBuf
-	cand, err := core.ParseCandidateGen(*candidate)
+	base, err := shared.Options()
 	if err != nil {
 		return err
 	}
-	cfg.Candidate = cand
-	cfg.StoreBits = *storeBits
-	if *faultSpec != "" {
-		plan, err := faults.ParsePlan(*faultSpec, *faultSeed)
-		if err != nil {
-			return err
-		}
-		cfg.Faults, err = faults.New(plan)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "fault injection: %s (seed %d)\n", plan, *faultSeed)
-	}
-
-	if resume.On && *ckptDir == "" {
-		return fmt.Errorf("-resume requires -checkpoint-dir")
-	}
-	if *ckptDir != "" {
-		if resume.Force {
-			if err := os.RemoveAll(*ckptDir); err != nil {
-				return err
-			}
-			resume.On = false
-		}
-		store, err := checkpoint.NewDirStore(*ckptDir)
-		if err != nil {
-			return err
-		}
-		cfg.CheckpointStore = store
-		cfg.Resume = resume.On
-	}
+	cfg := bench.DefaultConfig()
+	cfg.Scale = *scale
+	cfg.Seed = base.Seed
+	cfg.Base = base
 
 	var subset []string
 	if *samples != "" {
@@ -140,8 +89,8 @@ func run() error {
 	}
 	if *all || *figure == 2 {
 		f2 := bench.DefaultFigure2Config()
-		f2.Seed = *seed
-		f2.Trace = rec
+		f2.Seed = base.Seed
+		f2.Trace = base.Trace
 		points, err := bench.Figure2(f2)
 		if err != nil {
 			return err
@@ -158,7 +107,7 @@ func run() error {
 		ran = true
 	}
 	if *all || *ablation == "estimator" {
-		points, err := bench.EstimatorAblation(200, *seed)
+		points, err := bench.EstimatorAblation(200, base.Seed)
 		if err != nil {
 			return err
 		}
@@ -179,7 +128,7 @@ func run() error {
 		ran = true
 	}
 	if *all || *ablation == "scaling" {
-		points, err := bench.RuntimeScaling([]float64{0.01, 0.02, 0.04, 0.08}, *seed)
+		points, err := bench.RuntimeScaling([]float64{0.01, 0.02, 0.04, 0.08}, base.Seed)
 		if err != nil {
 			return err
 		}
@@ -187,7 +136,7 @@ func run() error {
 		ran = true
 	}
 	if *all || *ablation == "bbit" {
-		points, err := bench.AblationBBit(200, *seed)
+		points, err := bench.AblationBBit(200, base.Seed)
 		if err != nil {
 			return err
 		}
@@ -196,7 +145,7 @@ func run() error {
 	}
 	if *svg != "" {
 		f2 := bench.DefaultFigure2Config()
-		f2.Seed = *seed
+		f2.Seed = base.Seed
 		points, err := bench.Figure2(f2)
 		if err != nil {
 			return err
@@ -211,19 +160,7 @@ func run() error {
 		flag.Usage()
 		return fmt.Errorf("nothing selected: pass -table, -figure, -ablation or -all")
 	}
-	if rec != nil {
-		spans := rec.Spans()
-		if err := trace.WriteFile(*traceOut, spans); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "trace: %d spans written to %s\n", len(spans), *traceOut)
-		fmt.Fprint(os.Stderr, trace.UtilizationSummary(spans))
-	}
-	if cfg.Faults != nil {
-		fmt.Fprintf(os.Stderr, "faults injected: %d (recovery included in modelled times; results unaffected)\n",
-			cfg.Faults.Injected())
-	}
-	return nil
+	return shared.Finish(base)
 }
 
 // flagSet reports whether the named flag was explicitly provided.

@@ -22,12 +22,10 @@ import (
 	"strings"
 
 	"github.com/metagenomics/mrmcminh"
-	"github.com/metagenomics/mrmcminh/internal/checkpoint"
+	"github.com/metagenomics/mrmcminh/internal/cli"
+	"github.com/metagenomics/mrmcminh/internal/cluster"
 	"github.com/metagenomics/mrmcminh/internal/fasta"
-	"github.com/metagenomics/mrmcminh/internal/faults"
-	"github.com/metagenomics/mrmcminh/internal/mapreduce"
 	"github.com/metagenomics/mrmcminh/internal/metrics"
-	"github.com/metagenomics/mrmcminh/internal/trace"
 )
 
 func main() {
@@ -38,70 +36,28 @@ func main() {
 }
 
 func run() error {
+	shared := cli.Register(flag.CommandLine)
+	shared.Batch()
+	shared.Sketch(5, 100, 0.9)
 	var (
 		in           = flag.String("in", "", "input FASTA file (required)")
 		out          = flag.String("out", "", "output TSV file (default stdout)")
 		mode         = flag.String("mode", "hierarchical", "clustering mode: hierarchical or greedy")
-		k            = flag.Int("k", 5, "k-mer size")
-		hashes       = flag.Int("hashes", 100, "number of minwise hash functions")
-		theta        = flag.Float64("theta", 0.9, "similarity threshold in [0,1]")
 		link         = flag.String("link", "average", "hierarchical linkage: single, average or complete")
-		nodes        = flag.Int("nodes", 8, "simulated cluster nodes")
-		canonical    = flag.Bool("canonical", false, "fold reverse-complement k-mers (shotgun reads)")
-		useLSH       = flag.Bool("lsh", false, "accelerate greedy mode with an LSH candidate index")
-		candidate    = flag.String("candidate", "exact", "candidate-pair generation: exact (all-pairs) or lsh (banded candidates + log-round connected components)")
 		bucketCap    = flag.Int("lsh-bucket-cap", 0, "max reads per LSH bucket expanded into candidate pairs (0 = default cap; -candidate=lsh only)")
-		seed         = flag.Int64("seed", 1, "hash seed")
 		labels       = flag.String("labels", "", "optional ground-truth TSV (readID<TAB>class) for W.Acc")
 		levels       = flag.String("levels", "", "comma-separated extra thresholds for multi-level output (hierarchical mode)")
 		otu          = flag.String("otu", "", "write an OTU table (size, abundance, representative) to this file")
 		consensusOut = flag.String("consensus", "", "write per-cluster consensus sequences to this FASTA file")
-		traceOut     = flag.String("trace", "", "write a task trace here after the run (.jsonl = JSON lines, anything else = Chrome trace_event for chrome://tracing)")
-		faultSpec    = flag.String("faults", "", "fault-injection plan: 'chaos' or comma-separated crash=P,maxcrash=N,taskfail=JOB:PHASE:TASK:UPTO,kill=NODE@DUR,slow=NODE@FACTOR,driver-crash:after=STAGE (clustering output is unaffected; modelled time includes recovery)")
-		faultSeed    = flag.Int64("fault-seed", 1, "seed for probabilistic fault injection")
-		ckptDir      = flag.String("checkpoint-dir", "", "journal each pipeline stage's committed output under this directory (enables -resume after a driver crash)")
-		shuffleBuf   = flag.Int("shuffle-buffer", 0, "map-side sort buffer bytes; >0 switches jobs onto the external spill-and-merge shuffle (0 = in-memory)")
-		storeBits    = flag.Int("store-bbits", 0, "signature store packing: 0 = full 64-bit slots (default), 1..16 = b-bit minwise packing (8-64x smaller resident signatures, approximate)")
-		resume       checkpoint.ResumeFlag
 	)
-	flag.Var(&resume, "resume", "resume from -checkpoint-dir, skipping stages whose checkpoint validates; 'force' discards the journal first")
 	flag.Parse()
 	if *in == "" {
 		flag.Usage()
 		return fmt.Errorf("-in is required")
 	}
-	reads, err := fasta.ReadSequencesFile(*in) // FASTA or FASTQ
+	opt, err := shared.Options()
 	if err != nil {
 		return err
-	}
-	var rec *trace.Recorder
-	if *traceOut != "" {
-		rec = trace.New()
-	}
-	var injector *faults.Injector
-	if *faultSpec != "" {
-		plan, err := faults.ParsePlan(*faultSpec, *faultSeed)
-		if err != nil {
-			return err
-		}
-		injector, err = faults.New(plan)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "fault injection: %s (seed %d)\n", plan, *faultSeed)
-	}
-	opt := mrmcminh.Options{
-		K:                  *k,
-		NumHashes:          *hashes,
-		Theta:              *theta,
-		Canonical:          *canonical,
-		UseLSH:             *useLSH,
-		Seed:               *seed,
-		Cluster:            mapreduce.Cluster{Nodes: *nodes, SlotsPerNode: 2, Cost: mapreduce.DefaultCostModel},
-		ShuffleBufferBytes: *shuffleBuf,
-		StoreBits:          *storeBits,
-		Trace:              rec,
-		Faults:             injector,
 	}
 	switch *mode {
 	case "hierarchical":
@@ -111,37 +67,13 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
-	cand, err := mrmcminh.ParseCandidateGen(*candidate)
-	if err != nil {
+	if opt.Linkage, err = cluster.ParseLinkage(*link); err != nil {
 		return err
 	}
-	opt.Candidate = cand
 	opt.LSHBucketCap = *bucketCap
-	switch *link {
-	case "single":
-		opt.Linkage = mrmcminh.SingleLinkage
-	case "average":
-		opt.Linkage = mrmcminh.AverageLinkage
-	case "complete":
-		opt.Linkage = mrmcminh.CompleteLinkage
-	default:
-		return fmt.Errorf("unknown linkage %q", *link)
-	}
-	if resume.On && *ckptDir == "" {
-		return fmt.Errorf("-resume requires -checkpoint-dir")
-	}
-	if *ckptDir != "" {
-		journal, err := mrmcminh.OpenCheckpointDir(*ckptDir)
-		if err != nil {
-			return err
-		}
-		opt.Checkpoint = journal
-		switch {
-		case resume.Force:
-			opt.Resume = mrmcminh.ResumeForce
-		case resume.On:
-			opt.Resume = mrmcminh.ResumeOn
-		}
+	reads, err := fasta.ReadSequencesFile(*in) // FASTA or FASTQ
+	if err != nil {
+		return err
 	}
 
 	res, err := mrmcminh.Cluster(reads, opt)
@@ -170,11 +102,7 @@ func run() error {
 	}
 
 	fmt.Fprintf(os.Stderr, "%d reads -> %d clusters in %v (modelled %d-node time %s)\n",
-		len(reads), res.NumClusters(), res.Real.Round(1000000), *nodes, metrics.FormatDuration(res.Virtual))
-	if injector != nil {
-		fmt.Fprintf(os.Stderr, "faults injected: %d (recovery included in modelled time; clusters unaffected)\n",
-			injector.Injected())
-	}
+		len(reads), res.NumClusters(), res.Real.Round(1000000), opt.Cluster.Nodes, metrics.FormatDuration(res.Virtual))
 
 	if *labels != "" {
 		truth, err := loadLabels(*labels, res.ReadIDs)
@@ -252,15 +180,7 @@ func run() error {
 		}
 	}
 
-	if rec != nil {
-		spans := rec.Spans()
-		if err := trace.WriteFile(*traceOut, spans); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "trace: %d spans written to %s\n", len(spans), *traceOut)
-		fmt.Fprint(os.Stderr, trace.UtilizationSummary(spans))
-	}
-	return nil
+	return shared.Finish(opt)
 }
 
 // loadLabels reads a readID<TAB>class file into read order.

@@ -11,7 +11,7 @@
 // Usage:
 //
 //	mrmcminhd -data-dir state/ [-addr :8642] [-k 12] [-hashes 64]
-//	          [-theta 0.5] [-bbits 0] [-canonical] [-lsh]
+//	          [-theta 0.5] [-store-bbits 0] [-canonical] [-lsh]
 //	          [-ingest reads.fa,more.fq] [-ingest-url http://host/reads.fa]
 //	          [-drain-after-ingest] [-dump assignments.tsv] [-resume]
 //	          [-faults service-crash:after=N] [-fault-seed 1]
@@ -33,6 +33,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/metagenomics/mrmcminh/internal/cli"
 	"github.com/metagenomics/mrmcminh/internal/faults"
 	"github.com/metagenomics/mrmcminh/internal/ingest"
 	"github.com/metagenomics/mrmcminh/internal/minhash"
@@ -54,17 +55,14 @@ func main() {
 }
 
 func run() error {
+	shared := cli.Register(flag.CommandLine)
+	shared.Sketch(12, 64, 0.5)
 	var (
-		addr       = flag.String("addr", "127.0.0.1:8642", "HTTP listen address")
-		dataDir    = flag.String("data-dir", "", "durable state directory: WAL + snapshots (required)")
+		addr    = flag.String("addr", "127.0.0.1:8642", "HTTP listen address")
+		dataDir = flag.String("data-dir", "", "durable state directory: WAL + snapshots (required)")
+		// Not the batch CLIs' -resume: recovery replays acknowledged
+		// reads, so there is no 'force' that would discard them.
 		resume     = flag.Bool("resume", false, "recover existing state in -data-dir (snapshot + WAL replay)")
-		k          = flag.Int("k", 12, "k-mer size")
-		hashes     = flag.Int("hashes", 64, "number of minwise hash functions")
-		theta      = flag.Float64("theta", 0.5, "similarity threshold in [0,1]")
-		seed       = flag.Int64("seed", 1, "hash seed")
-		canonical  = flag.Bool("canonical", false, "fold reverse-complement k-mers")
-		useLSH     = flag.Bool("lsh", false, "index cluster representatives with LSH bands")
-		bbits      = flag.Int("bbits", 0, "signature store packing: 0 = full, 1..16 = b-bit")
 		workers    = flag.Int("ingest-workers", 0, "sketch worker pool size for pull ingest (0 = auto)")
 		batchSize  = flag.Int("ingest-batch", 64, "reads per committed ingest batch")
 		queueDepth = flag.Int("queue-depth", 16, "bounded commit queue depth (batches)")
@@ -75,32 +73,22 @@ func run() error {
 		ingestURL  = flag.String("ingest-url", "", "HTTP(S) URL of a FASTA/FASTQ stream to ingest on startup")
 		drainAfter = flag.Bool("drain-after-ingest", false, "drain, checkpoint, and exit once startup ingest completes")
 		dumpPath   = flag.String("dump", "", "write the final read->cluster TSV here on graceful exit")
-		faultSpec  = flag.String("faults", "", "fault-injection plan, e.g. service-crash:after=N (daemon exits 3 after N acked reads; WAL stays durable)")
-		faultSeed  = flag.Int64("fault-seed", 1, "seed for fault-plan jitter")
 	)
 	flag.Parse()
 	if *dataDir == "" {
 		flag.Usage()
 		return fmt.Errorf("-data-dir is required")
 	}
-
-	var inj *faults.Injector
-	if *faultSpec != "" {
-		plan, err := faults.ParsePlan(*faultSpec, *faultSeed)
-		if err != nil {
-			return err
-		}
-		inj, err = faults.New(plan)
-		if err != nil {
-			return err
-		}
+	opt, err := shared.Options()
+	if err != nil {
+		return err
 	}
 
 	params := serve.Params{
-		K: *k, NumHashes: *hashes, Seed: *seed, Canonical: *canonical,
-		Theta: *theta, Bits: *bbits, Estimator: minhash.SetOverlap, UseLSH: *useLSH,
+		K: opt.K, NumHashes: opt.NumHashes, Seed: opt.Seed, Canonical: opt.Canonical,
+		Theta: opt.Theta, Bits: opt.StoreBits, Estimator: minhash.SetOverlap, UseLSH: opt.UseLSH,
 	}
-	st, err := serve.Open(*dataDir, params, *resume, inj)
+	st, err := serve.Open(*dataDir, params, *resume, opt.Faults)
 	if err != nil {
 		return err
 	}

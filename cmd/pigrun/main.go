@@ -24,15 +24,12 @@ import (
 	"os"
 	"strings"
 
-	"github.com/metagenomics/mrmcminh/internal/checkpoint"
+	"github.com/metagenomics/mrmcminh/internal/cli"
 	"github.com/metagenomics/mrmcminh/internal/core"
 	"github.com/metagenomics/mrmcminh/internal/dfs"
 	"github.com/metagenomics/mrmcminh/internal/fasta"
-	"github.com/metagenomics/mrmcminh/internal/faults"
-	"github.com/metagenomics/mrmcminh/internal/mapreduce"
 	"github.com/metagenomics/mrmcminh/internal/pig"
 	"github.com/metagenomics/mrmcminh/internal/simulate"
-	"github.com/metagenomics/mrmcminh/internal/trace"
 )
 
 // paramFlags collects repeated -p NAME=VALUE flags.
@@ -70,26 +67,17 @@ func main() {
 }
 
 func run() error {
+	shared := cli.Register(flag.CommandLine)
+	shared.Batch()
 	params := paramFlags{}
 	var stages stageFlags
 	var (
 		scriptPath = flag.String("script", "", "Pig script file (or pass it as the positional argument)")
 		algo3      = flag.Bool("algorithm3", false, "run the embedded Algorithm 3 script")
-		nodes      = flag.Int("nodes", 8, "simulated cluster nodes")
-		seed       = flag.Int64("seed", 1, "hash seed")
 		dump       = flag.String("dump", "", "DFS directory whose part files are printed after the run")
-		traceOut   = flag.String("trace", "", "write a task trace here after the run (.jsonl = JSON lines, anything else = Chrome trace_event for chrome://tracing)")
-		faultSpec  = flag.String("faults", "", "fault-injection plan, e.g. 'chaos' or driver-crash:after=store:/out/hierarchical (see mrmcminh -faults)")
-		faultSeed  = flag.Int64("fault-seed", 1, "seed for probabilistic fault injection")
-		ckptDir    = flag.String("checkpoint-dir", "", "journal each STORE's committed bytes under this directory (enables -resume)")
-		shuffleBuf = flag.Int("shuffle-buffer", 0, "map-side sort buffer bytes; >0 switches the script's jobs onto the external spill-and-merge shuffle (0 = in-memory)")
-		candidate  = flag.String("candidate", "exact", "candidate-pair generation for -algorithm3: exact (all-pairs) or lsh (banded candidates + log-round connected components)")
-		storeBits  = flag.Int("store-bbits", 0, "signature store packing for the GreedyClustering and LSHClustering UDFs: 0 = full 64-bit slots (default), 1..16 = b-bit minwise packing")
-		resume     checkpoint.ResumeFlag
 	)
 	flag.Var(params, "p", "script parameter NAME=VALUE (repeatable)")
 	flag.Var(&stages, "stage", "stage a local file into the DFS: LOCAL=DFSPATH (repeatable)")
-	flag.Var(&resume, "resume", "restore STORE outputs whose checkpoint validates instead of recomputing; 'force' discards the journal first")
 	flag.Parse()
 	if *scriptPath == "" && !*algo3 && flag.NArg() > 0 {
 		*scriptPath = flag.Arg(0)
@@ -98,7 +86,6 @@ func run() error {
 	var src string
 	switch {
 	case *algo3:
-		src = core.Algorithm3Script
 		setDefault(params, "OUTPUT1", "/out/hierarchical")
 		setDefault(params, "OUTPUT2", "/out/greedy")
 		setDefault(params, "LINK", "average")
@@ -113,47 +100,13 @@ func run() error {
 		flag.Usage()
 		return fmt.Errorf("either -script or -algorithm3 is required")
 	}
-
-	var rec *trace.Recorder
-	if *traceOut != "" {
-		rec = trace.New()
-	}
-	var injector *faults.Injector
-	if *faultSpec != "" {
-		plan, err := faults.ParsePlan(*faultSpec, *faultSeed)
-		if err != nil {
-			return err
-		}
-		injector, err = faults.New(plan)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "fault injection: %s (seed %d)\n", plan, *faultSeed)
-	}
-	if resume.On && *ckptDir == "" {
-		return fmt.Errorf("-resume requires -checkpoint-dir")
-	}
-	var journal *checkpoint.Journal
-	if *ckptDir != "" {
-		store, err := checkpoint.NewDirStore(*ckptDir)
-		if err != nil {
-			return err
-		}
-		if journal, err = checkpoint.Open(store, "/"); err != nil {
-			return err
-		}
-		if resume.Force {
-			if err := journal.Discard(); err != nil {
-				return err
-			}
-			resume.On = false
-		} else if resume.On && journal.Empty() {
-			return &checkpoint.MissingError{Dir: *ckptDir}
-		}
+	opt, err := shared.Options()
+	if err != nil {
+		return err
 	}
 
-	fs := dfs.MustNew(dfs.Config{NumDataNodes: *nodes, BlockSize: 256 * 1024, Replication: 3})
-	fs.SetTrace(rec)
+	fs := dfs.MustNew(dfs.Config{NumDataNodes: opt.Cluster.Nodes, BlockSize: 256 * 1024, Replication: 3})
+	fs.SetTrace(opt.Trace)
 	for _, st := range stages {
 		parts := strings.SplitN(st, "=", 2)
 		data, err := os.ReadFile(parts[0])
@@ -166,7 +119,7 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "staged %s -> dfs:%s (%d bytes)\n", parts[0], parts[1], len(data))
 	}
 	if len(stages) == 0 && params["INPUT"] == "" {
-		if err := stageDemoInput(fs, params, *seed); err != nil {
+		if err := stageDemoInput(fs, params, opt.Seed); err != nil {
 			return err
 		}
 	}
@@ -178,9 +131,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		p.Candidate = *candidate
-		so := core.ScriptOptions{Trace: rec, Faults: injector, Checkpoint: journal, Resume: resume.On, ShuffleBufferBytes: *shuffleBuf, StoreBits: *storeBits}
-		res, err := core.RunScriptOpts(fs, mapreduce.Cluster{Nodes: *nodes, SlotsPerNode: 2, Cost: mapreduce.DefaultCostModel}, p, *seed, so)
+		res, err := core.RunScript(fs, p, opt)
 		if err != nil {
 			return err
 		}
@@ -195,23 +146,9 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		registry := core.NewRegistry()
-		if err := pig.RegisterBuiltins(registry); err != nil {
+		ctx, err := core.NewPigContext(fs, params, opt)
+		if err != nil {
 			return err
-		}
-		engine := mapreduce.MustEngine(mapreduce.Cluster{Nodes: *nodes, SlotsPerNode: 2, Cost: mapreduce.DefaultCostModel})
-		engine.Trace = rec
-		engine.Faults = injector
-		ctx := &pig.Context{
-			FS:                 fs,
-			Engine:             engine,
-			Registry:           registry,
-			Params:             params,
-			Seed:               *seed,
-			Checkpoint:         journal,
-			Resume:             resume.On,
-			ShuffleBufferBytes: *shuffleBuf,
-			StoreBits:          *storeBits,
 		}
 		res, err := script.Run(ctx)
 		if err != nil {
@@ -237,15 +174,7 @@ func run() error {
 		}
 	}
 
-	if rec != nil {
-		spans := rec.Spans()
-		if err := trace.WriteFile(*traceOut, spans); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "trace: %d spans written to %s\n", len(spans), *traceOut)
-		fmt.Fprint(os.Stderr, trace.UtilizationSummary(spans))
-	}
-	return nil
+	return shared.Finish(opt)
 }
 
 // stageDemoInput fills the DFS with a small synthetic whole-metagenome

@@ -35,7 +35,7 @@ func AblationErrorModel(cfg Config) ([]ErrorModelPoint, error) {
 	opt := core.Options{
 		K: sixteenSK, NumHashes: sixteenSHashes,
 		Theta: JaccardThresholdForIdentity(sketchIdentityTheta, sixteenSK),
-		Mode:  core.HierarchicalMode, Seed: cfg.Seed, Cluster: cfg.Cluster,
+		Mode:  core.HierarchicalMode, Seed: cfg.Seed, Cluster: cfg.Base.Cluster,
 	}
 	var out []ErrorModelPoint
 

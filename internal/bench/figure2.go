@@ -153,7 +153,7 @@ func AblationThetaHashes(cfg Config) ([]AblationPoint, error) {
 			for _, hashes := range []int{25, 100} {
 				res, err := core.Run(reads, core.Options{
 					K: table3K, NumHashes: hashes, Theta: theta, Mode: mode,
-					Canonical: true, Seed: cfg.Seed, Cluster: cfg.Cluster,
+					Canonical: true, Seed: cfg.Seed, Cluster: cfg.Base.Cluster,
 				})
 				if err != nil {
 					return nil, err

@@ -18,13 +18,10 @@ import (
 	"time"
 
 	"github.com/metagenomics/mrmcminh/internal/baselines"
-	"github.com/metagenomics/mrmcminh/internal/checkpoint"
 	"github.com/metagenomics/mrmcminh/internal/core"
 	"github.com/metagenomics/mrmcminh/internal/fasta"
-	"github.com/metagenomics/mrmcminh/internal/faults"
 	"github.com/metagenomics/mrmcminh/internal/mapreduce"
 	"github.com/metagenomics/mrmcminh/internal/metrics"
-	"github.com/metagenomics/mrmcminh/internal/trace"
 )
 
 // Config tunes an experiment run.
@@ -33,8 +30,16 @@ type Config struct {
 	Scale float64
 	// Seed drives all dataset generation and hashing.
 	Seed int64
-	// Cluster is the simulated deployment for MrMC-MinH runs.
-	Cluster mapreduce.Cluster
+	// Base is the run environment every MrMC-MinH run starts from: the
+	// simulated cluster, trace recorder, fault injector, shuffle buffer,
+	// candidate generator and signature-store packing. Each experiment
+	// sets the algorithm (K, NumHashes, Theta, Mode, Linkage, Canonical,
+	// Seed) per run; baseline methods use none of it. With
+	// Base.Checkpoint set, each run journals under its own subdirectory
+	// (run name plus input hash) so an interrupted sweep can resume, and
+	// Base.Resume applies per run — except that under ResumeOn a run
+	// with no journal yet runs fresh instead of failing.
+	Base core.Options
 	// SimOptions controls the W.Sim evaluation cost.
 	SimOptions metrics.SimilarityOptions
 	// TrimCounts reports cluster counts only for clusters above the
@@ -43,34 +48,6 @@ type Config struct {
 	// clusters") but reports raw counts — dust included — in Tables IV
 	// and V.
 	TrimCounts bool
-	// Trace, when non-nil, collects job/task spans from every MrMC-MinH
-	// run in the experiment (baseline methods are not traced).
-	Trace *trace.Recorder
-	// Faults, when non-nil, injects the plan's failures into every
-	// MrMC-MinH run (baseline methods do not use the simulated cluster).
-	// Results are unchanged; the modelled time includes the recovery.
-	Faults *faults.Injector
-	// ShuffleBufferBytes caps the map-side sort buffer of every MrMC-MinH
-	// run's jobs (see mapreduce.Job.ShuffleBufferBytes); 0 keeps the
-	// in-memory shuffle. Results are unchanged either way.
-	ShuffleBufferBytes int
-	// Candidate selects the candidate-pair generator for every MrMC-MinH
-	// run: the exact all-pairs path (default) or the sub-quadratic
-	// LSH+connected-components path (see core.CandidateLSH).
-	Candidate core.CandidateGen
-	// StoreBits selects the signature store backing of every MrMC-MinH
-	// run (see core.Options.StoreBits): 0 full width (default), 1..16
-	// b-bit packed.
-	StoreBits int
-	// CheckpointStore, when non-nil, journals every MrMC-MinH run's
-	// stages under a per-run content-addressed directory (run name plus
-	// input hash), so an interrupted experiment sweep can resume.
-	CheckpointStore checkpoint.Store
-	// Resume consults those journals: runs whose journal has entries skip
-	// their validated stages; runs with no journal yet execute fresh (the
-	// sweep-level analogue of --resume, without the single-run CLI's
-	// missing-manifest error).
-	Resume bool
 }
 
 // DefaultConfig is a laptop-friendly configuration.
@@ -81,7 +58,7 @@ func DefaultConfig() Config {
 	return Config{
 		Scale:      0.01,
 		Seed:       1,
-		Cluster:    mapreduce.DefaultCluster,
+		Base:       core.Options{Cluster: mapreduce.DefaultCluster},
 		SimOptions: sim,
 	}
 }
@@ -134,22 +111,17 @@ func Table(title string, rows []Row) string {
 	return sb.String()
 }
 
-// runMrMC executes an MrMC-MinH mode and evaluates it.
+// runMrMC executes an MrMC-MinH mode (opt starts from cfg.Base) and
+// evaluates it.
 func runMrMC(name string, reads []fasta.Record, truth []string, opt core.Options, cfg Config) (Row, error) {
-	opt.Trace = cfg.Trace
-	opt.Faults = cfg.Faults
-	opt.ShuffleBufferBytes = cfg.ShuffleBufferBytes
-	opt.Candidate = cfg.Candidate
-	opt.StoreBits = cfg.StoreBits
-	if cfg.CheckpointStore != nil {
-		dir := "/" + slug(name) + "-" + core.HashReads(reads)[:12]
-		journal, err := checkpoint.Open(cfg.CheckpointStore, dir)
+	if opt.Checkpoint != nil {
+		journal, err := opt.Checkpoint.Sub(slug(name) + "-" + core.HashReads(reads)[:12])
 		if err != nil {
 			return Row{}, fmt.Errorf("bench: %s: %w", name, err)
 		}
 		opt.Checkpoint = journal
-		if cfg.Resume && !journal.Empty() {
-			opt.Resume = core.ResumeOn
+		if opt.Resume == core.ResumeOn && journal.Empty() {
+			opt.Resume = core.ResumeOff
 		}
 	}
 	res, err := core.Run(reads, opt)

@@ -56,11 +56,10 @@ func Table3(cfg Config, samples []string) ([]Row, error) {
 		if sid == "R1" {
 			truth = nil // the paper has no ground truth for R1
 		}
-		hierOpt := core.Options{
-			K: table3K, NumHashes: table3Hashes, Theta: table3Theta,
-			Mode: core.HierarchicalMode, Linkage: cluster.Single,
-			Canonical: true, Seed: cfg.Seed, Cluster: cfg.Cluster,
-		}
+		hierOpt := cfg.Base
+		hierOpt.K, hierOpt.NumHashes, hierOpt.Theta = table3K, table3Hashes, table3Theta
+		hierOpt.Mode, hierOpt.Linkage = core.HierarchicalMode, cluster.Single
+		hierOpt.Canonical, hierOpt.Seed = true, cfg.Seed
 		r, err := runMrMC("MrMC-MinH^h", reads, truth, hierOpt, cfg)
 		if err != nil {
 			return nil, err

@@ -31,11 +31,10 @@ func sixteenSMethods(reads []fasta.Record, truth []string, cfg Config) ([]Row, e
 	jaccTheta := JaccardThresholdForIdentity(sketchIdentityTheta, sixteenSK)
 	var rows []Row
 
-	hierOpt := core.Options{
-		K: sixteenSK, NumHashes: sixteenSHashes, Theta: jaccTheta,
-		Mode: core.HierarchicalMode, Linkage: cluster.Average,
-		Seed: cfg.Seed, Cluster: cfg.Cluster,
-	}
+	hierOpt := cfg.Base
+	hierOpt.K, hierOpt.NumHashes, hierOpt.Theta = sixteenSK, sixteenSHashes, jaccTheta
+	hierOpt.Mode, hierOpt.Linkage = core.HierarchicalMode, cluster.Average
+	hierOpt.Seed = cfg.Seed
 	r, err := runMrMC("MrMC-MinH^h", reads, truth, hierOpt, cfg)
 	if err != nil {
 		return nil, err

@@ -61,7 +61,11 @@ type MissingError struct {
 }
 
 func (e *MissingError) Error() string {
-	return fmt.Sprintf("checkpoint: no manifest under %q — nothing to resume (run without --resume, or check --checkpoint-dir)", e.Dir)
+	where := fmt.Sprintf("under %q", e.Dir)
+	if e.Dir == "" {
+		where = "in the checkpoint directory" // a journal at the store's root
+	}
+	return fmt.Sprintf("checkpoint: no manifest %s — nothing to resume (run without --resume, or check --checkpoint-dir)", where)
 }
 
 // ParamMismatchError reports a manifest entry whose parameters differ
@@ -145,6 +149,13 @@ func Open(store Store, dir string) (*Journal, error) {
 
 // Dir returns the checkpoint directory.
 func (j *Journal) Dir() string { return j.dir }
+
+// Sub opens the journal in subdirectory name of j's directory, on the
+// same store: how a sweep keeps one journal per run under one
+// checkpoint directory.
+func (j *Journal) Sub(name string) (*Journal, error) {
+	return Open(j.store, j.dir+"/"+name)
+}
 
 // Len returns the number of committed stage entries.
 func (j *Journal) Len() int { return len(j.entries) }

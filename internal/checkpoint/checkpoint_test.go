@@ -197,6 +197,58 @@ func TestMissingErrorMessage(t *testing.T) {
 	if !strings.Contains(err.Error(), "/tmp/ck") || !strings.Contains(err.Error(), "nothing to resume") {
 		t.Fatalf("message unhelpful: %s", err.Error())
 	}
+	if root := (&MissingError{}).Error(); !strings.Contains(root, "in the checkpoint directory") {
+		t.Fatalf("root journal message unhelpful: %s", root)
+	}
+}
+
+// TestDirStoreReplaceOverwrites pins the durable write path: a Replace
+// over an existing file leaves the new bytes and no staging file. (The
+// directory fsync after the rename is not observable from a test.)
+func TestDirStoreReplaceOverwrites(t *testing.T) {
+	store, err := NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.WriteFile("/MANIFEST", []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.WriteFile("/_temporary/MANIFEST", []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Replace("/_temporary/MANIFEST", "/MANIFEST"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := store.ReadFile("/MANIFEST")
+	if err != nil || string(got) != "new" {
+		t.Fatalf("after Replace: %q, %v", got, err)
+	}
+	if files := store.List("/"); len(files) != 1 || files[0] != "/MANIFEST" {
+		t.Fatalf("files after Replace = %v, want only /MANIFEST", files)
+	}
+}
+
+// TestJournalSub checks that a sub-journal lives in its own directory of
+// the parent's store, invisible to the parent's manifest.
+func TestJournalSub(t *testing.T) {
+	root, store := tempJournal(t)
+	sub, err := root.Sub("run-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sub.Commit("sketch", "h", nil, []byte("sigs")); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Open(store, "/run-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Len() != 1 || sub.Dir() != "/run-1" {
+		t.Fatalf("sub journal at %q reopened with %d entries", sub.Dir(), again.Len())
+	}
+	if root.Len() != 0 {
+		t.Fatalf("parent journal sees %d entries", root.Len())
+	}
 }
 
 func TestDirStorePathMapping(t *testing.T) {
@@ -256,34 +308,5 @@ func TestJournalOnSimulatedDFS(t *testing.T) {
 	}
 	if _, skip, err := j.Validate("sketch", "h", map[string]string{"k": "5"}); !skip || err != nil {
 		t.Fatalf("DFS-backed validate failed: skip=%v err=%v", skip, err)
-	}
-}
-
-func TestResumeFlag(t *testing.T) {
-	var f ResumeFlag
-	if !f.IsBoolFlag() {
-		t.Fatal("must be a bool flag so bare -resume works")
-	}
-	cases := []struct {
-		in        string
-		on, force bool
-		str       string
-	}{
-		{"", true, false, "true"},
-		{"true", true, false, "true"},
-		{"force", true, true, "force"},
-		{"false", false, false, "false"},
-	}
-	for _, c := range cases {
-		f = ResumeFlag{}
-		if err := f.Set(c.in); err != nil {
-			t.Fatalf("Set(%q): %v", c.in, err)
-		}
-		if f.On != c.on || f.Force != c.force || f.String() != c.str {
-			t.Fatalf("Set(%q) = %+v (String %q)", c.in, f, f.String())
-		}
-	}
-	if err := f.Set("bogus"); err == nil {
-		t.Fatal("bogus value accepted")
 	}
 }

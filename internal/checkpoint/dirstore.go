@@ -13,8 +13,13 @@ import (
 // CLIs can checkpoint across process lifetimes: the simulated DFS dies
 // with the driver, but a --checkpoint-dir on disk survives it, which is
 // what makes `mrmcminh --resume` after a driver crash possible. Journal
-// paths ("/sketch/data") map to files under the root; Replace uses
-// os.Rename, which is atomic on POSIX filesystems.
+// paths ("/sketch/data") map to files under the root.
+//
+// DirStore is the one durable local write path: WriteFile fsyncs the
+// file, and Replace renames (atomic on POSIX filesystems) and then
+// fsyncs the destination directory. A crash during a WriteFile+Replace
+// pair leaves the old file or the new one, never a torn mix, and once
+// the pair returns the new file survives a power cut.
 type DirStore struct {
 	root string
 }
@@ -43,7 +48,8 @@ func (d *DirStore) local(path string) (string, error) {
 	return filepath.Join(d.root, filepath.FromSlash(clean)), nil
 }
 
-// WriteFile stores data at path, creating parent directories.
+// WriteFile stores data at path, creating parent directories, and
+// fsyncs the file before closing it.
 func (d *DirStore) WriteFile(path string, data []byte) error {
 	p, err := d.local(path)
 	if err != nil {
@@ -52,7 +58,19 @@ func (d *DirStore) WriteFile(path string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return err
 	}
-	return os.WriteFile(p, data, 0o644)
+	f, err := os.OpenFile(p, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // ReadFile returns the contents of path.
@@ -74,7 +92,8 @@ func (d *DirStore) Exists(path string) bool {
 	return err == nil && info.Mode().IsRegular()
 }
 
-// Replace atomically moves from onto to (os.Rename overwrites).
+// Replace atomically moves from onto to (os.Rename overwrites), then
+// fsyncs the destination directory so the rename itself is durable.
 func (d *DirStore) Replace(from, to string) error {
 	src, err := d.local(from)
 	if err != nil {
@@ -87,7 +106,18 @@ func (d *DirStore) Replace(from, to string) error {
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return err
 	}
-	return os.Rename(src, dst)
+	if err := os.Rename(src, dst); err != nil {
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(dst))
+	if err != nil {
+		return err
+	}
+	if err := dir.Sync(); err != nil {
+		dir.Close()
+		return err
+	}
+	return dir.Close()
 }
 
 // List returns the journal paths of all regular files under prefix,

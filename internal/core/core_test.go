@@ -240,10 +240,10 @@ func TestScriptMatchesPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k, n, theta = 8, 50, 0.4
-	sres, err := RunScript(fs, smallCluster(), ScriptParams{
+	sres, err := RunScript(fs, ScriptParams{
 		Input: "/in/reads.fa", Output1: "/out/hier", Output2: "/out/greedy",
 		K: k, NumHash: n, Link: "average", Cutoff: theta,
-	}, 12)
+	}, Options{Cluster: smallCluster(), Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,17 +310,19 @@ func samePartition(a, b metrics.Clustering) bool {
 
 func TestRunScriptValidation(t *testing.T) {
 	fs := dfs.MustNew(dfs.DefaultConfig)
-	if _, err := RunScript(fs, smallCluster(), ScriptParams{K: 0, NumHash: 10}, 1); err == nil {
+	opt := Options{Cluster: smallCluster(), Seed: 1}
+	if _, err := RunScript(fs, ScriptParams{K: 0, NumHash: 10}, opt); err == nil {
 		t.Fatal("K=0 accepted")
 	}
-	if _, err := RunScript(fs, smallCluster(), ScriptParams{K: 5, NumHash: 0}, 1); err == nil {
+	if _, err := RunScript(fs, ScriptParams{K: 5, NumHash: 0}, opt); err == nil {
 		t.Fatal("NumHash=0 accepted")
 	}
-	if _, err := RunScript(fs, smallCluster(), ScriptParams{Input: "/missing", K: 5, NumHash: 10}, 1); err == nil {
+	if _, err := RunScript(fs, ScriptParams{Input: "/missing", K: 5, NumHash: 10}, opt); err == nil {
 		t.Fatal("missing input accepted")
 	}
 	for _, bits := range []int{-1, 17} {
-		if _, err := RunScriptOpts(fs, smallCluster(), ScriptParams{K: 5, NumHash: 10}, 1, ScriptOptions{StoreBits: bits}); err == nil {
+		opt.StoreBits = bits
+		if _, err := RunScript(fs, ScriptParams{K: 5, NumHash: 10}, opt); err == nil {
 			t.Fatalf("StoreBits=%d accepted", bits)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"github.com/metagenomics/mrmcminh/internal/fasta"
 	"github.com/metagenomics/mrmcminh/internal/mapreduce"
 	"github.com/metagenomics/mrmcminh/internal/metrics"
+	"github.com/metagenomics/mrmcminh/internal/minhash"
 )
 
 // LevelAssignment is one flat clustering extracted from the shared
@@ -63,7 +64,7 @@ func RunLevels(reads []fasta.Record, opt Options, thetas []float64) (*LevelsResu
 	if err != nil {
 		return nil, err
 	}
-	src, err := store.View(opt.Estimator)
+	src, err := store.View(minhash.SetOverlap)
 	if err != nil {
 		return nil, err
 	}
@@ -104,5 +105,5 @@ func PickRepresentatives(reads []fasta.Record, labels metrics.Clustering, opt Op
 	if err != nil {
 		return nil, err
 	}
-	return cluster.Representatives(labels, cluster.NewSliceSource(sigs, opt.Estimator))
+	return cluster.Representatives(labels, cluster.NewSliceSource(sigs, minhash.SetOverlap))
 }

@@ -9,6 +9,7 @@ import (
 	"github.com/metagenomics/mrmcminh/internal/cluster"
 	"github.com/metagenomics/mrmcminh/internal/mapreduce"
 	"github.com/metagenomics/mrmcminh/internal/metrics"
+	"github.com/metagenomics/mrmcminh/internal/minhash"
 )
 
 // The LSH+CC clustering path (Options.Candidate == CandidateLSH). Instead
@@ -257,7 +258,7 @@ func clusterLSHCC(engine *mapreduce.Engine, src cluster.SigSource, sigsHash stri
 	lsh := lshGeometry(opt)
 	edgeParams := map[string]string{
 		"theta":      fmt.Sprint(opt.Theta),
-		"estimator":  fmt.Sprint(int(opt.Estimator)),
+		"estimator":  fmt.Sprint(int(minhash.SetOverlap)),
 		"bands":      fmt.Sprint(lsh.Bands),
 		"rows":       fmt.Sprint(lsh.Rows),
 		"bucket_cap": fmt.Sprint(lshBucketCap(opt)),
@@ -334,7 +335,7 @@ func clusterLSHCC(engine *mapreduce.Engine, src cluster.SigSource, sigsHash stri
 		"mode":      fmt.Sprint(int(opt.Mode)),
 		"theta":     fmt.Sprint(opt.Theta),
 		"linkage":   fmt.Sprint(int(opt.Linkage)),
-		"estimator": fmt.Sprint(int(opt.Estimator)),
+		"estimator": fmt.Sprint(int(minhash.SetOverlap)),
 	}
 	if data, ok, err := ck.lookup(StageLSHCluster, compsHash, finishParams); err != nil {
 		return err

@@ -236,13 +236,14 @@ func TestLSHScriptMatchesExactScript(t *testing.T) {
 		Input: "/in/reads.fa", Output1: "/out/hier", Output2: "/out/greedy",
 		K: 8, NumHash: 50, Link: "single", Cutoff: 0.4,
 	}
-	exact, err := RunScript(fs, smallCluster(), params, 12)
+	opt := Options{Cluster: smallCluster(), Seed: 12}
+	exact, err := RunScript(fs, params, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	params.Candidate = "lsh"
+	opt.Candidate = CandidateLSH
 	params.Output1, params.Output2 = "/out/hier-lsh", "/out/greedy-lsh"
-	lsh, err := RunScript(fs, smallCluster(), params, 12)
+	lsh, err := RunScript(fs, params, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,8 +257,8 @@ func TestLSHScriptMatchesExactScript(t *testing.T) {
 		t.Fatal("LSH script did not store outputs")
 	}
 
-	params.Candidate = "fuzzy"
-	if _, err := RunScript(fs, smallCluster(), params, 12); err == nil {
+	opt.Candidate = CandidateGen(7)
+	if _, err := RunScript(fs, params, opt); err == nil {
 		t.Fatal("unknown script candidate accepted")
 	}
 }

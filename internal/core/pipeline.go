@@ -88,7 +88,9 @@ func ParseCandidateGen(s string) (CandidateGen, error) {
 const DefaultLSHBucketCap = 256
 
 // Options parameterizes an MrMC-MinH run. Zero values select the paper's
-// whole-metagenome defaults (k=5, n=100, θ=0.9, average linkage).
+// whole-metagenome defaults (k=5, n=100, θ=0.9, average linkage). It is
+// also the run environment of Pig scripts (RunScript, NewPigContext),
+// which read only part of it.
 type Options struct {
 	// K is the k-mer size (paper: 5 for whole metagenome, 15 for 16S).
 	K int
@@ -100,9 +102,6 @@ type Options struct {
 	Mode Mode
 	// Linkage applies in HierarchicalMode.
 	Linkage cluster.Linkage
-	// Estimator selects the signature similarity estimate; the default is
-	// the paper's set-overlap form.
-	Estimator minhash.Estimator
 	// Canonical folds reverse complements into one k-mer (recommended for
 	// shotgun reads, off for 16S amplicons).
 	Canonical bool
@@ -192,9 +191,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Theta == 0 {
 		o.Theta = 0.9
-	}
-	if o.Estimator == 0 {
-		o.Estimator = minhash.SetOverlap
 	}
 	if o.Cluster.Nodes == 0 {
 		o.Cluster = mapreduce.DefaultCluster
@@ -288,25 +284,32 @@ type ckptRunner struct {
 }
 
 func newCkptRunner(opt Options) (*ckptRunner, error) {
-	ck := &ckptRunner{journal: opt.Checkpoint, faults: opt.Faults}
-	if opt.Resume == ResumeOff {
-		return ck, nil
+	resume, err := opt.resumeJournal()
+	if err != nil {
+		return nil, err
 	}
-	if ck.journal == nil {
-		return nil, fmt.Errorf("core: Resume requires a Checkpoint journal")
+	return &ckptRunner{journal: opt.Checkpoint, resume: resume, faults: opt.Faults}, nil
+}
+
+// resumeJournal applies Resume to the Checkpoint journal as a run starts
+// and reports whether validated work may be restored. It is the one
+// implementation of -resume, shared by Run and the Pig scripts:
+// ResumeForce discards the journal, ResumeOn requires one that holds
+// committed stages.
+func (o Options) resumeJournal() (bool, error) {
+	if o.Resume == ResumeOff {
+		return false, nil
 	}
-	switch opt.Resume {
-	case ResumeForce:
-		if err := ck.journal.Discard(); err != nil {
-			return nil, err
-		}
-	case ResumeOn:
-		if ck.journal.Empty() {
-			return nil, &checkpoint.MissingError{Dir: ck.journal.Dir()}
-		}
-		ck.resume = true
+	if o.Checkpoint == nil {
+		return false, fmt.Errorf("core: Resume requires a Checkpoint journal")
 	}
-	return ck, nil
+	if o.Resume == ResumeForce {
+		return false, o.Checkpoint.Discard()
+	}
+	if o.Checkpoint.Empty() {
+		return false, &checkpoint.MissingError{Dir: o.Checkpoint.Dir()}
+	}
+	return true, nil
 }
 
 // lookup returns a stage's checkpointed bytes when its manifest entry
@@ -459,7 +462,7 @@ func Run(reads []fasta.Record, opt Options) (*Result, error) {
 			return nil, err
 		}
 	}
-	src, err := store.View(opt.Estimator)
+	src, err := store.View(minhash.SetOverlap)
 	if err != nil {
 		return nil, err
 	}
@@ -486,7 +489,7 @@ func Run(reads []fasta.Record, opt Options) (*Result, error) {
 	case GreedyMode:
 		greedyParams := map[string]string{
 			"theta":     fmt.Sprint(opt.Theta),
-			"estimator": fmt.Sprint(int(opt.Estimator)),
+			"estimator": fmt.Sprint(int(minhash.SetOverlap)),
 			"use_lsh":   fmt.Sprint(opt.UseLSH),
 		}
 		if data, ok, err := ck.lookup(StageGreedy, sigsHash, greedyParams); err != nil {
@@ -508,7 +511,7 @@ func Run(reads []fasta.Record, opt Options) (*Result, error) {
 		}
 	case HierarchicalMode:
 		simParams := map[string]string{
-			"estimator": fmt.Sprint(int(opt.Estimator)),
+			"estimator": fmt.Sprint(int(minhash.SetOverlap)),
 		}
 		var m *cluster.Matrix
 		var matBytes []byte

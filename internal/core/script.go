@@ -5,9 +5,7 @@ import (
 	"sort"
 	"time"
 
-	"github.com/metagenomics/mrmcminh/internal/checkpoint"
 	"github.com/metagenomics/mrmcminh/internal/dfs"
-	"github.com/metagenomics/mrmcminh/internal/faults"
 	"github.com/metagenomics/mrmcminh/internal/mapreduce"
 	"github.com/metagenomics/mrmcminh/internal/metrics"
 	"github.com/metagenomics/mrmcminh/internal/pig"
@@ -39,8 +37,8 @@ STORE L INTO '$OUTPUT2';
 // removed: relation J (the all-pairs matrix) is gone, and both clustering
 // branches call the LSHClustering UDF, which generates candidate pairs
 // from banded MinHash buckets, verifies them at $CUTOFF and clusters each
-// connected component with the exact algorithm. Selected by the CLIs'
-// -candidate=lsh flag.
+// connected component with the exact algorithm. Selected by
+// Options.Candidate = CandidateLSH (the CLIs' -candidate=lsh).
 const Algorithm3LSHScript = `
 A = LOAD '$INPUT' USING FastaStorage AS (readid:chararray, d:int, seq:bytearray, header:chararray);
 B = FOREACH A GENERATE FLATTEN(StringGenerator(seq, readid)) AS (seq:chararray, seqid:chararray);
@@ -64,10 +62,6 @@ type ScriptParams struct {
 	Div     uint64 // $DIV: prime > feature-space size; 0 derives 4^k+granularity
 	Link    string // $LINK: single | average | complete
 	Cutoff  float64
-	// Candidate selects the script variant: "" or "exact" runs the
-	// paper's Algorithm3Script (all-pairs matrix); "lsh" runs
-	// Algorithm3LSHScript (banded candidate generation, no matrix).
-	Candidate string
 }
 
 // ScriptResult holds both clustering outputs of the Algorithm 3 run.
@@ -82,25 +76,6 @@ type ScriptResult struct {
 	// Restored lists STORE outputs served from a validated checkpoint
 	// instead of being recomputed (resumed runs only).
 	Restored []string
-}
-
-// ScriptOptions bundles the optional knobs of an Algorithm 3 run: span
-// tracing, fault injection, and STORE-level checkpointing with resume.
-type ScriptOptions struct {
-	Trace      *trace.Recorder
-	Faults     *faults.Injector
-	Checkpoint *checkpoint.Journal
-	Resume     bool
-	// ShuffleBufferBytes caps each map task's sort buffer on the script's
-	// jobs (see mapreduce.Job.ShuffleBufferBytes); 0 keeps the in-memory
-	// shuffle.
-	ShuffleBufferBytes int
-	// StoreBits selects the signature store backing of the clustering
-	// UDFs GreedyClustering and LSHClustering (see Options.StoreBits):
-	// 0 full width (default), 1..16 b-bit packed. The exact script's
-	// hierarchical branch (CalculatePairwiseSimilarity) always compares
-	// full-width signatures.
-	StoreBits int
 }
 
 // nextPrimeAbove returns the smallest prime > n (trial division; the
@@ -124,21 +99,58 @@ func nextPrimeAbove(n uint64) uint64 {
 	}
 }
 
-// RunScript executes the paper's Algorithm 3 against the given DFS and
-// simulated cluster.
-func RunScript(fs *dfs.FileSystem, clusterCfg mapreduce.Cluster, p ScriptParams, seed int64) (*ScriptResult, error) {
-	return RunScriptTraced(fs, clusterCfg, p, seed, nil)
+// NewPigContext builds the context a Pig script runs in over fs: an
+// engine on opt.Cluster carrying opt's Trace, Faults and Retry, the
+// paper's UDFs plus the Pig builtins, and opt's Checkpoint journal
+// prepared for opt.Resume. params fills the script's $ holes. Of opt it
+// reads Cluster, Seed, Trace, Faults, Retry, Checkpoint, Resume,
+// ShuffleBufferBytes and StoreBits; the rest is only validated.
+func NewPigContext(fs *dfs.FileSystem, params map[string]string, opt Options) (*pig.Context, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
+	opt = opt.withDefaults()
+	resume, err := opt.resumeJournal()
+	if err != nil {
+		return nil, err
+	}
+	engine, err := mapreduce.NewEngine(opt.Cluster)
+	if err != nil {
+		return nil, err
+	}
+	engine.Trace = opt.Trace
+	engine.Faults = opt.Faults
+	engine.Retry = opt.Retry
+	if opt.Trace.Enabled() {
+		fs.SetTrace(opt.Trace)
+	}
+	registry := NewRegistry()
+	if err := pig.RegisterBuiltins(registry); err != nil {
+		return nil, err
+	}
+	return &pig.Context{
+		FS:                 fs,
+		Engine:             engine,
+		Registry:           registry,
+		Params:             params,
+		Seed:               opt.Seed,
+		Checkpoint:         opt.Checkpoint,
+		Resume:             resume,
+		ShuffleBufferBytes: opt.ShuffleBufferBytes,
+		StoreBits:          opt.StoreBits,
+	}, nil
 }
 
-// RunScriptTraced is RunScript with an optional span recorder attached to
-// both the DFS and the MapReduce engine; pass nil to run untraced.
-func RunScriptTraced(fs *dfs.FileSystem, clusterCfg mapreduce.Cluster, p ScriptParams, seed int64, rec *trace.Recorder) (*ScriptResult, error) {
-	return RunScriptOpts(fs, clusterCfg, p, seed, ScriptOptions{Trace: rec})
-}
-
-// RunScriptOpts is the fully parameterized Algorithm 3 entry point.
-func RunScriptOpts(fs *dfs.FileSystem, clusterCfg mapreduce.Cluster, p ScriptParams, seed int64, so ScriptOptions) (*ScriptResult, error) {
-	rec := so.Trace
+// RunScript executes the paper's Algorithm 3 against fs. p binds the
+// script's $ holes and opt supplies the run environment (see
+// NewPigContext). opt.Candidate picks the script: CandidateExact runs
+// Algorithm3Script, CandidateLSH Algorithm3LSHScript. opt.StoreBits
+// backs the GreedyClustering and LSHClustering UDFs; the exact script's
+// hierarchical branch always compares full-width signatures. The k-mer
+// size, hash count, linkage and cutoff come from p, so the script
+// ignores opt's K, NumHashes, Theta, Mode, Linkage, Canonical, UseLSH,
+// LSH and LSHBucketCap.
+func RunScript(fs *dfs.FileSystem, p ScriptParams, opt Options) (*ScriptResult, error) {
 	if p.K < 1 {
 		return nil, fmt.Errorf("core: script needs KMER >= 1")
 	}
@@ -153,45 +165,22 @@ func RunScriptOpts(fs *dfs.FileSystem, clusterCfg mapreduce.Cluster, p ScriptPar
 		// The paper requires a prime larger than the feature-set size 4^k.
 		div = nextPrimeAbove(uint64(1) << (2 * uint(p.K)))
 	}
-	engine, err := mapreduce.NewEngine(clusterCfg)
+	ctx, err := NewPigContext(fs, map[string]string{
+		"INPUT":   p.Input,
+		"OUTPUT1": p.Output1,
+		"OUTPUT2": p.Output2,
+		"KMER":    fmt.Sprint(p.K),
+		"NUMHASH": fmt.Sprint(p.NumHash),
+		"DIV":     fmt.Sprint(div),
+		"LINK":    p.Link,
+		"CUTOFF":  fmt.Sprint(p.Cutoff),
+	}, opt)
 	if err != nil {
 		return nil, err
 	}
-	engine.Trace = rec
-	engine.Faults = so.Faults
-	if rec.Enabled() {
-		fs.SetTrace(rec)
-	}
-	if so.StoreBits < 0 || so.StoreBits > 16 {
-		return nil, fmt.Errorf("core: StoreBits must be 0 (full store) or 1..16 (packed), got %d", so.StoreBits)
-	}
-	ctx := &pig.Context{
-		FS:                 fs,
-		Engine:             engine,
-		Registry:           NewRegistry(),
-		Seed:               seed,
-		Checkpoint:         so.Checkpoint,
-		Resume:             so.Resume,
-		ShuffleBufferBytes: so.ShuffleBufferBytes,
-		StoreBits:          so.StoreBits,
-		Params: map[string]string{
-			"INPUT":   p.Input,
-			"OUTPUT1": p.Output1,
-			"OUTPUT2": p.Output2,
-			"KMER":    fmt.Sprint(p.K),
-			"NUMHASH": fmt.Sprint(p.NumHash),
-			"DIV":     fmt.Sprint(div),
-			"LINK":    p.Link,
-			"CUTOFF":  fmt.Sprint(p.Cutoff),
-		},
-	}
 	source := Algorithm3Script
-	switch p.Candidate {
-	case "", "exact":
-	case "lsh":
+	if opt.Candidate == CandidateLSH {
 		source = Algorithm3LSHScript
-	default:
-		return nil, fmt.Errorf("core: unknown script candidate generator %q (want exact or lsh)", p.Candidate)
 	}
 	script, err := pig.Compile(source)
 	if err != nil {
@@ -209,6 +198,13 @@ func RunScriptOpts(fs *dfs.FileSystem, clusterCfg mapreduce.Cluster, p ScriptPar
 		Restored:     run.Restored,
 	}
 	return res, nil
+}
+
+// RunScriptTraced is RunScript on clusterCfg with hash seed seed and an
+// optional span recorder attached to both the DFS and the MapReduce
+// engine; pass nil to run untraced.
+func RunScriptTraced(fs *dfs.FileSystem, clusterCfg mapreduce.Cluster, p ScriptParams, seed int64, rec *trace.Recorder) (*ScriptResult, error) {
+	return RunScript(fs, p, Options{Cluster: clusterCfg, Seed: seed, Trace: rec})
 }
 
 // labelMap converts a (seqid, clusterlabel) relation into a map.

@@ -252,7 +252,7 @@ func TestScriptGreedyClusteringUsesStore(t *testing.T) {
 	}
 	greedy := map[int]map[string]int{}
 	for _, bits := range []int{0, 1} {
-		res, err := RunScriptOpts(stage(), smallCluster(), p, seed, ScriptOptions{StoreBits: bits})
+		res, err := RunScript(stage(), p, Options{Cluster: smallCluster(), Seed: seed, StoreBits: bits})
 		if err != nil {
 			t.Fatal(err)
 		}

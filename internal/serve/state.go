@@ -19,6 +19,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"github.com/metagenomics/mrmcminh/internal/checkpoint"
 	"github.com/metagenomics/mrmcminh/internal/cluster"
 	"github.com/metagenomics/mrmcminh/internal/faults"
 	"github.com/metagenomics/mrmcminh/internal/ingest"
@@ -61,6 +62,7 @@ func (p Params) Validate() error {
 const (
 	manifestFile = "MANIFEST.json"
 	walFile      = "wal.log"
+	stagingFile  = ".staging" // where Checkpoint writes a file before renaming it into place
 )
 
 // manifest is the checkpoint directory's metadata: which snapshot blob
@@ -88,8 +90,9 @@ type Ack struct {
 type State struct {
 	params Params
 	dir    string
+	files  *checkpoint.DirStore // durable writes into dir
 	store  *sigstore.Store
-	live   *liveSource
+	src    *sigstore.View // the clusterer's source; grown by the committer
 	inc    *cluster.Incremental
 	wal    *WAL
 	inj    *faults.Injector
@@ -110,66 +113,6 @@ type State struct {
 	recovered  int64 // reads present at Open (snapshot + WAL tail)
 }
 
-// liveSource is the growing cluster.SigSource the incremental clusterer
-// runs over: append-only borrowed rows from the store. Only the
-// committer goroutine touches it — the clusterer and the appender are
-// the same single thread, so no locking (unlike the store underneath,
-// which stays safe for concurrent snapshot readers).
-type liveSource struct {
-	est       minhash.Estimator
-	bits      int
-	numHashes int
-	sigs      []minhash.Signature
-	prep      []minhash.Prepared
-	packed    []minhash.BBitSignature
-}
-
-func (l *liveSource) Len() int {
-	if l.bits == 0 {
-		return len(l.sigs)
-	}
-	return len(l.packed)
-}
-func (l *liveSource) NumHashes() int { return l.numHashes }
-func (l *liveSource) Empty(i int) bool {
-	if l.bits == 0 {
-		return l.sigs[i].Empty()
-	}
-	return l.packed[i].Empty()
-}
-func (l *liveSource) Similarity(i, j int) float64 {
-	if l.bits == 0 {
-		return l.est.SimilarityPrepared(l.prep[i], l.prep[j])
-	}
-	return l.packed[i].SimilarityFast(l.packed[j])
-}
-func (l *liveSource) BandHash(i, band, rows int) uint64 {
-	if l.bits == 0 {
-		return minhash.BandHash(l.sigs[i], band, rows)
-	}
-	return l.packed[i].BandHash(band, rows)
-}
-
-// appendRow borrows the store row for dense and appends it as source
-// element dense (rows arrive in dense order, so indices align).
-func (l *liveSource) appendRow(st *sigstore.Store, dense uint32) error {
-	if l.bits == 0 {
-		sigs, err := st.GetInto(l.sigs, []uint32{dense})
-		if err != nil {
-			return err
-		}
-		l.sigs = sigs
-		l.prep = append(l.prep, minhash.Prepare(sigs[len(sigs)-1]))
-		return nil
-	}
-	packed, err := st.PackedInto(l.packed, []uint32{dense})
-	if err != nil {
-		return err
-	}
-	l.packed = packed
-	return nil
-}
-
 // Open builds (or recovers) service state in dir. A directory that
 // already holds a manifest or WAL refuses to open without resume —
 // silently restarting fresh over durable data would discard
@@ -178,7 +121,8 @@ func Open(dir string, p Params, resume bool, inj *faults.Injector) (*State, erro
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	files, err := checkpoint.NewDirStore(dir)
+	if err != nil {
 		return nil, err
 	}
 	manifestPath := filepath.Join(dir, manifestFile)
@@ -190,7 +134,7 @@ func Open(dir string, p Params, resume bool, inj *faults.Injector) (*State, erro
 		return nil, fmt.Errorf("serve: data dir %s holds previous state; pass resume to recover it", dir)
 	}
 
-	st := &State{params: p, dir: dir, inj: inj}
+	st := &State{params: p, dir: dir, files: files, inj: inj}
 	if hasManifest {
 		m, store, err := loadCheckpoint(dir, manifestPath)
 		if err != nil {
@@ -208,13 +152,15 @@ func Open(dir string, p Params, resume bool, inj *faults.Injector) (*State, erro
 		st.store = store
 	}
 
-	st.live = &liveSource{est: p.Estimator, bits: p.Bits, numHashes: p.NumHashes}
+	if st.src, err = st.store.View(p.Estimator); err != nil {
+		return nil, err
+	}
 	var geom *cluster.LSHOptions
 	if p.UseLSH {
 		g := cluster.GeometryFor(p.NumHashes, p.Theta)
 		geom = &g
 	}
-	inc, err := cluster.NewIncremental(st.live, p.Theta, geom)
+	inc, err := cluster.NewIncremental(st.src, p.Theta, geom)
 	if err != nil {
 		return nil, err
 	}
@@ -302,10 +248,13 @@ func loadCheckpoint(dir, manifestPath string) (*manifest, *sigstore.Store, error
 // have established the ID is not yet stored.
 func (st *State) applyRead(id string, sig minhash.Signature) (int, error) {
 	dense := st.store.Translator().Translate(id)
-	if int(dense) != st.live.Len() {
-		return 0, fmt.Errorf("serve: dense ID %d out of commit order (have %d rows)", dense, st.live.Len())
+	if int(dense) != st.src.Len() {
+		return 0, fmt.Errorf("serve: dense ID %d out of commit order (have %d rows)", dense, st.src.Len())
 	}
 	if err := st.store.Put(dense, sig); err != nil {
+		return 0, err
+	}
+	if err := st.src.Grow(st.store); err != nil {
 		return 0, err
 	}
 	return st.applyDenseClustered(dense, id)
@@ -323,9 +272,6 @@ func (st *State) applyDense(dense uint32) error {
 }
 
 func (st *State) applyDenseClustered(dense uint32, id string) (int, error) {
-	if err := st.live.appendRow(st.store, dense); err != nil {
-		return 0, err
-	}
 	label, err := st.inc.Add(int(dense))
 	if err != nil {
 		return 0, err
@@ -408,15 +354,20 @@ func (st *State) CommitBatch(batch []ingest.Sketched) ([]Ack, error) {
 	return acks, nil
 }
 
-// Checkpoint writes a content-addressed snapshot plus manifest (each
-// via tmp+rename) and truncates the WAL the snapshot absorbed. The
+// Checkpoint writes a content-addressed snapshot plus manifest and
+// truncates the WAL the snapshot absorbed. Each file is staged, fsynced
+// and renamed into place with its directory fsynced (checkpoint.DirStore),
+// so the manifest the WAL truncation trusts survives a power cut. The
 // store must be quiescent — the committer calls this, never a request
 // goroutine.
 func (st *State) Checkpoint() error {
 	blob := st.store.Snapshot()
 	sum := sha256.Sum256(blob)
 	name := fmt.Sprintf("snapshot-%s.bin", hex.EncodeToString(sum[:8]))
-	if err := writeFileAtomic(filepath.Join(st.dir, name), blob); err != nil {
+	if err := st.files.WriteFile(stagingFile, blob); err != nil {
+		return err
+	}
+	if err := st.files.Replace(stagingFile, name); err != nil {
 		return err
 	}
 	m := manifest{Params: st.params, Snapshot: name, SHA256: hex.EncodeToString(sum[:]), Reads: st.store.Len()}
@@ -424,45 +375,22 @@ func (st *State) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(filepath.Join(st.dir, manifestFile), raw); err != nil {
+	if err := st.files.WriteFile(stagingFile, raw); err != nil {
+		return err
+	}
+	if err := st.files.Replace(stagingFile, manifestFile); err != nil {
 		return err
 	}
 	if err := st.wal.Truncate(); err != nil {
 		return err
 	}
 	// Old snapshots are unreferenced once the manifest points elsewhere.
-	entries, err := os.ReadDir(st.dir)
-	if err == nil {
-		for _, e := range entries {
-			n := e.Name()
-			if strings.HasPrefix(n, "snapshot-") && strings.HasSuffix(n, ".bin") && n != name {
-				os.Remove(filepath.Join(st.dir, n))
-			}
+	for _, old := range st.files.List("/snapshot-") {
+		if strings.HasSuffix(old, ".bin") && old != "/"+name {
+			st.files.Remove(old) // best effort: an orphaned snapshot costs only disk space
 		}
 	}
 	return nil
-}
-
-// writeFileAtomic writes via a temp file + rename so readers never see
-// a torn file, then fsyncs the data before the rename publishes it.
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 // Close flushes and closes the WAL. It does NOT checkpoint — callers

@@ -375,6 +375,56 @@ func TestViewRequiresDenseIDs(t *testing.T) {
 	}
 }
 
+// TestViewGrowMatchesView grows a view one stored row at a time, the
+// serving committer's pattern, and checks it against the view built over
+// the finished store.
+func TestViewGrowMatchesView(t *testing.T) {
+	sigs := randSigs(t, 90, 20, 7, 10)
+	for _, bits := range []int{0, 4} {
+		s, err := New(Config{NumHashes: 20, Bits: bits, Shards: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		grown, err := s.View(minhash.SetOverlap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := grown.Grow(s); err == nil {
+			t.Fatalf("bits=%d: Grow past the stored rows succeeded", bits)
+		}
+		for i, sig := range sigs {
+			if err := s.Put(uint32(i), sig); err != nil {
+				t.Fatal(err)
+			}
+			if err := grown.Grow(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		built, err := s.View(minhash.SetOverlap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grown.Len() != built.Len() {
+			t.Fatalf("bits=%d: grown Len %d, built %d", bits, grown.Len(), built.Len())
+		}
+		for i := 0; i < built.Len(); i++ {
+			if grown.Empty(i) != built.Empty(i) {
+				t.Fatalf("bits=%d: Empty(%d) differs", bits, i)
+			}
+			for b := 0; b < 4; b++ {
+				if grown.BandHash(i, b, 5) != built.BandHash(i, b, 5) {
+					t.Fatalf("bits=%d: BandHash(%d, %d) differs", bits, i, b)
+				}
+			}
+			for j := 0; j < built.Len(); j++ {
+				if grown.Similarity(i, j) != built.Similarity(i, j) {
+					t.Fatalf("bits=%d: Similarity(%d, %d) differs", bits, i, j)
+				}
+			}
+		}
+	}
+}
+
 // TestPackedResidentBytesRatio pins the headline compression claim: b=4
 // packing stores the same corpus in >= 8x fewer resident signature bytes
 // than full 64-bit storage (at n=100 the exact ratio is 800/56 ≈ 14.3x).

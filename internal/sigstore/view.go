@@ -13,12 +13,14 @@ import (
 // kernels need) exactly once, so the O(N²) pair loops downstream index
 // plain slices with no locking and no per-pair allocation.
 //
-// A View satisfies cluster.SigSource. It assumes the store is quiescent:
-// ingest finishes before clustering begins, which is the pipeline's
-// stage order. For a full store, Similarity returns floats bit-identical
-// to the slice-backed Estimator.SimilarityPrepared path; for a packed
-// store it applies the b-bit collision-corrected estimator over the
-// packed words.
+// A View satisfies cluster.SigSource. It assumes the store is quiescent
+// while the view is read: either ingest finishes before clustering
+// begins (the pipeline's stage order), or the store's only writer is also
+// the view's only reader and grows the view row by row with Grow (the
+// serving committer). For a full store, Similarity returns floats
+// bit-identical to the slice-backed Estimator.SimilarityPrepared path;
+// for a packed store it applies the b-bit collision-corrected estimator
+// over the packed words.
 type View struct {
 	est       minhash.Estimator
 	bits      int
@@ -66,6 +68,26 @@ func (s *Store) View(est minhash.Estimator) (*View, error) {
 		v.prep = minhash.PrepareAll(v.sigs)
 	}
 	return v, nil
+}
+
+// Grow extends the view by one element: the row of dense ID Len() in s,
+// the store the view was built from, which the caller has just stored.
+// (The view keeps no reference to s, so a finished view does not pin the
+// store's index maps and translator.)
+func (v *View) Grow(s *Store) error {
+	id := uint32(v.Len())
+	w, empty, ok := s.row(id)
+	if !ok {
+		return fmt.Errorf("sigstore: view grow needs dense ID %d, not stored", id)
+	}
+	if v.bits == 0 {
+		sig := minhash.Signature(w)
+		v.sigs = append(v.sigs, sig)
+		v.prep = append(v.prep, minhash.Prepare(sig))
+	} else {
+		v.packed = append(v.packed, minhash.Borrow(v.bits, v.numHashes, w, empty))
+	}
+	return nil
 }
 
 // Len returns the number of signatures in the view.
