@@ -20,11 +20,6 @@ type CCOptions struct {
 	// hitting the bound still yields exact components — only the modelled
 	// per-round cost stops accruing.
 	MaxRounds int
-	// NumReducers per star job (0 = cluster node count).
-	NumReducers int
-	// ShuffleBufferBytes routes the star jobs onto the external
-	// spill-and-merge shuffle (see mapreduce.Job.ShuffleBufferBytes).
-	ShuffleBufferBytes int
 }
 
 // DefaultCCMaxRounds bounds the alternating rounds far above the
@@ -110,11 +105,11 @@ func ConnectedComponentsMR(engine *mapreduce.Engine, n int, edges []Edge, opt CC
 	}
 	var results []*mapreduce.Result
 	for stats.Rounds < maxRounds && len(cur) > 0 {
-		large, lres, err := starJob(engine, cur, opt, true)
+		large, lres, err := starJob(engine, cur, true)
 		if err != nil {
 			return nil, nil, stats, err
 		}
-		small, sres, err := starJob(engine, large, opt, false)
+		small, sres, err := starJob(engine, large, false)
 		if err != nil {
 			return nil, nil, stats, err
 		}
@@ -189,7 +184,7 @@ func nodeKey(u int) string { return fmt.Sprintf("%012d", u) }
 // Both operations preserve connectivity; alternating them converges to
 // per-component stars centered on the minimum node in a logarithmic
 // number of rounds.
-func starJob(engine *mapreduce.Engine, edges []Edge, opt CCOptions, large bool) ([]Edge, *mapreduce.Result, error) {
+func starJob(engine *mapreduce.Engine, edges []Edge, large bool) ([]Edge, *mapreduce.Result, error) {
 	name := "cc-small-star"
 	if large {
 		name = "cc-large-star"
@@ -199,10 +194,8 @@ func starJob(engine *mapreduce.Engine, edges []Edge, opt CCOptions, large bool) 
 		records[i] = mapreduce.KeyValue{Key: nodeKey(e.U) + ":" + nodeKey(e.V), Value: e}
 	}
 	job := &mapreduce.Job{
-		Name:               name,
-		Input:              mapreduce.MemoryInput{Records: records, SplitSize: ccSplitSize(len(records), engine.Cluster)},
-		NumReducers:        opt.NumReducers,
-		ShuffleBufferBytes: opt.ShuffleBufferBytes,
+		Name:  name,
+		Input: mapreduce.MemoryInput{Records: records, SplitSize: ccSplitSize(len(records), engine.Cluster)},
 		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
 			e := kv.Value.(Edge)
 			if large {

@@ -225,7 +225,9 @@ func TestConnectedComponentsMRSmallStarExternalShuffle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, _, err := ConnectedComponentsMR(engine, 400, edges, CCOptions{ShuffleBufferBytes: 512})
+	spill := ccEngine(t)
+	spill.ShuffleBufferBytes = 512
+	got, _, _, err := ConnectedComponentsMR(spill, 400, edges, CCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

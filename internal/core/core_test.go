@@ -3,17 +3,21 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/metagenomics/mrmcminh/internal/cluster"
 	"github.com/metagenomics/mrmcminh/internal/dfs"
 	"github.com/metagenomics/mrmcminh/internal/fasta"
+	"github.com/metagenomics/mrmcminh/internal/faults"
 	"github.com/metagenomics/mrmcminh/internal/kmer"
 	"github.com/metagenomics/mrmcminh/internal/mapreduce"
 	"github.com/metagenomics/mrmcminh/internal/metrics"
 	"github.com/metagenomics/mrmcminh/internal/minhash"
 	"github.com/metagenomics/mrmcminh/internal/pig"
+	"github.com/metagenomics/mrmcminh/internal/trace"
 )
 
 // makeReads builds g groups of m reads each: members of a group are copies
@@ -424,6 +428,13 @@ func TestUDFArgValidation(t *testing.T) {
 	if _, err := greedyClusteringUDF(ctx, []pig.Value{"notabag", int64(10), 0.5}); err == nil {
 		t.Error("Greedy bag type not checked")
 	}
+	// Mode and link are checked before clustering, even on an empty bag.
+	if _, err := lshClusteringUDF(ctx, []pig.Value{pig.Bag{}, int64(10), 0.5, "kmeans", "average"}); err == nil {
+		t.Error("LSHClustering mode not checked")
+	}
+	if _, err := lshClusteringUDF(ctx, []pig.Value{pig.Bag{}, int64(10), 0.5, "hierarchical", "ward"}); err == nil {
+		t.Error("LSHClustering link not checked")
+	}
 }
 
 func TestStringGeneratorEncoding(t *testing.T) {
@@ -576,4 +587,100 @@ func TestRunLevelsCoreAndRepresentatives(t *testing.T) {
 	if _, err := PickRepresentatives(reads[:1], lres.Levels[1].Assignments, opt); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
+}
+
+// TestRunLevelsHonorsFaultPlan runs RunLevels and PickRepresentatives
+// under a plan that crashes the first two attempts of map task 0 in every
+// job: both must inject the crashes, the retries must cost RunLevels
+// virtual time, and the levels must not change.
+func TestRunLevelsHonorsFaultPlan(t *testing.T) {
+	reads, _ := makeReads(4, 6, 200, 0.01, 5)
+	opt := Options{K: 8, NumHashes: 48, Seed: 9, Cluster: smallCluster()}
+	thetas := []float64{0.2, 0.4, 0.6}
+	clean, err := RunLevels(reads, opt, thetas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := faults.ParsePlan("taskfail=*:map:0:2", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted := opt
+	faulted.Faults = faults.MustNew(plan)
+	got, err := RunLevels(reads, faulted, thetas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if faulted.Faults.Injected() == 0 {
+		t.Fatal("RunLevels injected no faults")
+	}
+	if got.Virtual <= clean.Virtual {
+		t.Fatalf("retries cost no virtual time: faulted %v <= clean %v", got.Virtual, clean.Virtual)
+	}
+	if !reflect.DeepEqual(got.Levels, clean.Levels) {
+		t.Fatal("fault injection changed the levels")
+	}
+	faulted.Faults = faults.MustNew(plan)
+	if _, err := PickRepresentatives(reads, clean.Levels[0].Assignments, faulted); err != nil {
+		t.Fatal(err)
+	}
+	if faulted.Faults.Injected() == 0 {
+		t.Fatal("PickRepresentatives injected no faults")
+	}
+}
+
+// engineSettings is the options every run's engine must carry.
+func engineSettings() Options {
+	return Options{
+		Cluster:            mapreduce.Cluster{Nodes: 3, SlotsPerNode: 1, Cost: mapreduce.DefaultCostModel, Speculative: true},
+		Trace:              trace.New(),
+		Faults:             faults.MustNew(faults.ChaosPlan(1)),
+		Retry:              mapreduce.RetryPolicy{MaxAttempts: 7, Backoff: time.Second},
+		ShuffleBufferBytes: 4096,
+	}
+}
+
+// checkEngine fails unless e carries opt's cluster, trace, faults, retry
+// policy and shuffle buffer, with the default merge fan-in.
+func checkEngine(t *testing.T, e *mapreduce.Engine, opt Options) {
+	t.Helper()
+	if !reflect.DeepEqual(e.Cluster, opt.Cluster) {
+		t.Errorf("engine cluster %+v, want %+v", e.Cluster, opt.Cluster)
+	}
+	if e.Trace != opt.Trace || e.Faults != opt.Faults {
+		t.Error("engine does not carry the options' trace recorder and fault injector")
+	}
+	if e.Retry != opt.Retry {
+		t.Errorf("engine retry policy %+v, want %+v", e.Retry, opt.Retry)
+	}
+	if e.ShuffleBufferBytes != opt.ShuffleBufferBytes || e.MergeFanIn != 0 {
+		t.Errorf("engine shuffle buffer %d, fan-in %d; want %d and the default", e.ShuffleBufferBytes, e.MergeFanIn, opt.ShuffleBufferBytes)
+	}
+}
+
+// TestOptionsEngineCarriesRunSettings: Options.engine builds every
+// engine of a run, so it must carry all of the run's engine settings and
+// reject a cluster that cannot run a job.
+func TestOptionsEngineCarriesRunSettings(t *testing.T) {
+	opt := engineSettings()
+	e, err := opt.engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEngine(t, e, opt)
+	opt.Cluster.SlotsPerNode = 0
+	if _, err := opt.engine(); err == nil {
+		t.Fatal("cluster without slots accepted")
+	}
+}
+
+// TestNewPigContextCarriesRunSettings: Pig scripts run their jobs on the
+// context's engine, which must carry the same settings as Run's.
+func TestNewPigContextCarriesRunSettings(t *testing.T) {
+	opt := engineSettings()
+	ctx, err := NewPigContext(dfs.MustNew(dfs.DefaultConfig), nil, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEngine(t, ctx.Engine, opt)
 }

@@ -6,7 +6,6 @@ import (
 
 	"github.com/metagenomics/mrmcminh/internal/cluster"
 	"github.com/metagenomics/mrmcminh/internal/fasta"
-	"github.com/metagenomics/mrmcminh/internal/mapreduce"
 	"github.com/metagenomics/mrmcminh/internal/metrics"
 	"github.com/metagenomics/mrmcminh/internal/minhash"
 )
@@ -29,7 +28,12 @@ type LevelsResult struct {
 }
 
 // RunLevels executes the hierarchical pipeline once and cuts the
-// dendrogram at every threshold (finest first). Options' Theta is ignored.
+// dendrogram at every threshold (finest first). Its jobs run on the
+// engine Run builds, so Cluster, Trace, Faults, Retry and
+// ShuffleBufferBytes apply as in Run, and the similarity matrix reads
+// the store StoreBits selects. It always clusters exact all-pairs
+// hierarchically without a journal, so it ignores opt's Theta, Mode,
+// UseLSH, Candidate, LSH, LSHBucketCap, Checkpoint and Resume.
 func RunLevels(reads []fasta.Record, opt Options, thetas []float64) (*LevelsResult, error) {
 	opt = opt.withDefaults()
 	opt.Mode = HierarchicalMode
@@ -44,11 +48,10 @@ func RunLevels(reads []fasta.Record, opt Options, thetas []float64) (*LevelsResu
 			return nil, fmt.Errorf("core: threshold %v out of [0,1]", t)
 		}
 	}
-	engine, err := mapreduce.NewEngine(opt.Cluster)
+	engine, err := opt.engine()
 	if err != nil {
 		return nil, err
 	}
-	engine.Trace = opt.Trace
 	res := &LevelsResult{ReadIDs: make([]string, len(reads))}
 	for i := range reads {
 		res.ReadIDs[i] = reads[i].ID
@@ -87,7 +90,11 @@ func RunLevels(reads []fasta.Record, opt Options, thetas []float64) (*LevelsResu
 // PickRepresentatives sketches the reads with the run's parameters and
 // returns clusterID -> representative read index (the medoid under the
 // configured estimator) — the pre-processing reduction the paper's
-// introduction motivates (analyze representatives, not every read).
+// introduction motivates (analyze representatives, not every read). The
+// sketch job runs on the engine Run builds (Cluster, Trace, Faults,
+// Retry, ShuffleBufferBytes); the medoids compare full-width signatures
+// without a journal, so it ignores opt's Theta, Mode, Linkage, UseLSH,
+// Candidate, LSH, LSHBucketCap, StoreBits, Checkpoint and Resume.
 func PickRepresentatives(reads []fasta.Record, labels metrics.Clustering, opt Options) (map[int]int, error) {
 	opt = opt.withDefaults()
 	if err := opt.Validate(); err != nil {
@@ -96,11 +103,10 @@ func PickRepresentatives(reads []fasta.Record, labels metrics.Clustering, opt Op
 	if len(reads) != len(labels) {
 		return nil, fmt.Errorf("core: %d reads for %d labels", len(reads), len(labels))
 	}
-	engine, err := mapreduce.NewEngine(opt.Cluster)
+	engine, err := opt.engine()
 	if err != nil {
 		return nil, err
 	}
-	engine.Trace = opt.Trace
 	sigs, _, err := sketchJob(engine, reads, opt)
 	if err != nil {
 		return nil, err

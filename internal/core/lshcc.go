@@ -72,9 +72,8 @@ func lshEdgesJobs(engine *mapreduce.Engine, src cluster.SigSource, opt Options) 
 
 	var overflow, buckets atomic.Int64
 	bandsJob := &mapreduce.Job{
-		Name:               "mrmcminh-lsh-bands",
-		Input:              mapreduce.MemoryInput{Records: records, SplitSize: splitSize(len(records), engine.Cluster)},
-		ShuffleBufferBytes: opt.ShuffleBufferBytes,
+		Name:  "mrmcminh-lsh-bands",
+		Input: mapreduce.MemoryInput{Records: records, SplitSize: splitSize(len(records), engine.Cluster)},
 		// One record hashes b bands of r rows each.
 		MapCostFactor: float64(lsh.Bands) / 2,
 		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
@@ -119,9 +118,8 @@ func lshEdgesJobs(engine *mapreduce.Engine, src cluster.SigSource, opt Options) 
 
 	var candidates, edgeCount atomic.Int64
 	verifyJob := &mapreduce.Job{
-		Name:               "mrmcminh-lsh-verify",
-		Input:              mapreduce.MemoryInput{Records: bandsOut.Output, SplitSize: splitSize(len(bandsOut.Output), engine.Cluster)},
-		ShuffleBufferBytes: opt.ShuffleBufferBytes,
+		Name:  "mrmcminh-lsh-verify",
+		Input: mapreduce.MemoryInput{Records: bandsOut.Output, SplitSize: splitSize(len(bandsOut.Output), engine.Cluster)},
 		// Grouping by pair key dedups pairs surfaced by several bands, so
 		// each candidate is verified exactly once.
 		ReduceCostFactor: float64(opt.NumHashes) / 20,
@@ -167,7 +165,7 @@ func lshEdgesJobs(engine *mapreduce.Engine, src cluster.SigSource, opt Options) 
 // lshFinishJob runs the exact clustering algorithm independently inside
 // each connected component (components are grouped in the shuffle, members
 // arrive as values) and returns each read's (component, local label)
-// resolved to a global label by first appearance in read order.
+// resolved to a global label by relabelComponents.
 func lshFinishJob(engine *mapreduce.Engine, src cluster.SigSource, comps []int, opt Options) (metrics.Clustering, *mapreduce.Result, error) {
 	n := src.Len()
 	records := make([]mapreduce.KeyValue, n)
@@ -176,9 +174,8 @@ func lshFinishJob(engine *mapreduce.Engine, src cluster.SigSource, comps []int, 
 	}
 	local := make([]int, n)
 	job := &mapreduce.Job{
-		Name:               "mrmcminh-lsh-finish",
-		Input:              mapreduce.MemoryInput{Records: records, SplitSize: splitSize(n, engine.Cluster)},
-		ShuffleBufferBytes: opt.ShuffleBufferBytes,
+		Name:  "mrmcminh-lsh-finish",
+		Input: mapreduce.MemoryInput{Records: records, SplitSize: splitSize(n, engine.Cluster)},
 		// Per-component clustering costs |C|² in the worst case but
 		// components are θ-similarity neighborhoods, far smaller than N.
 		ReduceCostFactor: 7.5,
@@ -196,23 +193,9 @@ func lshFinishJob(engine *mapreduce.Engine, src cluster.SigSource, comps []int, 
 			// are order-sensitive and the equivalence proof needs the
 			// restriction of the global order.
 			sort.Ints(members)
-			var labels metrics.Clustering
-			if len(members) == 1 {
-				labels = metrics.Clustering{0}
-			} else {
-				// Restrict the source to the component — an index remap, no
-				// signature copies — and run the exact algorithm over it.
-				sub := cluster.Subset(src, members)
-				var err error
-				switch opt.Mode {
-				case GreedyMode:
-					labels, err = cluster.Greedy(sub, opt.Theta)
-				case HierarchicalMode:
-					labels, err = cluster.HierarchicalFromSource(sub, opt.Linkage, opt.Theta)
-				}
-				if err != nil {
-					return err
-				}
+			labels, err := clusterComponent(src, members, opt.Mode, opt.Linkage, opt.Theta)
+			if err != nil {
+				return err
 			}
 			for i, m := range members {
 				emit(mapreduce.KeyValue{Key: fmt.Sprintf("%012d", m), Value: labels[i]})
@@ -231,24 +214,42 @@ func lshFinishJob(engine *mapreduce.Engine, src cluster.SigSource, comps []int, 
 		}
 		local[idx] = kv.Value.(int)
 	}
-	// Relabel (component, local) by first appearance in read order. A
-	// cluster's smallest-index member is where the exact path created its
-	// label, so this reproduces the exact path's label sequence.
+	return relabelComponents(comps, local), out, nil
+}
+
+// clusterComponent runs the exact algorithm of mode over one connected
+// component, given as ascending read indices, and returns each member's
+// local label. A singleton is its own cluster 0; otherwise the source is
+// restricted to the component — an index remap, no signature copies.
+func clusterComponent(src cluster.SigSource, members []int, mode Mode, link cluster.Linkage, theta float64) (metrics.Clustering, error) {
+	if len(members) == 1 {
+		return metrics.Clustering{0}, nil
+	}
+	sub := cluster.Subset(src, members)
+	if mode == GreedyMode {
+		return cluster.Greedy(sub, theta)
+	}
+	return cluster.HierarchicalFromSource(sub, link, theta)
+}
+
+// relabelComponents resolves each read's (component, local label) pair to
+// a global label by first appearance in read order. A cluster's
+// smallest-index member is where the exact path created its label, so
+// this reproduces the exact path's label sequence.
+func relabelComponents(comps, local []int) metrics.Clustering {
 	type clusterID struct{ comp, local int }
 	global := make(map[clusterID]int)
-	assign := make(metrics.Clustering, n)
-	next := 0
-	for i := 0; i < n; i++ {
+	assign := make(metrics.Clustering, len(comps))
+	for i := range comps {
 		id := clusterID{comp: comps[i], local: local[i]}
 		g, ok := global[id]
 		if !ok {
-			g = next
+			g = len(global)
 			global[id] = g
-			next++
 		}
 		assign[i] = g
 	}
-	return assign, out, nil
+	return assign
 }
 
 // clusterLSHCC drives the LSH candidate stage, connected components and
@@ -309,9 +310,7 @@ func clusterLSHCC(engine *mapreduce.Engine, src cluster.SigSource, sigsHash stri
 		comps = labels
 		compBytes = data
 	} else {
-		labels, results, _, err := cluster.ConnectedComponentsMR(engine, src.Len(), edges, cluster.CCOptions{
-			ShuffleBufferBytes: opt.ShuffleBufferBytes,
-		})
+		labels, results, _, err := cluster.ConnectedComponentsMR(engine, src.Len(), edges, cluster.CCOptions{})
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +12,9 @@ import (
 	"github.com/metagenomics/mrmcminh/internal/dfs"
 	"github.com/metagenomics/mrmcminh/internal/fasta"
 	"github.com/metagenomics/mrmcminh/internal/faults"
+	"github.com/metagenomics/mrmcminh/internal/kmer"
+	"github.com/metagenomics/mrmcminh/internal/metrics"
+	"github.com/metagenomics/mrmcminh/internal/minhash"
 )
 
 // lshOptions are the ISSUE's equivalence parameters: k=5, θ=0.9, n=100
@@ -299,5 +303,96 @@ func TestOptionsValidateLSH(t *testing.T) {
 	}
 	if err := base.Validate(); err != nil {
 		t.Fatalf("valid LSH options rejected: %v", err)
+	}
+}
+
+// TestRelabelComponentsFirstAppearance: each (component, local label)
+// pair gets the next global label the first time it appears in read
+// order, whatever the component ids.
+func TestRelabelComponentsFirstAppearance(t *testing.T) {
+	comps := []int{4, 4, 1, 4, 1, 9, 1}
+	local := []int{0, 1, 0, 0, 0, 0, 1}
+	want := metrics.Clustering{0, 1, 2, 0, 2, 3, 4}
+	if got := relabelComponents(comps, local); !reflect.DeepEqual(got, want) {
+		t.Fatalf("relabelComponents = %v, want %v", got, want)
+	}
+	if got := relabelComponents(nil, nil); len(got) != 0 {
+		t.Fatalf("relabelComponents of no reads = %v", got)
+	}
+}
+
+// TestComponentFinishReproducesExactLabels runs the LSH path's finish —
+// clusterComponent on every connected component of the ≥θ similarity
+// graph, then relabelComponents — and requires the exact algorithm's
+// labels over the whole corpus, for greedy mode and the two linkages the
+// equivalence argument covers.
+func TestComponentFinishReproducesExactLabels(t *testing.T) {
+	reads, _ := makeReads(6, 8, 200, 0.02, 4)
+	const theta = 0.6
+	sk, err := minhash.NewSketcher(64, 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := &kmer.Extractor{K: 8}
+	sigs := make([]minhash.Signature, len(reads))
+	for i := range reads {
+		sigs[i] = sk.Sketch(ex.Set(reads[i].Seq))
+	}
+	src := cluster.NewSliceSource(sigs, minhash.SetOverlap)
+	var edges []cluster.Edge
+	for i := 0; i < src.Len(); i++ {
+		for j := i + 1; j < src.Len(); j++ {
+			if src.Similarity(i, j) >= theta {
+				edges = append(edges, cluster.Edge{U: i, V: j})
+			}
+		}
+	}
+	comps, err := cluster.ConnectedComponents(src.Len(), edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := map[int][]int{} // ascending read indices per component
+	for i, c := range comps {
+		members[c] = append(members[c], i)
+	}
+	if len(members) < 2 || len(members) == len(reads) {
+		t.Fatalf("%d components of %d reads: the corpus does not exercise the finish", len(members), len(reads))
+	}
+	for _, tc := range []struct {
+		name string
+		mode Mode
+		link cluster.Linkage
+	}{
+		{"greedy", GreedyMode, cluster.Single},
+		{"single", HierarchicalMode, cluster.Single},
+		{"complete", HierarchicalMode, cluster.Complete},
+	} {
+		var want metrics.Clustering
+		if tc.mode == GreedyMode {
+			want, err = cluster.Greedy(src, theta)
+		} else {
+			want, err = cluster.HierarchicalFromSource(src, tc.link, theta)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Single linkage cut at θ is the components themselves; greedy and
+		// complete linkage must split some of them.
+		if n := slices.Max(want) + 1; tc.name != "single" && n <= len(members) {
+			t.Fatalf("%s: %d clusters in %d components: no component splits", tc.name, n, len(members))
+		}
+		local := make([]int, len(reads))
+		for _, m := range members {
+			labels, err := clusterComponent(src, m, tc.mode, tc.link, theta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, i := range m {
+				local[i] = labels[k]
+			}
+		}
+		if got := relabelComponents(comps, local); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: component finish %v, exact %v", tc.name, got, want)
+		}
 	}
 }

@@ -141,7 +141,7 @@ type Options struct {
 	Cluster mapreduce.Cluster
 	// ShuffleBufferBytes caps each map task's sort buffer across the
 	// pipeline's jobs, switching them onto the external spill-and-merge
-	// shuffle (see mapreduce.Job.ShuffleBufferBytes). 0 keeps the
+	// shuffle (see mapreduce.Engine.ShuffleBufferBytes). 0 keeps the
 	// in-memory shuffle. Clustering output is bit-identical either way.
 	ShuffleBufferBytes int
 	// Trace, when non-nil, receives one span per MapReduce job, task and
@@ -196,6 +196,21 @@ func (o Options) withDefaults() Options {
 		o.Cluster = mapreduce.DefaultCluster
 	}
 	return o
+}
+
+// engine builds the MapReduce engine every job of a run executes on: the
+// simulated Cluster with the run's Trace, Faults, Retry and shuffle
+// buffer.
+func (o Options) engine() (*mapreduce.Engine, error) {
+	e, err := mapreduce.NewEngine(o.Cluster)
+	if err != nil {
+		return nil, err
+	}
+	e.Trace = o.Trace
+	e.Faults = o.Faults
+	e.Retry = o.Retry
+	e.ShuffleBufferBytes = o.ShuffleBufferBytes
+	return e, nil
 }
 
 // Validate rejects unusable options.
@@ -368,13 +383,10 @@ func Run(reads []fasta.Record, opt Options) (*Result, error) {
 		return nil, err
 	}
 	start := time.Now()
-	engine, err := mapreduce.NewEngine(opt.Cluster)
+	engine, err := opt.engine()
 	if err != nil {
 		return nil, err
 	}
-	engine.Trace = opt.Trace
-	engine.Faults = opt.Faults
-	engine.Retry = opt.Retry
 	res := &Result{ReadIDs: make([]string, len(reads))}
 	for i := range reads {
 		res.ReadIDs[i] = reads[i].ID
@@ -581,9 +593,8 @@ func sketchJob(engine *mapreduce.Engine, reads []fasta.Record, opt Options) ([]m
 		records[i] = mapreduce.KeyValue{Key: fmt.Sprintf("%012d", i), Value: i}
 	}
 	job := &mapreduce.Job{
-		Name:               "mrmcminh-sketch",
-		Input:              mapreduce.MemoryInput{Records: records, SplitSize: splitSize(len(records), engine.Cluster)},
-		ShuffleBufferBytes: opt.ShuffleBufferBytes,
+		Name:  "mrmcminh-sketch",
+		Input: mapreduce.MemoryInput{Records: records, SplitSize: splitSize(len(records), engine.Cluster)},
 		// Sketching one read costs ~L·n hash evaluations, far above the
 		// baseline per-record map cost.
 		MapCostFactor: float64(opt.NumHashes) / 2,
@@ -660,10 +671,9 @@ func greedyJob(engine *mapreduce.Engine, src *sigstore.View, opt Options) (metri
 	}
 	labels := make(metrics.Clustering, n)
 	job := &mapreduce.Job{
-		Name:               "mrmcminh-greedy",
-		Input:              mapreduce.MemoryInput{Records: records, SplitSize: splitSize(len(records), engine.Cluster)},
-		NumReducers:        1,
-		ShuffleBufferBytes: opt.ShuffleBufferBytes,
+		Name:        "mrmcminh-greedy",
+		Input:       mapreduce.MemoryInput{Records: records, SplitSize: splitSize(len(records), engine.Cluster)},
+		NumReducers: 1,
 		// The greedy sweep compares each read against the shrinking set of
 		// cluster representatives — modelled as a bounded constant per
 		// read, far below the hierarchical all-pairs row cost.
@@ -714,9 +724,8 @@ func similarityJob(engine *mapreduce.Engine, src cluster.SigSource, opt Options)
 		row []float64
 	}
 	job := &mapreduce.Job{
-		Name:               "mrmcminh-simrows",
-		Input:              mapreduce.MemoryInput{Records: records, SplitSize: splitSize(n, engine.Cluster)},
-		ShuffleBufferBytes: opt.ShuffleBufferBytes,
+		Name:  "mrmcminh-simrows",
+		Input: mapreduce.MemoryInput{Records: records, SplitSize: splitSize(n, engine.Cluster)},
 		// One record = one matrix row = ~n signature comparisons, each a
 		// ~100-value sketch scan plus Hadoop (de)serialization.
 		MapCostFactor: float64(n) * 2.5,

@@ -99,12 +99,13 @@ func nextPrimeAbove(n uint64) uint64 {
 	}
 }
 
-// NewPigContext builds the context a Pig script runs in over fs: an
-// engine on opt.Cluster carrying opt's Trace, Faults and Retry, the
-// paper's UDFs plus the Pig builtins, and opt's Checkpoint journal
-// prepared for opt.Resume. params fills the script's $ holes. Of opt it
-// reads Cluster, Seed, Trace, Faults, Retry, Checkpoint, Resume,
-// ShuffleBufferBytes and StoreBits; the rest is only validated.
+// NewPigContext builds the context a Pig script runs in over fs: the
+// engine Run builds (opt's Cluster, Trace, Faults, Retry and
+// ShuffleBufferBytes), the paper's UDFs plus the Pig builtins, and opt's
+// Checkpoint journal prepared for opt.Resume. params fills the script's
+// $ holes. Of opt it reads Cluster, Seed, Trace, Faults, Retry,
+// Checkpoint, Resume, ShuffleBufferBytes and StoreBits; the rest is only
+// validated.
 func NewPigContext(fs *dfs.FileSystem, params map[string]string, opt Options) (*pig.Context, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -114,13 +115,10 @@ func NewPigContext(fs *dfs.FileSystem, params map[string]string, opt Options) (*
 	if err != nil {
 		return nil, err
 	}
-	engine, err := mapreduce.NewEngine(opt.Cluster)
+	engine, err := opt.engine()
 	if err != nil {
 		return nil, err
 	}
-	engine.Trace = opt.Trace
-	engine.Faults = opt.Faults
-	engine.Retry = opt.Retry
 	if opt.Trace.Enabled() {
 		fs.SetTrace(opt.Trace)
 	}
@@ -129,15 +127,14 @@ func NewPigContext(fs *dfs.FileSystem, params map[string]string, opt Options) (*
 		return nil, err
 	}
 	return &pig.Context{
-		FS:                 fs,
-		Engine:             engine,
-		Registry:           registry,
-		Params:             params,
-		Seed:               opt.Seed,
-		Checkpoint:         opt.Checkpoint,
-		Resume:             resume,
-		ShuffleBufferBytes: opt.ShuffleBufferBytes,
-		StoreBits:          opt.StoreBits,
+		FS:         fs,
+		Engine:     engine,
+		Registry:   registry,
+		Params:     params,
+		Seed:       opt.Seed,
+		Checkpoint: opt.Checkpoint,
+		Resume:     resume,
+		StoreBits:  opt.StoreBits,
 	}, nil
 }
 

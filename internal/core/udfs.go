@@ -15,7 +15,6 @@ import (
 	"github.com/metagenomics/mrmcminh/internal/cluster"
 	"github.com/metagenomics/mrmcminh/internal/fasta"
 	"github.com/metagenomics/mrmcminh/internal/kmer"
-	"github.com/metagenomics/mrmcminh/internal/metrics"
 	"github.com/metagenomics/mrmcminh/internal/minhash"
 	"github.com/metagenomics/mrmcminh/internal/pig"
 	"github.com/metagenomics/mrmcminh/internal/sigstore"
@@ -447,6 +446,19 @@ func lshClusteringUDF(ctx *pig.Context, args []pig.Value) (pig.Value, error) {
 	if cutoff <= 0 {
 		return nil, fmt.Errorf("LSHClustering: cutoff must be > 0, got %v", cutoff)
 	}
+	var m Mode
+	var link cluster.Linkage
+	switch mode {
+	case "greedy":
+		m = GreedyMode
+	case "hierarchical":
+		m = HierarchicalMode
+		if link, err = cluster.ParseLinkage(linkName); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("LSHClustering: unknown mode %q (want greedy or hierarchical)", mode)
+	}
 	sigs, ids, err := bagSignatures("LSHClustering", bag)
 	if err != nil {
 		return nil, err
@@ -465,45 +477,18 @@ func lshClusteringUDF(ctx *pig.Context, args []pig.Value) (pig.Value, error) {
 	}
 	local := make([]int, len(sigs))
 	for _, idxs := range members {
-		var labels metrics.Clustering
-		if len(idxs) == 1 {
-			labels = metrics.Clustering{0}
-		} else {
-			sub := cluster.Subset(src, idxs)
-			var err error
-			switch mode {
-			case "greedy":
-				labels, err = cluster.Greedy(sub, cutoff)
-			case "hierarchical":
-				link, lerr := cluster.ParseLinkage(linkName)
-				if lerr != nil {
-					return nil, lerr
-				}
-				labels, err = cluster.HierarchicalFromSource(sub, link, cutoff)
-			default:
-				return nil, fmt.Errorf("LSHClustering: unknown mode %q (want greedy or hierarchical)", mode)
-			}
-			if err != nil {
-				return nil, err
-			}
+		labels, err := clusterComponent(src, idxs, m, link, cutoff)
+		if err != nil {
+			return nil, err
 		}
-		for i, m := range idxs {
-			local[m] = labels[i]
+		for i, r := range idxs {
+			local[r] = labels[i]
 		}
 	}
-	type clusterID struct{ comp, local int }
-	global := make(map[clusterID]int)
-	next := 0
+	global := relabelComponents(comps, local)
 	out := make(pig.Bag, len(bag))
 	for i := range bag {
-		id := clusterID{comp: comps[i], local: local[i]}
-		g, ok := global[id]
-		if !ok {
-			g = next
-			global[id] = g
-			next++
-		}
-		out[i] = pig.NewTuple(ids[i], int64(g))
+		out[i] = pig.NewTuple(ids[i], int64(global[i]))
 	}
 	return out, nil
 }

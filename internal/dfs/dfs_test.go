@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func smallFS(t *testing.T) *FileSystem {
@@ -272,73 +270,6 @@ func TestWriteLinesReadLines(t *testing.T) {
 	fs.WriteLines("/e", nil)
 	if got, _ := fs.ReadLines("/e"); len(got) != 0 {
 		t.Fatalf("empty ReadLines = %v", got)
-	}
-}
-
-func TestLineSplitsCoverAllRecordsExactlyOnce(t *testing.T) {
-	fs := MustNew(Config{NumDataNodes: 3, BlockSize: 10, Replication: 2})
-	var lines []string
-	for i := 0; i < 25; i++ {
-		lines = append(lines, fmt.Sprintf("record-%02d", i))
-	}
-	fs.WriteLines("/l", lines)
-	splits, err := fs.LineSplits("/l")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var all []string
-	for _, sp := range splits {
-		if len(sp.Hosts) != 2 {
-			t.Fatalf("split hosts %v", sp.Hosts)
-		}
-		all = append(all, sp.Records...)
-	}
-	if len(all) != len(lines) {
-		t.Fatalf("splits contain %d records, want %d", len(all), len(lines))
-	}
-	for i := range lines {
-		if all[i] != lines[i] {
-			t.Fatalf("record %d = %q, want %q", i, all[i], lines[i])
-		}
-	}
-}
-
-func TestLineSplitsProperty(t *testing.T) {
-	f := func(raw []string, blockSize uint8) bool {
-		bs := int(blockSize%32) + 1
-		fs := MustNew(Config{NumDataNodes: 2, BlockSize: bs, Replication: 1})
-		lines := make([]string, 0, len(raw))
-		for _, r := range raw {
-			lines = append(lines, strings.Map(func(c rune) rune {
-				if c == '\n' || c == '\r' {
-					return '.'
-				}
-				return c
-			}, r))
-		}
-		if err := fs.WriteLines("/x", lines); err != nil {
-			return false
-		}
-		splits, err := fs.LineSplits("/x")
-		if err != nil {
-			return false
-		}
-		var all []string
-		for _, sp := range splits {
-			all = append(all, sp.Records...)
-		}
-		if len(all) != len(lines) {
-			return false
-		}
-		for i := range lines {
-			if all[i] != lines[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -5,12 +5,6 @@ import (
 	"strings"
 )
 
-// Text-record helpers. MapReduce input formats consume files as line
-// records; FASTA records span multiple lines, so a record-aware splitter
-// assigns each block's records to exactly one split (the record whose
-// start falls in a block belongs to that block, as in Hadoop's
-// TextInputFormat contract).
-
 // WriteLines stores records joined by newlines at path.
 func (fs *FileSystem) WriteLines(path string, lines []string) error {
 	var buf bytes.Buffer
@@ -35,60 +29,4 @@ func (fs *FileSystem) ReadLines(path string) ([]string, error) {
 		return nil, nil
 	}
 	return strings.Split(s, "\n"), nil
-}
-
-// Split describes one input split: a contiguous run of whole records
-// aligned with a block, plus the nodes that hold the underlying block.
-type Split struct {
-	Path  string
-	Index int
-	// Records are the whole text records of this split.
-	Records []string
-	// Hosts are datanode ids holding the block (for locality scheduling).
-	Hosts []int
-}
-
-// LineSplits partitions a line-record file into one split per block,
-// assigning each line to the block where it starts (Hadoop semantics: a
-// mapper reads past its block boundary to finish the last record and skips
-// a leading partial record).
-func (fs *FileSystem) LineSplits(path string) ([]Split, error) {
-	blocks, err := fs.Blocks(path)
-	if err != nil {
-		return nil, err
-	}
-	data, err := fs.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	splits := make([]Split, 0, len(blocks))
-	off := 0
-	// Precompute line start offsets.
-	var starts []int
-	for i := 0; i < len(data); i++ {
-		if i == 0 || data[i-1] == '\n' {
-			starts = append(starts, i)
-		}
-	}
-	li := 0
-	for bi, blk := range blocks {
-		hi := off + blk.Len
-		var records []string
-		for li < len(starts) && starts[li] < hi {
-			end := len(data)
-			if li+1 < len(starts) {
-				end = starts[li+1]
-			}
-			records = append(records, strings.TrimSuffix(string(data[starts[li]:end]), "\n"))
-			li++
-		}
-		splits = append(splits, Split{
-			Path:    path,
-			Index:   bi,
-			Records: records,
-			Hosts:   append([]int{}, blk.Replicas...),
-		})
-		off = hi
-	}
-	return splits, nil
 }

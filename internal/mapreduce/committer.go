@@ -142,50 +142,3 @@ func (oc *OutputCommitter) AbortJob() {
 func Succeeded(fs *dfs.FileSystem, dir string) bool {
 	return fs.Exists(dir + "/_SUCCESS")
 }
-
-// WriteOutputCommitted stores records as part files like WriteOutput, but
-// through the commit protocol: each part is staged under a per-part
-// attempt directory and promoted by an atomic rename, and the job is
-// finalized with a _SUCCESS marker. Readers using ListOutputs never see a
-// partially written part file.
-func WriteOutputCommitted(fs *dfs.FileSystem, dir string, records []KeyValue, chunkSize int) error {
-	oc := NewOutputCommitter(fs, dir)
-	if chunkSize <= 0 {
-		chunkSize = len(records)
-		if chunkSize == 0 {
-			chunkSize = 1
-		}
-	}
-	part := 0
-	for off := 0; off < len(records) || (off == 0 && len(records) == 0); off += chunkSize {
-		end := off + chunkSize
-		if end > len(records) {
-			end = len(records)
-		}
-		data := renderRecords(records[off:end])
-		rel := fmt.Sprintf("part-%05d", part)
-		if err := oc.WriteAttemptFile(part, 0, rel, data); err != nil {
-			return err
-		}
-		if err := oc.CommitTask(part, 0); err != nil {
-			return err
-		}
-		part++
-		if len(records) == 0 {
-			break
-		}
-	}
-	return oc.CommitJob()
-}
-
-// renderRecords formats records as "key\tvalue" lines.
-func renderRecords(records []KeyValue) []byte {
-	var out []byte
-	for _, kv := range records {
-		out = append(out, kv.Key...)
-		out = append(out, '\t')
-		out = fmt.Appendf(out, "%v", kv.Value)
-		out = append(out, '\n')
-	}
-	return out
-}

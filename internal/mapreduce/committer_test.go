@@ -147,46 +147,3 @@ func TestCommitterCountersAndSpans(t *testing.T) {
 		t.Fatalf("spans: %d commits, %d aborts", commits, aborts)
 	}
 }
-
-func TestWriteOutputCommitted(t *testing.T) {
-	fs := committerFS(t)
-	records := []KeyValue{{Key: "a", Value: 1}, {Key: "b", Value: 2}, {Key: "c", Value: 3}}
-	if err := WriteOutputCommitted(fs, "/out", records, 2); err != nil {
-		t.Fatal(err)
-	}
-	got := fs.ListOutputs("/out")
-	if len(got) != 2 {
-		t.Fatalf("parts = %v", got)
-	}
-	if !Succeeded(fs, "/out") {
-		t.Fatal("no _SUCCESS marker")
-	}
-	var all []string
-	for _, p := range got {
-		lines, err := fs.ReadLines(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		all = append(all, lines...)
-	}
-	want := []string{"a\t1", "b\t2", "c\t3"}
-	if len(all) != len(want) {
-		t.Fatalf("lines = %v", all)
-	}
-	for i := range want {
-		if all[i] != want[i] {
-			t.Fatalf("line %d = %q, want %q", i, all[i], want[i])
-		}
-	}
-
-	// Zero records still commit an empty part plus the marker.
-	if err := WriteOutputCommitted(fs, "/empty", nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := fs.ListOutputs("/empty"); len(got) != 1 {
-		t.Fatalf("empty job parts = %v", got)
-	}
-	if !Succeeded(fs, "/empty") {
-		t.Fatal("empty job missing _SUCCESS")
-	}
-}

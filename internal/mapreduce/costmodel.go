@@ -2,8 +2,9 @@ package mapreduce
 
 import (
 	"fmt"
-	"sort"
 	"time"
+
+	"github.com/metagenomics/mrmcminh/internal/faults"
 )
 
 // CostModel parameterizes the virtual clock. Values are loosely calibrated
@@ -27,9 +28,6 @@ type CostModel struct {
 	// charged at least twice — the map-side write and the reducer-side
 	// merge read — plus one write+read more per intermediate merge pass.
 	SpillPerByte time.Duration
-	// RemoteReadPenalty multiplies a map task's input cost when its split
-	// is not local to the node it runs on (1.0 = free).
-	RemoteReadPenalty float64
 	// StragglerFraction is the share of tasks that run slow (failing
 	// disks, hot neighbors — the tail Hadoop's speculative execution
 	// exists for). 0 disables stragglers.
@@ -40,13 +38,12 @@ type CostModel struct {
 
 // DefaultCostModel approximates the paper's EMR environment.
 var DefaultCostModel = CostModel{
-	JobStartup:        20 * time.Second,
-	TaskStartup:       3 * time.Second,
-	MapPerRecord:      200 * time.Microsecond,
-	ReducePerRecord:   150 * time.Microsecond,
-	ShufflePerByte:    10 * time.Nanosecond,
-	SpillPerByte:      4 * time.Nanosecond, // local disk, ~2.5x the network rate
-	RemoteReadPenalty: 1.3,
+	JobStartup:      20 * time.Second,
+	TaskStartup:     3 * time.Second,
+	MapPerRecord:    200 * time.Microsecond,
+	ReducePerRecord: 150 * time.Microsecond,
+	ShufflePerByte:  10 * time.Nanosecond,
+	SpillPerByte:    4 * time.Nanosecond, // local disk, ~2.5x the network rate
 }
 
 // Cluster describes the simulated deployment.
@@ -84,78 +81,21 @@ func (c Cluster) TotalSlots() int { return c.Nodes * c.SlotsPerNode }
 // TaskCost is the modelled duration of one task.
 type TaskCost struct {
 	Duration time.Duration
-	// PreferredHosts biases placement (data locality); may be empty.
-	PreferredHosts []int
 }
 
-// TaskPlacement records where and when the virtual scheduler ran one
-// task — the per-task timeline a Hadoop JobTracker would report.
-type TaskPlacement struct {
-	// Task indexes into the scheduled []TaskCost.
-	Task int
-	// Node and Slot locate the simulated machine (Node = Slot/SlotsPerNode).
-	Node int
-	Slot int
-	// Start and End bound the task on the phase-relative virtual clock.
-	Start time.Duration
-	End   time.Duration
-}
-
-// Makespan schedules task costs onto the cluster's slots and returns the
-// finishing time of the last task.
+// Makespan schedules task costs onto the cluster's slots with the same
+// simulator every job runs on, without faults, and returns the finishing
+// time of the last task: each task in longest-processing-time order goes
+// to the slot that frees up first (the virtual-clock analogue of
+// Hadoop's wave scheduling). The cluster must be valid.
 func (c Cluster) Makespan(tasks []TaskCost) time.Duration {
-	_, makespan := c.Schedule(tasks)
-	return makespan
-}
-
-// Schedule assigns task costs onto the cluster's slots greedily (each
-// task goes to the slot that frees up first, preferring slots on a host in
-// PreferredHosts when the choice is otherwise idle-equal) and returns the
-// per-task placements, ordered by task index, plus the makespan. This is
-// the virtual-clock analogue of Hadoop's wave scheduling; the placements
-// feed the trace recorder's task timeline.
-func (c Cluster) Schedule(tasks []TaskCost) ([]TaskPlacement, time.Duration) {
-	if len(tasks) == 0 {
-		return nil, 0
+	s := newFaultSim(c, nil, RetryPolicy{}, "makespan", 0)
+	if err := s.runPhase(faults.PhaseMap, s.newTasks(tasks, 0)); err != nil {
+		// Without an injector nothing crashes, dies or is blacklisted, so
+		// only a cluster with no slots leaves a task unplaced.
+		panic(err)
 	}
-	slots := make([]time.Duration, c.TotalSlots())
-	// Longest-processing-time order stabilizes the estimate across input
-	// permutations (Hadoop schedules pending tasks from a pool, so order
-	// is not meaningful anyway).
-	order := make([]int, len(tasks))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return tasks[order[a]].Duration > tasks[order[b]].Duration
-	})
-	placements := make([]TaskPlacement, len(tasks))
-	var makespan time.Duration
-	for _, ti := range order {
-		t := tasks[ti]
-		d := c.effectiveDuration(ti, t.Duration)
-		// Earliest-available slot; ties broken toward preferred hosts.
-		best := 0
-		for s := 1; s < len(slots); s++ {
-			if slots[s] < slots[best] {
-				best = s
-			} else if slots[s] == slots[best] && c.slotPreferred(s, t.PreferredHosts) && !c.slotPreferred(best, t.PreferredHosts) {
-				best = s
-			}
-		}
-		placements[ti] = TaskPlacement{
-			Task:  ti,
-			Node:  best / c.SlotsPerNode,
-			Slot:  best,
-			Start: slots[best],
-			End:   slots[best] + d,
-		}
-		slots[best] += d
-		if slots[best] > makespan {
-			makespan = slots[best]
-		}
-	}
-	return placements, makespan
+	return s.makespan()
 }
 
 // effectiveDuration applies the straggler model to task ti. Stragglers
@@ -193,17 +133,6 @@ func isStraggler(ti int, frac float64) bool {
 	return float64(x%10000) < frac*10000
 }
 
-// slotPreferred reports whether slot s lives on one of the hosts.
-func (c Cluster) slotPreferred(s int, hosts []int) bool {
-	node := s / c.SlotsPerNode
-	for _, h := range hosts {
-		if h%c.Nodes == node {
-			return true
-		}
-	}
-	return false
-}
-
 // mapTaskCost models one map task over a split.
 func (c Cluster) mapTaskCost(split InputSplit, factor float64) TaskCost {
 	if factor <= 0 {
@@ -211,7 +140,7 @@ func (c Cluster) mapTaskCost(split InputSplit, factor float64) TaskCost {
 	}
 	d := c.Cost.TaskStartup +
 		time.Duration(float64(len(split.Records))*factor*float64(c.Cost.MapPerRecord))
-	return TaskCost{Duration: d, PreferredHosts: split.Hosts}
+	return TaskCost{Duration: d}
 }
 
 // reduceTaskCost models one reduce task over a partition. spillIOBytes

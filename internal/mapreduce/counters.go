@@ -65,7 +65,7 @@ const (
 	CounterShuffleBytes       = "shuffle.bytes"
 )
 
-// External-shuffle counter names, maintained when Job.ShuffleBufferBytes
+// External-shuffle counter names, maintained when Engine.ShuffleBufferBytes
 // caps the map-side sort buffer (all zero on the in-memory path).
 const (
 	// CounterShuffleSpills counts map-side spill events: every flush of a
@@ -75,12 +75,12 @@ const (
 	// simulated local disk across all spills.
 	CounterShuffleSpilledBytes = "shuffle.spilled_bytes"
 	// CounterShuffleMergePasses counts reducer merge passes (intermediate
-	// passes forced by MergeFanIn plus the final streaming pass of every
-	// partition with at least one segment).
+	// passes forced by Engine.MergeFanIn plus the final streaming pass of
+	// every partition with at least one segment).
 	CounterShuffleMergePasses = "shuffle.merge_passes"
 )
 
-// Recovery counter names, maintained by the fault-aware scheduler when an
+// Recovery counter names, maintained by the fault simulator when an
 // injector is attached (all zero on fault-free runs).
 const (
 	// CounterTaskAttempts counts every scheduled attempt, retries and

@@ -48,9 +48,9 @@ type Engine struct {
 	// cluster timeline. A nil recorder costs nothing (all emission is
 	// guarded, and trace methods are nil-safe no-ops).
 	Trace *trace.Recorder
-	// Faults, when non-nil and non-empty, switches virtual scheduling to
-	// the fault-aware simulator: injected task crashes retry with backoff,
-	// planned node deaths kill running attempts and force re-execution of
+	// Faults, when non-nil and non-empty, injects failures into the
+	// virtual schedule: injected task crashes retry with backoff, planned
+	// node deaths kill running attempts and force re-execution of
 	// completed maps, and failing nodes are blacklisted — all per Retry.
 	// Job output is unaffected (recovery is lossless); only the virtual
 	// timeline, counters and trace change.
@@ -58,6 +58,22 @@ type Engine struct {
 	// Retry governs attempt budgets, backoff and blacklisting when Faults
 	// is set; the zero value means DefaultRetryPolicy.
 	Retry RetryPolicy
+	// ShuffleBufferBytes caps each map task's sort buffer (Hadoop's
+	// io.sort.mb) in every job with a reducer. 0 — the default — keeps
+	// the fully in-memory shuffle: every map output is materialized and
+	// each reduce partition is sorted whole. A positive cap switches jobs
+	// to the external shuffle: map output accumulates in a per-task
+	// buffer of approximately this many bytes, each overflow is sorted,
+	// partitioned and spilled as a segment (running the combiner per
+	// spill, as Hadoop does), and reducers stream a k-way merge over the
+	// segments instead of holding a partition in memory. Output is
+	// bit-identical between the two paths for combiner-less jobs and for
+	// jobs whose combiner is associative and commutative.
+	ShuffleBufferBytes int
+	// MergeFanIn caps how many spill segments one reducer merge pass
+	// reads (Hadoop's io.sort.factor); more segments force intermediate
+	// merge passes, each charged spill I/O. 0 means DefaultMergeFanIn.
+	MergeFanIn int
 }
 
 // NewEngine returns an engine for the cluster.
@@ -103,10 +119,7 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 	// jobs, never observed mid-job.
 	workers := e.workerCount()
 	rec := e.Trace
-	splits, err := job.Input.Splits()
-	if err != nil {
-		return nil, fmt.Errorf("mapreduce: job %q input: %w", job.Name, err)
-	}
+	splits := job.Input.Splits()
 	counters := NewCounters()
 	numRed := job.NumReducers
 	if numRed <= 0 {
@@ -130,7 +143,7 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 
 	// The external shuffle applies only when there is a reduce phase to
 	// feed; a map-only job's output never crosses a sort buffer.
-	extOn := job.ShuffleBufferBytes > 0 && job.Reduce != nil
+	extOn := e.ShuffleBufferBytes > 0 && job.Reduce != nil
 	var spillBufs []*mapSpillBuffer
 	if extOn {
 		spillBufs = make([]*mapSpillBuffer, len(splits))
@@ -142,27 +155,23 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 	for _, sp := range splits {
 		mapCosts = append(mapCosts, e.Cluster.mapTaskCost(sp, job.MapCostFactor))
 	}
-	// With an injector attached, the fault simulator replaces the plain
-	// list scheduler. It runs before the real map work so a task that
-	// exhausts its retry budget fails the job up front, as Hadoop would.
+	// The simulator places every task on the virtual cluster. It runs
+	// before the real map work so a task that exhausts its retry budget
+	// under an injector fails the job up front, as Hadoop would.
 	inj := e.Faults
 	if !inj.Enabled() {
 		inj = nil
 	}
-	var sim *faultSim
-	var simMapTasks []*simTask
-	if inj != nil {
-		sim = newFaultSim(e.Cluster, inj, e.Retry, job.Name, vbase)
-		simMapTasks = sim.newTasks(mapCosts, 0)
-		if err := sim.runPhase(faults.PhaseMap, simMapTasks); err != nil {
+	sim := newFaultSim(e.Cluster, inj, e.Retry, job.Name, vbase)
+	mapTasks := sim.newTasks(mapCosts, 0)
+	if err := sim.runPhase(faults.PhaseMap, mapTasks); err != nil {
+		return nil, err
+	}
+	if job.Reduce != nil {
+		// Map output lost to a node death during the map window must be
+		// recomputed before reducers can fetch it.
+		if err := sim.reexecuteMapsLostInMapWindow(mapTasks); err != nil {
 			return nil, err
-		}
-		if job.Reduce != nil {
-			// Map output lost to a node death during the map window must
-			// be recomputed before reducers can fetch it.
-			if err := sim.reexecuteMapsLostInMapWindow(simMapTasks); err != nil {
-				return nil, err
-			}
 		}
 	}
 	// Per-task real durations and combine stats, recorded only when
@@ -183,7 +192,7 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		if extOn {
 			// Emit into the task's bounded sort buffer; overflows spill
 			// sorted, partitioned segments instead of growing the output.
-			buf := newMapSpillBuffer(job, ti, numRed, part, counters)
+			buf := newMapSpillBuffer(job, ti, numRed, e.ShuffleBufferBytes, part, counters)
 			spillBufs[ti] = buf
 			var spillErr error
 			emit := func(kv KeyValue) {
@@ -239,49 +248,9 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		return nil, err
 	}
 
-	var mapMakespan time.Duration
 	mapStart := vbase + e.Cluster.Cost.JobStartup
-	if sim == nil {
-		mapPlacements, makespan := e.Cluster.Schedule(mapCosts)
-		mapMakespan = makespan
-		if rec.Enabled() {
-			for _, pl := range mapPlacements {
-				sp := splits[pl.Task]
-				id := rec.Emit(trace.Span{
-					Parent:  jobRef.ID,
-					Kind:    trace.KindMap,
-					Name:    fmt.Sprintf("%s/map[%d]", job.Name, pl.Task),
-					Node:    pl.Node,
-					Records: int64(len(sp.Records)),
-					Bytes:   int64(sp.Bytes),
-					VStart:  mapStart + pl.Start,
-					VDur:    pl.End - pl.Start,
-					RStart:  rec.RealNow(),
-					RDur:    mapReal[pl.Task],
-				})
-				if extOn {
-					e.emitSpills(rec, id, job, spillBufs[pl.Task], pl.Task, pl.Node, mapStart+pl.End)
-				}
-				// On the external path the combiner runs inside each spill,
-				// so its work shows up in the spill spans instead.
-				if job.Combine != nil && !extOn {
-					rec.Emit(trace.Span{
-						Parent:  jobRef.ID,
-						Kind:    trace.KindCombine,
-						Name:    fmt.Sprintf("%s/combine[%d]", job.Name, pl.Task),
-						Node:    pl.Node,
-						Records: combineOut[pl.Task],
-						VStart:  mapStart + pl.End,
-						RDur:    combineReal[pl.Task],
-					})
-				}
-			}
-		}
-	} else {
-		mapMakespan = maxTaskEnd(simMapTasks)
-		if rec.Enabled() {
-			e.emitMapAttempts(rec, jobRef, job, sim, simMapTasks, splits, spillBufs, mapStart, mapReal, combineReal, combineOut)
-		}
+	if rec.Enabled() {
+		e.emitMapAttempts(rec, jobRef, job, sim, mapTasks, splits, spillBufs, mapStart, mapReal, combineReal, combineOut)
 	}
 
 	// Map-only job: concatenate map outputs in input order.
@@ -293,17 +262,9 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		res := &Result{
 			Output:   output,
 			Counters: counters,
-			Virtual:  e.Cluster.Cost.JobStartup + mapMakespan,
-			Real:     time.Since(start),
 			MapTasks: len(splits),
 		}
-		if sim != nil {
-			sim.recordCounters(counters)
-			res.Attempts = sim.attempts
-			res.Blacklisted = sim.blacklistedNodes()
-		}
-		rec.AdvanceVirtual(res.Virtual)
-		return res, nil
+		return e.finish(res, sim, start), nil
 	}
 
 	// ----- Shuffle -----
@@ -337,7 +298,7 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 				shuffleBytes[p] += s.bytes
 				partRecords[p] += len(s.recs)
 			}
-			steps, mergeIO, passes := planMerge(sizes, job.MergeFanIn)
+			steps, mergeIO, passes := planMerge(sizes, e.MergeFanIn)
 			ext.steps[p] = steps
 			// Local-disk traffic charged to this reducer: the map-side
 			// segment writes plus every merge-pass read and write.
@@ -374,20 +335,18 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		}
 		reduceCosts = append(reduceCosts, e.Cluster.reduceTaskCost(partRecords[p], shuffleBytes[p], spillIO, job.ReduceCostFactor))
 	}
-	var simReduceTasks []*simTask
-	if sim != nil {
-		// Simulate reduce recovery before the real reduce work so a
-		// reducer that exhausts its retry budget fails the job first.
-		sim.barrier(mapMakespan)
-		simReduceTasks = sim.newTasks(reduceCosts, mapMakespan)
-		if err := sim.runPhase(faults.PhaseReduce, simReduceTasks); err != nil {
-			return nil, err
-		}
-		// Nodes dying during the shuffle lose completed map output; Hadoop
-		// re-executes those maps and reruns the fetching reducers.
-		if err := sim.reexecuteMapsLostInShuffle(simMapTasks, simReduceTasks, shuffleBytes); err != nil {
-			return nil, err
-		}
+	// Schedule the reduce phase before the real reduce work so a reducer
+	// that exhausts its retry budget fails the job first.
+	mapMakespan := maxTaskEnd(mapTasks)
+	sim.barrier(mapMakespan)
+	reduceTasks := sim.newTasks(reduceCosts, mapMakespan)
+	if err := sim.runPhase(faults.PhaseReduce, reduceTasks); err != nil {
+		return nil, err
+	}
+	// Nodes dying during the shuffle lose completed map output; Hadoop
+	// re-executes those maps and reruns the fetching reducers.
+	if err := sim.reexecuteMapsLostInShuffle(mapTasks, reduceTasks, shuffleBytes); err != nil {
+		return nil, err
 	}
 	var reduceReal []time.Duration
 	if rec.Enabled() {
@@ -444,16 +403,8 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		return nil, err
 	}
 
-	var reduceMakespan time.Duration
-	if sim == nil {
-		reducePlacements, makespan := e.Cluster.Schedule(reduceCosts)
-		reduceMakespan = makespan
-		if rec.Enabled() {
-			reduceStart := mapStart + mapMakespan
-			e.emitReducePlacements(rec, jobRef, job, reducePlacements, partRecords, shuffleBytes, ext, reduceStart, reduceReal)
-		}
-	} else if rec.Enabled() {
-		e.emitReduceAttempts(rec, jobRef, job, sim, simReduceTasks, partRecords, shuffleBytes, ext, mapStart, reduceReal)
+	if rec.Enabled() {
+		e.emitReduceAttempts(rec, jobRef, job, sim, reduceTasks, partRecords, shuffleBytes, ext, mapStart, reduceReal)
 	}
 
 	var output []KeyValue
@@ -463,21 +414,25 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 	res := &Result{
 		Output:     output,
 		Counters:   counters,
-		Virtual:    e.Cluster.Cost.JobStartup + mapMakespan + reduceMakespan,
-		Real:       time.Since(start),
 		MapTasks:   len(splits),
 		ReduceTask: numRed,
 	}
-	if sim != nil {
-		// The simulated timeline already contains the reduce phase (and
-		// any re-executions), so the job's virtual span is its makespan.
-		res.Virtual = e.Cluster.Cost.JobStartup + sim.makespan()
-		sim.recordCounters(counters)
+	return e.finish(res, sim, start), nil
+}
+
+// finish stamps a completed job's times: its virtual span is job startup
+// plus the simulated makespan, re-executions included. With an injector
+// attached it also publishes the recovery counters and the attempt log.
+func (e *Engine) finish(res *Result, sim *faultSim, start time.Time) *Result {
+	res.Virtual = e.Cluster.Cost.JobStartup + sim.makespan()
+	if sim.inj != nil {
+		sim.recordCounters(res.Counters)
 		res.Attempts = sim.attempts
 		res.Blacklisted = sim.blacklistedNodes()
 	}
-	rec.AdvanceVirtual(res.Virtual)
-	return res, nil
+	res.Real = time.Since(start)
+	e.Trace.AdvanceVirtual(res.Virtual)
+	return res
 }
 
 // extShuffle carries the external shuffle's per-partition state between
@@ -531,59 +486,8 @@ func (e *Engine) emitMerge(rec *trace.Recorder, parent int64, job *Job, ext *ext
 	})
 }
 
-// emitReducePlacements renders the fault-free reduce schedule as trace
-// spans: one reduce span per task with a shuffle child, plus either a
-// sort marker (in-memory path) or a merge child (external path).
-func (e *Engine) emitReducePlacements(rec *trace.Recorder, jobRef trace.SpanRef, job *Job, reducePlacements []TaskPlacement, partRecords []int, shuffleBytes []int, ext *extShuffle, reduceStart time.Duration, reduceReal []time.Duration) {
-	for _, pl := range reducePlacements {
-		p := pl.Task
-		id := rec.Emit(trace.Span{
-			Parent:  jobRef.ID,
-			Kind:    trace.KindReduce,
-			Name:    fmt.Sprintf("%s/reduce[%d]", job.Name, p),
-			Node:    pl.Node,
-			Records: int64(partRecords[p]),
-			Bytes:   int64(shuffleBytes[p]),
-			VStart:  reduceStart + pl.Start,
-			VDur:    pl.End - pl.Start,
-			RStart:  rec.RealNow(),
-			RDur:    reduceReal[p],
-		})
-		// The reduce window models startup, then the shuffle transfer
-		// of this partition's bytes, then sort/merge + reduce compute.
-		// Emit the transfer as a child interval and the sort or merge
-		// after it, mirroring Hadoop's task phases.
-		shufDur := time.Duration(float64(shuffleBytes[p]) * float64(e.Cluster.Cost.ShufflePerByte))
-		if window := pl.End - pl.Start - e.Cluster.Cost.TaskStartup; shufDur > window && window > 0 {
-			shufDur = window
-		}
-		shufStart := reduceStart + pl.Start + e.Cluster.Cost.TaskStartup
-		rec.Emit(trace.Span{
-			Parent: id,
-			Kind:   trace.KindShuffle,
-			Name:   fmt.Sprintf("%s/shuffle[%d]", job.Name, p),
-			Node:   pl.Node,
-			Bytes:  int64(shuffleBytes[p]),
-			VStart: shufStart,
-			VDur:   shufDur,
-		})
-		if ext != nil {
-			e.emitMerge(rec, id, job, ext, p, pl.Node, int64(partRecords[p]), shufStart+shufDur)
-			continue
-		}
-		rec.Emit(trace.Span{
-			Parent:  id,
-			Kind:    trace.KindSort,
-			Name:    fmt.Sprintf("%s/sort[%d]", job.Name, p),
-			Node:    pl.Node,
-			Records: int64(partRecords[p]),
-			VStart:  shufStart + shufDur,
-		})
-	}
-}
-
-// emitMapAttempts renders a faulted map phase: one span per attempt
-// (crashed and killed ones included, with attempt number, status and
+// emitMapAttempts renders the map phase: one span per attempt (on faulted
+// runs crashed and killed ones included, with attempt number, status and
 // reason) and combine spans for the attempts whose output survived. Real
 // durations attach to final attempts only — that is the execution that
 // actually ran on this machine.
@@ -594,6 +498,7 @@ func (e *Engine) emitMapAttempts(rec *trace.Recorder, jobRef trace.SpanRef, job 
 		}
 		sp := splits[a.Task]
 		final := tasks[a.Task].final == i
+		attempt, status := sim.spanAttempt(a)
 		span := trace.Span{
 			Parent:  jobRef.ID,
 			Kind:    trace.KindMap,
@@ -602,8 +507,8 @@ func (e *Engine) emitMapAttempts(rec *trace.Recorder, jobRef trace.SpanRef, job 
 			Records: int64(len(sp.Records)),
 			Bytes:   int64(sp.Bytes),
 			Detail:  a.Reason,
-			Attempt: a.Attempt,
-			Status:  a.Outcome.String(),
+			Attempt: attempt,
+			Status:  status,
 			VStart:  mapStart + a.Start,
 			VDur:    a.End - a.Start,
 		}
@@ -615,6 +520,8 @@ func (e *Engine) emitMapAttempts(rec *trace.Recorder, jobRef trace.SpanRef, job 
 		if final && spillBufs != nil {
 			e.emitSpills(rec, id, job, spillBufs[a.Task], a.Task, a.Node, mapStart+a.End)
 		}
+		// On the external path the combiner runs inside each spill, so
+		// its work shows up in the spill spans instead.
 		if final && job.Combine != nil && spillBufs == nil {
 			rec.Emit(trace.Span{
 				Parent:  jobRef.ID,
@@ -622,7 +529,7 @@ func (e *Engine) emitMapAttempts(rec *trace.Recorder, jobRef trace.SpanRef, job 
 				Name:    fmt.Sprintf("%s/combine[%d]", job.Name, a.Task),
 				Node:    a.Node,
 				Records: combineOut[a.Task],
-				Attempt: a.Attempt,
+				Attempt: attempt,
 				VStart:  mapStart + a.End,
 				RDur:    combineReal[a.Task],
 			})
@@ -630,9 +537,11 @@ func (e *Engine) emitMapAttempts(rec *trace.Recorder, jobRef trace.SpanRef, job 
 	}
 }
 
-// emitReduceAttempts renders a faulted reduce phase: every attempt as a
-// span, with shuffle plus sort (in-memory) or merge (external) children
-// on the surviving attempts.
+// emitReduceAttempts renders the reduce phase: every attempt as a span,
+// with shuffle plus sort (in-memory) or merge (external) children on the
+// surviving attempts. The reduce window models startup, then the shuffle
+// transfer of the partition's bytes, then sort/merge + reduce compute,
+// mirroring Hadoop's task phases.
 func (e *Engine) emitReduceAttempts(rec *trace.Recorder, jobRef trace.SpanRef, job *Job, sim *faultSim, tasks []*simTask, partRecords []int, shuffleBytes []int, ext *extShuffle, mapStart time.Duration, reduceReal []time.Duration) {
 	for i, a := range sim.attempts {
 		if a.Phase != faults.PhaseReduce {
@@ -640,6 +549,7 @@ func (e *Engine) emitReduceAttempts(rec *trace.Recorder, jobRef trace.SpanRef, j
 		}
 		p := a.Task
 		final := tasks[p].final == i
+		attempt, status := sim.spanAttempt(a)
 		span := trace.Span{
 			Parent:  jobRef.ID,
 			Kind:    trace.KindReduce,
@@ -648,8 +558,8 @@ func (e *Engine) emitReduceAttempts(rec *trace.Recorder, jobRef trace.SpanRef, j
 			Records: int64(partRecords[p]),
 			Bytes:   int64(shuffleBytes[p]),
 			Detail:  a.Reason,
-			Attempt: a.Attempt,
-			Status:  a.Outcome.String(),
+			Attempt: attempt,
+			Status:  status,
 			VStart:  mapStart + a.Start,
 			VDur:    a.End - a.Start,
 		}
@@ -681,7 +591,7 @@ func (e *Engine) emitReduceAttempts(rec *trace.Recorder, jobRef trace.SpanRef, j
 			Name:    fmt.Sprintf("%s/sort[%d]", job.Name, p),
 			Node:    a.Node,
 			Records: int64(partRecords[p]),
-			Attempt: a.Attempt,
+			Attempt: attempt,
 			VStart:  mapStart + shufEnd,
 		})
 	}

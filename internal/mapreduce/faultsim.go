@@ -1,24 +1,29 @@
 package mapreduce
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/metagenomics/mrmcminh/internal/faults"
 )
 
-// Fault-aware virtual scheduling. When an Engine carries a faults.Injector
-// the per-phase list scheduler in costmodel.go is replaced by this
-// simulator, which models Hadoop's recovery machinery on the virtual
-// clock: task attempts crash and retry with exponential backoff, nodes
-// die at planned virtual times (killing their running attempts), nodes
-// accumulating too many failures are blacklisted, and completed map tasks
-// whose node dies before the shuffle drains are re-executed — Hadoop's
-// most distinctive recovery rule. Everything is deterministic: decisions
-// come from the seeded injector and scheduling is a pure function of the
-// task costs, so a faulted run yields bit-identical job output (recovery
-// is lossless) at a larger virtual makespan.
+// Virtual scheduling. Every job's tasks are placed on the simulated
+// cluster by this simulator: pending tasks go in longest-processing-time
+// order to the slot that frees up first (Hadoop's wave scheduling). When
+// an Engine carries a faults.Injector it also models Hadoop's recovery
+// machinery on the virtual clock: task attempts crash and retry with
+// exponential backoff, nodes die at planned virtual times (killing their
+// running attempts), nodes accumulating too many failures are
+// blacklisted, and completed map tasks whose node dies before the
+// shuffle drains are re-executed — Hadoop's most distinctive recovery
+// rule. Without an injector every task runs exactly one attempt.
+// Everything is deterministic: decisions come from the seeded injector
+// and scheduling is a pure function of the task costs, so a faulted run
+// yields bit-identical job output (recovery is lossless) at a larger
+// virtual makespan.
 
 // neverDies marks a node with no planned death.
 const neverDies = time.Duration(math.MaxInt64)
@@ -36,8 +41,9 @@ type simTask struct {
 	final   int           // index into faultSim.attempts of the final attempt
 }
 
-// faultSim schedules one job's phases under fault injection. One value is
-// used per Run call; it is driven from a single goroutine.
+// faultSim schedules one job's phases, with or without fault injection
+// (inj may be nil). One value is used per Run call; it is driven from a
+// single goroutine.
 type faultSim struct {
 	c       Cluster
 	inj     *faults.Injector
@@ -84,15 +90,17 @@ func newFaultSim(c Cluster, inj *faults.Injector, pol RetryPolicy, jobName strin
 
 // newTasks wraps phase costs as recovery state, ready at startAt.
 func (s *faultSim) newTasks(costs []TaskCost, startAt time.Duration) []*simTask {
+	state := make([]simTask, len(costs))
 	tasks := make([]*simTask, len(costs))
 	for i, c := range costs {
-		tasks[i] = &simTask{id: i, cost: c, readyAt: startAt, node: -1, final: -1}
+		state[i] = simTask{id: i, cost: c, readyAt: startAt, node: -1, final: -1}
+		tasks[i] = &state[i]
 	}
 	return tasks
 }
 
-// barrier holds every slot until t — the map→reduce phase boundary, as in
-// the fault-free scheduler where reduces start at the map makespan.
+// barrier holds every slot until t — the map→reduce phase boundary:
+// reduces start at the map makespan.
 func (s *faultSim) barrier(t time.Duration) {
 	for i := range s.slotFree {
 		if s.slotFree[i] < t {
@@ -111,6 +119,8 @@ func (s *faultSim) runPhase(phase string, tasks []*simTask) error {
 			pending = append(pending, t)
 		}
 	}
+	slices.SortFunc(pending, placementOrder)
+	s.attempts = slices.Grow(s.attempts, len(pending))
 	// Safety valve: attempts are bounded by the retry budget plus one kill
 	// per planned death, but guard against scheduler bugs looping forever.
 	maxTotal := len(pending)*(s.pol.MaxAttempts+len(s.inj.NodeDeaths())+2) + 16
@@ -118,25 +128,8 @@ func (s *faultSim) runPhase(phase string, tasks []*simTask) error {
 		if placed > maxTotal {
 			return fmt.Errorf("mapreduce: fault simulator exceeded %d attempts in job %q %s phase", maxTotal, s.jobName, phase)
 		}
-		// Next task: earliest ready; ties longest-processing-time, then id
-		// (matching the fault-free scheduler's LPT order).
-		best := 0
-		for i := 1; i < len(pending); i++ {
-			a, b := pending[i], pending[best]
-			switch {
-			case a.readyAt != b.readyAt:
-				if a.readyAt < b.readyAt {
-					best = i
-				}
-			case a.cost.Duration != b.cost.Duration:
-				if a.cost.Duration > b.cost.Duration {
-					best = i
-				}
-			case a.id < b.id:
-				best = i
-			}
-		}
-		t := pending[best]
+		t := pending[0]
+		pending = pending[1:]
 		att, idx, err := s.place(phase, t)
 		if err != nil {
 			return err
@@ -147,7 +140,7 @@ func (s *faultSim) runPhase(phase string, tasks []*simTask) error {
 			t.end = att.End
 			t.node = att.Node
 			t.final = idx
-			pending = append(pending[:best], pending[best+1:]...)
+			continue
 		case AttemptCrashed:
 			if t.crashes >= s.pol.MaxAttempts {
 				return &TaskFailedError{
@@ -166,8 +159,24 @@ func (s *faultSim) runPhase(phase string, tasks []*simTask) error {
 			// Node loss is not the task's fault: retry immediately.
 			t.readyAt = att.End
 		}
+		// Requeue the retry at its place in the order.
+		i, _ := slices.BinarySearchFunc(pending, t, placementOrder)
+		pending = slices.Insert(pending, i, t)
 	}
 	return nil
+}
+
+// placementOrder is the order pending tasks are placed in: earliest ready
+// first, then longest processing time, then lowest id. It is total, so
+// the schedule is a pure function of the task costs.
+func placementOrder(a, b *simTask) int {
+	if c := cmp.Compare(a.readyAt, b.readyAt); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(b.cost.Duration, a.cost.Duration); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
 }
 
 // place schedules one attempt of t: picks the earliest-available slot on a
@@ -192,12 +201,6 @@ func (s *faultSim) place(phase string, t *simTask) (TaskAttempt, int, error) {
 		}
 		if bestSlot < 0 || start < bestStart {
 			bestSlot, bestStart = slot, start
-			continue
-		}
-		if start == bestStart &&
-			s.c.slotPreferred(slot, t.cost.PreferredHosts) &&
-			!s.c.slotPreferred(bestSlot, t.cost.PreferredHosts) {
-			bestSlot = slot
 		}
 	}
 	if bestSlot < 0 {
@@ -209,8 +212,8 @@ func (s *faultSim) place(phase string, t *simTask) (TaskAttempt, int, error) {
 	node := bestSlot / s.c.SlotsPerNode
 	t.attempt++
 
-	// Nominal duration: straggler model (shared with the fault-free
-	// scheduler) dilated by the injector's slow-node factor.
+	// Nominal duration: the cost model's straggler model dilated by the
+	// injector's slow-node factor.
 	dur := time.Duration(float64(s.c.effectiveDuration(t.id, t.cost.Duration)) * s.inj.SlowFactor(node))
 	if dur < time.Millisecond {
 		dur = time.Millisecond
@@ -521,6 +524,16 @@ func (s *faultSim) recordCounters(c *Counters) {
 	c.Add(CounterSpeculative, int64(s.speculative))
 	c.Add(CounterCommitCommitted, succeeded)
 	c.Add(CounterCommitAborted, failed+killed)
+}
+
+// spanAttempt returns the attempt number and status a trace span shows
+// for a: fault-free runs leave both zero, since each task runs exactly
+// one attempt (see trace.Span).
+func (s *faultSim) spanAttempt(a TaskAttempt) (int, string) {
+	if s.inj == nil {
+		return 0, ""
+	}
+	return a.Attempt, a.Outcome.String()
 }
 
 // blacklistedNodes lists blacklisted node ids in order.

@@ -8,8 +8,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"github.com/metagenomics/mrmcminh/internal/dfs"
 )
 
 // wordCountJob builds the canonical test job over the given lines.
@@ -158,9 +156,6 @@ func (s *sortRecorder) record(k string) { s.keys = append(s.keys, k) }
 
 func TestJobValidation(t *testing.T) {
 	e := MustEngine(DefaultCluster)
-	if _, err := e.Run(&Job{Name: "no-input", Map: func(KeyValue, func(KeyValue)) error { return nil }}); err == nil {
-		t.Error("job without input accepted")
-	}
 	if _, err := e.Run(&Job{Name: "no-map", Input: MemoryInput{}}); err == nil {
 		t.Error("job without map accepted")
 	}
@@ -354,59 +349,6 @@ func TestMakespanMonotonicInNodes(t *testing.T) {
 			t.Fatalf("makespan grew with more nodes: %v -> %v at %d nodes", prev, m, nodes)
 		}
 		prev = m
-	}
-}
-
-func TestDFSLineInputAndWriteOutput(t *testing.T) {
-	fs := dfs.MustNew(dfs.Config{NumDataNodes: 3, BlockSize: 32, Replication: 2})
-	var lines []string
-	for i := 0; i < 10; i++ {
-		lines = append(lines, fmt.Sprintf("line number %d", i))
-	}
-	if err := fs.WriteLines("/in/data.txt", lines); err != nil {
-		t.Fatal(err)
-	}
-	e := MustEngine(DefaultCluster)
-	res, err := e.Run(&Job{
-		Name:  "dfs-lines",
-		Input: DFSLineInput{FS: fs, Path: "/in/data.txt"},
-		Map: func(kv KeyValue, emit func(KeyValue)) error {
-			emit(KeyValue{Key: "lines", Value: 1})
-			return nil
-		},
-		Reduce: func(k string, vs []any, emit func(KeyValue)) error {
-			emit(KeyValue{Key: k, Value: len(vs)})
-			return nil
-		},
-		NumReducers: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Output) != 1 || res.Output[0].Value.(int) != 10 {
-		t.Fatalf("output %v", res.Output)
-	}
-	if err := WriteOutput(fs, "/out", res.Output, 0); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fs.ReadLines("/out/part-00000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != "lines\t10" {
-		t.Fatalf("part file %v", got)
-	}
-}
-
-func TestWriteOutputChunksParts(t *testing.T) {
-	fs := dfs.MustNew(dfs.DefaultConfig)
-	recs := []KeyValue{{Key: "a", Value: 1}, {Key: "b", Value: 2}, {Key: "c", Value: 3}}
-	if err := WriteOutput(fs, "/o", recs, 2); err != nil {
-		t.Fatal(err)
-	}
-	parts := fs.List("/o/")
-	if len(parts) != 2 {
-		t.Fatalf("parts %v", parts)
 	}
 }
 

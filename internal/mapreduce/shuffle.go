@@ -7,7 +7,7 @@ package mapreduce
 // stream a k-way merge (bounded by io.sort.factor) into the reduce
 // function, so no partition is ever materialized whole. This file
 // supplies that machinery for the simulated engine: a per-map-task
-// spill buffer capped at Job.ShuffleBufferBytes, sorted spill segments,
+// spill buffer capped at Engine.ShuffleBufferBytes, sorted spill segments,
 // a deterministic merge schedule, and a heap-based streaming merge that
 // feeds ReduceFunc group by group.
 //
@@ -31,7 +31,7 @@ import (
 	"strings"
 )
 
-// DefaultMergeFanIn is the reducer merge width used when Job.MergeFanIn
+// DefaultMergeFanIn is the reducer merge width used when Engine.MergeFanIn
 // is zero (Hadoop's io.sort.factor default is 10; we run a little wider
 // because segments are virtual).
 const DefaultMergeFanIn = 16
@@ -82,13 +82,13 @@ type mapSpillBuffer struct {
 	counters *Counters
 }
 
-// newMapSpillBuffer builds the buffer for map task ti.
-func newMapSpillBuffer(job *Job, ti, numRed int, part PartitionFunc, counters *Counters) *mapSpillBuffer {
+// newMapSpillBuffer builds the buffer of capBytes for map task ti.
+func newMapSpillBuffer(job *Job, ti, numRed, capBytes int, part PartitionFunc, counters *Counters) *mapSpillBuffer {
 	return &mapSpillBuffer{
 		job:      job,
 		part:     part,
 		numRed:   numRed,
-		capBytes: job.ShuffleBufferBytes,
+		capBytes: capBytes,
 		seq:      int64(ti) << 40,
 		segs:     make([][]spillSegment, numRed),
 		counters: counters,

@@ -34,13 +34,12 @@ func benchShuffle(b *testing.B, bufBytes, fanIn int) {
 		lines[i] = strings.Join(words[i*8:(i+1)*8], " ")
 	}
 	e := MustEngine(DefaultCluster)
+	e.ShuffleBufferBytes = bufBytes
+	e.MergeFanIn = fanIn
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		job := wordCountJob(lines, false)
-		job.ShuffleBufferBytes = bufBytes
-		job.MergeFanIn = fanIn
-		if _, err := e.Run(job); err != nil {
+		if _, err := e.Run(wordCountJob(lines, false)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,13 +12,13 @@ import (
 	"github.com/metagenomics/mrmcminh/internal/trace"
 )
 
-// spillingWordCount builds the canonical wordcount job with the external
+// spillingEngine returns an engine on chaosCluster with the external
 // shuffle forced on. A 24-byte buffer holds at most one record of the
 // manyLines vocabulary (12-15 bytes each), so every second add spills.
-func spillingWordCount(lines []string, combiner bool, bufBytes int) *Job {
-	j := wordCountJob(lines, combiner)
-	j.ShuffleBufferBytes = bufBytes
-	return j
+func spillingEngine(bufBytes int) *Engine {
+	e := MustEngine(chaosCluster)
+	e.ShuffleBufferBytes = bufBytes
+	return e
 }
 
 func TestSpillShuffleBitIdenticalToInMemory(t *testing.T) {
@@ -27,7 +27,7 @@ func TestSpillShuffleBitIdenticalToInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spilled, err := MustEngine(chaosCluster).Run(spillingWordCount(lines, false, 24))
+	spilled, err := spillingEngine(24).Run(wordCountJob(lines, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +55,7 @@ func TestSpillShuffleBitIdenticalToInMemory(t *testing.T) {
 
 func TestSpillShuffleMemoryBound(t *testing.T) {
 	lines := manyLines(12)
-	job := spillingWordCount(lines, false, 24)
-	res, err := MustEngine(chaosCluster).Run(job)
+	res, err := spillingEngine(24).Run(wordCountJob(lines, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,9 +84,9 @@ func TestSpillMultiPassMergeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := spillingWordCount(lines, false, 24)
-	job.MergeFanIn = 2 // force intermediate merge passes
-	res, err := MustEngine(chaosCluster).Run(job)
+	narrow := spillingEngine(24)
+	narrow.MergeFanIn = 2 // force intermediate merge passes
+	res, err := narrow.Run(wordCountJob(lines, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +98,9 @@ func TestSpillMultiPassMergeBitIdentical(t *testing.T) {
 	if got := res.Counters.Get(CounterShuffleMergePasses); got <= int64(res.ReduceTask) {
 		t.Fatalf("merge passes %d implies single-pass merges despite fan-in 2", got)
 	}
-	wide := spillingWordCount(lines, false, 24)
+	wide := spillingEngine(24)
 	wide.MergeFanIn = 64
-	wideRes, err := MustEngine(chaosCluster).Run(wide)
+	wideRes, err := wide.Run(wordCountJob(lines, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,14 +134,10 @@ func TestSpillCombinerPropertyEquivalence(t *testing.T) {
 		}
 		bufBytes := 10 + rng.Intn(120)
 		fanIn := 2 + rng.Intn(5)
-		configure := func(combiner, spill bool) *Job {
+		configure := func(combiner bool) *Job {
 			j := wordCountJob(lines, combiner)
-			j.Input = MemoryInput{Records: j.Input.(MemoryInput).Records, SplitSize: 1 + rng.Intn(4)}
+			j.Input.SplitSize = 1 + rng.Intn(4)
 			j.NumReducers = 1 + rng.Intn(4)
-			if spill {
-				j.ShuffleBufferBytes = bufBytes
-				j.MergeFanIn = fanIn
-			}
 			return j
 		}
 		// The split size and reducer count are drawn per variant from the
@@ -151,7 +146,12 @@ func TestSpillCombinerPropertyEquivalence(t *testing.T) {
 		variant := func(combiner, spill bool) *Result {
 			t.Helper()
 			rng.Seed(state)
-			res, err := MustEngine(chaosCluster).Run(configure(combiner, spill))
+			e := MustEngine(chaosCluster)
+			if spill {
+				e.ShuffleBufferBytes = bufBytes
+				e.MergeFanIn = fanIn
+			}
+			res, err := e.Run(configure(combiner))
 			if err != nil {
 				t.Fatalf("trial %d (combiner=%v spill=%v): %v", trial, combiner, spill, err)
 			}
@@ -179,9 +179,9 @@ func TestSpillChaosMatrixBitIdentical(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			plan := faults.ChaosPlan(seed)
 			plan.NodeDeaths = []faults.NodeDeath{{Node: int(seed) % chaosCluster.Nodes, At: DefaultCostModel.JobStartup + 4*time.Second}}
-			e := MustEngine(chaosCluster)
+			e := spillingEngine(24)
 			e.Faults = faults.MustNew(plan)
-			res, err := e.Run(spillingWordCount(lines, false, 24))
+			res, err := e.Run(wordCountJob(lines, false))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,9 +192,9 @@ func TestSpillChaosMatrixBitIdentical(t *testing.T) {
 				t.Fatal("chaos run did not exercise the spill path")
 			}
 			again, err := func() (*Result, error) {
-				e := MustEngine(chaosCluster)
+				e := spillingEngine(24)
 				e.Faults = faults.MustNew(plan)
-				return e.Run(spillingWordCount(lines, false, 24))
+				return e.Run(wordCountJob(lines, false))
 			}()
 			if err != nil {
 				t.Fatal(err)
@@ -207,9 +207,9 @@ func TestSpillChaosMatrixBitIdentical(t *testing.T) {
 }
 
 func TestSpillEmptyInputShortCircuits(t *testing.T) {
-	job := spillingWordCount(nil, false, 24)
+	job := wordCountJob(nil, false)
 	job.Input = MemoryInput{SplitSize: 2}
-	res, err := MustEngine(chaosCluster).Run(job)
+	res, err := spillingEngine(24).Run(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,10 +226,10 @@ func TestSpillMapOnlyJobNeverSpills(t *testing.T) {
 	for i := range recs {
 		recs[i] = KeyValue{Key: fmt.Sprint(i), Value: i}
 	}
-	res, err := MustEngine(chaosCluster).Run(&Job{
-		Name:               "identity",
-		Input:              MemoryInput{Records: recs, SplitSize: 3},
-		ShuffleBufferBytes: 1, // would spill on every record if honored
+	// A 1-byte buffer would spill on every record if honored.
+	res, err := spillingEngine(1).Run(&Job{
+		Name:  "identity",
+		Input: MemoryInput{Records: recs, SplitSize: 3},
 		Map: func(kv KeyValue, emit func(KeyValue)) error {
 			emit(kv)
 			return nil
@@ -250,9 +250,9 @@ func TestSpillMapOnlyJobNeverSpills(t *testing.T) {
 
 func TestSpillTraceSpans(t *testing.T) {
 	rec := trace.New()
-	e := MustEngine(chaosCluster)
+	e := spillingEngine(24)
 	e.Trace = rec
-	if _, err := e.Run(spillingWordCount(manyLines(8), true, 24)); err != nil {
+	if _, err := e.Run(wordCountJob(manyLines(8), true)); err != nil {
 		t.Fatal(err)
 	}
 	var spills, merges, sorts, combines int
@@ -389,13 +389,52 @@ func TestSizerOverridesEstimate(t *testing.T) {
 		t.Fatalf("shuffle.bytes = %d, want %d", got, len("k0")+4096)
 	}
 	// The Sizer-backed spill buffer must overflow accordingly.
-	job := payloadJob(4, sizedPayload{weight: 4096})
-	job.ShuffleBufferBytes = 8192
-	spilled, err := MustEngine(chaosCluster).Run(job)
+	spilled, err := spillingEngine(8192).Run(payloadJob(4, sizedPayload{weight: 4096}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := spilled.Counters.Get(CounterShuffleSpills); got == 0 {
 		t.Fatal("Sizer payloads did not trip the spill threshold")
+	}
+}
+
+// TestEngineShuffleSettingsApplyToEveryJob: the external-shuffle settings
+// belong to the engine, so every job with a reducer that the engine runs
+// spills — whatever its shape — and a change between two Run calls takes
+// effect at the next job.
+func TestEngineShuffleSettingsApplyToEveryJob(t *testing.T) {
+	lines := manyLines(16)
+	inMemory := MustEngine(chaosCluster)
+	e := spillingEngine(24)
+	for _, tc := range []struct {
+		name string
+		job  func() *Job
+	}{
+		{"wordcount", func() *Job { return wordCountJob(lines, false) }},
+		{"wordcount+combiner", func() *Job { return wordCountJob(lines, true) }},
+		{"wordJob", func() *Job { return wordJob(40) }},
+	} {
+		want, err := inMemory.Run(tc.job())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.Run(tc.job())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Counters.Get(CounterShuffleSpills) == 0 {
+			t.Errorf("%s: no spills under the engine's 24-byte buffer", tc.name)
+		}
+		if !reflect.DeepEqual(got.Output, want.Output) {
+			t.Errorf("%s: spilled output differs from the in-memory shuffle", tc.name)
+		}
+	}
+	e.ShuffleBufferBytes = 0
+	res, err := e.Run(wordCountJob(lines, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Counters.Get(CounterShuffleSpills); got != 0 {
+		t.Fatalf("%d spills after the engine's buffer was set back to 0", got)
 	}
 }

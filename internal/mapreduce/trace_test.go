@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/metagenomics/mrmcminh/internal/trace"
 )
@@ -172,50 +171,5 @@ func TestEngineUntracedUnchanged(t *testing.T) {
 	}
 	if len(res.Output) != len(res2.Output) {
 		t.Fatalf("tracing changed output size: %d vs %d", len(res.Output), len(res2.Output))
-	}
-}
-
-// TestScheduleMatchesMakespan pins the Schedule/Makespan refactor: the
-// placements' latest End equals the reported makespan, placements cover
-// every task exactly once, and no slot runs two tasks at once.
-func TestScheduleMatchesMakespan(t *testing.T) {
-	c := Cluster{Nodes: 3, SlotsPerNode: 2, Cost: DefaultCostModel}
-	var tasks []TaskCost
-	for i := 0; i < 17; i++ {
-		tasks = append(tasks, TaskCost{Duration: time.Duration(i%5+1) * time.Second, PreferredHosts: []int{i % 3}})
-	}
-	placements, makespan := c.Schedule(tasks)
-	if got := c.Makespan(tasks); got != makespan {
-		t.Fatalf("Makespan = %v, Schedule makespan = %v", got, makespan)
-	}
-	if len(placements) != len(tasks) {
-		t.Fatalf("got %d placements, want %d", len(placements), len(tasks))
-	}
-	var latest time.Duration
-	perSlot := map[int][]TaskPlacement{}
-	for i, pl := range placements {
-		if pl.Task != i {
-			t.Fatalf("placement %d has Task %d (want index order)", i, pl.Task)
-		}
-		if pl.End > latest {
-			latest = pl.End
-		}
-		if pl.Node != pl.Slot/c.SlotsPerNode {
-			t.Fatalf("placement node %d inconsistent with slot %d", pl.Node, pl.Slot)
-		}
-		perSlot[pl.Slot] = append(perSlot[pl.Slot], pl)
-	}
-	if latest != makespan {
-		t.Fatalf("latest placement end %v != makespan %v", latest, makespan)
-	}
-	for slot, pls := range perSlot {
-		for i := range pls {
-			for j := i + 1; j < len(pls); j++ {
-				a, b := pls[i], pls[j]
-				if a.Start < b.End && b.Start < a.End {
-					t.Fatalf("slot %d runs tasks %d and %d concurrently", slot, a.Task, b.Task)
-				}
-			}
-		}
 	}
 }

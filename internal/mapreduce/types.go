@@ -53,16 +53,8 @@ func DefaultPartition(key string, n int) int {
 // InputSplit is one unit of map-task work.
 type InputSplit struct {
 	Records []KeyValue
-	// Hosts are the simulated nodes holding the split's data; the
-	// scheduler prefers running the map task there (data locality).
-	Hosts []int
 	// Bytes approximates the split's on-disk size for the cost model.
 	Bytes int
-}
-
-// InputSource yields input splits for a job.
-type InputSource interface {
-	Splits() ([]InputSplit, error)
 }
 
 // MemoryInput serves in-memory records chunked into equally sized splits.
@@ -72,7 +64,7 @@ type MemoryInput struct {
 }
 
 // Splits chunks the records.
-func (m MemoryInput) Splits() ([]InputSplit, error) {
+func (m MemoryInput) Splits() []InputSplit {
 	size := m.SplitSize
 	if size <= 0 {
 		size = len(m.Records)
@@ -95,7 +87,7 @@ func (m MemoryInput) Splits() ([]InputSplit, error) {
 	}
 	// An empty input yields zero splits (no phantom map task); Run
 	// short-circuits a splitless job to an empty result at zero cost.
-	return splits, nil
+	return splits
 }
 
 // Sizer lets a user value type report its serialized size to the shuffle
@@ -208,9 +200,6 @@ func reflectValueBytes(rv reflect.Value, depth int) int {
 
 // Validate rejects malformed jobs before execution.
 func (j *Job) Validate() error {
-	if j.Input == nil {
-		return fmt.Errorf("mapreduce: job %q has no input", j.Name)
-	}
 	if j.Map == nil {
 		return fmt.Errorf("mapreduce: job %q has no map function", j.Name)
 	}
@@ -373,7 +362,7 @@ func (e *TaskFailedError) Error() string {
 // Job specifies one MapReduce computation.
 type Job struct {
 	Name  string
-	Input InputSource
+	Input MemoryInput
 	Map   MapFunc
 	// Combine optionally pre-aggregates map output per task.
 	Combine ReduceFunc
@@ -389,20 +378,4 @@ type Job struct {
 	// (1.0 when zero). Heavy UDFs (e.g. all-pairs similarity rows) set >1.
 	MapCostFactor    float64
 	ReduceCostFactor float64
-	// ShuffleBufferBytes caps the map-side sort buffer (Hadoop's
-	// io.sort.mb). 0 — the default — keeps the fully in-memory shuffle:
-	// every map output is materialized and each reduce partition is
-	// sorted whole. A positive cap switches the job to the external
-	// shuffle: map output accumulates in a per-task buffer of
-	// approximately this many bytes, each overflow is sorted, partitioned
-	// and spilled as a segment (running the combiner per spill, as Hadoop
-	// does), and reducers stream a k-way merge over the segments instead
-	// of holding a partition in memory. Output is bit-identical between
-	// the two paths for combiner-less jobs and for jobs whose combiner is
-	// associative and commutative.
-	ShuffleBufferBytes int
-	// MergeFanIn caps how many spill segments one reducer merge pass
-	// reads (Hadoop's io.sort.factor); more segments force intermediate
-	// merge passes, each charged spill I/O. 0 means DefaultMergeFanIn.
-	MergeFanIn int
 }

@@ -180,13 +180,6 @@ type executor struct {
 	aliases map[string]*Relation
 }
 
-// run launches one MapReduce job with the context's shuffle settings
-// applied — the single funnel every physical operator goes through.
-func (ex *executor) run(job *mapreduce.Job) (*mapreduce.Result, error) {
-	job.ShuffleBufferBytes = ex.ctx.ShuffleBufferBytes
-	return ex.ctx.Engine.Run(job)
-}
-
 // relation resolves an alias or fails with its use-site line.
 func (ex *executor) relation(name string, line int) (*Relation, error) {
 	rel, ok := ex.aliases[name]
@@ -311,7 +304,7 @@ func (ex *executor) group(st *GroupStmt) (time.Duration, error) {
 		},
 		NumReducers: ex.ctx.Engine.Cluster.Nodes,
 	}
-	res, err := ex.run(job)
+	res, err := ex.ctx.Engine.Run(job)
 	if err != nil {
 		return 0, err
 	}

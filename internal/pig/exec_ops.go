@@ -42,7 +42,7 @@ func (ex *executor) filter(st *FilterStmt) (time.Duration, error) {
 			return nil
 		},
 	}
-	res, err := ex.run(job)
+	res, err := ex.ctx.Engine.Run(job)
 	if err != nil {
 		return 0, err
 	}
@@ -80,7 +80,7 @@ func (ex *executor) distinct(st *DistinctStmt) (time.Duration, error) {
 			return nil
 		},
 	}
-	res, err := ex.run(job)
+	res, err := ex.ctx.Engine.Run(job)
 	if err != nil {
 		return 0, err
 	}
@@ -241,7 +241,7 @@ func (ex *executor) order(st *OrderStmt) (time.Duration, error) {
 			return nil
 		},
 	}
-	res, err := ex.run(job)
+	res, err := ex.ctx.Engine.Run(job)
 	if err != nil {
 		return 0, err
 	}

@@ -79,7 +79,7 @@ func (ex *executor) foreachMapOnly(st *ForeachStmt, in *Relation, costFactor flo
 			return nil
 		},
 	}
-	res, err := ex.run(job)
+	res, err := ex.ctx.Engine.Run(job)
 	if err != nil {
 		return 0, err
 	}
@@ -204,7 +204,7 @@ func (ex *executor) foreachGrouped(st *ForeachStmt, in *Relation, fc FuncCall) (
 			return nil
 		},
 	}
-	res, err := ex.run(job)
+	res, err := ex.ctx.Engine.Run(job)
 	if err != nil {
 		return 0, err
 	}
@@ -268,7 +268,7 @@ func (ex *executor) foreachWhole(st *ForeachStmt, in *Relation, fc FuncCall) (ti
 			return nil
 		},
 	}
-	res, err := ex.run(job)
+	res, err := ex.ctx.Engine.Run(job)
 	if err != nil {
 		return 0, err
 	}

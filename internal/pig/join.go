@@ -80,7 +80,7 @@ func (ex *executor) join(st *JoinStmt) (time.Duration, error) {
 			return nil
 		},
 	}
-	res, err := ex.run(job)
+	res, err := ex.ctx.Engine.Run(job)
 	if err != nil {
 		return 0, err
 	}

@@ -106,19 +106,15 @@ func textLoader(ctx *Context, path string, _ []Value) (*Relation, error) {
 
 // Context carries the runtime environment of a script execution.
 type Context struct {
-	FS       *dfs.FileSystem
+	FS *dfs.FileSystem
+	// Engine runs every job the script launches, under its shuffle
+	// settings (mapreduce.Engine.ShuffleBufferBytes).
 	Engine   *mapreduce.Engine
 	Registry *Registry
 	// Params maps $NAME parameters to replacement text.
 	Params map[string]string
 	// Seed is available to UDFs needing deterministic randomness.
 	Seed int64
-	// ShuffleBufferBytes caps each map task's sort buffer on every job the
-	// script launches, routing them onto the engine's external
-	// spill-and-merge shuffle (see mapreduce.Job.ShuffleBufferBytes).
-	// 0 keeps the in-memory shuffle; script output is bit-identical
-	// either way.
-	ShuffleBufferBytes int
 	// Checkpoint, when non-nil, journals every STORE's committed bytes
 	// under a "store:<path>" manifest entry.
 	Checkpoint *checkpoint.Journal

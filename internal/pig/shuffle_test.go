@@ -23,7 +23,7 @@ func TestSpillShuffleStoreBitIdentical(t *testing.T) {
 		t.Helper()
 		ctx := opsContext(t)
 		ctx.FS.WriteLines("/in", lines)
-		ctx.ShuffleBufferBytes = bufBytes
+		ctx.Engine.ShuffleBufferBytes = bufBytes
 		ctx.Engine.Trace = rec
 		if _, err := MustCompile(spillScript).Run(ctx); err != nil {
 			t.Fatal(err)
