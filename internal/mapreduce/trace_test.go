@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/metagenomics/mrmcminh/internal/trace"
 )
@@ -95,6 +96,22 @@ func TestEngineTraceSpans(t *testing.T) {
 	}
 	if want := res.Counters.Get(CounterShuffleBytes); shuffled != want {
 		t.Fatalf("shuffle spans carry %d bytes, counters say %d", shuffled, want)
+	}
+	// Sort spans carry the measured reducer sort, a part of their reduce
+	// span's real time.
+	reduceRDur := map[int64]time.Duration{}
+	for _, s := range byKind[trace.KindReduce] {
+		reduceRDur[s.ID] = s.RDur
+	}
+	var sorted time.Duration
+	for _, s := range byKind[trace.KindSort] {
+		if s.RDur > reduceRDur[s.Parent] {
+			t.Fatalf("sort span %q RDur %v exceeds its reduce span's %v", s.Name, s.RDur, reduceRDur[s.Parent])
+		}
+		sorted += s.RDur
+	}
+	if sorted <= 0 {
+		t.Fatalf("sort spans carry no real duration")
 	}
 	// The recorder's virtual clock advanced by exactly the job's duration.
 	if got := rec.VirtualNow(); got != res.Virtual {
