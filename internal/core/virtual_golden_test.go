@@ -10,15 +10,17 @@ import (
 	"github.com/metagenomics/mrmcminh/internal/cluster"
 	"github.com/metagenomics/mrmcminh/internal/dfs"
 	"github.com/metagenomics/mrmcminh/internal/faults"
+	"github.com/metagenomics/mrmcminh/internal/mapreduce"
 )
 
 // virtualCases are the runs testdata/virtual.golden pins: one line per
-// case with the modelled runtime in nanoseconds and the job count. The
-// file was recorded while fault-free jobs still ran on a separate list
-// scheduler, so it holds the one fault simulator to that scheduler's
-// virtual clock across both modes, both candidate generators, the
-// external shuffle, stragglers with speculation, a chaos plan and the
-// Algorithm 3 script.
+// case with the modelled runtime in nanoseconds and the job count, and
+// for core.Run cases the deterministic counters of goldenCounters. The
+// virtual times were recorded while fault-free jobs still ran on a
+// separate list scheduler, so the file holds the one fault simulator to
+// that scheduler's virtual clock across both modes, both candidate
+// generators, the external shuffle, stragglers with speculation, a chaos
+// plan and the Algorithm 3 script.
 var virtualCases = []struct {
 	name string
 	mut  func(*Options) // nil runs the Algorithm 3 script
@@ -48,12 +50,24 @@ var virtualCases = []struct {
 	{"algorithm3", nil},
 }
 
+// goldenCounters are the Result.Counters a core.Run line pins after its
+// job count: the communication and round structure of the run, which no
+// change of host or scheduling can move.
+var goldenCounters = []string{
+	mapreduce.CounterShuffleBytes,
+	mapreduce.CounterReduceInputGroups,
+	"lsh.candidate_pairs",
+	"lsh.edges",
+	"cc.rounds",
+}
+
 // runVirtualCase returns the golden line of one case.
 func runVirtualCase(t *testing.T, name string, mut func(*Options)) string {
 	t.Helper()
 	reads, _ := makeReads(4, 6, 200, 0.01, 5)
 	var virtual time.Duration
 	var jobs int
+	var counters map[string]int64
 	if mut == nil {
 		fs := dfs.MustNew(dfs.Config{NumDataNodes: 4, BlockSize: 4096, Replication: 2})
 		var sb strings.Builder
@@ -78,13 +92,20 @@ func runVirtualCase(t *testing.T, name string, mut func(*Options)) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		virtual, jobs = res.Virtual, res.Jobs
+		virtual, jobs, counters = res.Virtual, res.Jobs, res.Counters
 	}
-	return fmt.Sprintf("%s %d %d", name, int64(virtual), jobs)
+	line := fmt.Sprintf("%s %d %d", name, int64(virtual), jobs)
+	if counters != nil {
+		for _, c := range goldenCounters {
+			line += fmt.Sprintf(" %d", counters[c])
+		}
+	}
+	return line
 }
 
-// TestVirtualTimeGolden pins Result.Virtual and the job count of every
-// case to testdata/virtual.golden. A mismatch prints the actual line.
+// TestVirtualTimeGolden pins Result.Virtual, the job count and the
+// golden counters of every case to testdata/virtual.golden. A mismatch
+// prints the actual line.
 func TestVirtualTimeGolden(t *testing.T) {
 	data, err := os.ReadFile("testdata/virtual.golden")
 	if err != nil {
@@ -99,7 +120,7 @@ func TestVirtualTimeGolden(t *testing.T) {
 	for _, tc := range virtualCases {
 		got := runVirtualCase(t, tc.name, tc.mut)
 		if got != want[tc.name] {
-			t.Errorf("%s: virtual time differs from testdata/virtual.golden (recorded: %q); actual line:\n%s", tc.name, want[tc.name], got)
+			t.Errorf("%s: line differs from testdata/virtual.golden (recorded: %q); actual line:\n%s", tc.name, want[tc.name], got)
 		}
 	}
 }
