@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"slices"
-	"strconv"
 
 	"github.com/metagenomics/mrmcminh/internal/mapreduce"
 )
@@ -167,10 +166,6 @@ func compareEdges(a, b Edge) int {
 	return a.V - b.V
 }
 
-// nodeKey formats a node id as a fixed-width shuffle key so lexicographic
-// and numeric order agree.
-func nodeKey(u int) string { return fmt.Sprintf("%012d", u) }
-
 // starJob runs one Large-Star (large=true) or Small-Star operation as a
 // MapReduce job and returns the canonicalized output edge set.
 //
@@ -191,7 +186,7 @@ func starJob(engine *mapreduce.Engine, edges []Edge, large bool) ([]Edge, *mapre
 	}
 	records := make([]mapreduce.KeyValue, len(edges))
 	for i, e := range edges {
-		records[i] = mapreduce.KeyValue{Key: nodeKey(e.U) + ":" + nodeKey(e.V), Value: e}
+		records[i] = mapreduce.KeyValue{Key: mapreduce.PairKey(uint64(e.U), uint64(e.V)), Value: e}
 	}
 	job := &mapreduce.Job{
 		Name:  name,
@@ -199,20 +194,17 @@ func starJob(engine *mapreduce.Engine, edges []Edge, large bool) ([]Edge, *mapre
 		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
 			e := kv.Value.(Edge)
 			if large {
-				emit(mapreduce.KeyValue{Key: nodeKey(e.U), Value: e.V})
-				emit(mapreduce.KeyValue{Key: nodeKey(e.V), Value: e.U})
+				emit(mapreduce.KeyValue{Key: mapreduce.Uint64Key(uint64(e.U)), Value: e.V})
+				emit(mapreduce.KeyValue{Key: mapreduce.Uint64Key(uint64(e.V)), Value: e.U})
 			} else {
 				// Canonical edges already satisfy U < V: group at the
 				// larger endpoint.
-				emit(mapreduce.KeyValue{Key: nodeKey(e.V), Value: e.U})
+				emit(mapreduce.KeyValue{Key: mapreduce.Uint64Key(uint64(e.V)), Value: e.U})
 			}
 			return nil
 		},
 		Reduce: func(key string, values []any, emit func(mapreduce.KeyValue)) error {
-			u, err := strconv.Atoi(key)
-			if err != nil {
-				return fmt.Errorf("cluster: bad star key %q: %w", key, err)
-			}
+			u := int(mapreduce.KeyField(key, 0))
 			m := u
 			for _, v := range values {
 				if n := v.(int); n < m {
@@ -220,7 +212,7 @@ func starJob(engine *mapreduce.Engine, edges []Edge, large bool) ([]Edge, *mapre
 				}
 			}
 			out := func(v int) {
-				emit(mapreduce.KeyValue{Key: nodeKey(v) + ":" + nodeKey(m), Value: Edge{U: v, V: m}})
+				emit(mapreduce.KeyValue{Key: mapreduce.PairKey(uint64(v), uint64(m)), Value: Edge{U: v, V: m}})
 			}
 			if large {
 				for _, v := range values {

@@ -46,9 +46,6 @@ func lshBucketCap(opt Options) int {
 	return DefaultLSHBucketCap
 }
 
-// pairKey formats a candidate pair (i < j) as a fixed-width shuffle key.
-func pairKey(i, j int) string { return fmt.Sprintf("%012d:%012d", i, j) }
-
 // lshEdgesJobs runs candidate generation and verification as two chained
 // MapReduce jobs and returns the verified θ-edges, sorted. Signatures are
 // read through the source — band hashes and pair similarities come off
@@ -66,7 +63,7 @@ func lshEdgesJobs(engine *mapreduce.Engine, src cluster.SigSource, opt Options) 
 	var records []mapreduce.KeyValue
 	for i := 0; i < src.Len(); i++ {
 		if !src.Empty(i) {
-			records = append(records, mapreduce.KeyValue{Key: fmt.Sprintf("%012d", i), Value: i})
+			records = append(records, mapreduce.KeyValue{Key: mapreduce.Uint64Key(uint64(i)), Value: i})
 		}
 	}
 
@@ -80,7 +77,7 @@ func lshEdgesJobs(engine *mapreduce.Engine, src cluster.SigSource, opt Options) 
 			i := kv.Value.(int)
 			for b := 0; b < lsh.Bands; b++ {
 				h := src.BandHash(i, b, lsh.Rows)
-				emit(mapreduce.KeyValue{Key: fmt.Sprintf("%03d:%016x", b, h), Value: i})
+				emit(mapreduce.KeyValue{Key: mapreduce.PairKey(uint64(b), h), Value: i})
 			}
 			return nil
 		},
@@ -103,7 +100,7 @@ func lshEdgesJobs(engine *mapreduce.Engine, src cluster.SigSource, opt Options) 
 			}
 			for a := 0; a < len(ids); a++ {
 				for b := a + 1; b < len(ids); b++ {
-					emit(mapreduce.KeyValue{Key: pairKey(ids[a], ids[b]), Value: nil})
+					emit(mapreduce.KeyValue{Key: mapreduce.PairKey(uint64(ids[a]), uint64(ids[b])), Value: nil})
 				}
 			}
 			return nil
@@ -128,10 +125,7 @@ func lshEdgesJobs(engine *mapreduce.Engine, src cluster.SigSource, opt Options) 
 			return nil
 		},
 		Reduce: func(key string, _ []any, emit func(mapreduce.KeyValue)) error {
-			var i, j int
-			if _, err := fmt.Sscanf(key, "%d:%d", &i, &j); err != nil {
-				return fmt.Errorf("core: bad candidate pair key %q: %w", key, err)
-			}
+			i, j := int(mapreduce.KeyField(key, 0)), int(mapreduce.KeyField(key, 1))
 			candidates.Add(1)
 			if src.Similarity(i, j) >= opt.Theta {
 				edgeCount.Add(1)
@@ -170,7 +164,7 @@ func lshFinishJob(engine *mapreduce.Engine, src cluster.SigSource, comps []int, 
 	n := src.Len()
 	records := make([]mapreduce.KeyValue, n)
 	for i := range records {
-		records[i] = mapreduce.KeyValue{Key: fmt.Sprintf("%012d", i), Value: i}
+		records[i] = mapreduce.KeyValue{Key: mapreduce.Uint64Key(uint64(i)), Value: i}
 	}
 	local := make([]int, n)
 	job := &mapreduce.Job{
@@ -181,7 +175,7 @@ func lshFinishJob(engine *mapreduce.Engine, src cluster.SigSource, comps []int, 
 		ReduceCostFactor: 7.5,
 		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
 			i := kv.Value.(int)
-			emit(mapreduce.KeyValue{Key: fmt.Sprintf("%012d", comps[i]), Value: i})
+			emit(mapreduce.KeyValue{Key: mapreduce.Uint64Key(uint64(comps[i])), Value: i})
 			return nil
 		},
 		Reduce: func(_ string, values []any, emit func(mapreduce.KeyValue)) error {
@@ -198,7 +192,7 @@ func lshFinishJob(engine *mapreduce.Engine, src cluster.SigSource, comps []int, 
 				return err
 			}
 			for i, m := range members {
-				emit(mapreduce.KeyValue{Key: fmt.Sprintf("%012d", m), Value: labels[i]})
+				emit(mapreduce.KeyValue{Key: mapreduce.Uint64Key(uint64(m)), Value: labels[i]})
 			}
 			return nil
 		},
@@ -208,11 +202,7 @@ func lshFinishJob(engine *mapreduce.Engine, src cluster.SigSource, comps []int, 
 		return nil, nil, err
 	}
 	for _, kv := range out.Output {
-		var idx int
-		if _, err := fmt.Sscanf(kv.Key, "%d", &idx); err != nil {
-			return nil, nil, err
-		}
-		local[idx] = kv.Value.(int)
+		local[mapreduce.KeyField(kv.Key, 0)] = kv.Value.(int)
 	}
 	return relabelComponents(comps, local), out, nil
 }

@@ -590,7 +590,7 @@ func sketchJob(engine *mapreduce.Engine, reads []fasta.Record, opt Options) ([]m
 	scratch := sync.Pool{New: func() any { return new([]uint64) }}
 	records := make([]mapreduce.KeyValue, len(reads))
 	for i := range reads {
-		records[i] = mapreduce.KeyValue{Key: fmt.Sprintf("%012d", i), Value: i}
+		records[i] = mapreduce.KeyValue{Key: mapreduce.Uint64Key(uint64(i)), Value: i}
 	}
 	job := &mapreduce.Job{
 		Name:  "mrmcminh-sketch",
@@ -615,11 +615,7 @@ func sketchJob(engine *mapreduce.Engine, reads []fasta.Record, opt Options) ([]m
 	}
 	sigs := make([]minhash.Signature, len(reads))
 	for _, kv := range out.Output {
-		var idx int
-		if _, err := fmt.Sscanf(kv.Key, "%d", &idx); err != nil {
-			return nil, nil, err
-		}
-		sigs[idx] = kv.Value.(minhash.Signature)
+		sigs[mapreduce.KeyField(kv.Key, 0)] = kv.Value.(minhash.Signature)
 	}
 	return sigs, out, nil
 }
@@ -717,7 +713,7 @@ func similarityJob(engine *mapreduce.Engine, src cluster.SigSource, opt Options)
 	}
 	records := make([]mapreduce.KeyValue, n)
 	for i := range records {
-		records[i] = mapreduce.KeyValue{Key: fmt.Sprintf("%012d", i), Value: i}
+		records[i] = mapreduce.KeyValue{Key: mapreduce.Uint64Key(uint64(i)), Value: i}
 	}
 	type rowResult struct {
 		idx int

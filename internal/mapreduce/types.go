@@ -9,6 +9,7 @@
 package mapreduce
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"time"
@@ -18,6 +19,34 @@ import (
 type KeyValue struct {
 	Key   string
 	Value any
+}
+
+// Uint64Key encodes v as an 8-byte big-endian key. Fixed-width
+// big-endian keys compare bytewise in numeric order, as zero-padded
+// decimals do, so the engine partitions, sorts and merges them like any
+// other key while jobs skip formatting and parsing.
+func Uint64Key(v uint64) string {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], v)
+	return string(b[:])
+}
+
+// PairKey encodes (a, b) as a 16-byte big-endian key; keys compare
+// bytewise in (a, b) lexicographic order.
+func PairKey(a, b uint64) string {
+	var buf [16]byte
+	binary.BigEndian.PutUint64(buf[:8], a)
+	binary.BigEndian.PutUint64(buf[8:], b)
+	return string(buf[:])
+}
+
+// KeyField decodes field i of a key built by Uint64Key (i = 0) or
+// PairKey (i = 0 or 1) without allocating. Any other key is a bug in the
+// job that built it, and an index past its end panics.
+func KeyField(key string, i int) uint64 {
+	f := key[8*i : 8*i+8]
+	return uint64(f[0])<<56 | uint64(f[1])<<48 | uint64(f[2])<<40 | uint64(f[3])<<32 |
+		uint64(f[4])<<24 | uint64(f[5])<<16 | uint64(f[6])<<8 | uint64(f[7])
 }
 
 // MapFunc transforms one input record into zero or more output records.
