@@ -15,8 +15,9 @@ package mapreduce
 // order: every emitted record carries a global sequence number
 // (task<<40 | emission index), segments are sorted by (key, seq), and
 // merges compare (key, seq) — so the merged stream of a partition equals
-// a stable sort by key of the records in (map task, emission) order,
-// which is exactly what the in-memory path computes.
+// a stable sort by key of the records in (map task, emission) order.
+// The in-memory reducer computes exactly that by sorting its partition
+// on (key, arrival index) with the same comparator.
 //
 // Only the records are real; the disk is virtual. Spill writes and merge
 // reads are charged to the cost model at CostModel.SpillPerByte,
@@ -36,9 +37,9 @@ import (
 // because segments are virtual).
 const DefaultMergeFanIn = 16
 
-// spillRecord pairs a record with its global emission sequence, the
-// tie-break that keeps external merges bit-identical to the in-memory
-// stable sort.
+// spillRecord pairs a record with its emission sequence: the tie-break
+// that makes every shuffle sort and merge order records stably by key,
+// so the external and in-memory shuffles agree bit for bit.
 type spillRecord struct {
 	kv  KeyValue
 	seq int64
