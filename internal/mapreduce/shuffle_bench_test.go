@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -56,41 +55,28 @@ func BenchmarkShuffleSpill64(b *testing.B) { benchShuffle(b, 64, 0) }
 // Fan-in 2 on the 64-byte segments adds intermediate merge passes.
 func BenchmarkShuffleSpillFanIn2(b *testing.B) { benchShuffle(b, 64, 2) }
 
-// benchPartition builds one reducer partition's worth of records.
-func benchPartition(n int) []KeyValue {
+// benchPartition builds one reducer partition's worth of records, each
+// tagged with its arrival index as the in-memory shuffle tags them.
+func benchPartition(n int) []spillRecord {
 	rng := rand.New(rand.NewSource(2))
 	words := benchWords(n, rng)
-	recs := make([]KeyValue, n)
+	recs := make([]spillRecord, n)
 	for i, w := range words {
-		recs[i] = KeyValue{Key: w, Value: 1}
+		recs[i] = spillRecord{kv: KeyValue{Key: w, Value: 1}, seq: int64(i)}
 	}
 	return recs
 }
 
-// BenchmarkPartitionSortSliceStable is the reducer sort the engine shipped
-// with: reflection-based sort.SliceStable. Kept as the baseline for the
-// slices.SortStableFunc migration below (see BENCH_shuffle.json).
-func BenchmarkPartitionSortSliceStable(b *testing.B) {
+// BenchmarkPartitionSortKeySeq is the in-memory reducer's sort: one
+// partition ordered by (key, arrival index) with compareSpill.
+func BenchmarkPartitionSortKeySeq(b *testing.B) {
 	recs := benchPartition(8192)
-	scratch := make([]KeyValue, len(recs))
+	scratch := make([]spillRecord, len(recs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(scratch, recs)
-		sort.SliceStable(scratch, func(i, j int) bool { return scratch[i].Key < scratch[j].Key })
-	}
-}
-
-// BenchmarkPartitionSortStableFunc is the current reducer sort: generic
-// slices.SortStableFunc with a strings.Compare comparator.
-func BenchmarkPartitionSortStableFunc(b *testing.B) {
-	recs := benchPartition(8192)
-	scratch := make([]KeyValue, len(recs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(scratch, recs)
-		slices.SortStableFunc(scratch, func(x, y KeyValue) int { return strings.Compare(x.Key, y.Key) })
+		slices.SortFunc(scratch, compareSpill)
 	}
 }
 

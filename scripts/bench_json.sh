@@ -2,7 +2,8 @@
 # Benchmark recorder: runs the kernel benchmarks of internal/minhash and
 # internal/cluster (similarity / sketch / matrix build) plus the shuffle
 # benchmarks of internal/mapreduce (in-memory vs external spill-and-merge,
-# reducer sort before/after, k-way merge) with allocation stats, and
+# the in-memory reducer's (key, seq) partition sort, k-way merge) with
+# allocation stats, and
 # writes them as BENCH_kernels.json and BENCH_shuffle.json; the
 # end-to-end scaling comparison of the exact all-pairs pipeline vs the
 # LSH+connected-components pipeline (internal/core) as BENCH_lsh.json;
