@@ -1,6 +1,6 @@
 package minhash
 
-import "sort"
+import "slices"
 
 // Estimator selects how Jaccard similarity is estimated from two signatures.
 type Estimator int
@@ -68,14 +68,7 @@ func setOverlap(a, b Signature) float64 {
 
 // distinctSorted returns the sorted distinct values of a signature.
 func distinctSorted(sig Signature) []uint64 {
-	vals := make([]uint64, len(sig))
-	copy(vals, sig)
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	out := vals[:0]
-	for i, v := range vals {
-		if i == 0 || v != vals[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	vals := slices.Clone(sig)
+	slices.Sort(vals)
+	return slices.Compact(vals)
 }

@@ -77,21 +77,22 @@ func (f *HashFamily) Hash(i int, x uint64) uint64 {
 	return mulAddMod61(f.A[i], x, f.B[i]) % f.M
 }
 
-// mulAddMod61 computes (a*x + b) mod (2^61-1) without overflow using the
-// Mersenne-prime folding trick on the 128-bit product.
+// mulAddMod61 computes (a*x + b) mod (2^61-1) with shifts, masks and one
+// conditional subtraction instead of a division. It requires a, b < p, as
+// NewHashFamily draws them; x may be any uint64.
+//
+// a*x = hi*2^64 + lo, and 2^61 ≡ 1 (mod p), so a*x ≡ upper + (lo & p) with
+// upper = hi<<3 | lo>>61 (a < 2^61 keeps hi < 2^61, so the shift loses no
+// bit), and upper ≡ (upper & p) + upper>>61 likewise. That sum plus b is
+// at most 3p+6 < 2^63; folding it once more leaves at most p+3, and one
+// subtraction lands in [0, p).
 func mulAddMod61(a, x, b uint64) uint64 {
 	hi, lo := bits.Mul64(a, x)
-	// a*x = hi*2^64 + lo. With p = 2^61-1, 2^61 ≡ 1 (mod p), so fold the
-	// 128-bit value into 61-bit chunks.
-	// value = (hi << 3 | lo >> 61) * 2^61 + (lo & p)
 	upper := hi<<3 | lo>>61
-	res := (lo & MersennePrime61) + upper%MersennePrime61
-	if res >= MersennePrime61 {
-		res -= MersennePrime61
+	s := (lo & MersennePrime61) + (upper & MersennePrime61) + upper>>61 + b
+	s = (s & MersennePrime61) + s>>61
+	if s >= MersennePrime61 {
+		s -= MersennePrime61
 	}
-	res += b
-	if res >= MersennePrime61 {
-		res -= MersennePrime61
-	}
-	return res
+	return s
 }
