@@ -66,6 +66,7 @@ func TestOptionsValidate(t *testing.T) {
 	bad := []Options{
 		{K: -1},
 		{K: 40},
+		{K: 31}, // packs into a uint64, but 4^31 exceeds the sketch modulus
 		{NumHashes: -5},
 		{Theta: 1.5},
 		{Theta: -0.1},

@@ -216,8 +216,8 @@ func (o Options) engine() (*mapreduce.Engine, error) {
 // Validate rejects unusable options.
 func (o Options) Validate() error {
 	o = o.withDefaults()
-	if o.K < 1 || o.K > kmer.MaxK {
-		return fmt.Errorf("core: k=%d out of range [1,%d]", o.K, kmer.MaxK)
+	if o.K < 1 || o.K > minhash.MaxK {
+		return fmt.Errorf("core: k=%d out of range [1,%d]", o.K, minhash.MaxK)
 	}
 	if o.NumHashes < 1 {
 		return fmt.Errorf("core: need at least one hash function, got %d", o.NumHashes)

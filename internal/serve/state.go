@@ -44,8 +44,8 @@ type Params struct {
 
 // Validate rejects unusable geometry before any state is created.
 func (p Params) Validate() error {
-	if p.K < 1 || p.K > 31 {
-		return fmt.Errorf("serve: k must be in [1,31], got %d", p.K)
+	if p.K < 1 || p.K > minhash.MaxK {
+		return fmt.Errorf("serve: k must be in [1,%d], got %d", minhash.MaxK, p.K)
 	}
 	if p.NumHashes < 1 {
 		return fmt.Errorf("serve: num hashes must be >= 1, got %d", p.NumHashes)

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -212,6 +214,22 @@ func TestOpenRefusesUnmatchedState(t *testing.T) {
 	}
 	if _, err := Open(dir, p, true, nil); err != nil {
 		t.Fatalf("legitimate resume failed: %v", err)
+	}
+}
+
+// TestOpenRejectsUnsketchableK: k=31 packs into a uint64, but its feature
+// space 4^31 exceeds the sketch modulus, so Open must refuse it before it
+// creates any state.
+func TestOpenRejectsUnsketchableK(t *testing.T) {
+	p := testParams()
+	p.K = 31
+	dir := t.TempDir()
+	if st, err := Open(dir, p, false, nil); err == nil {
+		st.Close()
+		t.Fatal("Open accepted k=31")
+	}
+	if _, err := os.Stat(filepath.Join(dir, walFile)); !os.IsNotExist(err) {
+		t.Fatalf("a rejected Open left %s behind (stat: %v)", walFile, err)
 	}
 }
 
