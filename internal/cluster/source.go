@@ -3,8 +3,8 @@ package cluster
 import "github.com/metagenomics/mrmcminh/internal/minhash"
 
 // SigSource is index-aligned, borrowed access to a signature corpus: the
-// one input of every clustering algorithm here. The resident sharded
-// signature store (sigstore.View satisfies this interface structurally —
+// one input of every clustering algorithm here. The resident signature
+// store (sigstore.View satisfies this interface structurally —
 // cluster must not import sigstore) is the production source; SliceSource
 // wraps plain signature slices. Implementations must be safe for
 // concurrent Similarity/BandHash calls: the parallel matrix builder and

@@ -63,14 +63,11 @@ func RunLevels(reads []fasta.Record, opt Options, thetas []float64) (*LevelsResu
 	res.Virtual += skOut.Virtual
 	res.Jobs++
 	// Same source as Run: the matrix rows read borrowed store rows.
-	store, err := buildStore(reads, sigs, opt)
+	store, err := buildStore(sigs, opt)
 	if err != nil {
 		return nil, err
 	}
-	src, err := store.View(minhash.SetOverlap)
-	if err != nil {
-		return nil, err
-	}
+	src := store.View(minhash.SetOverlap)
 	m, simOut, err := similarityJob(engine, src, opt)
 	if err != nil {
 		return nil, err

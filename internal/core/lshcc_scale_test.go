@@ -86,7 +86,7 @@ func BenchmarkClusterLSHCCScale(b *testing.B) {
 //
 //	LSH_1M=1 go test -run ClusterLSHCCMillionReads -timeout 60m ./internal/core/
 //
-// The run goes through the sharded signature store (the StoreBits zero
+// The run goes through the signature store (the StoreBits zero
 // value); LSH_1M_STORE_BITS selects b-bit packing (e.g. 4) so the
 // nightly can exercise the compressed arena at scale.
 func TestClusterLSHCCMillionReads(t *testing.T) {

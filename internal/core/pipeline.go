@@ -125,8 +125,8 @@ type Options struct {
 	// dropped from that bucket (counted in lsh.bucket_overflow) — they
 	// stay reachable through their other bands.
 	LSHBucketCap int
-	// StoreBits selects how the sharded signature store (internal/sigstore)
-	// that every stage after the sketch borrows from holds signatures.
+	// StoreBits selects how the signature store (internal/sigstore) that
+	// every stage after the sketch borrows from holds signatures.
 	// 0 (the default): full 64-bit signatures.
 	// 1..16: the store packs signatures to b bits per slot (b-bit
 	// minwise hashing, Li & König) for an 8–64× smaller resident
@@ -452,7 +452,7 @@ func Run(reads []fasta.Record, opt Options) (*Result, error) {
 		}
 		addJob(mrout)
 		if opt.StoreBits > 0 {
-			if store, err = buildStore(reads, sigs, opt); err != nil {
+			if store, err = buildStore(sigs, opt); err != nil {
 				return nil, err
 			}
 			sigs = nil // packed mode never keeps the full signatures resident
@@ -470,14 +470,11 @@ func Run(reads []fasta.Record, opt Options) (*Result, error) {
 		// Full-width store: built from the signatures on either path
 		// (fresh sketch or checkpoint restore). Its sketch checkpoint is
 		// the plain signature codec.
-		if store, err = buildStore(reads, sigs, opt); err != nil {
+		if store, err = buildStore(sigs, opt); err != nil {
 			return nil, err
 		}
 	}
-	src, err := store.View(minhash.SetOverlap)
-	if err != nil {
-		return nil, err
-	}
+	src := store.View(minhash.SetOverlap)
 	if res.Counters == nil {
 		res.Counters = make(map[string]int64)
 	}
@@ -620,12 +617,10 @@ func sketchJob(engine *mapreduce.Engine, reads []fasta.Record, opt Options) ([]m
 	return sigs, out, nil
 }
 
-// buildStore ingests a sketched corpus into a sharded signature store.
-// Rows are keyed by read index (PutBatch from dense ID 0), which keeps
-// the store index-aligned with the reads even when a FASTA repeats a
-// read ID; the translator additionally registers each read ID
-// (duplicates resolve to their first occurrence).
-func buildStore(reads []fasta.Record, sigs []minhash.Signature, opt Options) (*sigstore.Store, error) {
+// buildStore ingests a sketched corpus into a signature store. Rows are
+// keyed by read index (PutBatch from dense ID 0), which keeps the store
+// index-aligned with the reads even when a FASTA repeats a read ID.
+func buildStore(sigs []minhash.Signature, opt Options) (*sigstore.Store, error) {
 	st, err := sigstore.New(sigstore.Config{NumHashes: opt.NumHashes, Bits: opt.StoreBits})
 	if err != nil {
 		return nil, err
@@ -633,11 +628,6 @@ func buildStore(reads []fasta.Record, sigs []minhash.Signature, opt Options) (*s
 	if err := st.PutBatch(0, sigs); err != nil {
 		return nil, err
 	}
-	keys := make([]string, len(reads))
-	for i := range reads {
-		keys[i] = reads[i].ID
-	}
-	st.Translator().TranslateBatch(nil, keys)
 	return st, nil
 }
 

@@ -293,11 +293,7 @@ func TestScriptGreedyClusteringUsesStore(t *testing.T) {
 	if err := st.PutBatch(0, sigs); err != nil {
 		t.Fatal(err)
 	}
-	view, err := st.View(minhash.SetOverlap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels, err := cluster.Greedy(view, p.Cutoff)
+	labels, err := cluster.Greedy(st.View(minhash.SetOverlap), p.Cutoff)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -513,8 +513,8 @@ func bagSignatures(udf string, bag pig.Bag) ([]minhash.Signature, []string, erro
 	return sigs, ids, nil
 }
 
-// clusterSource puts a UDF's signature bag into a sharded signature store
-// of width numhash — full 64-bit slots, or b-bit packed when
+// clusterSource puts a UDF's signature bag into a signature store of
+// width numhash — full 64-bit slots, or b-bit packed when
 // ctx.StoreBits is 1..16 — and returns the view the clustering borrows
 // from.
 func clusterSource(ctx *pig.Context, numhash int, sigs []minhash.Signature) (cluster.SigSource, error) {
@@ -529,11 +529,7 @@ func clusterSource(ctx *pig.Context, numhash int, sigs []minhash.Signature) (clu
 	if err := st.PutBatch(0, sigs); err != nil {
 		return nil, err
 	}
-	view, err := st.View(minhash.SetOverlap)
-	if err != nil {
-		return nil, err
-	}
-	return view, nil
+	return st.View(minhash.SetOverlap), nil
 }
 
 // lshComponentsSource finds the connected components of the verified

@@ -27,8 +27,9 @@ type BBitSignature struct {
 }
 
 // PackedWords returns the number of 64-bit words a b-bit packing of an
-// n-slot signature occupies: ceil(n*b/64).
-func PackedWords(n, b int) int { return (n*b + 63) / 64 }
+// n-slot signature occupies: ceil(n*b/64), computed so that no n
+// overflows it (a snapshot header may claim any n).
+func PackedWords(n, b int) int { return n/64*b + (n%64*b+63)/64 }
 
 // Compact reduces a full signature to its lowest b bits per slot.
 // b must be in [1,16] (larger b defeats the purpose; use Signature).

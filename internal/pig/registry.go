@@ -124,7 +124,7 @@ type Context struct {
 	Resume bool
 	// StoreBits selects the signature store backing of the clustering
 	// UDFs (GreedyClustering, LSHClustering): 0 (the default) borrows
-	// rows from a sharded full-width signature store, 1..16 packs
+	// rows from a full-width signature store, 1..16 packs
 	// signatures to b bits per slot (lossy b-bit minwise estimation).
 	StoreBits int
 }

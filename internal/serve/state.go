@@ -105,8 +105,7 @@ type State struct {
 	repDenseB appendChunks[uint32] // label -> dense id of the representative
 	repIDB    appendChunks[string] // label -> external ID of the representative
 
-	view  atomic.Pointer[readView] // the epoch every query reads
-	index *denseIndex              // lock-free external ID -> dense ID
+	view atomic.Pointer[readView] // the epoch every query reads
 
 	acked      atomic.Int64 // reads durably acknowledged (excludes duplicates)
 	duplicates atomic.Int64
@@ -152,9 +151,7 @@ func Open(dir string, p Params, resume bool, inj *faults.Injector) (*State, erro
 		st.store = store
 	}
 
-	if st.src, err = st.store.View(p.Estimator); err != nil {
-		return nil, err
-	}
+	st.src = st.store.View(p.Estimator)
 	var geom *cluster.LSHOptions
 	if p.UseLSH {
 		g := cluster.GeometryFor(p.NumHashes, p.Theta)
@@ -165,7 +162,6 @@ func Open(dir string, p Params, resume bool, inj *faults.Injector) (*State, erro
 		return nil, err
 	}
 	st.inc = inc
-	st.index = newDenseIndex(st.store.Len())
 
 	// Replay the snapshot corpus: assignments are a pure function of
 	// dense order, so re-running the incremental clusterer over
@@ -183,7 +179,7 @@ func Open(dir string, p Params, resume bool, inj *faults.Injector) (*State, erro
 		if _, ok := st.store.Translator().Lookup(id); ok {
 			return nil
 		}
-		_, err := st.applyRead(id, sig)
+		_, _, err := st.applyRead(id, sig)
 		return err
 	})
 	if err != nil {
@@ -244,20 +240,22 @@ func loadCheckpoint(dir, manifestPath string) (*manifest, *sigstore.Store, error
 	return &m, store, nil
 }
 
-// applyRead translates, stores, and clusters one new read. Callers must
-// have established the ID is not yet stored.
-func (st *State) applyRead(id string, sig minhash.Signature) (int, error) {
+// applyRead translates, stores, and clusters one new read, returning its
+// dense ID and label. Callers must have established the ID is not yet
+// stored.
+func (st *State) applyRead(id string, sig minhash.Signature) (uint32, int, error) {
 	dense := st.store.Translator().Translate(id)
 	if int(dense) != st.src.Len() {
-		return 0, fmt.Errorf("serve: dense ID %d out of commit order (have %d rows)", dense, st.src.Len())
+		return 0, 0, fmt.Errorf("serve: dense ID %d out of commit order (have %d rows)", dense, st.src.Len())
 	}
 	if err := st.store.Put(dense, sig); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if err := st.src.Grow(st.store); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return st.applyDenseClustered(dense, id)
+	label, err := st.applyDenseClustered(dense, id)
+	return dense, label, err
 }
 
 // applyDense clusters an already-stored read (recovery replay), fetching
@@ -284,7 +282,6 @@ func (st *State) applyDenseClustered(dense uint32, id string) (int, error) {
 		st.repIDB.append(id)
 	}
 	st.sizesB.inc(label)
-	st.index.insert(id, dense)
 	return label, nil
 }
 
@@ -315,10 +312,11 @@ func (st *State) loadView() *readView { return st.view.Load() }
 // fault injector may demand a service crash — the chaos harness's kill
 // point — returned as *faults.ServiceCrashError.
 func (st *State) CommitBatch(batch []ingest.Sketched) ([]Ack, error) {
+	trans := st.store.Translator()
 	inBatch := make(map[string]bool, len(batch))
 	var fresh int64
 	for _, s := range batch {
-		if _, ok := st.index.lookup(s.ID); ok || inBatch[s.ID] {
+		if _, ok := trans.Lookup(s.ID); ok || inBatch[s.ID] {
 			continue
 		}
 		inBatch[s.ID] = true
@@ -333,16 +331,15 @@ func (st *State) CommitBatch(batch []ingest.Sketched) ([]Ack, error) {
 	// mid-apply, Open replays these records idempotently.
 	acks := make([]Ack, len(batch))
 	for i, s := range batch {
-		if dense, ok := st.index.lookup(s.ID); ok {
+		if dense, ok := trans.Lookup(s.ID); ok {
 			st.duplicates.Add(1)
 			acks[i] = Ack{ID: s.ID, Read: int(dense), Cluster: int(st.assignB.at(int(dense))), Duplicate: true}
 			continue
 		}
-		label, err := st.applyRead(s.ID, s.Sig)
+		dense, label, err := st.applyRead(s.ID, s.Sig)
 		if err != nil {
 			return nil, err
 		}
-		dense, _ := st.index.lookup(s.ID)
 		acks[i] = Ack{ID: s.ID, Read: int(dense), Cluster: label}
 		fresh++
 	}
@@ -400,9 +397,9 @@ func (st *State) Close() error { return st.wal.Close() }
 
 // ---- queries (safe from any goroutine; zero locks) ----
 //
-// Every query loads the latest readView once and answers entirely from
-// it: no mutex, no translator shard locks, no per-request copies, and
-// a consistent epoch even while the committer keeps publishing.
+// Every query loads the latest readView once and answers from it and the
+// translator's lock-free Lookup: no mutex, no per-request copies, and a
+// consistent epoch even while the committer keeps publishing.
 
 // ReadInfo answers "where did my read go".
 type ReadInfo struct {
@@ -415,10 +412,10 @@ type ReadInfo struct {
 // Assignment looks a read up by external ID.
 func (st *State) Assignment(id string) (ReadInfo, bool) {
 	v := st.loadView()
-	dense, ok := st.index.lookup(id)
+	dense, ok := st.store.Translator().Lookup(id)
 	if !ok || int(dense) >= v.reads {
-		// Unknown, or indexed mid-commit but not yet published: a read
-		// becomes visible only once its batch's view is up.
+		// Unknown, or translated mid-commit but not yet published: a
+		// read becomes visible only once its batch's view is up.
 		return ReadInfo{}, false
 	}
 	label := v.assign.at(int(dense))

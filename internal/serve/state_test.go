@@ -2,9 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -217,6 +221,79 @@ func TestOpenRefusesUnmatchedState(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesOldSnapshotFormat: a data dir whose manifest names a
+// snapshot an older build wrote (magic SIGSNAP1) fails to open by name,
+// and the refusal leaves every file in the dir byte-identical.
+func TestOpenRefusesOldSnapshotFormat(t *testing.T) {
+	p := testParams()
+	dir := t.TempDir()
+	st, err := Open(dir, p, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitAll(t, st, makeReads(t, p, 10), 10)
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	// Re-seal the snapshot under the old magic and point the manifest's
+	// hash at it, as if an older build had checkpointed this dir.
+	manifestPath := filepath.Join(dir, manifestFile)
+	raw, err := os.ReadFile(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(filepath.Join(dir, m.Snapshot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := append([]byte("SIGSNAP1"), blob[8:len(blob)-sha256.Size]...)
+	inner := sha256.Sum256(body)
+	blob = append(body, inner[:]...)
+	sum := sha256.Sum256(blob)
+	m.SHA256 = hex.EncodeToString(sum[:])
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifestPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, m.Snapshot), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	files := func() map[string]string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]string, len(entries))
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(b)
+		}
+		return out
+	}
+	before := files()
+	if st, err := Open(dir, p, true, nil); err == nil || !strings.Contains(err.Error(), "SIGSNAP1") {
+		if st != nil {
+			st.Close()
+		}
+		t.Fatalf("Open over a SIGSNAP1 snapshot: %v, want an error naming SIGSNAP1", err)
+	}
+	if after := files(); !reflect.DeepEqual(after, before) {
+		t.Fatal("a refused Open changed the data dir")
+	}
+}
+
 // TestOpenRejectsUnsketchableK: k=31 packs into a uint64, but its feature
 // space 4^31 exceeds the sketch modulus, so Open must refuse it before it
 // creates any state.
@@ -299,7 +376,17 @@ func TestDiversityAndQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	commitAll(t, st, reads, 30)
+	for i := 0; i < len(reads); i += 30 {
+		acks, err := st.CommitBatch(reads[i : i+30])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, a := range acks { // fresh reads take dense IDs in commit order
+			if a.Read != i+j || a.Duplicate {
+				t.Fatalf("ack %+v, want fresh dense ID %d", a, i+j)
+			}
+		}
+	}
 
 	d := st.Diversity()
 	if d.Reads != 120 || d.Clusters < 1 || d.Clusters > 120 {
@@ -313,7 +400,7 @@ func TestDiversityAndQueries(t *testing.T) {
 	}
 
 	info, ok := st.Assignment(reads[7].ID)
-	if !ok || info.ID != reads[7].ID {
+	if !ok || info.ID != reads[7].ID || info.Read != 7 {
 		t.Fatalf("assignment lookup: %+v ok=%v", info, ok)
 	}
 	ci, ok := st.Cluster(info.Cluster)

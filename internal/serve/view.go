@@ -112,10 +112,11 @@ func (c *cowChunks) view() chunkSlice[int32] {
 
 // readView is one published epoch of the corpus. Everything a query
 // endpoint needs is resolved here — including the label→representative-ID
-// table, so no query ever goes back to the translator's locks — and the
-// cross-request summaries (Clusters, Diversity, their JSON encodings)
-// are memoized per view: computed at most once per epoch, on first use,
-// with idempotent atomic publication instead of a sync.Once mutex.
+// table, so a query needs nothing from the store but the translator's
+// lock-free Lookup — and the cross-request summaries (Clusters,
+// Diversity, their JSON encodings) are memoized per view: computed at
+// most once per epoch, on first use, with idempotent atomic publication
+// instead of a sync.Once mutex.
 type readView struct {
 	assign   chunkSlice[int32]  // dense id -> cluster label
 	ids      chunkSlice[string] // dense id -> external read ID
@@ -225,96 +226,4 @@ func (v *readView) dumpTSV(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// denseIndex maps external read IDs to dense IDs without locks: an
-// insert-only open-addressing table whose entries and table pointer are
-// published atomically. The committer is the only writer (inserts and
-// growth need no CAS); readers probe whatever table they load — an old
-// table is still correct for every read it covers, and a key inserted
-// concurrently with a lookup may legitimately miss, exactly like a
-// lookup racing a commit under the old mutex.
-type denseIndex struct {
-	table atomic.Pointer[indexTable]
-	count int // writer-owned
-}
-
-type indexTable struct {
-	mask  uint64
-	slots []atomic.Pointer[indexEntry]
-}
-
-type indexEntry struct {
-	key   string
-	dense uint32
-}
-
-func newIndexTable(size int) *indexTable {
-	return &indexTable{mask: uint64(size - 1), slots: make([]atomic.Pointer[indexEntry], size)}
-}
-
-func newDenseIndex(capacityHint int) *denseIndex {
-	size := 1024
-	for size < capacityHint*2 {
-		size <<= 1
-	}
-	d := &denseIndex{}
-	d.table.Store(newIndexTable(size))
-	return d
-}
-
-func fnv1a64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 1099511628211
-	}
-	return h
-}
-
-// lookup is safe from any goroutine.
-func (d *denseIndex) lookup(key string) (uint32, bool) {
-	t := d.table.Load()
-	for i := fnv1a64(key) & t.mask; ; i = (i + 1) & t.mask {
-		e := t.slots[i].Load()
-		if e == nil {
-			return 0, false
-		}
-		if e.key == key {
-			return e.dense, true
-		}
-	}
-}
-
-// insert must only be called by the committer; key must not already be
-// present.
-func (d *denseIndex) insert(key string, dense uint32) {
-	t := d.table.Load()
-	if uint64(d.count+1)*4 > (t.mask+1)*3 { // grow at 75% load
-		t = d.grow(t)
-	}
-	t.put(&indexEntry{key: key, dense: dense})
-	d.count++
-}
-
-func (t *indexTable) put(e *indexEntry) {
-	for i := fnv1a64(e.key) & t.mask; ; i = (i + 1) & t.mask {
-		if t.slots[i].Load() == nil {
-			t.slots[i].Store(e)
-			return
-		}
-	}
-}
-
-// grow re-inserts every entry into a table twice the size and publishes
-// it. Readers holding the old table keep resolving everything inserted
-// before the growth.
-func (d *denseIndex) grow(old *indexTable) *indexTable {
-	next := newIndexTable(int(old.mask+1) * 2)
-	for i := range old.slots {
-		if e := old.slots[i].Load(); e != nil {
-			next.put(e)
-		}
-	}
-	d.table.Store(next)
-	return next
 }

@@ -72,48 +72,6 @@ func TestCowChunksCopyOnWrite(t *testing.T) {
 	}
 }
 
-// TestDenseIndexGrowth inserts enough keys to force several table
-// growths and checks every key still resolves, misses stay misses, and
-// a reader holding a pre-growth table keeps resolving old keys.
-func TestDenseIndexGrowth(t *testing.T) {
-	d := newDenseIndex(0) // min table: 1024 slots -> grows at 768
-	old := d.table.Load()
-	const n = 5000
-	for i := 0; i < n; i++ {
-		d.insert(fmt.Sprintf("key-%05d", i), uint32(i))
-	}
-	if d.table.Load() == old {
-		t.Fatal("table never grew")
-	}
-	for i := 0; i < n; i++ {
-		dense, ok := d.lookup(fmt.Sprintf("key-%05d", i))
-		if !ok || dense != uint32(i) {
-			t.Fatalf("lookup key-%05d = (%d, %v)", i, dense, ok)
-		}
-	}
-	if _, ok := d.lookup("absent"); ok {
-		t.Fatal("lookup invented a key")
-	}
-	// The stale pre-growth table still answers for its own era.
-	for i := 0; i < 100; i++ {
-		key := fmt.Sprintf("key-%05d", i)
-		found := false
-		for j := fnv1a64(key) & old.mask; ; j = (j + 1) & old.mask {
-			e := old.slots[j].Load()
-			if e == nil {
-				break
-			}
-			if e.key == key {
-				found = e.dense == uint32(i)
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("pre-growth table lost %s", key)
-		}
-	}
-}
-
 // failAfterWriter accepts limit bytes, then fails every further write
 // (taking the partial prefix first, like a dying socket).
 type failAfterWriter struct {

@@ -9,237 +9,150 @@ import (
 
 // Snapshot format (all integers little-endian):
 //
-//	magic "SIGSNAP1"                    8 bytes
-//	numHashes, bits, shardCount         u64 each
+//	magic "SIGSNAP2"                    8 bytes
+//	numHashes, bits                     u64 each
 //	translator: keyCount u64, then per key: len u64 + raw bytes
-//	per shard (shard order): blobLen u64 + blob
-//	manifest: per shard a 32-byte SHA-256 of its blob
-//	32-byte SHA-256 over everything above
+//	rowCount                            u64
+//	empty-flag bitset                   (rowCount+7)/8 bytes
+//	arena words                         rowCount*stride u64
+//	SHA-256 over everything above       32 bytes
 //
-// Each shard blob is rowCount u64, dense IDs (u32 each, insertion
-// order), an empty-flag bitset ((rows+7)/8 bytes), then the arena words
-// (rowCount*stride u64). Shards serialize in shard order and rows in
-// insertion order, so a store built by a deterministic ingest — or
-// rebuilt by Restore, which replays that order — snapshots to
-// byte-identical blobs. The trailing per-shard hash list is the
-// content-addressed manifest: Restore re-hashes every blob against it
-// (and the whole prefix against the final hash) before trusting a byte,
-// so a torn or bit-flipped checkpoint surfaces as a typed corruption
-// error instead of silently wrong clusters.
+// Rows serialize in dense-ID order, so a store built by a deterministic
+// ingest — or rebuilt by Restore — snapshots to byte-identical blobs.
+// Restore re-hashes the blob before trusting a byte, so a torn or
+// bit-flipped checkpoint surfaces as a typed corruption error instead of
+// silently wrong clusters. SIGSNAP1, the per-shard layout of older
+// builds, is refused.
 
-const snapshotMagic = "SIGSNAP1"
+const snapshotMagic = "SIGSNAP2"
 
-// CorruptSnapshotError reports a snapshot whose content hashes do not
-// match its manifest.
-type CorruptSnapshotError struct {
-	Section string // "manifest" or "shard N"
-}
+// CorruptSnapshotError reports a snapshot whose bytes do not match its
+// trailing SHA-256.
+type CorruptSnapshotError struct{}
 
 func (e *CorruptSnapshotError) Error() string {
-	return fmt.Sprintf("sigstore: snapshot corrupt (%s hash mismatch)", e.Section)
+	return "sigstore: snapshot corrupt (SHA-256 mismatch)"
 }
 
 func appendU64(b []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(b, v)
 }
 
-func appendU32(b []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(b, v)
-}
-
 // Snapshot serializes the store (signatures and translator) into a
-// self-verifying blob.
+// self-verifying blob. Like every other method it belongs to the store's
+// writer.
 func (s *Store) Snapshot() []byte {
-	out := []byte(snapshotMagic)
+	rows := s.Len()
+	size := len(snapshotMagic) + 4*8 + (rows+7)/8 + 8*len(s.words) + sha256.Size
+	for _, k := range s.trans.keys {
+		size += 8 + len(k)
+	}
+	out := make([]byte, 0, size)
+	out = append(out, snapshotMagic...)
 	out = appendU64(out, uint64(s.cfg.NumHashes))
 	out = appendU64(out, uint64(s.cfg.Bits))
-	out = appendU64(out, uint64(s.cfg.Shards))
-
-	s.trans.mu.RLock()
 	out = appendU64(out, uint64(len(s.trans.keys)))
 	for _, k := range s.trans.keys {
 		out = appendU64(out, uint64(len(k)))
 		out = append(out, k...)
 	}
-	s.trans.mu.RUnlock()
-
-	hashes := make([]byte, 0, 32*s.cfg.Shards)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		blob := make([]byte, 0, 8+4*len(sh.ids)+(len(sh.ids)+7)/8+8*len(sh.words))
-		blob = appendU64(blob, uint64(len(sh.ids)))
-		for _, id := range sh.ids {
-			blob = appendU32(blob, id)
+	out = appendU64(out, uint64(rows))
+	flags := len(out)
+	out = append(out, make([]byte, (rows+7)/8)...)
+	for row, e := range s.empty {
+		if e {
+			out[flags+row/8] |= 1 << (row % 8)
 		}
-		bitset := make([]byte, (len(sh.ids)+7)/8)
-		for row, e := range sh.empty {
-			if e {
-				bitset[row/8] |= 1 << uint(row%8)
-			}
-		}
-		blob = append(blob, bitset...)
-		for _, w := range sh.words {
-			blob = appendU64(blob, w)
-		}
-		sh.mu.RUnlock()
-		out = appendU64(out, uint64(len(blob)))
-		out = append(out, blob...)
-		h := sha256.Sum256(blob)
-		hashes = append(hashes, h[:]...)
 	}
-	out = append(out, hashes...)
+	for _, w := range s.words {
+		out = appendU64(out, w)
+	}
 	sum := sha256.Sum256(out)
 	return append(out, sum[:]...)
 }
 
-// snapReader walks a snapshot blob with bounds checks.
+// snapReader walks a snapshot blob with bounds checks. The first read
+// past the end sets err, and every later read returns zero values.
 type snapReader struct {
 	b   []byte
 	off int
+	err error
 }
 
-func (r *snapReader) take(n int) ([]byte, error) {
-	if n < 0 || r.off+n > len(r.b) {
-		return nil, fmt.Errorf("sigstore: snapshot truncated at offset %d (+%d)", r.off, n)
+func (r *snapReader) take(n uint64) []byte {
+	if r.err != nil {
+		return nil
 	}
-	v := r.b[r.off : r.off+n]
-	r.off += n
-	return v, nil
-}
-
-func (r *snapReader) u64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
+	if n > uint64(len(r.b)-r.off) {
+		r.err = fmt.Errorf("sigstore: snapshot truncated at offset %d (+%d)", r.off, n)
+		return nil
 	}
-	return binary.LittleEndian.Uint64(b), nil
+	v := r.b[r.off : r.off+int(n)]
+	r.off += int(n)
+	return v
 }
 
-// Restore rebuilds a store from Snapshot bytes, verifying the overall
-// hash and every shard's manifest entry first. The rebuilt store
+func (r *snapReader) u64() uint64 {
+	b := r.take(8)
+	if r.err != nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(b)
+}
+
+// Restore rebuilds a store from Snapshot bytes. It verifies the trailing
+// SHA-256 first, so any flipped bit, the magic's included, is a
+// *CorruptSnapshotError; it then refuses any magic but SIGSNAP2 before
+// reading another field. The geometry in the header is trusted only once
+// the arena's byte count matches it, so a self-consistent blob cannot
+// make Restore allocate rows it does not hold. The rebuilt store
 // re-snapshots byte-identically — the property --resume relies on.
 func Restore(data []byte) (*Store, error) {
-	if len(data) < len(snapshotMagic)+32 || string(data[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, fmt.Errorf("sigstore: not a signature-store snapshot")
+	if len(data) < len(snapshotMagic)+sha256.Size {
+		return nil, fmt.Errorf("sigstore: %d bytes is too short for a snapshot", len(data))
 	}
-	body, tail := data[:len(data)-32], data[len(data)-32:]
+	body, tail := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
 	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], tail) {
-		return nil, &CorruptSnapshotError{Section: "manifest"}
+		return nil, &CorruptSnapshotError{}
+	}
+	if magic := string(body[:len(snapshotMagic)]); magic != snapshotMagic {
+		return nil, fmt.Errorf("sigstore: not a %s signature-store snapshot (magic %q)", snapshotMagic, magic)
 	}
 	r := &snapReader{b: body, off: len(snapshotMagic)}
-	numHashes, err := r.u64()
+	numHashes, bits, keyCount := r.u64(), r.u64(), r.u64()
+	if r.err != nil {
+		return nil, r.err
+	}
+	s, err := New(Config{NumHashes: int(numHashes), Bits: int(bits)})
 	if err != nil {
 		return nil, err
 	}
-	bits, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	shards, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	s, err := New(Config{NumHashes: int(numHashes), Bits: int(bits), Shards: int(shards)})
-	if err != nil {
-		return nil, err
-	}
-
-	keyCount, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	if keyCount > uint64(len(body)) { // cheap sanity bound before allocating
-		return nil, fmt.Errorf("sigstore: snapshot claims %d keys in %d bytes", keyCount, len(body))
-	}
-	keys := make([]string, keyCount)
-	for i := range keys {
-		klen, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		kb, err := r.take(int(klen))
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = string(kb)
-	}
-	if err := s.trans.restoreKeys(keys); err != nil {
-		return nil, err
-	}
-
-	blobs := make([][]byte, s.cfg.Shards)
-	for i := range blobs {
-		blobLen, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		blob, err := r.take(int(blobLen))
-		if err != nil {
-			return nil, err
-		}
-		blobs[i] = blob
-	}
-	for i, blob := range blobs {
-		want, err := r.take(32)
-		if err != nil {
-			return nil, err
-		}
-		if got := sha256.Sum256(blob); !bytes.Equal(got[:], want) {
-			return nil, &CorruptSnapshotError{Section: fmt.Sprintf("shard %d", i)}
+	for i := uint64(0); i < keyCount && r.err == nil; i++ {
+		key := string(r.take(r.u64()))
+		if r.err == nil && s.trans.Translate(key) != uint32(i) {
+			return nil, fmt.Errorf("sigstore: duplicate key %q in snapshot", key)
 		}
 	}
-	if r.off != len(body) {
-		return nil, fmt.Errorf("sigstore: %d trailing snapshot bytes", len(body)-r.off)
+	rows := r.u64()
+	bitset := r.take((rows + 7) / 8)
+	if r.err != nil {
+		return nil, r.err
 	}
-
-	for i, blob := range blobs {
-		if err := s.shards[i].restore(blob, s.stride); err != nil {
-			return nil, fmt.Errorf("sigstore: shard %d: %w", i, err)
-		}
-		s.count.Add(int64(len(s.shards[i].ids)))
+	// The rest is the arena, and it must hold exactly rows*stride words.
+	// Compare by division: a header claiming a huge stride would overflow
+	// the product.
+	arena := body[r.off:]
+	words, stride := uint64(len(arena)/8), uint64(s.stride)
+	if len(arena)%8 != 0 || words/stride != rows || words%stride != 0 {
+		return nil, fmt.Errorf("sigstore: snapshot arena of %d bytes does not hold %d rows of %d words", len(arena), rows, stride)
+	}
+	s.empty = make([]bool, rows)
+	for i := range s.empty {
+		s.empty[i] = bitset[i/8]&(1<<(i%8)) != 0
+	}
+	s.words = make([]uint64, words)
+	for i := range s.words {
+		s.words[i] = binary.LittleEndian.Uint64(arena[8*i:])
 	}
 	return s, nil
-}
-
-// restore fills one shard from its snapshot blob.
-func (sh *storeShard) restore(blob []byte, stride int) error {
-	r := &snapReader{b: blob}
-	rows64, err := r.u64()
-	if err != nil {
-		return err
-	}
-	rows := int(rows64)
-	idBytes, err := r.take(4 * rows)
-	if err != nil {
-		return err
-	}
-	bitset, err := r.take((rows + 7) / 8)
-	if err != nil {
-		return err
-	}
-	wordBytes, err := r.take(8 * rows * stride)
-	if err != nil {
-		return err
-	}
-	if r.off != len(blob) {
-		return fmt.Errorf("%d trailing bytes", len(blob)-r.off)
-	}
-	sh.ids = make([]uint32, rows)
-	sh.empty = make([]bool, rows)
-	sh.words = make([]uint64, rows*stride)
-	sh.pos = make(map[uint32]int32, rows)
-	for i := range sh.ids {
-		id := binary.LittleEndian.Uint32(idBytes[4*i:])
-		if _, dup := sh.pos[id]; dup {
-			return fmt.Errorf("duplicate id %d", id)
-		}
-		sh.ids[i] = id
-		sh.pos[id] = int32(i)
-		sh.empty[i] = bitset[i/8]&(1<<uint(i%8)) != 0
-	}
-	for i := range sh.words {
-		sh.words[i] = binary.LittleEndian.Uint64(wordBytes[8*i:])
-	}
-	return nil
 }

@@ -1,12 +1,10 @@
 package sigstore
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"github.com/metagenomics/mrmcminh/internal/minhash"
@@ -42,30 +40,41 @@ func keysFor(n int) []string {
 	return keys
 }
 
+// keyedStore stores n deterministic signatures the way the daemon does:
+// each under the dense ID its read key translates to.
+func keyedStore(t testing.TB, cfg Config, n, emptyEvery int, seed int64) *Store {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigs := randSigs(t, n, cfg.NumHashes, emptyEvery, seed)
+	for i, k := range keysFor(n) {
+		if err := s.Put(s.Translator().Translate(k), sigs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
 func TestConfigValidate(t *testing.T) {
 	for _, bad := range []Config{
 		{NumHashes: 0},
 		{NumHashes: 10, Bits: -1},
 		{NumHashes: 10, Bits: 17},
-		{NumHashes: 10, Shards: 3},
-		{NumHashes: 10, Shards: -4},
 	} {
 		if _, err := New(bad); err == nil {
 			t.Errorf("New(%+v): expected error", bad)
 		}
 	}
-	s, err := New(Config{NumHashes: 10})
-	if err != nil {
+	if _, err := New(Config{NumHashes: 10}); err != nil {
 		t.Fatal(err)
-	}
-	if got := len(s.shards); got != DefaultShards {
-		t.Fatalf("default shards = %d, want %d", got, DefaultShards)
 	}
 }
 
 func TestPutGetRoundTripFull(t *testing.T) {
 	sigs := randSigs(t, 200, 24, 7, 1)
-	s, err := New(Config{NumHashes: 24, Shards: 8})
+	s, err := New(Config{NumHashes: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,66 +84,50 @@ func TestPutGetRoundTripFull(t *testing.T) {
 	if s.Len() != len(sigs) {
 		t.Fatalf("Len = %d, want %d", s.Len(), len(sigs))
 	}
-	ids := make([]uint32, len(sigs))
-	for i := range ids {
-		ids[i] = uint32(i)
-	}
-	got, err := s.GetInto(nil, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := s.View(minhash.SetOverlap)
 	for i, sig := range sigs {
-		if !got[i].Equal(sig) {
+		if !v.Sig(i).Equal(sig) {
 			t.Fatalf("signature %d mismatch", i)
 		}
-	}
-	if _, err := s.PackedInto(nil, ids); err == nil {
-		t.Fatal("PackedInto on a full store: expected error")
-	}
-	if _, err := s.GetInto(nil, []uint32{9999}); err == nil {
-		t.Fatal("GetInto of a missing id: expected error")
+		if v.PackedSig(i).Words != nil {
+			t.Fatalf("PackedSig(%d) on a full view returned words", i)
+		}
 	}
 }
 
 func TestPutGetRoundTripPacked(t *testing.T) {
 	sigs := randSigs(t, 200, 24, 7, 2)
-	s, err := New(Config{NumHashes: 24, Bits: 4, Shards: 8})
+	s, err := New(Config{NumHashes: 24, Bits: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.PutBatch(0, sigs); err != nil {
 		t.Fatal(err)
 	}
-	ids := make([]uint32, len(sigs))
-	for i := range ids {
-		ids[i] = uint32(i)
-	}
-	got, err := s.PackedInto(nil, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := s.View(minhash.SetOverlap)
 	for i, sig := range sigs {
+		got := v.PackedSig(i)
 		want, err := minhash.Compact(sig, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got[i].Empty() != sig.Empty() {
+		if got.Empty() != sig.Empty() {
 			t.Fatalf("signature %d: empty flag mismatch", i)
 		}
 		for w, word := range want.Words {
-			if got[i].Words[w] != word {
-				t.Fatalf("signature %d word %d: %x != %x", i, w, got[i].Words[w], word)
+			if got.Words[w] != word {
+				t.Fatalf("signature %d word %d: %x != %x", i, w, got.Words[w], word)
 			}
 		}
-	}
-	if _, err := s.GetInto(nil, ids); err == nil {
-		t.Fatal("GetInto on a packed store: expected error")
+		if v.Sig(i) != nil {
+			t.Fatalf("Sig(%d) on a packed view returned a signature", i)
+		}
 	}
 }
 
 func TestPutOverwritesInPlace(t *testing.T) {
 	for _, bits := range []int{0, 3, 4} {
-		s, err := New(Config{NumHashes: 16, Bits: bits, Shards: 4})
+		s, err := New(Config{NumHashes: 16, Bits: bits})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,11 +148,8 @@ func TestPutOverwritesInPlace(t *testing.T) {
 		}
 		// The overwritten rows must carry the new values, not an OR of both.
 		for i, sig := range second {
-			w, empty, ok := s.row(uint32(i))
-			if !ok {
-				t.Fatalf("bits=%d: id %d missing", bits, i)
-			}
-			if empty != sig.Empty() {
+			w := s.row(i)
+			if s.empty[i] != sig.Empty() {
 				t.Fatalf("bits=%d: id %d empty flag stale", bits, i)
 			}
 			if bits == 0 {
@@ -185,116 +175,17 @@ func TestPutRejectsWrongLength(t *testing.T) {
 	}
 }
 
-func TestIngestTranslatesKeys(t *testing.T) {
-	sigs := randSigs(t, 100, 12, 0, 5)
-	keys := keysFor(100)
-	s, err := New(Config{NumHashes: 12, Shards: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, err := s.Ingest(nil, keys, sigs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, id := range ids {
-		if id != uint32(i) {
-			t.Fatalf("ingest order broken: key %d got id %d", i, id)
-		}
-		back, ok := s.Translator().Key(id)
-		if !ok || back != keys[i] {
-			t.Fatalf("Key(%d) = %q, %v; want %q", id, back, ok, keys[i])
-		}
-		if got, ok := s.Translator().Lookup(keys[i]); !ok || got != id {
-			t.Fatalf("Lookup(%q) = %d, %v; want %d", keys[i], got, ok, id)
-		}
-	}
-	if _, ok := s.Translator().Lookup("never_seen"); ok {
-		t.Fatal("Lookup of an unknown key succeeded")
-	}
-	if _, ok := s.Translator().Key(9999); ok {
-		t.Fatal("Key of an unallocated id succeeded")
-	}
-	if _, err := s.Ingest(nil, keys[:3], sigs[:2]); err == nil {
-		t.Fatal("mismatched keys/sigs lengths: expected error")
-	}
-}
-
-func TestTranslatorConcurrentStableIDs(t *testing.T) {
-	tr := NewTranslator()
-	keys := keysFor(500)
-	const goroutines = 8
-	got := make([][]uint32, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			got[g] = tr.TranslateBatch(nil, keys)
-		}(g)
-	}
-	wg.Wait()
-	if tr.Len() != len(keys) {
-		t.Fatalf("Len = %d, want %d", tr.Len(), len(keys))
-	}
-	for g := 1; g < goroutines; g++ {
-		for i := range keys {
-			if got[g][i] != got[0][i] {
-				t.Fatalf("goroutine %d saw id %d for key %d, goroutine 0 saw %d",
-					g, got[g][i], i, got[0][i])
-			}
-		}
-	}
-	// Every id maps back to its key.
-	for i, k := range keys {
-		if back, ok := tr.Key(got[0][i]); !ok || back != k {
-			t.Fatalf("Key(%d) = %q, want %q", got[0][i], back, k)
-		}
-	}
-}
-
-func TestStoreConcurrentPutGet(t *testing.T) {
-	sigs := randSigs(t, 400, 16, 9, 6)
-	s, err := New(Config{NumHashes: 16, Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g * 100; i < (g+1)*100; i++ {
-				if err := s.Put(uint32(i), sigs[i]); err != nil {
-					t.Error(err)
-					return
-				}
-				if !s.Has(uint32(i)) {
-					t.Errorf("id %d vanished", i)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if s.Len() != 400 {
-		t.Fatalf("Len = %d, want 400", s.Len())
-	}
-}
-
 func TestViewFullMatchesSlicePath(t *testing.T) {
 	sigs := randSigs(t, 150, 20, 6, 7)
 	for _, est := range []minhash.Estimator{minhash.SetOverlap, minhash.MatchedPositions} {
-		s, err := New(Config{NumHashes: 20, Shards: 8})
+		s, err := New(Config{NumHashes: 20})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Ingest(nil, keysFor(len(sigs)), sigs); err != nil {
+		if err := s.PutBatch(0, sigs); err != nil {
 			t.Fatal(err)
 		}
-		v, err := s.View(est)
-		if err != nil {
-			t.Fatal(err)
-		}
+		v := s.View(est)
 		if v.Len() != len(sigs) || v.NumHashes() != 20 {
 			t.Fatalf("view geometry %d/%d", v.Len(), v.NumHashes())
 		}
@@ -325,17 +216,14 @@ func TestViewFullMatchesSlicePath(t *testing.T) {
 func TestViewPackedMatchesCompact(t *testing.T) {
 	sigs := randSigs(t, 120, 20, 6, 8)
 	for _, bits := range []int{1, 3, 4, 8} {
-		s, err := New(Config{NumHashes: 20, Bits: bits, Shards: 8})
+		s, err := New(Config{NumHashes: 20, Bits: bits})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := s.PutBatch(0, sigs); err != nil {
 			t.Fatal(err)
 		}
-		v, err := s.View(minhash.SetOverlap)
-		if err != nil {
-			t.Fatal(err)
-		}
+		v := s.View(minhash.SetOverlap)
 		packed := make([]minhash.BBitSignature, len(sigs))
 		for i, sig := range sigs {
 			packed[i], err = minhash.Compact(sig, bits)
@@ -365,13 +253,18 @@ func TestViewPackedMatchesCompact(t *testing.T) {
 	}
 }
 
-func TestViewRequiresDenseIDs(t *testing.T) {
+// TestPutRejectsSparseIDs: rows are dense IDs 0..Len-1, so a Put or
+// PutBatch that would skip an ID fails and stores nothing.
+func TestPutRejectsSparseIDs(t *testing.T) {
 	s, _ := New(Config{NumHashes: 8})
-	if err := s.Put(5, make(minhash.Signature, 8)); err != nil {
-		t.Fatal(err)
+	if err := s.Put(5, make(minhash.Signature, 8)); err == nil {
+		t.Fatal("Put past Len succeeded")
 	}
-	if _, err := s.View(minhash.SetOverlap); err == nil {
-		t.Fatal("sparse id space: expected View error")
+	if err := s.PutBatch(1, randSigs(t, 3, 8, 0, 1)); err == nil {
+		t.Fatal("PutBatch past Len succeeded")
+	}
+	if s.Len() != 0 || s.ResidentBytes() != 0 {
+		t.Fatalf("rejected puts left Len %d, %d resident bytes", s.Len(), s.ResidentBytes())
 	}
 }
 
@@ -381,14 +274,11 @@ func TestViewRequiresDenseIDs(t *testing.T) {
 func TestViewGrowMatchesView(t *testing.T) {
 	sigs := randSigs(t, 90, 20, 7, 10)
 	for _, bits := range []int{0, 4} {
-		s, err := New(Config{NumHashes: 20, Bits: bits, Shards: 8})
+		s, err := New(Config{NumHashes: 20, Bits: bits})
 		if err != nil {
 			t.Fatal(err)
 		}
-		grown, err := s.View(minhash.SetOverlap)
-		if err != nil {
-			t.Fatal(err)
-		}
+		grown := s.View(minhash.SetOverlap)
 		if err := grown.Grow(s); err == nil {
 			t.Fatalf("bits=%d: Grow past the stored rows succeeded", bits)
 		}
@@ -400,10 +290,7 @@ func TestViewGrowMatchesView(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		built, err := s.View(minhash.SetOverlap)
-		if err != nil {
-			t.Fatal(err)
-		}
+		built := s.View(minhash.SetOverlap)
 		if grown.Len() != built.Len() {
 			t.Fatalf("bits=%d: grown Len %d, built %d", bits, grown.Len(), built.Len())
 		}
@@ -458,14 +345,7 @@ func TestPackedResidentBytesRatio(t *testing.T) {
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	for _, bits := range []int{0, 1, 4} {
-		sigs := randSigs(t, 300, 24, 11, 10)
-		s, err := New(Config{NumHashes: 24, Bits: bits, Shards: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Ingest(nil, keysFor(len(sigs)), sigs); err != nil {
-			t.Fatal(err)
-		}
+		s := keyedStore(t, Config{NumHashes: 24, Bits: bits}, 300, 11, 10)
 		snap := s.Snapshot()
 		r, err := Restore(snap)
 		if err != nil {
@@ -479,62 +359,26 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		}
 		// The restored store must re-snapshot byte-identically: the
 		// property that makes --resume bit-identical.
-		resnap := r.Snapshot()
-		if len(resnap) != len(snap) {
-			t.Fatalf("bits=%d: re-snapshot length %d != %d", bits, len(resnap), len(snap))
-		}
-		for i := range snap {
-			if snap[i] != resnap[i] {
-				t.Fatalf("bits=%d: re-snapshot differs at byte %d", bits, i)
-			}
+		if resnap := r.Snapshot(); !bytes.Equal(resnap, snap) {
+			t.Fatalf("bits=%d: re-snapshot differs (%d vs %d bytes)", bits, len(resnap), len(snap))
 		}
 	}
 }
 
+// TestSnapshotCorruptionDetected flips one bit at every byte offset of a
+// small packed snapshot: each flip must surface as *CorruptSnapshotError.
 func TestSnapshotCorruptionDetected(t *testing.T) {
-	sigs := randSigs(t, 64, 16, 0, 11)
-	s, err := New(Config{NumHashes: 16, Bits: 2, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Ingest(nil, keysFor(len(sigs)), sigs); err != nil {
-		t.Fatal(err)
-	}
-	snap := s.Snapshot()
-
-	// Any single flipped bit must be caught by the overall hash.
-	for _, off := range []int{0, len(snap) / 3, len(snap) / 2, len(snap) - 40} {
-		bad := append([]byte(nil), snap...)
-		bad[off] ^= 0x40
-		if _, err := Restore(bad); err == nil {
-			t.Fatalf("flip at %d: restore succeeded on corrupt snapshot", off)
+	snap := keyedStore(t, Config{NumHashes: 16, Bits: 2}, 64, 9, 11).Snapshot()
+	bad := make([]byte, len(snap))
+	for off := range snap {
+		copy(bad, snap)
+		bad[off] ^= 1 << (off % 8)
+		_, err := Restore(bad)
+		var corrupt *CorruptSnapshotError
+		if !errors.As(err, &corrupt) {
+			t.Fatalf("flip at byte %d of %d: Restore returned %v, want *CorruptSnapshotError", off, len(snap), err)
 		}
 	}
-	// A shard blob flipped together with a recomputed overall hash must be
-	// caught by that shard's own manifest entry. Walk the layout to the
-	// first shard blob: magic, three u64s, then the translator section.
-	off := len(snapshotMagic) + 3*8
-	keyCount := int(binary.LittleEndian.Uint64(snap[off:]))
-	off += 8
-	for i := 0; i < keyCount; i++ {
-		off += 8 + int(binary.LittleEndian.Uint64(snap[off:]))
-	}
-	bad := append([]byte(nil), snap[:len(snap)-32]...) // drop overall hash
-	bad[off+8] ^= 0x01                                 // first byte inside shard 0's blob
-	sum := sha256.Sum256(bad)
-	bad = append(bad, sum[:]...)
-	_, err = Restore(bad)
-	if err == nil {
-		t.Fatal("restore succeeded on shard-corrupt snapshot")
-	}
-	var corrupt *CorruptSnapshotError
-	if !errors.As(err, &corrupt) {
-		t.Fatalf("shard corruption surfaced as %v, want CorruptSnapshotError", err)
-	}
-	if corrupt.Section != "shard 0" {
-		t.Fatalf("corruption attributed to %q, want \"shard 0\"", corrupt.Section)
-	}
-
 	if _, err := Restore([]byte("BOGUS")); err == nil {
 		t.Fatal("restore of garbage succeeded")
 	}

@@ -1,9 +1,9 @@
 // Package sigstore holds a corpus of minwise signatures resident in
-// memory: a concurrent store sharded by read-ID hash, keeping either full
-// 64-bit signatures or b-bit packed sketches (Li & König) in contiguous
-// per-shard arenas that the clustering kernels borrow from without
-// copying. A Translator maps external string read IDs onto the dense
-// uint32 IDs that index the arenas, and the whole store snapshots to a
+// memory: a dense single-writer store keeping either full 64-bit
+// signatures or b-bit packed sketches (Li & König) in one contiguous
+// arena that the clustering kernels borrow from without copying. A
+// Translator maps external string read IDs onto the dense uint32 IDs
+// that index the arena, and the whole store snapshots to a
 // content-addressed byte blob that rides through internal/checkpoint for
 // bit-identical --resume. This is the storage layer that lets a single
 // process keep millions of reads sketchable in RAM (paper §II's
@@ -12,134 +12,112 @@
 // per read.
 package sigstore
 
-import (
-	"fmt"
-	"sync"
-)
-
-// translatorShardCount is the fixed fan-out of the Translator's key maps.
-// Key lookup takes one shard RLock; dense-ID allocation additionally
-// takes the global keys lock, so unrelated keys only contend on the
-// (short) allocation append.
-const translatorShardCount = 64
+import "sync/atomic"
 
 // Translator maps external string read IDs to dense uint32 IDs and back —
 // the key-translation idiom of columnar ingest frameworks (cf. pdk's
 // Translator): dense IDs index arenas and bitmaps directly, so nothing
-// downstream of ingest ever touches the string key space. Lookups shard
-// by FNV-1a of the key; dense IDs are allocated by a global append so
-// they stay compact (0..Len-1).
+// downstream of ingest ever touches the string key space. Dense IDs are
+// allocated in call order, so they stay compact (0..n-1).
+//
+// Translate and Key belong to the store's single writer. Lookup is safe
+// from any goroutine, concurrently with the writer, and takes no lock:
+// the key → ID table is insert-only open addressing whose entries and
+// table pointer are published with atomics. The writer needs no CAS;
+// a reader probes whatever table it loaded — an old table is still
+// correct for every key inserted before it was replaced — and a key
+// translated concurrently with a lookup may legitimately miss.
 type Translator struct {
-	mu     sync.RWMutex // guards keys
-	keys   []string     // dense id -> key, in allocation order
-	shards [translatorShardCount]translatorShard
+	keys  []string // dense id -> key, in allocation order
+	table atomic.Pointer[idTable]
 }
 
-type translatorShard struct {
-	mu  sync.RWMutex
-	ids map[string]uint32
+type idTable struct {
+	mask  uint64
+	slots []atomic.Pointer[idEntry]
+}
+
+type idEntry struct {
+	key   string
+	dense uint32
+}
+
+func newIDTable(size int) *idTable {
+	return &idTable{mask: uint64(size - 1), slots: make([]atomic.Pointer[idEntry], size)}
 }
 
 // NewTranslator returns an empty translator.
 func NewTranslator() *Translator {
 	t := &Translator{}
-	for i := range t.shards {
-		t.shards[i].ids = make(map[string]uint32)
-	}
+	t.table.Store(newIDTable(1024))
 	return t
 }
 
-// fnv1a32 is the 32-bit FNV-1a hash of s, the shard selector for keys.
-func fnv1a32(s string) uint32 {
-	h := uint32(2166136261)
+func fnv1a64(s string) uint64 {
+	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * 16777619
+		h = (h ^ uint64(s[i])) * 1099511628211
 	}
 	return h
 }
 
-func (t *Translator) shardFor(key string) *translatorShard {
-	return &t.shards[fnv1a32(key)%translatorShardCount]
-}
-
 // Translate returns the dense ID for key, allocating the next free ID on
-// first sight. Concurrent translates of distinct keys may interleave
-// allocation order; single-goroutine batch ingest (the pipeline) gets
-// IDs in call order.
+// first sight.
 func (t *Translator) Translate(key string) uint32 {
-	sh := t.shardFor(key)
-	sh.mu.RLock()
-	id, ok := sh.ids[key]
-	sh.mu.RUnlock()
-	if ok {
+	if id, ok := t.Lookup(key); ok {
 		return id
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if id, ok := sh.ids[key]; ok { // lost the race to another writer
-		return id
-	}
-	t.mu.Lock()
-	id = uint32(len(t.keys))
+	id := uint32(len(t.keys))
 	t.keys = append(t.keys, key)
-	t.mu.Unlock()
-	sh.ids[key] = id
+	tab := t.table.Load()
+	if uint64(len(t.keys))*4 > (tab.mask+1)*3 { // grow at 75% load
+		tab = t.grow(tab)
+	}
+	tab.put(&idEntry{key: key, dense: id})
 	return id
-}
-
-// TranslateBatch translates keys into dst (reused when it has capacity)
-// and returns the dense IDs in key order.
-func (t *Translator) TranslateBatch(dst []uint32, keys []string) []uint32 {
-	if cap(dst) < len(keys) {
-		dst = make([]uint32, len(keys))
-	}
-	dst = dst[:len(keys)]
-	for i, k := range keys {
-		dst[i] = t.Translate(k)
-	}
-	return dst
 }
 
 // Lookup returns the dense ID for key without allocating one.
 func (t *Translator) Lookup(key string) (uint32, bool) {
-	sh := t.shardFor(key)
-	sh.mu.RLock()
-	id, ok := sh.ids[key]
-	sh.mu.RUnlock()
-	return id, ok
+	tab := t.table.Load()
+	for i := fnv1a64(key) & tab.mask; ; i = (i + 1) & tab.mask {
+		e := tab.slots[i].Load()
+		if e == nil {
+			return 0, false
+		}
+		if e.key == key {
+			return e.dense, true
+		}
+	}
 }
 
 // Key returns the external key for a dense ID.
 func (t *Translator) Key(id uint32) (string, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if int(id) >= len(t.keys) {
 		return "", false
 	}
 	return t.keys[id], true
 }
 
-// Len returns the number of allocated dense IDs.
-func (t *Translator) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.keys)
+func (tab *idTable) put(e *idEntry) {
+	for i := fnv1a64(e.key) & tab.mask; ; i = (i + 1) & tab.mask {
+		if tab.slots[i].Load() == nil {
+			tab.slots[i].Store(e)
+			return
+		}
+	}
 }
 
-// restoreKeys rebuilds the translator from a snapshot's dense key list.
-func (t *Translator) restoreKeys(keys []string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.keys) != 0 {
-		return fmt.Errorf("sigstore: restore into non-empty translator")
-	}
-	t.keys = keys
-	for i, k := range keys {
-		sh := t.shardFor(k)
-		if _, dup := sh.ids[k]; dup {
-			return fmt.Errorf("sigstore: duplicate key %q in snapshot", k)
+// grow re-inserts every entry into a table twice the size and publishes
+// it. Readers holding the old table keep resolving everything inserted
+// before the growth.
+func (t *Translator) grow(old *idTable) *idTable {
+	next := newIDTable(int(old.mask+1) * 2)
+	for i := range old.slots {
+		if e := old.slots[i].Load(); e != nil {
+			next.put(e)
 		}
-		sh.ids[k] = uint32(i)
 	}
-	return nil
+	t.table.Store(next)
+	return next
 }

@@ -6,8 +6,7 @@ import (
 	"github.com/metagenomics/mrmcminh/internal/minhash"
 )
 
-// View is an index-aligned, read-only projection of a store whose dense
-// IDs are contiguous (0..Len-1 — the pipeline's ingest order): element i
+// View is an index-aligned, read-only projection of a store: element i
 // of the view is dense ID i. Construction materializes borrowed row
 // views (and, for full stores, the Prepared caches the zero-alloc
 // kernels need) exactly once, so the O(N²) pair loops downstream index
@@ -17,7 +16,10 @@ import (
 // while the view is read: either ingest finishes before clustering
 // begins (the pipeline's stage order), or the store's only writer is also
 // the view's only reader and grows the view row by row with Grow (the
-// serving committer). For a full store, Similarity returns floats
+// serving committer). Rows a view has borrowed are never overwritten,
+// because the daemon only appends. An appending Put may move the arena;
+// the view keeps reading the old array, which is safe for that reason.
+// For a full store, Similarity returns floats
 // bit-identical to the slice-backed Estimator.SimilarityPrepared path;
 // for a packed store it applies the b-bit collision-corrected estimator
 // over the packed words.
@@ -32,62 +34,46 @@ type View struct {
 	packed []minhash.BBitSignature
 }
 
-// View builds a projection over dense IDs 0..Len-1. It errors if any ID
-// in that range is missing (sparse ID spaces have no index alignment).
-func (s *Store) View(est minhash.Estimator) (*View, error) {
+// View builds a projection over dense IDs 0..Len-1.
+func (s *Store) View(est minhash.Estimator) *View {
 	n := s.Len()
 	v := &View{est: est, bits: s.cfg.Bits, numHashes: s.cfg.NumHashes}
 	if s.cfg.Bits == 0 {
-		v.sigs = make([]minhash.Signature, n)
+		v.sigs = make([]minhash.Signature, 0, n)
+		v.prep = make([]minhash.Prepared, 0, n)
 	} else {
-		v.packed = make([]minhash.BBitSignature, n)
+		v.packed = make([]minhash.BBitSignature, 0, n)
 	}
-	seen := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for row, id := range sh.ids {
-			if int(id) >= n {
-				sh.mu.RUnlock()
-				return nil, fmt.Errorf("sigstore: view needs dense IDs 0..%d, found %d", n-1, id)
-			}
-			w := sh.words[row*s.stride : (row+1)*s.stride : (row+1)*s.stride]
-			if s.cfg.Bits == 0 {
-				v.sigs[id] = minhash.Signature(w)
-			} else {
-				v.packed[id] = minhash.Borrow(s.cfg.Bits, s.cfg.NumHashes, w, sh.empty[row])
-			}
-			seen++
-		}
-		sh.mu.RUnlock()
+	for id := 0; id < n; id++ {
+		v.appendRow(s, id)
 	}
-	if seen != n {
-		return nil, fmt.Errorf("sigstore: view saw %d rows for %d IDs", seen, n)
-	}
-	if s.cfg.Bits == 0 {
-		v.prep = minhash.PrepareAll(v.sigs)
-	}
-	return v, nil
+	return v
 }
 
 // Grow extends the view by one element: the row of dense ID Len() in s,
 // the store the view was built from, which the caller has just stored.
 // (The view keeps no reference to s, so a finished view does not pin the
-// store's index maps and translator.)
+// store's translator.)
 func (v *View) Grow(s *Store) error {
-	id := uint32(v.Len())
-	w, empty, ok := s.row(id)
-	if !ok {
+	id := v.Len()
+	if id >= s.Len() {
 		return fmt.Errorf("sigstore: view grow needs dense ID %d, not stored", id)
 	}
+	v.appendRow(s, id)
+	return nil
+}
+
+// appendRow borrows the stored row of dense ID id as the view's next
+// element.
+func (v *View) appendRow(s *Store, id int) {
+	w := s.row(id)
 	if v.bits == 0 {
 		sig := minhash.Signature(w)
 		v.sigs = append(v.sigs, sig)
 		v.prep = append(v.prep, minhash.Prepare(sig))
 	} else {
-		v.packed = append(v.packed, minhash.Borrow(v.bits, v.numHashes, w, empty))
+		v.packed = append(v.packed, minhash.Borrow(v.bits, v.numHashes, w, s.empty[id]))
 	}
-	return nil
 }
 
 // Len returns the number of signatures in the view.

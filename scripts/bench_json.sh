@@ -7,7 +7,7 @@
 # writes them as BENCH_kernels.json and BENCH_shuffle.json; the
 # end-to-end scaling comparison of the exact all-pairs pipeline vs the
 # LSH+connected-components pipeline (internal/core) as BENCH_lsh.json;
-# and the sharded signature-store benchmarks (put throughput, borrowed
+# and the signature-store benchmarks (put throughput, borrowed
 # similarity/band-hash latency, snapshot cost, full vs b-bit packed) as
 # BENCH_sigstore.json; and the serving benchmarks of internal/serve —
 # sustained concurrent HTTP submit load through the full WAL-acked

@@ -3,11 +3,11 @@
 # scheduling, recovery, re-execution, output commit), the fault injector,
 # the stage-checkpoint journal, the clustering kernels (greedy/LSH/
 # connected components — the stages the LSH pipeline re-executes under
-# faults), the sharded signature store, and the serving layer (WAL,
-# crash-safe drain/recovery, backpressured ingest) must stay above the
-# floor, so regressions in the chaos and
-# resume paths show up as uncovered lines before they show up as lost
-# jobs. Wired as a blocking CI step; run locally with:
+# faults), the signature store and its snapshots, and the serving layer
+# (WAL, crash-safe drain/recovery, backpressured ingest) must stay above
+# the floor, so regressions in the chaos and resume paths show up as
+# uncovered lines before they show up as lost jobs. Wired as a blocking
+# CI step; run locally with:
 #
 #   ./scripts/coverage_gate.sh
 set -euo pipefail
