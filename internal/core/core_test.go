@@ -333,6 +333,35 @@ func TestRunScriptValidation(t *testing.T) {
 	}
 }
 
+// TestRunScriptRejectsDuplicateReadIDs: CalculateMinwiseHash groups
+// k-mers by read ID, so two FASTA records sharing an ID would merge into
+// one signature and one read would vanish from both outputs. FastaStorage
+// refuses such input, naming the ID and both records, for both scripts.
+func TestRunScriptRejectsDuplicateReadIDs(t *testing.T) {
+	reads, _ := makeReads(3, 4, 150, 0.02, 41)
+	reads[7].ID = reads[2].ID
+	fs := dfs.MustNew(dfs.Config{NumDataNodes: 3, BlockSize: 4096, Replication: 2})
+	var sb strings.Builder
+	for _, r := range reads {
+		fmt.Fprintf(&sb, ">%s\n%s\n", r.ID, r.Seq)
+	}
+	if err := fs.WriteFile("/in/reads.fa", []byte(sb.String())); err != nil {
+		t.Fatal(err)
+	}
+	for _, cand := range []CandidateGen{CandidateExact, CandidateLSH} {
+		res, err := RunScript(fs, ScriptParams{
+			Input: "/in/reads.fa", Output1: "/out/" + cand.String() + "/hier", Output2: "/out/" + cand.String() + "/greedy",
+			K: 8, NumHash: 40, Cutoff: 0.4,
+		}, Options{Cluster: smallCluster(), Seed: 41, Candidate: cand})
+		if err == nil {
+			t.Fatalf("%v: duplicate read ID accepted, %d labels for %d records", cand, len(res.Hierarchical), len(reads))
+		}
+		if msg := err.Error(); !strings.Contains(msg, `"g0_r2"`) || !strings.Contains(msg, "records 3 and 8") {
+			t.Fatalf("%v: error %q does not name the ID and both records", cand, msg)
+		}
+	}
+}
+
 func TestNextPrimeAbove(t *testing.T) {
 	cases := map[uint64]uint64{1: 2, 2: 3, 4: 5, 1024: 1031, 6: 7}
 	for n, want := range cases {
