@@ -23,10 +23,11 @@ type CostModel struct {
 	// intermediate data between nodes.
 	ShufflePerByte time.Duration
 	// SpillPerByte is the modelled local-disk cost to write or read one
-	// byte of spilled map output (external shuffle only; Hadoop spills to
-	// the tasktracker's local disks, not the DFS). Every spilled byte is
-	// charged at least twice — the map-side write and the reducer-side
-	// merge read — plus one write+read more per intermediate merge pass.
+	// byte of spilled map output (bounded shuffle buffer only; Hadoop
+	// spills to the tasktracker's local disks, not the DFS). Every
+	// spilled byte is charged at least twice — the map-side write and the
+	// reducer-side merge read — plus one write+read more per intermediate
+	// merge pass.
 	SpillPerByte time.Duration
 	// StragglerFraction is the share of tasks that run slow (failing
 	// disks, hot neighbors — the tail Hadoop's speculative execution
@@ -144,9 +145,10 @@ func (c Cluster) mapTaskCost(split InputSplit, factor float64) TaskCost {
 }
 
 // reduceTaskCost models one reduce task over a partition. spillIOBytes
-// is the external shuffle's local-disk traffic attributed to this
-// partition (map-side spill writes plus every merge-pass read/write,
-// zero on the in-memory path), charged at SpillPerByte.
+// is a bounded shuffle buffer's local-disk traffic attributed to this
+// partition (map-side spill writes plus every modelled merge-pass
+// read/write, zero when the buffer is unbounded), charged at
+// SpillPerByte.
 func (c Cluster) reduceTaskCost(values int, shuffleBytes int, spillIOBytes int64, factor float64) TaskCost {
 	if factor <= 0 {
 		factor = 1

@@ -65,8 +65,9 @@ const (
 	CounterShuffleBytes       = "shuffle.bytes"
 )
 
-// External-shuffle counter names, maintained when Engine.ShuffleBufferBytes
-// caps the map-side sort buffer (all zero on the in-memory path).
+// Spill counter names, maintained when Engine.ShuffleBufferBytes caps the
+// map-side sort buffer (all zero when the buffer is unbounded: its one
+// in-memory flush per task is not a spill).
 const (
 	// CounterShuffleSpills counts map-side spill events: every flush of a
 	// full sort buffer plus each task's final flush.
@@ -74,9 +75,9 @@ const (
 	// CounterShuffleSpilledBytes totals the approximate bytes written to
 	// simulated local disk across all spills.
 	CounterShuffleSpilledBytes = "shuffle.spilled_bytes"
-	// CounterShuffleMergePasses counts reducer merge passes (intermediate
-	// passes forced by Engine.MergeFanIn plus the final streaming pass of
-	// every partition with at least one segment).
+	// CounterShuffleMergePasses counts the reducers' modelled merge
+	// passes (intermediate passes forced by Engine.MergeFanIn plus the
+	// final pass of every partition with at least one segment).
 	CounterShuffleMergePasses = "shuffle.merge_passes"
 )
 

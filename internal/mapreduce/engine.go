@@ -58,20 +58,21 @@ type Engine struct {
 	// is set; the zero value means DefaultRetryPolicy.
 	Retry RetryPolicy
 	// ShuffleBufferBytes caps each map task's sort buffer (Hadoop's
-	// io.sort.mb) in every job with a reducer. 0 — the default — keeps
-	// the fully in-memory shuffle: every map output is materialized and
-	// each reduce partition is sorted whole. A positive cap switches jobs
-	// to the external shuffle: map output accumulates in a per-task
-	// buffer of approximately this many bytes, each overflow is sorted,
-	// partitioned and spilled as a segment (running the combiner per
-	// spill, as Hadoop does), and reducers stream a k-way merge over the
-	// segments instead of holding a partition in memory. Output is
-	// bit-identical between the two paths for combiner-less jobs and for
-	// jobs whose combiner is associative and commutative.
+	// io.sort.mb) in every job with a reducer. Every such job runs the one
+	// shuffle: map tasks partition their output into the buffer, and each
+	// reducer sorts its partition by (key, seq). 0 — the default — leaves
+	// the buffer unbounded: each task flushes once, in memory, with no
+	// spill cost. A positive cap makes the buffer spill a segment (run
+	// through the combiner, as Hadoop does) whenever it holds
+	// approximately this many bytes, and charges the spill writes and the
+	// reducers' modelled merge passes to the virtual clock. Output is
+	// bit-identical at every cap for combiner-less jobs and for jobs
+	// whose combiner is associative and commutative.
 	ShuffleBufferBytes int
-	// MergeFanIn caps how many spill segments one reducer merge pass
-	// reads (Hadoop's io.sort.factor); more segments force intermediate
-	// merge passes, each charged spill I/O. 0 means DefaultMergeFanIn.
+	// MergeFanIn caps how many spill segments one modelled reducer merge
+	// pass reads (Hadoop's io.sort.factor); more segments force
+	// intermediate merge passes, each charged spill I/O. 0 means
+	// DefaultMergeFanIn.
 	MergeFanIn int
 }
 
@@ -140,16 +141,18 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		return &Result{Counters: counters, Real: time.Since(start)}, nil
 	}
 
-	// The external shuffle applies only when there is a reduce phase to
-	// feed; a map-only job's output never crosses a sort buffer.
-	extOn := e.ShuffleBufferBytes > 0 && job.Reduce != nil
-	var spillBufs []*mapSpillBuffer
-	if extOn {
-		spillBufs = make([]*mapSpillBuffer, len(splits))
-	}
-
 	// ----- Map phase -----
-	mapOuts := make([][]KeyValue, len(splits)) // per map task output
+	// A job with a reducer emits into one shuffle buffer per map task; a
+	// map-only job's output never crosses a sort buffer.
+	var bufs []mapSpillBuffer
+	var parts []spillPartition // task-major: task t's partition p is parts[t*numRed+p]
+	var mapOuts [][]KeyValue
+	if job.Reduce != nil {
+		bufs = make([]mapSpillBuffer, len(splits))
+		parts = make([]spillPartition, len(splits)*numRed)
+	} else {
+		mapOuts = make([][]KeyValue, len(splits))
+	}
 	var mapCosts []TaskCost
 	for _, sp := range splits {
 		mapCosts = append(mapCosts, e.Cluster.mapTaskCost(sp, job.MapCostFactor))
@@ -173,14 +176,13 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 			return nil, err
 		}
 	}
-	// Per-task real durations and combine stats, recorded only when
+	// Per-task real durations of the map loop and of the buffer's final
+	// flush (the combine on an unbounded buffer), recorded only when
 	// tracing (indexed by task, so no locking needed).
-	var mapReal, combineReal []time.Duration
-	var combineOut []int64
+	var mapReal, flushReal []time.Duration
 	if rec.Enabled() {
 		mapReal = make([]time.Duration, len(splits))
-		combineReal = make([]time.Duration, len(splits))
-		combineOut = make([]int64, len(splits))
+		flushReal = make([]time.Duration, len(splits))
 	}
 	if err := e.parallel(workers, len(splits), func(ti int) error {
 		var t0 time.Time
@@ -188,60 +190,41 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 			t0 = time.Now()
 		}
 		sp := splits[ti]
-		if extOn {
-			// Emit into the task's bounded sort buffer; overflows spill
-			// sorted, partitioned segments instead of growing the output.
-			buf := newMapSpillBuffer(job, ti, numRed, e.ShuffleBufferBytes, part, counters)
-			spillBufs[ti] = buf
-			var spillErr error
-			emit := func(kv KeyValue) {
-				if spillErr == nil {
-					spillErr = buf.add(kv)
-				}
-			}
-			for _, kv := range sp.Records {
-				if err := job.Map(kv, emit); err != nil {
-					return fmt.Errorf("mapreduce: job %q map task %d: %w", job.Name, ti, err)
-				}
-				if spillErr != nil {
-					return spillErr
-				}
-			}
-			if err := buf.close(); err != nil {
-				return err
-			}
-			counters.Add(CounterMapInputRecords, int64(len(sp.Records)))
-			counters.Add(CounterMapOutputRecords, buf.emitted)
-			if rec.Enabled() {
-				mapReal[ti] = time.Since(t0)
-			}
-			return nil
+		var emit func(KeyValue)
+		var buf *mapSpillBuffer
+		if bufs != nil {
+			buf = &bufs[ti]
+			*buf = newMapSpillBuffer(job, ti, e.ShuffleBufferBytes, parts[ti*numRed:(ti+1)*numRed], part, counters)
+			emit = buf.add
+		} else {
+			emit = func(kv KeyValue) { mapOuts[ti] = append(mapOuts[ti], kv) }
 		}
-		var out []KeyValue
-		emit := func(kv KeyValue) { out = append(out, kv) }
 		for _, kv := range sp.Records {
 			if err := job.Map(kv, emit); err != nil {
 				return fmt.Errorf("mapreduce: job %q map task %d: %w", job.Name, ti, err)
 			}
+			if buf != nil && buf.err != nil {
+				return buf.err
+			}
 		}
 		counters.Add(CounterMapInputRecords, int64(len(sp.Records)))
-		counters.Add(CounterMapOutputRecords, int64(len(out)))
+		if buf == nil {
+			counters.Add(CounterMapOutputRecords, int64(len(mapOuts[ti])))
+		} else {
+			counters.Add(CounterMapOutputRecords, buf.emitted)
+		}
 		if rec.Enabled() {
 			mapReal[ti] = time.Since(t0)
 			t0 = time.Now()
 		}
-		if job.Combine != nil {
-			combined, err := e.combine(job, out, counters)
-			if err != nil {
+		if buf != nil {
+			if err := buf.close(); err != nil {
 				return err
 			}
-			out = combined
-			if rec.Enabled() {
-				combineReal[ti] = time.Since(t0)
-				combineOut[ti] = int64(len(combined))
-			}
 		}
-		mapOuts[ti] = out
+		if rec.Enabled() {
+			flushReal[ti] = time.Since(t0)
+		}
 		return nil
 	}); err != nil {
 		return nil, err
@@ -249,7 +232,7 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 
 	mapStart := vbase + e.Cluster.Cost.JobStartup
 	if rec.Enabled() {
-		e.emitMapAttempts(rec, jobRef, job, sim, mapTasks, splits, spillBufs, mapStart, mapReal, combineReal, combineOut)
+		e.emitMapAttempts(rec, jobRef, job, sim, mapTasks, splits, bufs, mapStart, mapReal, flushReal)
 	}
 
 	// Map-only job: concatenate map outputs in input order.
@@ -267,59 +250,34 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 	}
 
 	// ----- Shuffle -----
-	// The in-memory path materializes each partition whole, tagging every
-	// record with its arrival index (map-task, then emission order), and
-	// defers the sort to the reducer. The external path already
-	// partitioned and sorted the records into spill segments on the map
-	// side, so here it only gathers segments (in map-task order,
-	// preserving determinism) and plans each reducer's k-way merge
-	// schedule.
-	var partitions [][]spillRecord
+	// The map tasks already partitioned their output, so each reducer
+	// fetches its partition's segments in map-task order. A bounded
+	// buffer's spill segments also get a modelled merge schedule.
 	shuffleBytes := make([]int, numRed)
 	partRecords := make([]int, numRed)
 	var ext *extShuffle
-	if extOn {
+	if e.ShuffleBufferBytes > 0 {
 		ext = &extShuffle{
-			segs:   make([][]spillSegment, numRed),
-			steps:  make([][]mergeStep, numRed),
+			segs:   make([]int, numRed),
 			io:     make([]int64, numRed),
 			passes: make([]int, numRed),
 		}
-		for _, buf := range spillBufs {
-			for p := 0; p < numRed; p++ {
-				ext.segs[p] = append(ext.segs[p], buf.segs[p]...)
-			}
+	}
+	for p := 0; p < numRed; p++ {
+		var sizes []int64
+		for t := range bufs {
+			bp := &parts[t*numRed+p]
+			shuffleBytes[p] += bp.bytes
+			partRecords[p] += len(bp.recs)
+			sizes = append(sizes, bp.segs...)
 		}
-		for p := 0; p < numRed; p++ {
-			sizes := make([]int64, len(ext.segs[p]))
-			var spillWrite int64
-			for i, s := range ext.segs[p] {
-				sizes[i] = int64(s.bytes)
-				spillWrite += int64(s.bytes)
-				shuffleBytes[p] += s.bytes
-				partRecords[p] += len(s.recs)
-			}
-			steps, mergeIO, passes := planMerge(sizes, e.MergeFanIn)
-			ext.steps[p] = steps
+		if ext != nil {
+			_, mergeIO, passes := planMerge(sizes, e.MergeFanIn)
+			ext.segs[p] = len(sizes)
 			// Local-disk traffic charged to this reducer: the map-side
 			// segment writes plus every merge-pass read and write.
-			ext.io[p] = spillWrite + mergeIO
+			ext.io[p] = int64(shuffleBytes[p]) + mergeIO
 			ext.passes[p] = passes
-		}
-	} else {
-		partitions = make([][]spillRecord, numRed)
-		for _, out := range mapOuts {
-			for _, kv := range out {
-				p := part(kv.Key, numRed)
-				if p < 0 || p >= numRed {
-					return nil, fmt.Errorf("mapreduce: job %q partitioner returned %d of %d", job.Name, p, numRed)
-				}
-				partitions[p] = append(partitions[p], spillRecord{kv: kv, seq: int64(len(partitions[p]))})
-				shuffleBytes[p] += len(kv.Key) + approxValueBytes(kv.Value)
-			}
-		}
-		for p := range partitions {
-			partRecords[p] = len(partitions[p])
 		}
 	}
 	for _, b := range shuffleBytes {
@@ -359,48 +317,34 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		if rec.Enabled() {
 			t0 = time.Now()
 		}
+		recs := make([]spillRecord, 0, partRecords[p])
+		for t := range bufs {
+			bp := &parts[t*numRed+p]
+			recs = append(recs, bp.recs...)
+			bp.recs = nil // fetched: the map side's copy can go
+		}
+		var s0 time.Time
+		if rec.Enabled() {
+			s0 = time.Now()
+		}
+		slices.SortFunc(recs, compareSpill)
+		if rec.Enabled() {
+			sortReal[p] = time.Since(s0)
+		}
 		var out []KeyValue
 		emit := func(kv KeyValue) { out = append(out, kv) }
-		group := func(key string, values []any) error {
+		if err := eachGroup(recs, func(key string, values []any) error {
 			if err := job.Reduce(key, values, emit); err != nil {
 				return fmt.Errorf("mapreduce: job %q reduce partition %d key %q: %w", job.Name, p, key, err)
 			}
 			counters.Add(CounterReduceInputGroups, 1)
 			counters.Add(CounterReduceInputRecords, int64(len(values)))
 			return nil
+		}); err != nil {
+			return err
 		}
 		if ext != nil {
-			// Stream the planned k-way merge over this partition's spill
-			// segments; groups reach the reducer without the partition
-			// ever being materialized whole.
 			counters.Add(CounterShuffleMergePasses, int64(ext.passes[p]))
-			if err := mergePartition(ext.segs[p], ext.steps[p], group); err != nil {
-				return err
-			}
-		} else {
-			recs := partitions[p]
-			var s0 time.Time
-			if rec.Enabled() {
-				s0 = time.Now()
-			}
-			slices.SortFunc(recs, compareSpill)
-			if rec.Enabled() {
-				sortReal[p] = time.Since(s0)
-			}
-			for i := 0; i < len(recs); {
-				j := i
-				for j < len(recs) && recs[j].kv.Key == recs[i].kv.Key {
-					j++
-				}
-				values := make([]any, 0, j-i)
-				for t := i; t < j; t++ {
-					values = append(values, recs[t].kv.Value)
-				}
-				if err := group(recs[i].kv.Key, values); err != nil {
-					return err
-				}
-				i = j
-			}
 		}
 		counters.Add(CounterReduceOutput, int64(len(out)))
 		reduceOuts[p] = out
@@ -444,11 +388,10 @@ func (e *Engine) finish(res *Result, sim *faultSim, start time.Time) *Result {
 	return res
 }
 
-// extShuffle carries the external shuffle's per-partition state between
-// the shuffle-planning, cost and trace stages of Run.
+// extShuffle carries a bounded buffer's modelled merge, per partition,
+// between the shuffle-planning, cost and trace stages of Run.
 type extShuffle struct {
-	segs   [][]spillSegment
-	steps  [][]mergeStep
+	segs   []int   // spill segments fetched
 	io     []int64 // spill writes + merge read/write bytes
 	passes []int
 }
@@ -457,9 +400,6 @@ type extShuffle struct {
 // its map span, stacked sequentially after the map window (the write-out
 // of each buffer flush).
 func (e *Engine) emitSpills(rec *trace.Recorder, parent int64, job *Job, buf *mapSpillBuffer, task, node int, vstart time.Duration) {
-	if buf == nil {
-		return
-	}
 	for si, ev := range buf.events {
 		d := time.Duration(float64(ev.bytes) * float64(e.Cluster.Cost.SpillPerByte))
 		rec.Emit(trace.Span{
@@ -489,7 +429,7 @@ func (e *Engine) emitMerge(rec *trace.Recorder, parent int64, job *Job, ext *ext
 		Node:    node,
 		Records: records,
 		Bytes:   ext.io[p],
-		Detail:  fmt.Sprintf("passes=%d segments=%d", ext.passes[p], len(ext.segs[p])),
+		Detail:  fmt.Sprintf("passes=%d segments=%d", ext.passes[p], ext.segs[p]),
 		VStart:  vstart,
 		VDur:    time.Duration(float64(ext.io[p]) * float64(e.Cluster.Cost.SpillPerByte)),
 	})
@@ -497,10 +437,11 @@ func (e *Engine) emitMerge(rec *trace.Recorder, parent int64, job *Job, ext *ext
 
 // emitMapAttempts renders the map phase: one span per attempt (on faulted
 // runs crashed and killed ones included, with attempt number, status and
-// reason) and combine spans for the attempts whose output survived. Real
-// durations attach to final attempts only — that is the execution that
-// actually ran on this machine.
-func (e *Engine) emitMapAttempts(rec *trace.Recorder, jobRef trace.SpanRef, job *Job, sim *faultSim, tasks []*simTask, splits []InputSplit, spillBufs []*mapSpillBuffer, mapStart time.Duration, mapReal, combineReal []time.Duration, combineOut []int64) {
+// reason) and, for the attempts whose output survived, spill spans from a
+// bounded buffer or a combine span for an unbounded buffer's one flush.
+// Real durations attach to final attempts only — that is the execution
+// that actually ran on this machine.
+func (e *Engine) emitMapAttempts(rec *trace.Recorder, jobRef trace.SpanRef, job *Job, sim *faultSim, tasks []*simTask, splits []InputSplit, bufs []mapSpillBuffer, mapStart time.Duration, mapReal, flushReal []time.Duration) {
 	for i, a := range sim.attempts {
 		if a.Phase != faults.PhaseMap {
 			continue
@@ -526,32 +467,43 @@ func (e *Engine) emitMapAttempts(rec *trace.Recorder, jobRef trace.SpanRef, job 
 			span.RDur = mapReal[a.Task]
 		}
 		id := rec.Emit(span)
-		if final && spillBufs != nil {
-			e.emitSpills(rec, id, job, spillBufs[a.Task], a.Task, a.Node, mapStart+a.End)
+		if !final || bufs == nil {
+			continue
 		}
-		// On the external path the combiner runs inside each spill, so
-		// its work shows up in the spill spans instead.
-		if final && job.Combine != nil && spillBufs == nil {
+		// A bounded buffer combines inside each spill, so its combine work
+		// shows up in the spill spans; an unbounded buffer's one flush is
+		// the task's combine.
+		buf := &bufs[a.Task]
+		if buf.capBytes > 0 {
+			e.emitSpills(rec, id, job, buf, a.Task, a.Node, mapStart+a.End)
+			continue
+		}
+		if job.Combine != nil {
+			var combined int
+			for _, bp := range buf.parts {
+				combined += len(bp.recs)
+			}
 			rec.Emit(trace.Span{
 				Parent:  jobRef.ID,
 				Kind:    trace.KindCombine,
 				Name:    fmt.Sprintf("%s/combine[%d]", job.Name, a.Task),
 				Node:    a.Node,
-				Records: combineOut[a.Task],
+				Records: int64(combined),
 				Attempt: attempt,
 				VStart:  mapStart + a.End,
-				RDur:    combineReal[a.Task],
+				RDur:    flushReal[a.Task],
 			})
 		}
 	}
 }
 
 // emitReduceAttempts renders the reduce phase: every attempt as a span,
-// with shuffle plus sort (in-memory) or merge (external) children on the
-// surviving attempts. The reduce window models startup, then the shuffle
-// transfer of the partition's bytes, then sort/merge + reduce compute,
-// mirroring Hadoop's task phases. A sort span's real duration is the
-// measured in-memory sort of its partition, part of the reduce span's.
+// with shuffle plus sort (unbounded buffer) or merge (bounded buffer)
+// children on the surviving attempts. The reduce window models startup,
+// then the shuffle transfer of the partition's bytes, then sort/merge +
+// reduce compute, mirroring Hadoop's task phases. A sort span's real
+// duration is the measured sort of its partition, part of the reduce
+// span's.
 func (e *Engine) emitReduceAttempts(rec *trace.Recorder, jobRef trace.SpanRef, job *Job, sim *faultSim, tasks []*simTask, partRecords []int, shuffleBytes []int, ext *extShuffle, mapStart time.Duration, reduceReal, sortReal []time.Duration) {
 	for i, a := range sim.attempts {
 		if a.Phase != faults.PhaseReduce {
@@ -606,35 +558,6 @@ func (e *Engine) emitReduceAttempts(rec *trace.Recorder, jobRef trace.SpanRef, j
 			RDur:    sortReal[p],
 		})
 	}
-}
-
-// combine applies the combiner to one map task's output, grouped by key
-// in emission order.
-func (e *Engine) combine(job *Job, out []KeyValue, counters *Counters) ([]KeyValue, error) {
-	recs := make([]spillRecord, len(out))
-	for i, kv := range out {
-		recs[i] = spillRecord{kv: kv, seq: int64(i)}
-	}
-	slices.SortFunc(recs, compareSpill)
-	var combined []KeyValue
-	emit := func(kv KeyValue) { combined = append(combined, kv) }
-	for i := 0; i < len(recs); {
-		j := i
-		for j < len(recs) && recs[j].kv.Key == recs[i].kv.Key {
-			j++
-		}
-		values := make([]any, 0, j-i)
-		for t := i; t < j; t++ {
-			values = append(values, recs[t].kv.Value)
-		}
-		if err := job.Combine(recs[i].kv.Key, values, emit); err != nil {
-			return nil, fmt.Errorf("mapreduce: job %q combine key %q: %w", job.Name, recs[i].kv.Key, err)
-		}
-		i = j
-	}
-	counters.Add(CounterCombineInput, int64(len(out)))
-	counters.Add(CounterCombineOutput, int64(len(combined)))
-	return combined, nil
 }
 
 // parallel runs fn(0..n-1) on a worker pool of the given size, stopping at

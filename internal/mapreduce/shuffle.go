@@ -1,32 +1,33 @@
 package mapreduce
 
-// External (memory-bounded) shuffle. Hadoop never holds a map task's
-// output in memory: records accumulate in a fixed-size sort buffer
-// (io.sort.mb) and every overflow is sorted, partitioned and spilled to
-// the tasktracker's local disk; reducers fetch the sorted runs and
-// stream a k-way merge (bounded by io.sort.factor) into the reduce
-// function, so no partition is ever materialized whole. This file
-// supplies that machinery for the simulated engine: a per-map-task
-// spill buffer capped at Engine.ShuffleBufferBytes, sorted spill segments,
-// a deterministic merge schedule, and a heap-based streaming merge that
-// feeds ReduceFunc group by group.
+// The shuffle. Every job with a reducer runs it the way Hadoop does:
+// each map task emits into a sort buffer (io.sort.mb) that assigns every
+// record its reduce partition on emission, and each flush of the buffer
+// ends one segment per partition, combined first when the job has a
+// combiner. A bounded buffer (Engine.ShuffleBufferBytes > 0) flushes
+// whenever it fills, and every flush is a spill to the tasktracker's
+// local disk; an unbounded one flushes once, in memory, when its task
+// ends. Each reducer fetches its partition's segments in map-task order,
+// sorts them once by (key, seq) and feeds the reduce function one group
+// at a time.
 //
-// Bit-identity with the in-memory path is guaranteed by a total record
-// order: every emitted record carries a global sequence number
-// (task<<40 | emission index), segments are sorted by (key, seq), and
-// merges compare (key, seq) — so the merged stream of a partition equals
-// a stable sort by key of the records in (map task, emission) order.
-// The in-memory reducer computes exactly that by sorting its partition
-// on (key, arrival index) with the same comparator.
+// That sort is the merge. Every emitted record carries a unique sequence
+// number (task<<40 | emission index; combined records take fresh ones),
+// so ordering a partition by (key, seq) yields the one stream that a
+// k-way merge of sorted segments would: a stable sort by key of the
+// records in (map task, emission) order. Whatever the buffer size, a
+// reducer therefore sees the same records in the same order, unless a
+// combiner ran over different spills.
 //
-// Only the records are real; the disk is virtual. Spill writes and merge
-// reads are charged to the cost model at CostModel.SpillPerByte,
-// surfaced through the shuffle.spills / shuffle.spilled_bytes /
-// shuffle.merge_passes counters and KindSpill / KindMerge trace spans.
+// Only the records are real; the disk is virtual. For a bounded buffer,
+// planMerge models the merge a reducer with io.sort.factor inputs per
+// pass would run, and the spill writes and merge reads are charged to the
+// cost model at CostModel.SpillPerByte, surfaced through the
+// shuffle.spills / shuffle.spilled_bytes / shuffle.merge_passes counters
+// and KindSpill / KindMerge trace spans.
 
 import (
 	"cmp"
-	"container/heap"
 	"fmt"
 	"slices"
 	"strings"
@@ -38,8 +39,7 @@ import (
 const DefaultMergeFanIn = 16
 
 // spillRecord pairs a record with its emission sequence: the tie-break
-// that makes every shuffle sort and merge order records stably by key,
-// so the external and in-memory shuffles agree bit for bit.
+// that makes every shuffle sort order records stably by key.
 type spillRecord struct {
 	kv  KeyValue
 	seq int64
@@ -53,11 +53,33 @@ func compareSpill(a, b spillRecord) int {
 	return cmp.Compare(a.seq, b.seq)
 }
 
-// spillSegment is one sorted run of one reduce partition, produced by a
-// single map-side spill.
-type spillSegment struct {
-	recs  []spillRecord // sorted by (key, seq)
-	bytes int           // approximate serialized size
+// eachGroup calls fn once per run of equal keys in recs, which are
+// sorted by key, with a freshly allocated values slice (a ReduceFunc or
+// CombineFunc may retain it).
+func eachGroup(recs []spillRecord, fn func(key string, values []any) error) error {
+	for i := 0; i < len(recs); {
+		j := i + 1
+		for j < len(recs) && recs[j].kv.Key == recs[i].kv.Key {
+			j++
+		}
+		values := make([]any, j-i)
+		for t := range values {
+			values[t] = recs[i+t].kv.Value
+		}
+		if err := fn(recs[i].kv.Key, values); err != nil {
+			return err
+		}
+		i = j
+	}
+	return nil
+}
+
+// spillPartition is one map task's output for one reduce partition.
+type spillPartition struct {
+	recs    []spillRecord // flushed segments in flush order, then the buffered records
+	flushed int           // records of recs already flushed
+	bytes   int           // approximate serialized size of the flushed records
+	segs    []int64       // bounded buffer only: each spilled segment's bytes
 }
 
 // spillEvent summarizes one map-side spill (all partitions of one buffer
@@ -72,131 +94,141 @@ type spillEvent struct {
 type mapSpillBuffer struct {
 	job      *Job
 	part     PartitionFunc
-	numRed   int
-	capBytes int
+	capBytes int   // 0: unbounded, one flush at close
 	seq      int64 // next global sequence: task<<40 | local counter
 	emitted  int64 // raw map output records, pre-combine
-	recs     []spillRecord
-	bytes    int
-	segs     [][]spillSegment // per partition, in spill order
+	buffered int   // records added since the last flush
+	bytes    int   // their approximate size (bounded buffer only)
+	parts    []spillPartition
 	events   []spillEvent
+	err      error // the first partitioner or combiner error
 	counters *Counters
 }
 
-// newMapSpillBuffer builds the buffer of capBytes for map task ti.
-func newMapSpillBuffer(job *Job, ti, numRed, capBytes int, part PartitionFunc, counters *Counters) *mapSpillBuffer {
-	return &mapSpillBuffer{
+// newMapSpillBuffer builds the buffer of capBytes (0 = unbounded) for
+// map task ti over its partitions, one per reducer.
+func newMapSpillBuffer(job *Job, ti, capBytes int, parts []spillPartition, part PartitionFunc, counters *Counters) mapSpillBuffer {
+	return mapSpillBuffer{
 		job:      job,
 		part:     part,
-		numRed:   numRed,
 		capBytes: capBytes,
 		seq:      int64(ti) << 40,
-		segs:     make([][]spillSegment, numRed),
+		parts:    parts,
 		counters: counters,
 	}
 }
 
-// add buffers one emitted record, spilling when the buffer overflows.
-func (b *mapSpillBuffer) add(kv KeyValue) error {
-	b.recs = append(b.recs, spillRecord{kv: kv, seq: b.seq})
+// add buffers one emitted record in its partition, spilling when a
+// bounded buffer overflows. After an error it drops every record.
+func (b *mapSpillBuffer) add(kv KeyValue) {
+	if b.err != nil {
+		return
+	}
+	p := b.part(kv.Key, len(b.parts))
+	if p < 0 || p >= len(b.parts) {
+		b.err = fmt.Errorf("mapreduce: job %q partitioner returned %d of %d", b.job.Name, p, len(b.parts))
+		return
+	}
+	b.parts[p].recs = append(b.parts[p].recs, spillRecord{kv: kv, seq: b.seq})
 	b.seq++
 	b.emitted++
-	b.bytes += len(kv.Key) + approxValueBytes(kv.Value)
-	if b.bytes >= b.capBytes {
-		return b.spill()
-	}
-	return nil
-}
-
-// close flushes whatever remains in the buffer as the task's final spill
-// (Hadoop always writes at least one spill file for a non-empty output).
-func (b *mapSpillBuffer) close() error {
-	if len(b.recs) == 0 {
-		return nil
-	}
-	return b.spill()
-}
-
-// spill sorts and partitions the buffered records into one segment per
-// non-empty partition, running the combiner per spill as Hadoop does,
-// then resets the buffer.
-func (b *mapSpillBuffer) spill() error {
-	byPart := make([][]spillRecord, b.numRed)
-	for _, r := range b.recs {
-		p := b.part(r.kv.Key, b.numRed)
-		if p < 0 || p >= b.numRed {
-			return fmt.Errorf("mapreduce: job %q partitioner returned %d of %d", b.job.Name, p, b.numRed)
+	b.buffered++
+	if b.capBytes > 0 {
+		b.bytes += len(kv.Key) + approxValueBytes(kv.Value)
+		if b.bytes >= b.capBytes {
+			b.err = b.flush()
 		}
-		byPart[p] = append(byPart[p], r)
 	}
+}
+
+// close flushes whatever remains in the buffer as the task's final
+// segments (Hadoop always writes at least one spill file for a non-empty
+// output) and returns the buffer's first error.
+func (b *mapSpillBuffer) close() error {
+	if b.err != nil || b.buffered == 0 {
+		return b.err
+	}
+	return b.flush()
+}
+
+// flush ends every partition's buffered records as one segment, running
+// the combiner over each first as Hadoop does per spill. Only a bounded
+// buffer's flush counts as a spill.
+func (b *mapSpillBuffer) flush() error {
 	var ev spillEvent
-	for p, recs := range byPart {
-		if len(recs) == 0 {
+	for p := range b.parts {
+		bp := &b.parts[p]
+		run := bp.recs[bp.flushed:]
+		if len(run) == 0 {
 			continue
 		}
-		slices.SortFunc(recs, compareSpill)
 		if b.job.Combine != nil {
-			var err error
-			if recs, err = b.combineRun(recs); err != nil {
+			combined, err := b.combineRun(run)
+			if err != nil {
 				return err
 			}
+			bp.recs = append(bp.recs[:bp.flushed], combined...)
+			run = bp.recs[bp.flushed:]
 		}
 		bytes := 0
-		for _, r := range recs {
+		for _, r := range run {
 			bytes += len(r.kv.Key) + approxValueBytes(r.kv.Value)
 		}
-		b.segs[p] = append(b.segs[p], spillSegment{recs: recs, bytes: bytes})
-		ev.records += int64(len(recs))
+		bp.flushed = len(bp.recs)
+		bp.bytes += bytes
+		if b.capBytes > 0 {
+			bp.segs = append(bp.segs, int64(bytes))
+		}
+		ev.records += int64(len(run))
 		ev.bytes += int64(bytes)
 	}
-	b.events = append(b.events, ev)
-	b.counters.Add(CounterShuffleSpills, 1)
-	b.counters.Add(CounterShuffleSpilledBytes, ev.bytes)
-	b.recs = b.recs[:0]
-	b.bytes = 0
+	b.buffered, b.bytes = 0, 0
+	if b.capBytes > 0 {
+		b.events = append(b.events, ev)
+		b.counters.Add(CounterShuffleSpills, 1)
+		b.counters.Add(CounterShuffleSpilledBytes, ev.bytes)
+	}
 	return nil
 }
 
-// combineRun applies the job's combiner to one sorted partition run.
-// Combined records take fresh sequence numbers (still below any later
-// spill's), and the run is re-sorted in case the combiner reorders keys.
+// combineRun sorts one partition's buffered run by (key, seq) and applies
+// the job's combiner to each group. Combined records take fresh sequence
+// numbers, still below any later flush's.
 func (b *mapSpillBuffer) combineRun(recs []spillRecord) ([]spillRecord, error) {
+	slices.SortFunc(recs, compareSpill)
 	var combined []spillRecord
 	emit := func(kv KeyValue) {
 		combined = append(combined, spillRecord{kv: kv, seq: b.seq})
 		b.seq++
 	}
-	for i := 0; i < len(recs); {
-		j := i
-		for j < len(recs) && recs[j].kv.Key == recs[i].kv.Key {
-			j++
+	if err := eachGroup(recs, func(key string, values []any) error {
+		if err := b.job.Combine(key, values, emit); err != nil {
+			return fmt.Errorf("mapreduce: job %q combine key %q: %w", b.job.Name, key, err)
 		}
-		values := make([]any, 0, j-i)
-		for t := i; t < j; t++ {
-			values = append(values, recs[t].kv.Value)
-		}
-		if err := b.job.Combine(recs[i].kv.Key, values, emit); err != nil {
-			return nil, fmt.Errorf("mapreduce: job %q combine key %q: %w", b.job.Name, recs[i].kv.Key, err)
-		}
-		i = j
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	b.counters.Add(CounterCombineInput, int64(len(recs)))
 	b.counters.Add(CounterCombineOutput, int64(len(combined)))
-	slices.SortFunc(combined, compareSpill)
 	return combined, nil
 }
 
-// mergeStep is one pass of a reducer's merge schedule: the listed run
-// ids (initial segments first, then merged runs in creation order) are
-// read together; an intermediate step writes a new run, the final step
-// streams straight into the reduce function.
+// mergeStep is one pass of a reducer's modelled merge schedule: the
+// listed run ids (initial segments first, then merged runs in creation
+// order) are read together; an intermediate step writes a new run, the
+// final step feeds the reduce function.
 type mergeStep struct {
 	inputs []int
 	final  bool
 }
 
-// planMerge computes the deterministic merge schedule for a partition's
-// segment sizes. While more than fanIn runs remain, the fanIn smallest
+// planMerge is the cost model of a bounded buffer's merge: the
+// deterministic schedule a reducer reading at most fanIn runs per pass
+// would follow over a partition's spill segment sizes. The records
+// themselves are never merged run by run; the reducer's one (key, seq)
+// sort yields the stream this schedule's final pass would. While more
+// than fanIn runs remain, the fanIn smallest
 // (ties broken by run id) merge into a new run, charged one read and one
 // write of the merged bytes; the final pass reads every surviving run
 // once. The returned ioBytes excludes the map-side spill writes, which
@@ -252,114 +284,4 @@ func planMerge(sizes []int64, fanIn int) (steps []mergeStep, ioBytes int64, pass
 	}
 	steps = append(steps, final)
 	return steps, ioBytes, len(steps)
-}
-
-// segCursor walks one sorted run during a merge.
-type segCursor struct {
-	recs []spillRecord
-	pos  int
-}
-
-// cursorHeap is a min-heap of cursors on their current record's
-// (key, seq) — the loser-tree equivalent via container/heap.
-type cursorHeap []*segCursor
-
-func (h cursorHeap) Len() int { return len(h) }
-func (h cursorHeap) Less(i, j int) bool {
-	return compareSpill(h[i].recs[h[i].pos], h[j].recs[h[j].pos]) < 0
-}
-func (h cursorHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *cursorHeap) Push(x any)   { *h = append(*h, x.(*segCursor)) }
-func (h *cursorHeap) Pop() (popped any) {
-	old := *h
-	n := len(old)
-	popped = old[n-1]
-	*h = old[:n-1]
-	return
-}
-
-// mergeRuns streams the union of the sorted runs in (key, seq) order,
-// stopping at the first visit error.
-func mergeRuns(runs [][]spillRecord, visit func(spillRecord) error) error {
-	h := make(cursorHeap, 0, len(runs))
-	for _, recs := range runs {
-		if len(recs) > 0 {
-			h = append(h, &segCursor{recs: recs})
-		}
-	}
-	heap.Init(&h)
-	for h.Len() > 0 {
-		c := h[0]
-		if err := visit(c.recs[c.pos]); err != nil {
-			return err
-		}
-		c.pos++
-		if c.pos == len(c.recs) {
-			heap.Pop(&h)
-		} else {
-			heap.Fix(&h, 0)
-		}
-	}
-	return nil
-}
-
-// streamGroups merges the runs and feeds consecutive equal-key records
-// to groupFn as one reduce group. Each group gets a freshly allocated
-// values slice, matching the in-memory path's contract (a ReduceFunc may
-// retain it).
-func streamGroups(runs [][]spillRecord, groupFn func(key string, values []any) error) error {
-	var key string
-	var values []any
-	err := mergeRuns(runs, func(r spillRecord) error {
-		if len(values) > 0 && r.kv.Key != key {
-			if err := groupFn(key, values); err != nil {
-				return err
-			}
-			values = nil
-		}
-		key = r.kv.Key
-		values = append(values, r.kv.Value)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if len(values) > 0 {
-		return groupFn(key, values)
-	}
-	return nil
-}
-
-// mergePartition executes one partition's merge schedule over its spill
-// segments: intermediate steps materialize merged runs, the final step
-// streams groups into groupFn. An empty schedule (no segments) is a
-// no-op — the reducer had nothing to fetch.
-func mergePartition(segs []spillSegment, steps []mergeStep, groupFn func(key string, values []any) error) error {
-	if len(steps) == 0 {
-		return nil
-	}
-	runs := make([][]spillRecord, len(segs), len(segs)+len(steps))
-	for i, s := range segs {
-		runs[i] = s.recs
-	}
-	for _, st := range steps {
-		ins := make([][]spillRecord, len(st.inputs))
-		total := 0
-		for i, id := range st.inputs {
-			ins[i] = runs[id]
-			total += len(runs[id])
-		}
-		if st.final {
-			return streamGroups(ins, groupFn)
-		}
-		merged := make([]spillRecord, 0, total)
-		if err := mergeRuns(ins, func(r spillRecord) error {
-			merged = append(merged, r)
-			return nil
-		}); err != nil {
-			return err
-		}
-		runs = append(runs, merged)
-	}
-	return nil
 }

@@ -56,7 +56,7 @@ func BenchmarkShuffleSpill64(b *testing.B) { benchShuffle(b, 64, 0) }
 func BenchmarkShuffleSpillFanIn2(b *testing.B) { benchShuffle(b, 64, 2) }
 
 // benchPartition builds one reducer partition's worth of records, each
-// tagged with its arrival index as the in-memory shuffle tags them.
+// tagged with a sequence number in arrival order.
 func benchPartition(n int) []spillRecord {
 	rng := rand.New(rand.NewSource(2))
 	words := benchWords(n, rng)
@@ -67,8 +67,8 @@ func benchPartition(n int) []spillRecord {
 	return recs
 }
 
-// BenchmarkPartitionSortKeySeq is the in-memory reducer's sort: one
-// partition ordered by (key, arrival index) with compareSpill.
+// BenchmarkPartitionSortKeySeq is the reducer's sort: one partition
+// ordered by (key, seq) with compareSpill.
 func BenchmarkPartitionSortKeySeq(b *testing.B) {
 	recs := benchPartition(8192)
 	scratch := make([]spillRecord, len(recs))
@@ -77,31 +77,5 @@ func BenchmarkPartitionSortKeySeq(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(scratch, recs)
 		slices.SortFunc(scratch, compareSpill)
-	}
-}
-
-// BenchmarkMergeRuns streams a 16-way merge of pre-sorted spill runs.
-func BenchmarkMergeRuns(b *testing.B) {
-	const runs, perRun = 16, 512
-	segs := make([][]spillRecord, runs)
-	for r := range segs {
-		recs := make([]spillRecord, perRun)
-		words := benchWords(perRun, rand.New(rand.NewSource(int64(r))))
-		for i, w := range words {
-			recs[i] = spillRecord{kv: KeyValue{Key: w, Value: 1}, seq: int64(r)<<40 | int64(i)}
-		}
-		slices.SortFunc(recs, compareSpill)
-		segs[r] = recs
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		if err := mergeRuns(segs, func(spillRecord) error { n++; return nil }); err != nil {
-			b.Fatal(err)
-		}
-		if n != runs*perRun {
-			b.Fatalf("merged %d records, want %d", n, runs*perRun)
-		}
 	}
 }

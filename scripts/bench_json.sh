@@ -2,9 +2,9 @@
 # Benchmark recorder: runs the kernel benchmarks of internal/minhash,
 # internal/cluster (similarity / sketch / matrix build) and internal/core
 # (one row of the Pig similarity UDF over a prepared bag) plus the shuffle
-# benchmarks of internal/mapreduce (in-memory vs external spill-and-merge,
-# the in-memory reducer's (key, seq) partition sort, k-way merge) with
-# allocation stats, and
+# benchmarks of internal/mapreduce (an unbounded vs a spilling map-side
+# buffer, the reducer's (key, seq) partition sort) with allocation
+# stats, and
 # writes them as BENCH_kernels.json and BENCH_shuffle.json; the
 # end-to-end scaling comparison of the exact all-pairs pipeline vs the
 # LSH+connected-components pipeline (internal/core) as BENCH_lsh.json;
@@ -93,7 +93,7 @@ if wants kernels; then
 fi
 
 if wants shuffle; then
-  go test -run '^$' -bench 'Shuffle|PartitionSort|MergeRuns' \
+  go test -run '^$' -bench 'Shuffle|PartitionSort' \
     -benchmem -benchtime "$benchtime" ./internal/mapreduce/ |
     to_json > "$shuffle_out"
   echo "wrote $shuffle_out"
