@@ -57,7 +57,7 @@ func Register(fs *flag.FlagSet) *Flags {
 func (f *Flags) Batch() {
 	f.fs.IntVar(&f.nodes, "nodes", 8, "simulated cluster nodes")
 	f.fs.StringVar(&f.candidate, "candidate", "exact", "candidate-pair generation: exact (all pairs) or lsh (banded candidates + log-round connected components)")
-	f.fs.IntVar(&f.shuffle, "shuffle-buffer", 0, "map-side sort buffer bytes; >0 switches jobs onto the external spill-and-merge shuffle (0 = in-memory)")
+	f.fs.IntVar(&f.shuffle, "shuffle-buffer", 0, "map-side sort buffer bytes per map task; >0 spills and charges modelled spill and merge I/O (0 = unbounded: one in-memory flush per task, no spill cost)")
 	f.fs.StringVar(&f.tracePath, "trace", "", "write a task trace here after the run (.jsonl = JSON lines, anything else = Chrome trace_event for chrome://tracing)")
 	f.fs.StringVar(&f.ckptDir, "checkpoint-dir", "", "journal committed stage outputs under this directory (enables -resume after a crash)")
 	f.fs.Var(&f.resume, "resume", "resume from -checkpoint-dir, restoring work whose checkpoint validates; 'force' discards the journal first")

@@ -169,11 +169,12 @@ func TestResumeOnEmptyDirIsMissing(t *testing.T) {
 
 func TestBadFlagsFailBeforeAnyWork(t *testing.T) {
 	cases := map[string][]string{
-		"store-bbits 17":   {"-store-bbits", "17"},
-		"store-bbits -1":   {"-store-bbits", "-1"},
-		"candidate bogus":  {"-candidate", "bogus"},
-		"malformed faults": {"-faults", "crash=lots"},
-		"k 31":             {"-k", "31"}, // packs into a uint64, but 4^31 exceeds the sketch modulus
+		"store-bbits 17":    {"-store-bbits", "17"},
+		"store-bbits -1":    {"-store-bbits", "-1"},
+		"candidate bogus":   {"-candidate", "bogus"},
+		"malformed faults":  {"-faults", "crash=lots"},
+		"k 31":              {"-k", "31"}, // packs into a uint64, but 4^31 exceeds the sketch modulus
+		"shuffle-buffer -1": {"-shuffle-buffer", "-1"},
 	}
 	for name, args := range cases {
 		for _, command := range []string{"mrmcminh", "experiments", "pigrun", "mrmcminhd"} {
@@ -182,6 +183,9 @@ func TestBadFlagsFailBeforeAnyWork(t *testing.T) {
 			}
 			if name == "k 31" && (command == "experiments" || command == "pigrun") {
 				continue // only mrmcminh and the daemon have -k
+			}
+			if name == "shuffle-buffer -1" && command == "mrmcminhd" {
+				continue // the daemon has no batch flags
 			}
 			t.Run(name+"/"+command, func(t *testing.T) {
 				ck := filepath.Join(t.TempDir(), "ck")

@@ -73,6 +73,7 @@ func TestOptionsValidate(t *testing.T) {
 		{Mode: Mode(7)},
 		{StoreBits: -1}, // the per-run slice path is gone
 		{StoreBits: 17},
+		{ShuffleBufferBytes: -1},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {

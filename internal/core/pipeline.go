@@ -140,9 +140,11 @@ type Options struct {
 	// Cluster is the simulated deployment; zero uses the paper's 8 nodes.
 	Cluster mapreduce.Cluster
 	// ShuffleBufferBytes caps each map task's sort buffer across the
-	// pipeline's jobs, switching them onto the external spill-and-merge
-	// shuffle (see mapreduce.Engine.ShuffleBufferBytes). 0 keeps the
-	// in-memory shuffle. Clustering output is bit-identical either way.
+	// pipeline's jobs (see mapreduce.Engine.ShuffleBufferBytes): a
+	// positive cap spills and charges the modelled spill and merge I/O;
+	// 0 leaves the buffer unbounded, one in-memory flush per task with no
+	// spill cost. Negative values are rejected. Clustering output is
+	// bit-identical at every cap.
 	ShuffleBufferBytes int
 	// Trace, when non-nil, receives one span per MapReduce job, task and
 	// shuffle across the pipeline's jobs. Nil (the default) disables
@@ -233,6 +235,9 @@ func (o Options) Validate() error {
 	}
 	if o.StoreBits < 0 || o.StoreBits > 16 {
 		return fmt.Errorf("core: StoreBits must be 0 (full store) or 1..16 (packed), got %d", o.StoreBits)
+	}
+	if o.ShuffleBufferBytes < 0 {
+		return fmt.Errorf("core: ShuffleBufferBytes must be ≥ 0 (0 = unbounded), got %d", o.ShuffleBufferBytes)
 	}
 	if o.Candidate == CandidateLSH {
 		if o.Theta <= 0 {
