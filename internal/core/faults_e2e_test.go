@@ -1,57 +1,21 @@
 package core
 
 import (
-	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
-	"github.com/metagenomics/mrmcminh/internal/dfs"
-	"github.com/metagenomics/mrmcminh/internal/fasta"
 	"github.com/metagenomics/mrmcminh/internal/faults"
 	"github.com/metagenomics/mrmcminh/internal/mapreduce"
 	"github.com/metagenomics/mrmcminh/internal/trace"
 )
 
-// End-to-end fault tolerance: the full MrMC-MinH pipeline — FASTA staged
-// through the DFS with a replica lost, task crashes and a node death
-// injected into every MapReduce job — must produce clusters bit-identical
-// to the fault-free run. Recovery is lossless by construction; only the
-// modelled runtime grows.
+// End-to-end fault tolerance: the full MrMC-MinH pipeline, with task
+// crashes and a node death injected into every MapReduce job, must
+// produce clusters bit-identical to the fault-free run. Recovery is
+// lossless by construction; only the modelled runtime grows.
 func TestPipelineBitIdenticalUnderChaos(t *testing.T) {
 	reads, _ := makeReads(4, 6, 200, 0.01, 5)
-
-	// Stage the input through the simulated HDFS and lose one replica
-	// holder before reading it back: the read must fail over.
-	fs := dfs.MustNew(dfs.Config{NumDataNodes: 4, BlockSize: 512, Replication: 3})
-	var sb strings.Builder
-	for _, r := range reads {
-		fmt.Fprintf(&sb, ">%s\n%s\n", r.ID, r.Seq)
-	}
-	if err := fs.WriteFile("/in/reads.fa", []byte(sb.String())); err != nil {
-		t.Fatal(err)
-	}
-	fs.SetFaults(faults.MustNew(faults.Plan{
-		BlockErrors: []faults.BlockError{{PathPrefix: "/in", Node: 2, Times: 1}},
-	}))
-	if err := fs.KillDataNode(1); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := fs.ReadFile("/in/reads.fa")
-	if err != nil {
-		t.Fatal(err)
-	}
-	staged, err := fasta.ParseString(string(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(staged) != len(reads) {
-		t.Fatalf("DFS round-trip lost reads: %d of %d", len(staged), len(reads))
-	}
-	if st := fs.Stats(); st.FailedReads == 0 {
-		t.Fatalf("expected failover reads (dead replica + injected error), stats %+v", st)
-	}
 
 	for _, mode := range []Mode{GreedyMode, HierarchicalMode} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -59,7 +23,7 @@ func TestPipelineBitIdenticalUnderChaos(t *testing.T) {
 				K: 8, NumHashes: 50, Theta: 0.4, Mode: mode,
 				Seed: 9, Cluster: smallCluster(),
 			}
-			baseline, err := Run(staged, opt)
+			baseline, err := Run(reads, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +36,7 @@ func TestPipelineBitIdenticalUnderChaos(t *testing.T) {
 			plan.Crashes = []faults.TaskCrash{{Phase: faults.PhaseMap, Task: 0, UpToAttempt: 1}}
 			plan.NodeDeaths = []faults.NodeDeath{{Node: 2, At: 25 * time.Second}}
 			chaos.Faults = faults.MustNew(plan)
-			faulted, err := Run(staged, chaos)
+			faulted, err := Run(reads, chaos)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +72,7 @@ func TestPipelineBitIdenticalUnderChaos(t *testing.T) {
 			again := opt
 			again.Retry = chaos.Retry
 			again.Faults = faults.MustNew(plan)
-			res2, err := Run(staged, again)
+			res2, err := Run(reads, again)
 			if err != nil {
 				t.Fatal(err)
 			}

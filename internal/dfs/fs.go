@@ -1,25 +1,34 @@
+// Package dfs is an in-memory stand-in for the HDFS namespace the paper's
+// Pig scripts LOAD their FASTA input from and STORE their clusters to: a
+// namenode that maps absolute, slash-rooted paths to file contents.
+//
+// Each file is stored once. Its block split and the round-robin datanode
+// of each block are kept only to label the dfs.read and dfs.write trace
+// spans; there are no replicas to lose, and LOAD and STORE add no
+// modelled time. The rename operations are atomic under one namenode lock,
+// which is what the MapReduce output committer and the checkpoint journal
+// build their commit protocols on.
 package dfs
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 
-	"github.com/metagenomics/mrmcminh/internal/faults"
 	"github.com/metagenomics/mrmcminh/internal/trace"
 )
 
-// Config sizes the simulated file system.
+// Config shapes the trace metadata of the simulated file system.
 type Config struct {
-	// NumDataNodes is the number of simulated storage machines.
+	// NumDataNodes is the number of simulated storage machines that
+	// blocks are assigned to round-robin.
 	NumDataNodes int
 	// BlockSize is the maximum bytes per block (HDFS default is 64/128 MB;
 	// tests use small values to exercise multi-block paths).
 	BlockSize int
-	// Replication is the number of replicas per block, capped at
-	// NumDataNodes.
+	// Replication is the number of copies a write span charges per
+	// block, capped at NumDataNodes.
 	Replication int
 }
 
@@ -27,40 +36,19 @@ type Config struct {
 // blocks (scaled down from 64 MiB so unit tests split files), 3 replicas.
 var DefaultConfig = Config{NumDataNodes: 4, BlockSize: 64 * 1024, Replication: 3}
 
-// Stats accounts I/O traffic for the cost model.
-type Stats struct {
-	BlocksWritten int64
-	BlocksRead    int64
-	BytesWritten  int64 // includes replication traffic
-	BytesRead     int64
-	LocalReads    int64 // reads served by the preferred node
-	RemoteReads   int64
-	// CorruptReads counts replica reads rejected by checksum verification.
-	CorruptReads int64
-	// FailedReads counts replica reads that failed over to another replica
-	// (dead datanode, or an injected I/O error mid-transfer). The bytes of
-	// an aborted transfer are charged to BytesRead — the client paid for
-	// them — so failover is visible in the I/O cost model.
-	FailedReads int64
-	// ScrubbedBlocks counts blocks whose replicas a Scrub pass verified.
-	ScrubbedBlocks int64
-	// QuarantinedReplicas counts corrupt replicas a Scrub pass removed.
-	QuarantinedReplicas int64
+// FileSystem is the namenode: every path with its contents.
+type FileSystem struct {
+	mu       sync.RWMutex
+	cfg      Config
+	files    map[string]file
+	nextNode int             // datanode of the next block written
+	trace    *trace.Recorder // nil = tracing disabled
 }
 
-// FileSystem is the namenode plus its datanodes.
-type FileSystem struct {
-	mu        sync.RWMutex
-	cfg       Config
-	nodes     []*DataNode
-	files     map[string][]Block // path -> ordered blocks
-	nextBlock BlockID
-	nextNode  int // round-robin placement cursor
-	stats     Stats
-	dead      map[int]bool       // failed datanodes (see failure.go)
-	checksums map[BlockID]uint32 // per-block CRC32C (see checksum.go)
-	trace     *trace.Recorder    // nil = tracing disabled
-	faults    *faults.Injector   // nil = fault injection disabled
+// file is one stored file: its bytes and the datanode of each block.
+type file struct {
+	data  []byte
+	nodes []int
 }
 
 // New creates a file system with the given configuration.
@@ -71,21 +59,8 @@ func New(cfg Config) (*FileSystem, error) {
 	if cfg.BlockSize < 1 {
 		return nil, fmt.Errorf("dfs: block size must be positive, got %d", cfg.BlockSize)
 	}
-	if cfg.Replication < 1 {
-		cfg.Replication = 1
-	}
-	if cfg.Replication > cfg.NumDataNodes {
-		cfg.Replication = cfg.NumDataNodes
-	}
-	fs := &FileSystem{
-		cfg:       cfg,
-		files:     make(map[string][]Block),
-		checksums: make(map[BlockID]uint32),
-	}
-	for i := 0; i < cfg.NumDataNodes; i++ {
-		fs.nodes = append(fs.nodes, newDataNode(i))
-	}
-	return fs, nil
+	cfg.Replication = max(1, min(cfg.Replication, cfg.NumDataNodes))
+	return &FileSystem{cfg: cfg, files: make(map[string]file)}, nil
 }
 
 // MustNew is New panicking on error.
@@ -97,223 +72,64 @@ func MustNew(cfg Config) *FileSystem {
 	return fs
 }
 
-// Config returns the file system configuration.
-func (fs *FileSystem) Config() Config { return fs.cfg }
-
-// SetTrace attaches a span recorder: every block read, block write and
-// re-replication copy emits one event. Pass nil to disable (the default);
-// a disabled recorder costs nothing on the I/O paths.
+// SetTrace attaches a span recorder: every block read and block write
+// emits one event. Pass nil to disable (the default); a disabled recorder
+// costs nothing on the I/O paths.
 func (fs *FileSystem) SetTrace(r *trace.Recorder) {
 	fs.mu.Lock()
 	fs.trace = r
 	fs.mu.Unlock()
 }
 
-// SetFaults attaches a fault injector: block reads consult it and fail
-// over to the next replica when it injects an I/O error, charging the
-// aborted transfer. Pass nil to disable (the default).
-func (fs *FileSystem) SetFaults(in *faults.Injector) {
-	fs.mu.Lock()
-	fs.faults = in
-	fs.mu.Unlock()
-}
-
-// WriteFile stores data at path, replacing any existing file. Data is
-// split into blocks placed round-robin with replication.
+// WriteFile stores a copy of data at path, replacing any existing file.
+// An empty file still takes one (empty) block.
 func (fs *FileSystem) WriteFile(path string, data []byte) error {
 	if err := validPath(path); err != nil {
 		return err
 	}
+	f := file{data: append([]byte(nil), data...)}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.removeLocked(path)
-	var blocks []Block
-	for off := 0; off < len(data) || (off == 0 && len(data) == 0); off += fs.cfg.BlockSize {
-		end := off + fs.cfg.BlockSize
-		if end > len(data) {
-			end = len(data)
-		}
-		chunk := data[off:end]
-		blk := Block{ID: fs.nextBlock, Len: len(chunk)}
-		fs.nextBlock++
-		fs.checksums[blk.ID] = checksumOf(chunk)
-		placed := 0
-		for off := 0; off < len(fs.nodes) && placed < fs.cfg.Replication; off++ {
-			node := (fs.nextNode + off) % len(fs.nodes)
-			if !fs.alive(node) {
-				continue
-			}
-			fs.nodes[node].store(blk.ID, chunk)
-			blk.Replicas = append(blk.Replicas, node)
-			fs.stats.BytesWritten += int64(len(chunk))
-			placed++
-		}
-		fs.stats.BlocksWritten++
-		if fs.trace.Enabled() {
-			node := -1
-			if len(blk.Replicas) > 0 {
-				node = blk.Replicas[0]
-			}
-			fs.trace.Emit(trace.Span{
-				Kind:   trace.KindDFSWrite,
-				Name:   "dfs.write",
-				Node:   node,
-				Bytes:  int64(len(chunk) * placed),
-				Detail: path,
-				VStart: fs.trace.VirtualNow(),
-				RStart: fs.trace.RealNow(),
-			})
-		}
-		fs.nextNode = (fs.nextNode + 1) % len(fs.nodes)
-		blocks = append(blocks, blk)
-		if len(data) == 0 {
-			break
-		}
+	for off := 0; off == 0 || off < len(data); off += fs.cfg.BlockSize {
+		n := min(fs.cfg.BlockSize, len(data)-off)
+		f.nodes = append(f.nodes, fs.nextNode)
+		fs.emit(trace.KindDFSWrite, "dfs.write", fs.nextNode, n*fs.cfg.Replication, path)
+		fs.nextNode = (fs.nextNode + 1) % fs.cfg.NumDataNodes
 	}
-	fs.files[path] = blocks
+	fs.files[path] = f
 	return nil
 }
 
-// ReadFile returns the full contents of path.
+// ReadFile returns a copy of the contents of path. Each block is read
+// from its datanode by a client outside the cluster, so its span is named
+// dfs.read.remote.
 func (fs *FileSystem) ReadFile(path string) ([]byte, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	blocks, ok := fs.files[path]
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	f, ok := fs.files[path]
 	if !ok {
 		return nil, fmt.Errorf("dfs: no such file %q", path)
 	}
-	var buf bytes.Buffer
-	for _, blk := range blocks {
-		data, err := fs.readBlockLocked(path, blk, -1)
-		if err != nil {
-			return nil, err
-		}
-		buf.Write(data)
+	for i, node := range f.nodes {
+		fs.emit(trace.KindDFSRead, "dfs.read.remote", node, min(fs.cfg.BlockSize, len(f.data)-i*fs.cfg.BlockSize), path)
 	}
-	return buf.Bytes(), nil
+	return append([]byte(nil), f.data...), nil
 }
 
-// ReadBlock reads one block, preferring a replica on nearNode (pass -1 for
-// no preference). It reports whether the read was local to nearNode.
-func (fs *FileSystem) ReadBlock(path string, index int, nearNode int) ([]byte, bool, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	blocks, ok := fs.files[path]
-	if !ok {
-		return nil, false, fmt.Errorf("dfs: no such file %q", path)
+// emit records one block's span; the caller holds fs.mu.
+func (fs *FileSystem) emit(kind trace.Kind, name string, node, bytes int, path string) {
+	if !fs.trace.Enabled() {
+		return
 	}
-	if index < 0 || index >= len(blocks) {
-		return nil, false, fmt.Errorf("dfs: block index %d out of range for %q (%d blocks)", index, path, len(blocks))
-	}
-	blk := blocks[index]
-	data, err := fs.readBlockLocked(path, blk, nearNode)
-	if err != nil {
-		return nil, false, err
-	}
-	local := nearNode >= 0 && hasReplica(blk, nearNode)
-	return data, local, nil
-}
-
-// readBlockLocked fetches block data from the best replica, failing over
-// past dead nodes, corrupt copies and injected I/O errors.
-func (fs *FileSystem) readBlockLocked(path string, blk Block, nearNode int) ([]byte, error) {
-	order := blk.Replicas
-	if nearNode >= 0 && hasReplica(blk, nearNode) {
-		// Prefer the near replica; drop its duplicate entry so failover
-		// tries each node once.
-		order = append([]int{nearNode}, removeHost(append([]int(nil), blk.Replicas...), nearNode)...)
-	}
-	want, hasSum := fs.checksums[blk.ID]
-	for _, node := range order {
-		if !fs.alive(node) {
-			fs.stats.FailedReads++
-			continue // fail over to the next replica
-		}
-		if data, ok := fs.nodes[node].read(blk.ID); ok {
-			if fs.faults.FailBlockRead(path, node) {
-				// Injected I/O error mid-transfer: the client still paid
-				// for the aborted stream before switching replicas.
-				fs.stats.FailedReads++
-				fs.stats.BytesRead += int64(len(data))
-				if fs.trace.Enabled() {
-					fs.trace.Emit(trace.Span{
-						Kind:   trace.KindDFSRead,
-						Name:   "dfs.read.failed",
-						Node:   node,
-						Bytes:  int64(len(data)),
-						Detail: path,
-						Status: "failed",
-						VStart: fs.trace.VirtualNow(),
-						RStart: fs.trace.RealNow(),
-					})
-				}
-				continue
-			}
-			if hasSum && checksumOf(data) != want {
-				fs.stats.CorruptReads++
-				continue // fail over to the next replica
-			}
-			fs.stats.BlocksRead++
-			fs.stats.BytesRead += int64(len(data))
-			locality := "remote"
-			if nearNode >= 0 && node == nearNode {
-				fs.stats.LocalReads++
-				locality = "local"
-			} else {
-				fs.stats.RemoteReads++
-			}
-			if fs.trace.Enabled() {
-				fs.trace.Emit(trace.Span{
-					Kind:   trace.KindDFSRead,
-					Name:   "dfs.read." + locality,
-					Node:   node,
-					Bytes:  int64(len(data)),
-					Detail: path,
-					VStart: fs.trace.VirtualNow(),
-					RStart: fs.trace.RealNow(),
-				})
-			}
-			return data, nil
-		}
-	}
-	return nil, fmt.Errorf("dfs: all replicas of %s lost", blk.ID)
-}
-
-func hasReplica(blk Block, node int) bool {
-	for _, r := range blk.Replicas {
-		if r == node {
-			return true
-		}
-	}
-	return false
-}
-
-// Blocks returns the block metadata of path (copy).
-func (fs *FileSystem) Blocks(path string) ([]Block, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	blocks, ok := fs.files[path]
-	if !ok {
-		return nil, fmt.Errorf("dfs: no such file %q", path)
-	}
-	out := make([]Block, len(blocks))
-	copy(out, blocks)
-	return out, nil
-}
-
-// Stat returns the file size in bytes.
-func (fs *FileSystem) Stat(path string) (int, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	blocks, ok := fs.files[path]
-	if !ok {
-		return 0, fmt.Errorf("dfs: no such file %q", path)
-	}
-	n := 0
-	for _, blk := range blocks {
-		n += blk.Len
-	}
-	return n, nil
+	fs.trace.Emit(trace.Span{
+		Kind:   kind,
+		Name:   name,
+		Node:   node,
+		Bytes:  int64(bytes),
+		Detail: path,
+		VStart: fs.trace.VirtualNow(),
+		RStart: fs.trace.RealNow(),
+	})
 }
 
 // Exists reports whether path exists.
@@ -331,60 +147,27 @@ func (fs *FileSystem) Remove(path string) error {
 	if _, ok := fs.files[path]; !ok {
 		return fmt.Errorf("dfs: no such file %q", path)
 	}
-	fs.removeLocked(path)
-	return nil
-}
-
-// removeLocked drops all replicas of path's blocks.
-func (fs *FileSystem) removeLocked(path string) {
-	for _, blk := range fs.files[path] {
-		for _, node := range blk.Replicas {
-			fs.nodes[node].drop(blk.ID)
-		}
-		delete(fs.checksums, blk.ID)
-	}
 	delete(fs.files, path)
-}
-
-// Rename moves a file to a new path.
-func (fs *FileSystem) Rename(from, to string) error {
-	if err := validPath(to); err != nil {
-		return err
-	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	blocks, ok := fs.files[from]
-	if !ok {
-		return fmt.Errorf("dfs: no such file %q", from)
-	}
-	if _, exists := fs.files[to]; exists {
-		return fmt.Errorf("dfs: destination %q exists", to)
-	}
-	fs.files[to] = blocks
-	delete(fs.files, from)
 	return nil
 }
 
 // Replace moves a file onto a possibly-existing destination in one
-// metadata step: the namenode swaps the path→blocks binding under a
-// single lock, so readers see either the old file or the new one, never
-// a mix. This is the rename-atomicity primitive the output committer and
-// the checkpoint journal rely on.
+// metadata step: the namenode swaps the path binding under a single
+// lock, so readers see either the old file or the new one, never a mix.
+// This is the rename-atomicity primitive the output committer and the
+// checkpoint journal rely on.
 func (fs *FileSystem) Replace(from, to string) error {
 	if err := validPath(to); err != nil {
 		return err
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	blocks, ok := fs.files[from]
+	f, ok := fs.files[from]
 	if !ok {
 		return fmt.Errorf("dfs: no such file %q", from)
 	}
-	if _, exists := fs.files[to]; exists {
-		fs.removeLocked(to)
-	}
-	fs.files[to] = blocks
 	delete(fs.files, from)
+	fs.files[to] = f
 	return nil
 }
 
@@ -413,11 +196,7 @@ func (fs *FileSystem) RenameDir(fromPrefix, toPrefix string) error {
 	}
 	sort.Strings(moved)
 	for _, p := range moved {
-		dst := toPrefix + strings.TrimPrefix(p, fromPrefix)
-		if _, exists := fs.files[dst]; exists {
-			fs.removeLocked(dst)
-		}
-		fs.files[dst] = fs.files[p]
+		fs.files[toPrefix+strings.TrimPrefix(p, fromPrefix)] = fs.files[p]
 		delete(fs.files, p)
 	}
 	return nil
@@ -432,7 +211,7 @@ func (fs *FileSystem) RemoveAll(prefix string) int {
 	n := 0
 	for p := range fs.files {
 		if p == prefix || strings.HasPrefix(p, prefix+"/") {
-			fs.removeLocked(p)
+			delete(fs.files, p)
 			n++
 		}
 	}
@@ -478,30 +257,6 @@ func (fs *FileSystem) ListOutputs(dir string) []string {
 		}
 	}
 	sort.Strings(out)
-	return out
-}
-
-// Stats returns a snapshot of I/O counters.
-func (fs *FileSystem) Stats() Stats {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	return fs.stats
-}
-
-// ResetStats zeroes the I/O counters.
-func (fs *FileSystem) ResetStats() {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.stats = Stats{}
-}
-
-// DataNodes exposes the simulated datanodes (for balance inspection). The
-// returned slice is a snapshot: ReviveDataNode may swap entries later.
-func (fs *FileSystem) DataNodes() []*DataNode {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	out := make([]*DataNode, len(fs.nodes))
-	copy(out, fs.nodes)
 	return out
 }
 

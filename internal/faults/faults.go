@@ -1,22 +1,22 @@
 // Package faults is the deterministic fault-injection layer of the
-// simulated Hadoop stack. A seeded Injector owns a Plan of fault sites —
-// task-attempt crashes, node deaths at a virtual time, slow nodes, and DFS
-// block-read errors — and both the MapReduce engine and the DFS consult it
-// on their hot paths. Every decision is a pure function of the plan seed
-// and the site identity (job, phase, task, attempt, path, node), never of
-// goroutine scheduling order, so a faulted run is bit-reproducible: the
-// same seed yields the same crashes, the same recovery schedule, and —
-// because recovery is lossless — the same job output as the fault-free
-// run.
+// simulated Hadoop stack. A seeded Injector owns a Plan of faults at four
+// sites: task-attempt crashes, node deaths at a virtual time and slow
+// nodes, which the MapReduce engine consults on its hot paths; driver
+// deaths after a pipeline stage commits; and the serving daemon's death
+// after it acknowledges enough reads. Every decision is a pure function
+// of the plan seed and the site identity (job, phase, task, attempt,
+// node, stage), never of goroutine scheduling order, so a faulted run is
+// bit-reproducible: the same seed yields the same crashes, the same
+// recovery schedule, and — because recovery is lossless — the same job
+// output as the fault-free run.
 //
-// The package is a leaf: it imports neither the engine nor the DFS, so
-// both can depend on it without cycles.
+// The package is a leaf: it imports none of the layers it breaks, so
+// each can depend on it without cycles.
 package faults
 
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -68,18 +68,6 @@ type NodeDeath struct {
 type SlowNode struct {
 	Node   int
 	Factor float64
-}
-
-// BlockError declares DFS block-read failures: reads of blocks of files
-// under PathPrefix served by Node fail (an I/O error mid-transfer), at
-// most Times times (0 = every read).
-type BlockError struct {
-	// PathPrefix selects files; "" matches every path.
-	PathPrefix string
-	// Node selects the serving datanode; -1 matches every node.
-	Node int
-	// Times caps how often this rule fires; 0 means unlimited.
-	Times int
 }
 
 // DriverCrash kills the pipeline driver immediately after the named stage
@@ -158,11 +146,6 @@ type Plan struct {
 	NodeDeaths []NodeDeath
 	// SlowNodes dilate task durations per node.
 	SlowNodes []SlowNode
-	// BlockReadErrorProb is the chance a single DFS replica read fails,
-	// decided by hashing (seed, path, node, ordinal).
-	BlockReadErrorProb float64
-	// BlockErrors are targeted DFS read failures.
-	BlockErrors []BlockError
 	// DriverCrashes kill the pipeline driver after named stages commit.
 	DriverCrashes []DriverCrash
 	// ServiceCrashes kill the serving daemon after acknowledged-read
@@ -174,7 +157,6 @@ type Plan struct {
 func (p Plan) Empty() bool {
 	return p.TaskCrashProb == 0 && len(p.Crashes) == 0 &&
 		len(p.NodeDeaths) == 0 && len(p.SlowNodes) == 0 &&
-		p.BlockReadErrorProb == 0 && len(p.BlockErrors) == 0 &&
 		len(p.DriverCrashes) == 0 && len(p.ServiceCrashes) == 0
 }
 
@@ -182,9 +164,6 @@ func (p Plan) Empty() bool {
 func (p Plan) Validate() error {
 	if p.TaskCrashProb < 0 || p.TaskCrashProb > 1 {
 		return fmt.Errorf("faults: crash probability %v out of [0,1]", p.TaskCrashProb)
-	}
-	if p.BlockReadErrorProb < 0 || p.BlockReadErrorProb > 1 {
-		return fmt.Errorf("faults: block-read error probability %v out of [0,1]", p.BlockReadErrorProb)
 	}
 	for _, s := range p.SlowNodes {
 		if s.Factor < 1 {
@@ -215,10 +194,8 @@ func (p Plan) Validate() error {
 type Injector struct {
 	plan Plan
 
-	mu         sync.Mutex
-	counts     map[string]int64
-	blockFired []int          // per-BlockError fire count
-	blockSeen  map[string]int // path/node -> reads observed (probabilistic ordinal)
+	mu     sync.Mutex
+	counts map[string]int64
 }
 
 // New returns an injector for the plan.
@@ -226,12 +203,7 @@ func New(plan Plan) (*Injector, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	return &Injector{
-		plan:       plan,
-		counts:     make(map[string]int64),
-		blockFired: make([]int, len(plan.BlockErrors)),
-		blockSeen:  make(map[string]int),
-	}, nil
+	return &Injector{plan: plan, counts: make(map[string]int64)}, nil
 }
 
 // MustNew is New panicking on error.
@@ -361,43 +333,6 @@ func (in *Injector) SlowFactor(node int) float64 {
 		}
 	}
 	return f
-}
-
-// FailBlockRead reports whether a DFS read of a block of path served by
-// datanode node fails. Targeted BlockErrors fire first (bounded by their
-// Times); the probabilistic site hashes (seed, path, node, ordinal) where
-// ordinal counts reads of that path/node pair.
-func (in *Injector) FailBlockRead(path string, node int) bool {
-	if in == nil {
-		return false
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for i, be := range in.plan.BlockErrors {
-		if be.PathPrefix != "" && !strings.HasPrefix(path, be.PathPrefix) {
-			continue
-		}
-		if be.Node >= 0 && be.Node != node {
-			continue
-		}
-		if be.Times > 0 && in.blockFired[i] >= be.Times {
-			continue
-		}
-		in.blockFired[i]++
-		in.counts["dfs.read.targeted"]++
-		return true
-	}
-	if p := in.plan.BlockReadErrorProb; p > 0 {
-		key := fmt.Sprintf("%s#%d", path, node)
-		ord := in.blockSeen[key]
-		in.blockSeen[key] = ord + 1
-		h := siteHash(in.plan.Seed, "dfsread", path, "", node, ord)
-		if unit(h) < p {
-			in.counts["dfs.read.random"]++
-			return true
-		}
-	}
-	return false
 }
 
 // count bumps an injection counter.

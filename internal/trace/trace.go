@@ -34,7 +34,6 @@ const (
 	KindReduce
 	KindDFSRead
 	KindDFSWrite
-	KindReplicate
 	KindPigOp
 	KindCommit
 	KindAbort
@@ -63,8 +62,6 @@ func (k Kind) String() string {
 		return "dfs.read"
 	case KindDFSWrite:
 		return "dfs.write"
-	case KindReplicate:
-		return "dfs.replicate"
 	case KindPigOp:
 		return "pig.op"
 	case KindCommit:
