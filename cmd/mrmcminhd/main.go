@@ -14,7 +14,7 @@
 //	          [-theta 0.5] [-store-bbits 0] [-canonical] [-lsh]
 //	          [-ingest reads.fa,more.fq] [-ingest-url http://host/reads.fa]
 //	          [-drain-after-ingest] [-dump assignments.tsv] [-resume]
-//	          [-faults service-crash:after=N] [-fault-seed 1]
+//	          [-faults service-crash:after=N]
 //
 // Endpoints: POST /v1/reads, GET /v1/reads/{id}, /v1/clusters[/{id}],
 // /v1/diversity, /v1/stats, /v1/assignments, /healthz, /readyz,
