@@ -715,3 +715,30 @@ func TestNewPigContextCarriesRunSettings(t *testing.T) {
 	}
 	checkEngine(t, ctx.Engine, opt)
 }
+
+// TestUntracedRunDetachesRecorder: an untraced script run on a file
+// system that a traced run used must not write DFS spans into the traced
+// run's recorder.
+func TestUntracedRunDetachesRecorder(t *testing.T) {
+	reads, _ := makeReads(2, 3, 120, 0.02, 7)
+	fs := dfs.MustNew(dfs.DefaultConfig)
+	var sb strings.Builder
+	for _, r := range reads {
+		fmt.Fprintf(&sb, ">%s\n%s\n", r.ID, r.Seq)
+	}
+	if err := fs.WriteFile("/in/reads.fa", []byte(sb.String())); err != nil {
+		t.Fatal(err)
+	}
+	p := ScriptParams{Input: "/in/reads.fa", Output1: "/out/hier", Output2: "/out/greedy", K: 5, NumHash: 20, Cutoff: 0.5}
+	rec := trace.New()
+	if _, err := RunScriptTraced(fs, smallCluster(), p, 1, rec); err != nil {
+		t.Fatal(err)
+	}
+	traced := rec.Len()
+	if _, err := RunScriptTraced(fs, smallCluster(), p, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Len(); got != traced {
+		t.Fatalf("the untraced run added %d spans to the traced run's recorder", got-traced)
+	}
+}

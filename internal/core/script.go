@@ -119,9 +119,7 @@ func NewPigContext(fs *dfs.FileSystem, params map[string]string, opt Options) (*
 	if err != nil {
 		return nil, err
 	}
-	if opt.Trace.Enabled() {
-		fs.SetTrace(opt.Trace)
-	}
+	fs.SetTrace(opt.Trace)
 	registry := NewRegistry()
 	if err := pig.RegisterBuiltins(registry); err != nil {
 		return nil, err
