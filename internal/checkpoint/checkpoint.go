@@ -10,6 +10,11 @@
 // validate; the first stage with no entry is where execution restarts.
 // A mismatched entry is a typed error naming the offending stage and the
 // differing parameter — never a silent full re-run.
+//
+// Each output file is named by its content hash, so a commit never
+// overwrites the file the durable manifest names: a crash at any point
+// leaves the previous manifest and the output it names intact (Pillai et
+// al., "All File Systems Are Not Created Equal", OSDI 2014).
 package checkpoint
 
 import (
@@ -165,11 +170,6 @@ func (j *Journal) Empty() bool { return len(j.entries) == 0 }
 
 func (j *Journal) manifestPath() string { return j.dir + "/MANIFEST" }
 
-// StagePath returns where a stage's committed data lives.
-func (j *Journal) StagePath(stage string) string {
-	return j.dir + "/" + slugify(stage) + "/data"
-}
-
 // lookup finds a stage's entry.
 func (j *Journal) lookup(stage string) (Entry, bool) {
 	for _, e := range j.entries {
@@ -181,17 +181,18 @@ func (j *Journal) lookup(stage string) (Entry, bool) {
 }
 
 // Validate checks a stage's entry against the current run: inputs hash,
-// parameters, and committed-output integrity. It returns (entry, true,
-// nil) when the stage can be skipped, (_, false, nil) when the stage has
-// no entry (it simply has not run yet), and a typed error when an entry
-// exists but does not match — the caller must not silently re-run.
-func (j *Journal) Validate(stage, inputsHash string, params map[string]string) (Entry, bool, error) {
+// parameters, and committed-output integrity. It returns (output, true,
+// nil) with the verified output bytes when the stage can be skipped,
+// (nil, false, nil) when the stage has no entry (it simply has not run
+// yet), and a typed error when an entry exists but does not match — the
+// caller must not silently re-run.
+func (j *Journal) Validate(stage, inputsHash string, params map[string]string) ([]byte, bool, error) {
 	e, ok := j.lookup(stage)
 	if !ok {
-		return Entry{}, false, nil
+		return nil, false, nil
 	}
 	if e.InputsHash != inputsHash {
-		return Entry{}, false, &InputMismatchError{Stage: stage}
+		return nil, false, &InputMismatchError{Stage: stage}
 	}
 	if e.ParamsHash != HashParams(params) {
 		// Name the first differing parameter, in sorted order for
@@ -208,36 +209,35 @@ func (j *Journal) Validate(stage, inputsHash string, params map[string]string) (
 		sort.Strings(keys)
 		for _, k := range keys {
 			if params[k] != e.Params[k] {
-				return Entry{}, false, &ParamMismatchError{
+				return nil, false, &ParamMismatchError{
 					Stage: stage, Param: k, Got: params[k], Recorded: e.Params[k],
 				}
 			}
 		}
-		return Entry{}, false, &ParamMismatchError{Stage: stage}
+		return nil, false, &ParamMismatchError{Stage: stage}
 	}
 	data, err := j.store.ReadFile(e.Output)
 	if err != nil {
-		return Entry{}, false, &CorruptError{Stage: stage, Output: e.Output, Reason: "committed output missing"}
+		return nil, false, &CorruptError{Stage: stage, Output: e.Output, Reason: "committed output missing"}
 	}
 	if HashBytes(data) != e.OutputHash {
-		return Entry{}, false, &CorruptError{Stage: stage, Output: e.Output, Reason: "content hash mismatch"}
+		return nil, false, &CorruptError{Stage: stage, Output: e.Output, Reason: "content hash mismatch"}
 	}
-	return e, true, nil
+	return data, true, nil
 }
 
-// Load returns the committed output bytes of a validated entry.
-func (j *Journal) Load(e Entry) ([]byte, error) {
-	return j.store.ReadFile(e.Output)
-}
-
-// Commit durably records a stage: the output bytes are staged under
-// _temporary and promoted by an atomic Replace, then the manifest is
-// rewritten the same way. A crash between the two leaves the previous
-// manifest intact — the stage simply re-runs. Committing a stage that
-// already has an entry replaces it.
+// Commit durably records a stage. The output is staged under _temporary
+// and promoted by an atomic Replace to a new file named by its content
+// hash, then the manifest is rewritten the same way. Only once that
+// manifest is durable are the stage's superseded outputs removed. A
+// crash at any point leaves the previous manifest and the output it
+// names intact, so the stage validates as before or simply re-runs.
+// Committing a stage that already has an entry replaces it.
 func (j *Journal) Commit(stage, inputsHash string, params map[string]string, output []byte) (Entry, error) {
-	out := j.StagePath(stage)
-	tmp := j.dir + "/_temporary/" + slugify(stage) + ".data"
+	sum := HashBytes(output)
+	name := slugify(stage) + "." + sum[:16] // directly in the journal's directory
+	out := j.dir + "/" + name
+	tmp := j.dir + "/_temporary/" + name
 	if err := j.store.WriteFile(tmp, output); err != nil {
 		return Entry{}, fmt.Errorf("checkpoint: staging %s: %w", stage, err)
 	}
@@ -250,7 +250,7 @@ func (j *Journal) Commit(stage, inputsHash string, params map[string]string, out
 		ParamsHash: HashParams(params),
 		Params:     copyParams(params),
 		Output:     out,
-		OutputHash: HashBytes(output),
+		OutputHash: sum,
 	}
 	kept := j.entries[:0]
 	for _, old := range j.entries {
@@ -262,7 +262,24 @@ func (j *Journal) Commit(stage, inputsHash string, params map[string]string, out
 	if err := j.writeManifest(); err != nil {
 		return Entry{}, err
 	}
+	j.removeSuperseded(stage)
 	return e, nil
+}
+
+// removeSuperseded deletes the output files of stage that no entry
+// names: its previous outputs, and any a crashed commit left behind.
+// Best effort: a file left over costs only disk space.
+func (j *Journal) removeSuperseded(stage string) {
+	named := make(map[string]bool, len(j.entries))
+	for _, e := range j.entries {
+		named[e.Output] = true
+	}
+	prefix := j.dir + "/" + slugify(stage) + "."
+	for _, p := range j.store.List(prefix) {
+		if !named[p] && !strings.Contains(p[len(prefix):], "/") {
+			j.store.Remove(p)
+		}
+	}
 }
 
 // writeManifest atomically rewrites the manifest as JSONL.

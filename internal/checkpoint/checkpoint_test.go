@@ -52,7 +52,7 @@ func TestCommitValidateLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.OutputHash != HashBytes(out) || e.Output != j.StagePath("sketch") {
+	if e.OutputHash != HashBytes(out) || e.Output != "/sketch."+e.OutputHash[:16] {
 		t.Fatalf("entry wrong: %+v", e)
 	}
 
@@ -65,13 +65,9 @@ func TestCommitValidateLoadRoundTrip(t *testing.T) {
 	if j2.Len() != 1 || j2.Stages()[0] != "sketch" {
 		t.Fatalf("reopened journal lost the entry: %v", j2.Stages())
 	}
-	got, skip, err := j2.Validate("sketch", HashBytes([]byte("reads")), params)
-	if err != nil || !skip {
-		t.Fatalf("validate: skip=%v err=%v", skip, err)
-	}
-	data, err := j2.Load(got)
-	if err != nil || string(data) != string(out) {
-		t.Fatalf("load: %q, %v", data, err)
+	data, skip, err := j2.Validate("sketch", HashBytes([]byte("reads")), params)
+	if err != nil || !skip || string(data) != string(out) {
+		t.Fatalf("validate: %q skip=%v err=%v", data, skip, err)
 	}
 
 	// A stage with no entry is (false, nil): it simply has not run.
@@ -83,12 +79,13 @@ func TestCommitValidateLoadRoundTrip(t *testing.T) {
 func TestValidateTypedErrors(t *testing.T) {
 	j, _ := tempJournal(t)
 	params := map[string]string{"theta": "0.4", "linkage": "average"}
-	if _, err := j.Commit("cluster", "in-hash", params, []byte("labels")); err != nil {
+	e, err := j.Commit("cluster", "in-hash", params, []byte("labels"))
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Changed input data.
-	_, _, err := j.Validate("cluster", "other-hash", params)
+	_, _, err = j.Validate("cluster", "other-hash", params)
 	var im *InputMismatchError
 	if !errors.As(err, &im) || im.Stage != "cluster" {
 		t.Fatalf("want InputMismatchError, got %v", err)
@@ -108,7 +105,7 @@ func TestValidateTypedErrors(t *testing.T) {
 	}
 
 	// Tampered committed output.
-	if err := j.store.WriteFile(j.StagePath("cluster"), []byte("rotted")); err != nil {
+	if err := j.store.WriteFile(e.Output, []byte("rotted")); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err = j.Validate("cluster", "in-hash", params)
@@ -118,7 +115,7 @@ func TestValidateTypedErrors(t *testing.T) {
 	}
 
 	// Deleted committed output.
-	if err := j.store.Remove(j.StagePath("cluster")); err != nil {
+	if err := j.store.Remove(e.Output); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err = j.Validate("cluster", "in-hash", params); !errors.As(err, &ce) {
@@ -140,12 +137,65 @@ func TestCommitReplacesEntry(t *testing.T) {
 	if j.Len() != 2 {
 		t.Fatalf("recommit duplicated the entry: %v", j.Stages())
 	}
-	e, skip, err := j.Validate("sketch", "a2", nil)
+	data, skip, err := j.Validate("sketch", "a2", nil)
 	if err != nil || !skip {
 		t.Fatalf("recommitted entry invalid: %v", err)
 	}
-	if data, _ := j.Load(e); string(data) != "v2" {
+	if string(data) != "v2" {
 		t.Fatalf("old bytes survived: %q", data)
+	}
+}
+
+// failingManifest is a Store whose Replace onto the manifest fails once
+// armed: a crash between a commit's output rename and its manifest
+// rename.
+type failingManifest struct {
+	*DirStore
+	armed bool
+}
+
+func (f *failingManifest) Replace(from, to string) error {
+	if f.armed && strings.HasSuffix(to, "/MANIFEST") {
+		return errors.New("injected: manifest rename lost")
+	}
+	return f.DirStore.Replace(from, to)
+}
+
+// TestInterruptedRecommitKeepsOutput: a re-commit that dies before its
+// manifest is durable must not touch the output the durable manifest
+// names, so a reopened journal still validates the first output. The
+// next clean commit then leaves exactly one output file for the stage.
+func TestInterruptedRecommitKeepsOutput(t *testing.T) {
+	_, dir := tempJournal(t)
+	store := &failingManifest{DirStore: dir}
+	j, err := Open(store, "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := map[string]string{"k": "5"}
+	if _, err := j.Commit("sketch", "in", params, []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	store.armed = true
+	if _, err := j.Commit("sketch", "in", params, []byte("second")); err == nil {
+		t.Fatal("re-commit succeeded despite the lost manifest rename")
+	}
+	store.armed = false
+
+	j2, err := Open(store, "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, skip, err := j2.Validate("sketch", "in", params)
+	if err != nil || !skip || string(data) != "first" {
+		t.Fatalf("after the interrupted re-commit: %q skip=%v err=%v, want the first output", data, skip, err)
+	}
+	e, err := j2.Commit("sketch", "in", params, []byte("third"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files := store.List("/sketch."); len(files) != 1 || files[0] != e.Output {
+		t.Fatalf("sketch outputs after a clean commit = %v, want only %s", files, e.Output)
 	}
 }
 

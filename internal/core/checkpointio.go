@@ -9,14 +9,13 @@ import (
 	"github.com/metagenomics/mrmcminh/internal/cluster"
 	"github.com/metagenomics/mrmcminh/internal/fasta"
 	"github.com/metagenomics/mrmcminh/internal/metrics"
-	"github.com/metagenomics/mrmcminh/internal/minhash"
 )
 
 // Checkpoint codecs. Stage outputs are serialized with exact binary
-// representations — uint64 signature values, the float32 bit patterns
-// the similarity matrix actually stores, integer labels — so a stage
-// restored from its checkpoint is bit-identical to one that just ran.
-// That exactness is what lets a resumed pipeline reproduce the
+// representations — the signature store's own snapshot, the float32 bit
+// patterns the similarity matrix actually stores, integer labels — so a
+// stage restored from its checkpoint is bit-identical to one that just
+// ran. That exactness is what lets a resumed pipeline reproduce the
 // uninterrupted run's clusters byte for byte.
 
 // HashReads content-addresses a read set: the SHA-256 of the canonical
@@ -31,50 +30,6 @@ func HashReads(reads []fasta.Record) string {
 		buf = append(buf, '\n')
 	}
 	return checkpoint.HashBytes(buf)
-}
-
-// encodeSignatures renders signatures as little-endian uint64s: count,
-// then per signature its length and values.
-func encodeSignatures(sigs []minhash.Signature) []byte {
-	size := 8
-	for _, s := range sigs {
-		size += 8 + 8*len(s)
-	}
-	out := make([]byte, 0, size)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(sigs)))
-	for _, s := range sigs {
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(s)))
-		for _, v := range s {
-			out = binary.LittleEndian.AppendUint64(out, v)
-		}
-	}
-	return out
-}
-
-// decodeSignatures inverts encodeSignatures.
-func decodeSignatures(data []byte) ([]minhash.Signature, error) {
-	n, data, err := readU64(data)
-	if err != nil {
-		return nil, err
-	}
-	sigs := make([]minhash.Signature, n)
-	for i := range sigs {
-		var m uint64
-		if m, data, err = readU64(data); err != nil {
-			return nil, err
-		}
-		sig := make(minhash.Signature, m)
-		for j := range sig {
-			if sig[j], data, err = readU64(data); err != nil {
-				return nil, err
-			}
-		}
-		sigs[i] = sig
-	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("core: %d trailing bytes after signatures", len(data))
-	}
-	return sigs, nil
 }
 
 // encodeMatrix renders the strict upper triangle as the float32 bit

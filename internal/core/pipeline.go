@@ -339,17 +339,13 @@ func (ck *ckptRunner) lookup(stage, inputsHash string, params map[string]string)
 	if ck.journal == nil || !ck.resume {
 		return nil, false, nil
 	}
-	e, ok, err := ck.journal.Validate(stage, inputsHash, params)
+	data, ok, err := ck.journal.Validate(stage, inputsHash, params)
 	if err != nil {
 		return nil, false, err
 	}
 	if !ok {
 		ck.resume = false
 		return nil, false, nil
-	}
-	data, err := ck.journal.Load(e)
-	if err != nil {
-		return nil, false, err
 	}
 	ck.skipped = append(ck.skipped, stage)
 	return data, true, nil
@@ -418,64 +414,43 @@ func Run(reads []fasta.Record, opt Options) (*Result, error) {
 	if opt.Checkpoint != nil {
 		readsHash = HashReads(reads)
 	}
+	// store_bits is recorded even for full-width stores, so a journal
+	// from another packing fails as a parameter mismatch, not a misparse.
 	sketchParams := map[string]string{
 		"k":          fmt.Sprint(opt.K),
 		"num_hashes": fmt.Sprint(opt.NumHashes),
 		"canonical":  fmt.Sprint(opt.Canonical),
 		"seed":       fmt.Sprint(opt.Seed),
-	}
-	if opt.StoreBits > 0 {
-		// Packed storage changes the sketch stage's committed bytes (a
-		// store snapshot instead of the full-signature codec), so mixing
-		// packed and unpacked journals must surface as a parameter
-		// mismatch, not a corrupt decode.
-		sketchParams["store_bits"] = fmt.Sprint(opt.StoreBits)
+		"store_bits": fmt.Sprint(opt.StoreBits),
 	}
 
-	var sigs []minhash.Signature
+	// The sketch stage's checkpoint is the store snapshot (SIGSNAP2).
 	var store *sigstore.Store
-	var sigBytes []byte // encoded sketch output, when journaling
+	var sigBytes []byte // the snapshot, when journaling
 	if data, ok, err := ck.lookup(StageSketch, readsHash, sketchParams); err != nil {
 		return nil, err
 	} else if ok {
-		if opt.StoreBits > 0 {
-			if store, err = sigstore.Restore(data); err != nil {
-				return nil, err
-			}
-			if store.NumHashes() != opt.NumHashes || store.Bits() != opt.StoreBits || store.Len() != len(reads) {
-				return nil, fmt.Errorf("core: checkpointed store geometry n=%d/b=%d/reads=%d does not match run n=%d/b=%d/reads=%d",
-					store.NumHashes(), store.Bits(), store.Len(), opt.NumHashes, opt.StoreBits, len(reads))
-			}
-		} else if sigs, err = decodeSignatures(data); err != nil {
+		if store, err = sigstore.Restore(data); err != nil {
 			return nil, err
+		}
+		if store.NumHashes() != opt.NumHashes || store.Bits() != opt.StoreBits || store.Len() != len(reads) {
+			return nil, fmt.Errorf("core: checkpointed store geometry n=%d/b=%d/reads=%d does not match run n=%d/b=%d/reads=%d",
+				store.NumHashes(), store.Bits(), store.Len(), opt.NumHashes, opt.StoreBits, len(reads))
 		}
 		sigBytes = data
 	} else {
-		var mrout *mapreduce.Result
-		if sigs, mrout, err = sketchJob(engine, reads, opt); err != nil {
+		sigs, mrout, err := sketchJob(engine, reads, opt)
+		if err != nil {
 			return nil, err
 		}
 		addJob(mrout)
-		if opt.StoreBits > 0 {
-			if store, err = buildStore(sigs, opt); err != nil {
-				return nil, err
-			}
-			sigs = nil // packed mode never keeps the full signatures resident
-			if opt.Checkpoint != nil {
-				sigBytes = store.Snapshot()
-			}
-		} else if opt.Checkpoint != nil {
-			sigBytes = encodeSignatures(sigs)
-		}
-		if err := ck.commit(StageSketch, readsHash, sketchParams, func() []byte { return sigBytes }); err != nil {
+		if store, err = buildStore(sigs, opt); err != nil {
 			return nil, err
 		}
-	}
-	if opt.StoreBits == 0 {
-		// Full-width store: built from the signatures on either path
-		// (fresh sketch or checkpoint restore). Its sketch checkpoint is
-		// the plain signature codec.
-		if store, err = buildStore(sigs, opt); err != nil {
+		if opt.Checkpoint != nil {
+			sigBytes = store.Snapshot()
+		}
+		if err := ck.commit(StageSketch, readsHash, sketchParams, func() []byte { return sigBytes }); err != nil {
 			return nil, err
 		}
 	}

@@ -255,9 +255,6 @@ func TestCodecRoundTrips(t *testing.T) {
 	if _, err := decodeLabels([]byte{1, 2, 3}); err == nil {
 		t.Fatal("truncated labels accepted")
 	}
-	if _, err := decodeSignatures([]byte{9}); err == nil {
-		t.Fatal("truncated signatures accepted")
-	}
 	if _, err := decodeMatrix([]byte{9}); err == nil {
 		t.Fatal("truncated matrix accepted")
 	}

@@ -180,15 +180,35 @@ func TestPackedStoreResume(t *testing.T) {
 		t.Fatalf("skipped %v", res.SkippedStages)
 	}
 
-	// A full-width run against the packed journal must fail typed, not
-	// misparse the snapshot as the signature codec.
+	// A full-width run against the packed journal must fail typed, naming
+	// the packing, not restore a store of the wrong width.
 	mixed := packed
 	mixed.StoreBits = 0
 	mixed.Checkpoint = openJournal(t, dir)
 	mixed.Resume = ResumeOn
 	var pme *checkpoint.ParamMismatchError
-	if _, err := Run(reads, mixed); !errors.As(err, &pme) {
-		t.Fatalf("expected ParamMismatchError, got %v", err)
+	if _, err := Run(reads, mixed); !errors.As(err, &pme) || pme.Param != "store_bits" {
+		t.Fatalf("expected ParamMismatchError naming store_bits, got %v", err)
+	}
+}
+
+// TestOlderFullWidthJournalNamesStoreBits: older builds journaled a
+// full-width sketch stage in a signature codec of their own and recorded
+// no store_bits. Resuming such a journal must fail as a parameter
+// mismatch naming store_bits, never as a misparse of its bytes.
+func TestOlderFullWidthJournalNamesStoreBits(t *testing.T) {
+	reads, _ := makeReads(3, 5, 180, 0.01, 4)
+	opt := resumeOptions(GreedyMode, 4)
+	dir := t.TempDir()
+	older := map[string]string{"k": "8", "num_hashes": "40", "canonical": "false", "seed": "4"}
+	if _, err := openJournal(t, dir).Commit(StageSketch, HashReads(reads), older, []byte("older signature codec")); err != nil {
+		t.Fatal(err)
+	}
+	opt.Checkpoint = openJournal(t, dir)
+	opt.Resume = ResumeOn
+	var pme *checkpoint.ParamMismatchError
+	if _, err := Run(reads, opt); !errors.As(err, &pme) || pme.Param != "store_bits" || pme.Got != "0" || pme.Recorded != "" {
+		t.Fatalf("resume of an older full-width journal: %v, want ParamMismatchError naming store_bits", err)
 	}
 }
 

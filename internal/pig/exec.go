@@ -351,15 +351,12 @@ func (ex *executor) store(st *StoreStmt) (string, bool, error) {
 	restored := false
 	if ck := ex.ctx.Checkpoint; ck != nil {
 		if ex.ctx.Resume {
-			e, ok, err := ck.Validate(stage, checkpoint.HashBytes(data), nil)
+			saved, ok, err := ck.Validate(stage, checkpoint.HashBytes(data), nil)
 			if err != nil {
 				return "", false, fmt.Errorf("pig: line %d: %w", st.Line, err)
 			}
 			if ok {
-				if data, err = ck.Load(e); err != nil {
-					return "", false, fmt.Errorf("pig: line %d: %w", st.Line, err)
-				}
-				restored = true
+				data, restored = saved, true
 			}
 		}
 		if !restored {
