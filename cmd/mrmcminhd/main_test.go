@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -97,6 +98,20 @@ func TestDaemonChaosKillAndRecover(t *testing.T) {
 	ee, ok := err.(*exec.ExitError)
 	if !ok || ee.ExitCode() != 3 {
 		t.Fatalf("chaos run: %v (want exit 3)\n%s", err, out)
+	}
+
+	// The params were durable before the first ack: resuming under
+	// another theta is refused (exit 1), naming the field and both
+	// values, without advice to pass a flag the daemon does not have.
+	cmd = exec.Command(bin, append(append([]string{}, common...),
+		"-data-dir", dir, "-resume", "-theta", "0.5")...)
+	out, err = cmd.CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("resume under -theta 0.5: %v (want exit 1)\n%s", err, out)
+	}
+	if msg := string(out); !strings.Contains(msg, "theta=0.4") || !strings.Contains(msg, "theta=0.5") ||
+		strings.Contains(msg, "resume=force") {
+		t.Fatalf("params refusal must name theta with both values and not advise --resume=force:\n%s", msg)
 	}
 
 	// Recovery: resume over the SAME input; already-acked reads dedup,

@@ -3,20 +3,17 @@
 // crashes. Reads are acknowledged only after their WAL record is
 // fsynced; assignments are a pure function of commit order (the online
 // Algorithm 1 over the signature store), so recovery — restore the last
-// content-addressed snapshot, replay the WAL tail, re-run the
+// snapshot from the checkpoint journal, replay the WAL tail, re-run the
 // incremental clusterer over dense IDs 0..n-1 — reproduces every
 // acknowledged assignment bit-identically.
 package serve
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 
 	"github.com/metagenomics/mrmcminh/internal/checkpoint"
@@ -28,18 +25,19 @@ import (
 )
 
 // Params fixes the sketch and clustering geometry of a service. Every
-// parameter changes assignments, so the manifest records all of them
-// and Open refuses to resume a data directory written under different
-// params — silently different clusters would be worse than an error.
+// parameter changes assignments, so the checkpoint journal records all
+// of them and Open refuses to resume a data directory written under
+// different params — silently different clusters would be worse than an
+// error.
 type Params struct {
-	K         int               `json:"k"`
-	NumHashes int               `json:"num_hashes"`
-	Seed      int64             `json:"seed"`
-	Canonical bool              `json:"canonical"`
-	Theta     float64           `json:"theta"`
-	Bits      int               `json:"bits"`
-	Estimator minhash.Estimator `json:"estimator"`
-	UseLSH    bool              `json:"use_lsh"`
+	K         int
+	NumHashes int
+	Seed      int64
+	Canonical bool
+	Theta     float64
+	Bits      int
+	Estimator minhash.Estimator
+	UseLSH    bool
 }
 
 // Validate rejects unusable geometry before any state is created.
@@ -59,20 +57,30 @@ func (p Params) Validate() error {
 	return nil
 }
 
-const (
-	manifestFile = "MANIFEST.json"
-	walFile      = "wal.log"
-	stagingFile  = ".staging" // where Checkpoint writes a file before renaming it into place
-)
-
-// manifest is the checkpoint directory's metadata: which snapshot blob
-// is current, its content hash, and the params that produced it.
-type manifest struct {
-	Params   Params `json:"params"`
-	Snapshot string `json:"snapshot"` // file name, content-addressed
-	SHA256   string `json:"sha256"`   // hex of the snapshot blob
-	Reads    int    `json:"reads"`
+// journalParams renders every field for the checkpoint journal, which
+// names the first one that differs when a resume is refused.
+func (p Params) journalParams() map[string]string {
+	return map[string]string{
+		"k":          fmt.Sprint(p.K),
+		"num_hashes": fmt.Sprint(p.NumHashes),
+		"seed":       fmt.Sprint(p.Seed),
+		"canonical":  fmt.Sprint(p.Canonical),
+		"theta":      fmt.Sprint(p.Theta),
+		"bits":       fmt.Sprint(p.Bits),
+		"estimator":  p.Estimator.String(),
+		"use_lsh":    fmt.Sprint(p.UseLSH),
+	}
 }
+
+const (
+	walFile = "wal.log"
+	// snapshotStage is the journal stage holding the store snapshot
+	// (SIGSNAP2) that the WAL tail replays on top of.
+	snapshotStage = "snapshot"
+	// oldManifestFile marks a data dir written by a build that
+	// checkpointed outside the journal.
+	oldManifestFile = "MANIFEST.json"
+)
 
 // Ack is the commit result for one submitted read.
 type Ack struct {
@@ -88,14 +96,13 @@ type Ack struct {
 // locks — they load the latest published readView (one atomic pointer
 // load) and walk its immutable arrays.
 type State struct {
-	params Params
-	dir    string
-	files  *checkpoint.DirStore // durable writes into dir
-	store  *sigstore.Store
-	src    *sigstore.View // the clusterer's source; grown by the committer
-	inc    *cluster.Incremental
-	wal    *WAL
-	inj    *faults.Injector
+	params  Params
+	journal *checkpoint.Journal // the durable snapshot, in the data dir
+	store   *sigstore.Store
+	src     *sigstore.View // the clusterer's source; grown by the committer
+	inc     *cluster.Incremental
+	wal     *WAL
+	inj     *faults.Injector
 
 	// Committer-owned builders: chunked columns the published views
 	// window into. Only the single committer goroutine touches them.
@@ -113,9 +120,12 @@ type State struct {
 }
 
 // Open builds (or recovers) service state in dir. A directory that
-// already holds a manifest or WAL refuses to open without resume —
+// already holds a checkpoint or WAL refuses to open without resume —
 // silently restarting fresh over durable data would discard
-// acknowledged reads. inj may be nil (no fault injection).
+// acknowledged reads. Before it returns, Open commits the recovered
+// corpus (the empty store in a fresh dir) with every param to the
+// checkpoint journal, so no read is acked before its params are
+// durable. inj may be nil (no fault injection).
 func Open(dir string, p Params, resume bool, inj *faults.Injector) (*State, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -124,31 +134,43 @@ func Open(dir string, p Params, resume bool, inj *faults.Injector) (*State, erro
 	if err != nil {
 		return nil, err
 	}
-	manifestPath := filepath.Join(dir, manifestFile)
+	if files.Exists(oldManifestFile) {
+		return nil, fmt.Errorf("serve: data dir %s holds %s, written by an older build; rebuild it from the reads", dir, oldManifestFile)
+	}
+	journal, err := checkpoint.Open(files, "/")
+	if err != nil {
+		return nil, err
+	}
 	walPath := filepath.Join(dir, walFile)
-	hasManifest := fileExists(manifestPath)
 	walInfo, walErr := os.Stat(walPath)
 	hasWAL := walErr == nil && walInfo.Size() > 0
-	if (hasManifest || hasWAL) && !resume {
+	if (hasWAL || !journal.Empty()) && !resume {
 		return nil, fmt.Errorf("serve: data dir %s holds previous state; pass resume to recover it", dir)
 	}
+	if hasWAL && journal.Empty() {
+		return nil, fmt.Errorf("serve: data dir %s holds a WAL but no checkpoint journal, written by an older build; rebuild it from the reads", dir)
+	}
 
-	st := &State{params: p, dir: dir, files: files, inj: inj}
-	if hasManifest {
-		m, store, err := loadCheckpoint(dir, manifestPath)
-		if err != nil {
+	st := &State{params: p, journal: journal, inj: inj}
+	if journal.Empty() {
+		if st.store, err = sigstore.New(sigstore.Config{NumHashes: p.NumHashes, Bits: p.Bits}); err != nil {
 			return nil, err
 		}
-		if m.Params != p {
-			return nil, fmt.Errorf("serve: data dir params %+v differ from requested %+v", m.Params, p)
-		}
-		st.store = store
 	} else {
-		store, err := sigstore.New(sigstore.Config{NumHashes: p.NumHashes, Bits: p.Bits})
+		blob, ok, err := journal.Validate(snapshotStage, "", p.journalParams())
+		var pm *checkpoint.ParamMismatchError
+		if errors.As(err, &pm) {
+			return nil, (*paramsRefusal)(pm)
+		}
 		if err != nil {
+			return nil, fmt.Errorf("serve: data dir %s: %w", dir, err)
+		}
+		if !ok {
+			return nil, fmt.Errorf("serve: data dir %s: checkpoint journal has no %s stage", dir, snapshotStage)
+		}
+		if st.store, err = sigstore.Restore(blob); err != nil {
 			return nil, err
 		}
-		st.store = store
 	}
 
 	st.src = st.store.View(p.Estimator)
@@ -174,7 +196,8 @@ func Open(dir string, p Params, resume bool, inj *faults.Injector) (*State, erro
 
 	// Replay the WAL tail: reads acked after the snapshot. Replay is
 	// idempotent — a record whose ID the snapshot already holds (the
-	// crash window between WAL sync and snapshot write) is skipped.
+	// crash window between snapshot commit and WAL truncation) is
+	// skipped.
 	durable, _, err := ReplayWAL(walPath, func(id string, sig minhash.Signature) error {
 		if _, ok := st.store.Translator().Lookup(id); ok {
 			return nil
@@ -195,50 +218,26 @@ func Open(dir string, p Params, resume bool, inj *faults.Injector) (*State, erro
 	st.wal = wal
 
 	// Fold the replayed WAL tail into a fresh snapshot so the next
-	// crash replays a short log, and so a recovered directory is
-	// immediately re-crash-safe.
-	if hasWAL || hasManifest {
-		if err := st.Checkpoint(); err != nil {
-			st.wal.Close()
-			return nil, err
-		}
+	// crash replays a short log; in a fresh dir this makes the params
+	// durable before the first ack.
+	if err := st.Checkpoint(); err != nil {
+		st.wal.Close()
+		return nil, err
 	}
 	return st, nil
 }
 
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
+// paramsRefusal is the journal's ParamMismatchError worded for the
+// daemon: the batch CLIs' advice to pass --resume=force does not apply,
+// because the daemon never discards acknowledged reads.
+type paramsRefusal checkpoint.ParamMismatchError
+
+func (e *paramsRefusal) Error() string {
+	return fmt.Sprintf("serve: data dir was written with %s=%s, not %s=%s; resume it with the params it was written with",
+		e.Param, e.Recorded, e.Param, e.Got)
 }
 
-// loadCheckpoint reads the manifest and its snapshot, verifying the
-// content hash before restoring.
-func loadCheckpoint(dir, manifestPath string) (*manifest, *sigstore.Store, error) {
-	raw, err := os.ReadFile(manifestPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	var m manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, nil, fmt.Errorf("serve: manifest: %w", err)
-	}
-	blob, err := os.ReadFile(filepath.Join(dir, m.Snapshot))
-	if err != nil {
-		return nil, nil, fmt.Errorf("serve: snapshot: %w", err)
-	}
-	sum := sha256.Sum256(blob)
-	if hex.EncodeToString(sum[:]) != m.SHA256 {
-		return nil, nil, fmt.Errorf("serve: snapshot %s does not match manifest hash", m.Snapshot)
-	}
-	store, err := sigstore.Restore(blob)
-	if err != nil {
-		return nil, nil, err
-	}
-	if store.Len() != m.Reads {
-		return nil, nil, fmt.Errorf("serve: snapshot holds %d reads, manifest says %d", store.Len(), m.Reads)
-	}
-	return &m, store, nil
-}
+func (e *paramsRefusal) Unwrap() error { return (*checkpoint.ParamMismatchError)(e) }
 
 // applyRead translates, stores, and clusters one new read, returning its
 // dense ID and label. Callers must have established the ID is not yet
@@ -351,43 +350,17 @@ func (st *State) CommitBatch(batch []ingest.Sketched) ([]Ack, error) {
 	return acks, nil
 }
 
-// Checkpoint writes a content-addressed snapshot plus manifest and
-// truncates the WAL the snapshot absorbed. Each file is staged, fsynced
-// and renamed into place with its directory fsynced (checkpoint.DirStore),
-// so the manifest the WAL truncation trusts survives a power cut. The
-// store must be quiescent — the committer calls this, never a request
+// Checkpoint commits a store snapshot with the params to the checkpoint
+// journal, then truncates the WAL the snapshot absorbed. The journal
+// names the snapshot by its content and fsyncs it and its manifest
+// (checkpoint.DirStore) before the truncation trusts them. The store
+// must be quiescent — the committer calls this, never a request
 // goroutine.
 func (st *State) Checkpoint() error {
-	blob := st.store.Snapshot()
-	sum := sha256.Sum256(blob)
-	name := fmt.Sprintf("snapshot-%s.bin", hex.EncodeToString(sum[:8]))
-	if err := st.files.WriteFile(stagingFile, blob); err != nil {
+	if _, err := st.journal.Commit(snapshotStage, "", st.params.journalParams(), st.store.Snapshot()); err != nil {
 		return err
 	}
-	if err := st.files.Replace(stagingFile, name); err != nil {
-		return err
-	}
-	m := manifest{Params: st.params, Snapshot: name, SHA256: hex.EncodeToString(sum[:]), Reads: st.store.Len()}
-	raw, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := st.files.WriteFile(stagingFile, raw); err != nil {
-		return err
-	}
-	if err := st.files.Replace(stagingFile, manifestFile); err != nil {
-		return err
-	}
-	if err := st.wal.Truncate(); err != nil {
-		return err
-	}
-	// Old snapshots are unreferenced once the manifest points elsewhere.
-	for _, old := range st.files.List("/snapshot-") {
-		if strings.HasSuffix(old, ".bin") && old != "/"+name {
-			st.files.Remove(old) // best effort: an orphaned snapshot costs only disk space
-		}
-	}
-	return nil
+	return st.wal.Truncate()
 }
 
 // Close flushes and closes the WAL. It does NOT checkpoint — callers

@@ -3,15 +3,16 @@ package serve
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/metagenomics/mrmcminh/internal/checkpoint"
 	"github.com/metagenomics/mrmcminh/internal/faults"
 	"github.com/metagenomics/mrmcminh/internal/ingest"
 	"github.com/metagenomics/mrmcminh/internal/kmer"
@@ -221,7 +222,96 @@ func TestOpenRefusesUnmatchedState(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesOldSnapshotFormat: a data dir whose manifest names a
+// TestParamsDurableBeforeFirstCheckpoint: Open commits the params before
+// it acks a read, so a daemon killed before its first drain cannot be
+// resumed under other params. Each refusal is a typed ParamMismatchError
+// naming the field, worded without the batch CLIs' --resume=force.
+func TestParamsDurableBeforeFirstCheckpoint(t *testing.T) {
+	p := testParams()
+	dir := t.TempDir()
+	st, err := Open(dir, p, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := makeReads(t, p, 50)
+	commitAll(t, st, reads, 10)
+	want := dump(t, st)
+	if err := st.Close(); err != nil { // killed: no Checkpoint
+		t.Fatal(err)
+	}
+
+	for field, mod := range map[string]func(*Params){
+		"theta": func(p *Params) { p.Theta = 0.9 },
+		"seed":  func(p *Params) { p.Seed = 99 },
+	} {
+		q := p
+		mod(&q)
+		st, err := Open(dir, q, true, nil)
+		if err == nil {
+			st.Close()
+			t.Fatalf("resume with another %s succeeded", field)
+		}
+		var pm *checkpoint.ParamMismatchError
+		if !errors.As(err, &pm) || pm.Param != field {
+			t.Fatalf("resume with another %s: %v, want a ParamMismatchError naming it", field, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, field+"="+pm.Recorded) || !strings.Contains(msg, field+"="+pm.Got) ||
+			strings.Contains(msg, "resume=force") {
+			t.Fatalf("refusal %q must name %s with both values and not advise --resume=force", msg, field)
+		}
+	}
+
+	st, err = Open(dir, p, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got := dump(t, st); got != want {
+		t.Fatalf("recovered %d reads, want all 50 with their assignments", st.Stats().Reads)
+	}
+}
+
+// dirFiles maps every entry under dir (a directory as "name/") to its
+// bytes: what a refused Open must leave untouched.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || path == dir {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		if d.IsDir() {
+			out[rel+"/"] = ""
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		out[rel] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// refuseUntouched requires Open with resume to fail over dir with an
+// error containing want, leaving every file byte-identical.
+func refuseUntouched(t *testing.T, dir, want string) {
+	t.Helper()
+	before := dirFiles(t, dir)
+	if st, err := Open(dir, testParams(), true, nil); err == nil || !strings.Contains(err.Error(), want) {
+		if st != nil {
+			st.Close()
+		}
+		t.Fatalf("Open: %v, want an error naming %q", err, want)
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("a refused Open changed the data dir")
+	}
+}
+
+// TestOpenRefusesOldSnapshotFormat: a data dir whose journal holds a
 // snapshot an older build wrote (magic SIGSNAP1) fails to open by name,
 // and the refusal leaves every file in the dir byte-identical.
 func TestOpenRefusesOldSnapshotFormat(t *testing.T) {
@@ -232,66 +322,53 @@ func TestOpenRefusesOldSnapshotFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	commitAll(t, st, makeReads(t, p, 10), 10)
-	if err := st.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	blob := st.store.Snapshot()
 	st.Close()
 
-	// Re-seal the snapshot under the old magic and point the manifest's
-	// hash at it, as if an older build had checkpointed this dir.
-	manifestPath := filepath.Join(dir, manifestFile)
-	raw, err := os.ReadFile(manifestPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(filepath.Join(dir, m.Snapshot))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Re-seal the snapshot under the old magic and commit it through the
+	// journal, as if an older build had checkpointed this dir.
 	body := append([]byte("SIGSNAP1"), blob[8:len(blob)-sha256.Size]...)
 	inner := sha256.Sum256(body)
-	blob = append(body, inner[:]...)
-	sum := sha256.Sum256(blob)
-	m.SHA256 = hex.EncodeToString(sum[:])
-	if raw, err = json.Marshal(m); err != nil {
+	if _, err := st.journal.Commit(snapshotStage, "", p.journalParams(), append(body, inner[:]...)); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(manifestPath, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, m.Snapshot), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	refuseUntouched(t, dir, "SIGSNAP1")
+}
 
-	files := func() map[string]string {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
+// TestOpenRefusesOlderBuildDirs: a data dir from a build that
+// checkpointed outside the journal — one holding MANIFEST.json, or a
+// non-empty WAL with no journal entry — is refused by name and left
+// byte-identical.
+func TestOpenRefusesOlderBuildDirs(t *testing.T) {
+	p := testParams()
+	reads := makeReads(t, p, 5)
+
+	manifestDir := t.TempDir()
+	for name, data := range map[string]string{
+		oldManifestFile:                 `{"snapshot":"snapshot-0123456789abcdef.bin"}`,
+		"snapshot-0123456789abcdef.bin": "SIGSNAP2",
+		walFile:                         "",
+	} {
+		if err := os.WriteFile(filepath.Join(manifestDir, name), []byte(data), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		out := make(map[string]string, len(entries))
-		for _, e := range entries {
-			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[e.Name()] = string(b)
+	}
+	refuseUntouched(t, manifestDir, oldManifestFile)
+
+	walDir := t.TempDir()
+	wal, err := OpenWAL(filepath.Join(walDir, walFile), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reads {
+		if err := wal.Append(r.ID, r.Sig); err != nil {
+			t.Fatal(err)
 		}
-		return out
 	}
-	before := files()
-	if st, err := Open(dir, p, true, nil); err == nil || !strings.Contains(err.Error(), "SIGSNAP1") {
-		if st != nil {
-			st.Close()
-		}
-		t.Fatalf("Open over a SIGSNAP1 snapshot: %v, want an error naming SIGSNAP1", err)
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if after := files(); !reflect.DeepEqual(after, before) {
-		t.Fatal("a refused Open changed the data dir")
-	}
+	refuseUntouched(t, walDir, "no checkpoint journal")
 }
 
 // TestOpenRejectsUnsketchableK: k=31 packs into a uint64, but its feature
