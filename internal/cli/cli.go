@@ -82,6 +82,18 @@ func (f *Flags) Sketch(k, hashes int, theta float64) {
 // opening the fault injector and the checkpoint journal. Every bad value
 // fails here, before the command does any work.
 func (f *Flags) Options() (core.Options, error) {
+	if f.fs.Lookup("k") != nil { // the Sketch group
+		// core.Options reads a zero k, hash count or theta as "use the
+		// default", so a zero flag would silently run another geometry.
+		switch {
+		case f.k == 0:
+			return core.Options{}, fmt.Errorf("-k must be at least 1, got 0")
+		case f.hashes == 0:
+			return core.Options{}, fmt.Errorf("-hashes must be at least 1, got 0")
+		case f.theta == 0:
+			return core.Options{}, fmt.Errorf("-theta must be above 0, got 0")
+		}
+	}
 	cand, err := core.ParseCandidateGen(f.candidate)
 	if err != nil {
 		return core.Options{}, err

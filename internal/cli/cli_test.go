@@ -182,6 +182,10 @@ func TestBadFlagsFailBeforeAnyWork(t *testing.T) {
 		{"candidate bogus", []string{"-candidate", "bogus"}, batch},
 		{"malformed faults", []string{"-faults", "crash=lots"}, all},
 		{"k 31", []string{"-k", "31"}, []string{"mrmcminh", "mrmcminhd"}}, // packs into a uint64, but 4^31 exceeds the sketch modulus
+		// core reads zero as its default, so 0 would run another geometry.
+		{"k 0", []string{"-k", "0"}, []string{"mrmcminh", "mrmcminhd"}},
+		{"hashes 0", []string{"-hashes", "0"}, []string{"mrmcminh", "mrmcminhd"}},
+		{"theta 0", []string{"-theta", "0"}, []string{"mrmcminh", "mrmcminhd"}},
 		{"shuffle-buffer -1", []string{"-shuffle-buffer", "-1"}, batch},
 		{"fault-seed", []string{"-fault-seed", "2"}, daemon}, // the service site is deterministic
 		// A command refuses a directive at a site it does not run.
@@ -209,6 +213,9 @@ func TestBadFlagsFailBeforeAnyWork(t *testing.T) {
 					if msg := err.Error(); !strings.Contains(msg, command) || !strings.Contains(msg, directive) {
 						t.Fatalf("error %q does not name the command and %q", msg, directive)
 					}
+				}
+				if c.args[1] == "0" && !strings.Contains(err.Error(), c.args[0]) {
+					t.Fatalf("error %q does not name %s", err, c.args[0])
 				}
 				if _, err := os.Stat(ck); !os.IsNotExist(err) {
 					t.Fatal("a rejected command created its checkpoint directory")
