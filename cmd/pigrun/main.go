@@ -162,7 +162,7 @@ func run() error {
 	}
 
 	if *dump != "" {
-		for _, p := range fs.List(*dump) {
+		for _, p := range fs.ListOutputs(*dump) {
 			lines, err := fs.ReadLines(p)
 			if err != nil {
 				return err
