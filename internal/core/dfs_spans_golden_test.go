@@ -15,7 +15,7 @@ import (
 // does: it stages a fixed corpus (makeReads(20, 10, 150, 0.02, 19)) on a
 // 4-node DFS with 4 KiB blocks and 2 replicas, runs the script (k=5,
 // n=50, $DIV=1031, average linkage, cutoff 0.7, seed 19), then reads back
-// every file under the hierarchical output. It returns one line per DFS
+// every visible output under the hierarchical output directory. It returns one line per DFS
 // span in emission order (kind, name, node, bytes, detail and the kind of
 // the parent span, "-" at the root) and a last line with the SHA-256 of
 // the dumped files.
@@ -39,7 +39,7 @@ func dfsSpanLines(t *testing.T) []string {
 		t.Fatal(err)
 	}
 	h := sha256.New()
-	for _, p := range fs.List("/out/hier") {
+	for _, p := range fs.ListOutputs("/out/hier") {
 		lines, err := fs.ReadLines(p)
 		if err != nil {
 			t.Fatal(err)
