@@ -14,16 +14,6 @@ func randSeq(rng *rand.Rand, n int) []byte {
 	return s
 }
 
-func TestScoringValidate(t *testing.T) {
-	if err := DefaultScoring.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := Scoring{Match: -1, Mismatch: 0, Gap: -1}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("degenerate scoring accepted")
-	}
-}
-
 func TestGlobalIdentical(t *testing.T) {
 	s := []byte("ACGTACGT")
 	r := Global(s, s, DefaultScoring)
@@ -103,7 +93,7 @@ func TestGlobalIdentityRange(t *testing.T) {
 		for i := range b {
 			b[i] = "ACGT"[int(rb[i])%4]
 		}
-		id := GlobalIdentity(a, b)
+		id := Global(a, b, DefaultScoring).Identity()
 		return id >= 0 && id <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -73,9 +73,3 @@ func Global(a, b []byte, sc Scoring) Result {
 	}
 	return Result{Score: score, Matches: matches, AlignedLen: length}
 }
-
-// GlobalIdentity is a convenience wrapper returning only the identity
-// fraction of the global alignment under the default scoring.
-func GlobalIdentity(a, b []byte) float64 {
-	return Global(a, b, DefaultScoring).Identity()
-}

@@ -1,13 +1,13 @@
 // Package align implements pairwise DNA sequence alignment: global
-// (Needleman–Wunsch), local (Smith–Waterman) and a banded global variant.
+// (Needleman–Wunsch), a banded global variant, and local
+// (Smith–Waterman), which the simulator's tests use to measure read
+// error rates.
 //
 // The paper's W.Sim metric is the average *global alignment similarity*
 // of sequence pairs within a cluster (Huang 1994); this package supplies
 // that primitive to internal/metrics and to the alignment-based baselines
 // (DOTUR, Mothur, CD-HIT identity checks).
 package align
-
-import "fmt"
 
 // Scoring defines match/mismatch/gap scores for alignment.
 type Scoring struct {
@@ -18,17 +18,6 @@ type Scoring struct {
 
 // DefaultScoring is the conventional +1/-1/-2 DNA scheme.
 var DefaultScoring = Scoring{Match: 1, Mismatch: -1, Gap: -2}
-
-// UnitScoring scores edit-distance-like alignments: 0 match, -1 otherwise.
-var UnitScoring = Scoring{Match: 0, Mismatch: -1, Gap: -1}
-
-// Validate rejects degenerate schemes that would make alignment meaningless.
-func (s Scoring) Validate() error {
-	if s.Match <= s.Mismatch {
-		return fmt.Errorf("align: match score %d must exceed mismatch %d", s.Match, s.Mismatch)
-	}
-	return nil
-}
 
 // Result reports an alignment outcome.
 type Result struct {
