@@ -159,10 +159,13 @@ func Open(dir string, p Params, resume bool, inj *faults.Injector) (*State, erro
 	} else {
 		blob, ok, err := journal.Validate(snapshotStage, "", p.journalParams())
 		var pm *checkpoint.ParamMismatchError
-		if errors.As(err, &pm) {
+		var ce *checkpoint.CorruptError
+		switch {
+		case errors.As(err, &pm):
 			return nil, (*paramsRefusal)(pm)
-		}
-		if err != nil {
+		case errors.As(err, &ce):
+			return nil, fmt.Errorf("serve: data dir %s: snapshot %s is corrupt (%s); rebuild it from the reads", dir, ce.Output, ce.Reason)
+		case err != nil:
 			return nil, fmt.Errorf("serve: data dir %s: %w", dir, err)
 		}
 		if !ok {
@@ -228,8 +231,8 @@ func Open(dir string, p Params, resume bool, inj *faults.Injector) (*State, erro
 }
 
 // paramsRefusal is the journal's ParamMismatchError worded for the
-// daemon: the batch CLIs' advice to pass --resume=force does not apply,
-// because the daemon never discards acknowledged reads.
+// daemon: the journal's advice to pass the batch CLIs' --resume=force
+// does not apply, because the daemon never discards acknowledged reads.
 type paramsRefusal checkpoint.ParamMismatchError
 
 func (e *paramsRefusal) Error() string {

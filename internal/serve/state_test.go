@@ -335,6 +335,39 @@ func TestOpenRefusesOldSnapshotFormat(t *testing.T) {
 	refuseUntouched(t, dir, "SIGSNAP1")
 }
 
+// TestOpenRefusesCorruptSnapshot: a snapshot whose bytes no longer match
+// the journal's hash is refused by name, without advice to pass a flag
+// the daemon does not have, and the dir is left byte-identical.
+func TestOpenRefusesCorruptSnapshot(t *testing.T) {
+	p := testParams()
+	dir := t.TempDir()
+	st, err := Open(dir, p, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitAll(t, st, makeReads(t, p, 10), 10)
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	snaps, err := filepath.Glob(filepath.Join(dir, snapshotStage+".*"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots %v (%v), want one", snaps, err)
+	}
+	blob, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[len(blob)/2] ^= 1
+	if err := os.WriteFile(snaps[0], blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refuseUntouched(t, dir, "is corrupt")
+	if _, err := Open(dir, p, true, nil); strings.Contains(err.Error(), "resume=force") {
+		t.Fatalf("refusal %q advises --resume=force", err)
+	}
+}
+
 // TestOpenRefusesOlderBuildDirs: a data dir from a build that
 // checkpointed outside the journal — one holding MANIFEST.json, or a
 // non-empty WAL with no journal entry — is refused by name and left
