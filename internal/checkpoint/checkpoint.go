@@ -252,16 +252,19 @@ func (j *Journal) Commit(stage, inputsHash string, params map[string]string, out
 		Output:     out,
 		OutputHash: sum,
 	}
-	kept := j.entries[:0]
+	// The journal takes the new entry only once its manifest is durable,
+	// so a failed commit leaves it validating what the disk holds.
+	kept := make([]Entry, 0, len(j.entries)+1)
 	for _, old := range j.entries {
 		if old.Stage != stage {
 			kept = append(kept, old)
 		}
 	}
-	j.entries = append(kept, e)
-	if err := j.writeManifest(); err != nil {
+	kept = append(kept, e)
+	if err := j.writeManifest(kept); err != nil {
 		return Entry{}, err
 	}
+	j.entries = kept
 	j.removeSuperseded(stage)
 	return e, nil
 }
@@ -283,9 +286,9 @@ func (j *Journal) removeSuperseded(stage string) {
 }
 
 // writeManifest atomically rewrites the manifest as JSONL.
-func (j *Journal) writeManifest() error {
+func (j *Journal) writeManifest(entries []Entry) error {
 	var sb strings.Builder
-	for _, e := range j.entries {
+	for _, e := range entries {
 		b, err := json.Marshal(e)
 		if err != nil {
 			return fmt.Errorf("checkpoint: encoding manifest: %w", err)

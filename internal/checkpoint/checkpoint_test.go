@@ -163,8 +163,9 @@ func (f *failingManifest) Replace(from, to string) error {
 
 // TestInterruptedRecommitKeepsOutput: a re-commit that dies before its
 // manifest is durable must not touch the output the durable manifest
-// names, so a reopened journal still validates the first output. The
-// next clean commit then leaves exactly one output file for the stage.
+// names, so the journal, and a reopened one, still validate the first
+// output. The next clean commit then leaves exactly one output file for
+// the stage.
 func TestInterruptedRecommitKeepsOutput(t *testing.T) {
 	_, dir := tempJournal(t)
 	store := &failingManifest{DirStore: dir}
@@ -186,9 +187,11 @@ func TestInterruptedRecommitKeepsOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, skip, err := j2.Validate("sketch", "in", params)
-	if err != nil || !skip || string(data) != "first" {
-		t.Fatalf("after the interrupted re-commit: %q skip=%v err=%v, want the first output", data, skip, err)
+	for name, jj := range map[string]*Journal{"same": j, "reopened": j2} {
+		data, skip, err := jj.Validate("sketch", "in", params)
+		if err != nil || !skip || string(data) != "first" {
+			t.Fatalf("%s journal after the interrupted re-commit: %q skip=%v err=%v, want the first output", name, data, skip, err)
+		}
 	}
 	e, err := j2.Commit("sketch", "in", params, []byte("third"))
 	if err != nil {
