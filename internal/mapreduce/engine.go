@@ -132,6 +132,9 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 
 	jobRef := rec.Begin(trace.KindJob, job.Name)
 	defer rec.End(jobRef)
+	if job.Detail != "" {
+		rec.SetDetail(jobRef, job.Detail)
+	}
 	// vbase anchors this job's task spans on the recorder's virtual clock.
 	vbase := rec.VirtualNow()
 

@@ -407,4 +407,7 @@ type Job struct {
 	// (1.0 when zero). Heavy UDFs (e.g. all-pairs similarity rows) set >1.
 	MapCostFactor    float64
 	ReduceCostFactor float64
+	// Detail annotates the job's trace span (Pig lists the statements
+	// each phase runs).
+	Detail string
 }

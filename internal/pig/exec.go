@@ -35,26 +35,32 @@ func MustCompile(src string) *Script {
 	return s
 }
 
-// Run executes the script statement by statement, launching one MapReduce
-// job per FOREACH/GROUP (Pig's one-operator-one-job compilation for linear
-// scripts) and accumulating the simulated cluster time. When the engine
-// carries a trace recorder, every logical operator opens a span that the
-// jobs it launches nest under, so the whole script renders as one
-// timeline.
+// Run executes the script statement by statement. Before any statement
+// runs, compilePlan pipelines chains of map-only FOREACH statements into
+// the neighbouring GROUP and grouped-FOREACH jobs, as Pig's compiler
+// does (plan.go); every other FOREACH, GROUP, FILTER, DISTINCT, ORDER
+// and JOIN launches one MapReduce job of its own. Run accumulates the
+// simulated cluster time of every job. When the engine carries a trace
+// recorder, every statement opens a span that the jobs it launches nest
+// under, so the whole script renders as one timeline; a fused statement's
+// span holds no job, and the job that ran it lists it in its detail.
 func (s *Script) Run(ctx *Context) (*RunResult, error) {
 	if ctx.FS == nil || ctx.Engine == nil || ctx.Registry == nil {
 		return nil, fmt.Errorf("pig: context requires FS, Engine and Registry")
 	}
 	start := time.Now()
 	rec := ctx.Engine.Trace
-	ex := &executor{ctx: ctx, aliases: make(map[string]*Relation)}
+	ex := &executor{ctx: ctx, aliases: make(map[string]*Relation), plan: compilePlan(s.stmts, ctx.Registry)}
 	res := &RunResult{Aliases: ex.aliases, Stored: make(map[string]string), Dumps: make(map[string][]string)}
 	for _, st := range s.stmts {
 		var ref trace.SpanRef
 		if rec.Enabled() {
 			ref = rec.Begin(trace.KindPigOp, stmtLabel(st))
 		}
-		err := ex.execStmt(st, res)
+		var err error
+		if !ex.plan.fused[st] {
+			err = ex.execStmt(st, res)
+		}
 		rec.End(ref)
 		if err != nil {
 			return nil, err
@@ -178,6 +184,7 @@ func stmtLabel(st Stmt) string {
 type executor struct {
 	ctx     *Context
 	aliases map[string]*Relation
+	plan    plan
 }
 
 // relation resolves an alias or fails with its use-site line.
@@ -270,52 +277,173 @@ func (ex *executor) evalConst(e Expr, line int) (Value, error) {
 	}
 }
 
-// ---- GROUP ----
+// ---- GROUP, and the one job shape it shares with grouped FOREACH ----
 
 func (ex *executor) group(st *GroupStmt) (time.Duration, error) {
-	in, err := ex.relation(st.Input, st.Line)
-	if err != nil {
-		return 0, err
-	}
-	records := tuplesToRecords(in.Tuples)
-	job := &mapreduce.Job{
-		Name:  fmt.Sprintf("group-%s", st.Alias),
-		Input: mapreduce.MemoryInput{Records: records, SplitSize: splitSizeFor(len(records), ex.ctx.Engine.Cluster)},
-		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
-			tup := kv.Value.(Tuple)
-			key := "all"
-			if !st.All {
-				kval, err := ex.evalTuple(st.By, tup, in, st.Input, st.Line)
-				if err != nil {
-					return err
-				}
-				key = FormatValue(kval)
+	return ex.shuffle(shuffleOp{
+		stmt:   st,
+		name:   fmt.Sprintf("group-%s", st.Alias),
+		alias:  st.Alias,
+		input:  st.Input,
+		line:   st.Line,
+		schema: Schema{{Name: "group", Type: "chararray"}, {Name: st.Input, Type: "bag"}},
+		key: func(tup Tuple, in *Relation) (string, Value, error) {
+			if st.All {
+				return "all", tup, nil
 			}
-			emit(mapreduce.KeyValue{Key: key, Value: tup})
-			return nil
+			kval, err := ex.evalTuple(st.By, tup, in, st.Input, st.Line)
+			if err != nil {
+				return "", nil, err
+			}
+			return FormatValue(kval), tup, nil
 		},
-		Reduce: func(key string, values []any, emit func(mapreduce.KeyValue)) error {
+		fold: func(key string, values []any) ([]Tuple, error) {
 			bag := make(Bag, 0, len(values))
 			for _, v := range values {
 				bag = append(bag, v.(Tuple))
 			}
-			emit(mapreduce.KeyValue{Key: key, Value: NewTuple(key, bag)})
+			return []Tuple{NewTuple(key, bag)}, nil
+		},
+		// Sort by group key for deterministic output across reducers.
+		sorted: true,
+	})
+}
+
+// shuffleOp is what a GROUP or grouped-FOREACH statement brings to its
+// MapReduce job: the key step its map phase ends in and the fold its
+// reduce phase starts with. shuffle builds the job around them.
+type shuffleOp struct {
+	stmt         Stmt
+	name         string
+	alias, input string
+	line         int
+	// schema is that of the tuples fold yields.
+	schema Schema
+	// key turns one tuple of the statement's input (schema in) into the
+	// shuffled key and value.
+	key func(tup Tuple, in *Relation) (string, Value, error)
+	// fold turns one key's shuffled values into the statement's tuples.
+	fold func(key string, values []any) ([]Tuple, error)
+	// costFactor is the fold's UDF CostFactor.
+	costFactor float64
+	// sorted orders the output by key (stably, so a key's rows keep the
+	// order its reducer yielded them in).
+	sorted bool
+}
+
+// shuffle runs op as one MapReduce job together with the chains the plan
+// fused into it; an unfused statement has empty chains. The map phase
+// reads the relation the first map-chain statement reads (op's input
+// when the chain is empty), pipes each tuple through the chain and keys
+// every row that comes out. The reduce phase folds each key and pipes
+// every tuple the fold yields through the reduce chain, emitting the rows
+// under the key. The rows that leave the last stage materialize under its
+// alias. Each phase charges per input record at the largest CostFactor
+// among the statements it runs.
+func (ex *executor) shuffle(op shuffleOp) (time.Duration, error) {
+	f := ex.plan.jobs[op.stmt]
+	srcName, srcLine := op.input, op.line
+	if len(f.mapChain) > 0 {
+		srcName, srcLine = f.mapChain[0].Input, f.mapChain[0].Line
+	}
+	src, err := ex.relation(srcName, srcLine)
+	if err != nil {
+		return 0, err
+	}
+	mapStages, keyIn, mapCost := ex.stages(f.mapChain, src)
+	reduceStages, out, reduceCost := ex.stages(f.reduceChain, &Relation{Schema: op.schema})
+	records := tuplesToRecords(src.Tuples)
+	job := &mapreduce.Job{
+		Name:             op.name,
+		Detail:           f.phases(op.alias),
+		Input:            mapreduce.MemoryInput{Records: records, SplitSize: splitSizeFor(len(records), ex.ctx.Engine.Cluster)},
+		NumReducers:      ex.ctx.Engine.Cluster.Nodes,
+		MapCostFactor:    mapCost,
+		ReduceCostFactor: max(op.costFactor, reduceCost),
+		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
+			return ex.pipe(mapStages, kv.Value.(Tuple), func(tup Tuple) error {
+				key, val, err := op.key(tup, keyIn)
+				if err != nil {
+					return err
+				}
+				emit(mapreduce.KeyValue{Key: key, Value: val})
+				return nil
+			})
+		},
+		Reduce: func(key string, values []any, emit func(mapreduce.KeyValue)) error {
+			tuples, err := op.fold(key, values)
+			if err != nil {
+				return err
+			}
+			for _, tup := range tuples {
+				if err := ex.pipe(reduceStages, tup, func(row Tuple) error {
+					emit(mapreduce.KeyValue{Key: key, Value: row})
+					return nil
+				}); err != nil {
+					return err
+				}
+			}
 			return nil
 		},
-		NumReducers: ex.ctx.Engine.Cluster.Nodes,
 	}
 	res, err := ex.ctx.Engine.Run(job)
 	if err != nil {
 		return 0, err
 	}
-	out := &Relation{Schema: Schema{{Name: "group", Type: "chararray"}, {Name: st.Input, Type: "bag"}}}
-	// Sort by group key for deterministic output across reducers.
-	sort.SliceStable(res.Output, func(i, j int) bool { return res.Output[i].Key < res.Output[j].Key })
-	for _, kv := range res.Output {
-		out.Tuples = append(out.Tuples, kv.Value.(Tuple))
+	if op.sorted {
+		sort.SliceStable(res.Output, func(i, j int) bool { return res.Output[i].Key < res.Output[j].Key })
 	}
-	ex.aliases[st.Alias] = out
+	out.Tuples = make(Bag, len(res.Output))
+	for i, kv := range res.Output {
+		out.Tuples[i] = kv.Value.(Tuple)
+	}
+	alias := op.alias
+	if n := len(f.reduceChain); n > 0 {
+		alias = f.reduceChain[n-1].Alias
+	}
+	ex.aliases[alias] = out
 	return res.Virtual, nil
+}
+
+// stage is one map-only FOREACH fused into a neighbouring job, with the
+// relation whose schema its expressions resolve against.
+type stage struct {
+	st *ForeachStmt
+	in *Relation
+}
+
+// stages binds a fused chain to the schemas that flow through it from
+// in. It returns the stages, the relation the last one yields (in itself
+// for an empty chain) and the largest CostFactor among their UDFs.
+func (ex *executor) stages(chain []*ForeachStmt, in *Relation) ([]stage, *Relation, float64) {
+	out := make([]stage, len(chain))
+	costFactor := 0.0
+	for i, st := range chain {
+		_, _, cf, _ := classify(ex.ctx.Registry, st) // the plan fuses only statements that classify
+		costFactor = max(costFactor, cf)
+		out[i] = stage{st: st, in: in}
+		in = &Relation{Schema: outputSchema(st)}
+	}
+	return out, in, costFactor
+}
+
+// pipe pushes tup through stages depth first, calling emit with each row
+// the last stage yields. Rows leave in the order running each stage as
+// its own job over the whole relation would produce them.
+func (ex *executor) pipe(stages []stage, tup Tuple, emit func(Tuple) error) error {
+	if len(stages) == 0 {
+		return emit(tup)
+	}
+	rows, err := ex.generate(stages[0].st, tup, stages[0].in)
+	if err != nil {
+		return err
+	}
+	for _, row := range rows {
+		if err := ex.pipe(stages[1:], row, emit); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ---- STORE ----

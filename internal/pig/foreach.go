@@ -12,52 +12,70 @@ import (
 //
 //  1. tuple-at-a-time (map-only job) — the common case;
 //  2. grouped UDF (full MR job grouping by the UDF's key argument), used
-//     by CalculateMinwiseHash which folds all k-mers of one read;
+//     by CalculateMinwiseHash which folds all k-mers of one read; it is
+//     GROUP's job shape (shuffle);
 //  3. whole-relation UDF (single-reducer job), used by the clustering UDFs
 //     that need every row of the similarity matrix.
+//
+// A tuple-at-a-time statement that the plan fuses into a neighbouring
+// GROUP or grouped-UDF job (plan.go) never gets here: that job runs it in
+// its map phase, ahead of the key step, or in its reduce phase, on every
+// tuple the reducer yields.
 func (ex *executor) foreach(st *ForeachStmt) (time.Duration, error) {
+	shape, call, costFactor, err := classify(ex.ctx.Registry, st)
+	if err != nil {
+		return 0, err
+	}
+	if shape == groupedUDF {
+		return ex.foreachGrouped(st, call)
+	}
 	in, err := ex.relation(st.Input, st.Line)
 	if err != nil {
 		return 0, err
 	}
-	// Classify the statement by its UDF usage.
-	var grouped, whole *FuncCall
-	costFactor := 0.0
-	for i := range st.Items {
-		fc, ok := st.Items[i].Expr.(FuncCall)
+	if shape == wholeRelation {
+		return ex.foreachWhole(st, in, call)
+	}
+	return ex.foreachMapOnly(st, in, costFactor)
+}
+
+// foreachShape is how a FOREACH compiles (see foreach).
+type foreachShape int
+
+const (
+	tupleAtATime foreachShape = iota
+	groupedUDF
+	wholeRelation
+)
+
+// classify returns st's shape, the grouped or whole-relation call that
+// sets it, and the largest CostFactor among its UDFs.
+func classify(reg *Registry, st *ForeachStmt) (foreachShape, FuncCall, float64, error) {
+	shape, call, costFactor := tupleAtATime, FuncCall{}, 0.0
+	for _, item := range st.Items {
+		fc, ok := item.Expr.(FuncCall)
 		if !ok {
 			continue
 		}
-		udf, ok := ex.ctx.Registry.UDF(fc.Name)
+		udf, ok := reg.UDF(fc.Name)
 		if !ok {
-			return 0, fmt.Errorf("pig: line %d: unknown UDF %q", st.Line, fc.Name)
+			return 0, FuncCall{}, 0, fmt.Errorf("pig: line %d: unknown UDF %q", st.Line, fc.Name)
 		}
-		if udf.CostFactor > costFactor {
-			costFactor = udf.CostFactor
-		}
+		costFactor = max(costFactor, udf.CostFactor)
 		if udf.GroupKeyArg >= 0 {
-			if grouped != nil || whole != nil || len(st.Items) != 1 {
-				return 0, fmt.Errorf("pig: line %d: a grouped UDF must be the only GENERATE item", st.Line)
+			if shape != tupleAtATime || len(st.Items) != 1 {
+				return 0, FuncCall{}, 0, fmt.Errorf("pig: line %d: a grouped UDF must be the only GENERATE item", st.Line)
 			}
-			f := fc
-			grouped = &f
+			shape, call = groupedUDF, fc
 		}
 		if udf.WholeRelation {
-			if grouped != nil || whole != nil || len(st.Items) != 1 {
-				return 0, fmt.Errorf("pig: line %d: a whole-relation UDF must be the only GENERATE item", st.Line)
+			if shape != tupleAtATime || len(st.Items) != 1 {
+				return 0, FuncCall{}, 0, fmt.Errorf("pig: line %d: a whole-relation UDF must be the only GENERATE item", st.Line)
 			}
-			f := fc
-			whole = &f
+			shape, call = wholeRelation, fc
 		}
 	}
-	switch {
-	case grouped != nil:
-		return ex.foreachGrouped(st, in, *grouped)
-	case whole != nil:
-		return ex.foreachWhole(st, in, *whole)
-	default:
-		return ex.foreachMapOnly(st, in, costFactor)
-	}
+	return shape, call, costFactor, nil
 }
 
 // foreachMapOnly compiles the statement to a map-only job.
@@ -83,7 +101,7 @@ func (ex *executor) foreachMapOnly(st *ForeachStmt, in *Relation, costFactor flo
 	if err != nil {
 		return 0, err
 	}
-	out := &Relation{Schema: ex.outputSchema(st, in)}
+	out := &Relation{Schema: outputSchema(st)}
 	for _, kv := range res.Output {
 		out.Tuples = append(out.Tuples, kv.Value.(Tuple))
 	}
@@ -128,7 +146,7 @@ func (ex *executor) generate(st *ForeachStmt, tup Tuple, in *Relation) ([]Tuple,
 }
 
 // outputSchema derives the schema produced by the GENERATE items.
-func (ex *executor) outputSchema(st *ForeachStmt, in *Relation) Schema {
+func outputSchema(st *ForeachStmt) Schema {
 	var out Schema
 	for i, item := range st.Items {
 		if len(item.As) > 0 {
@@ -147,10 +165,11 @@ func (ex *executor) outputSchema(st *ForeachStmt, in *Relation) Schema {
 	return out
 }
 
-// foreachGrouped compiles a grouped-UDF statement into a full MR job:
-// map emits (key=arg[GroupKeyArg], value=arg[ValueArg]); reduce calls the
-// UDF once per key with the collected values.
-func (ex *executor) foreachGrouped(st *ForeachStmt, in *Relation, fc FuncCall) (time.Duration, error) {
+// foreachGrouped compiles a grouped-UDF statement into GROUP's job shape
+// (shuffle): the key step emits (key=arg[GroupKeyArg],
+// value=arg[ValueArg]); the fold calls the UDF once per key with the
+// collected values.
+func (ex *executor) foreachGrouped(st *ForeachStmt, fc FuncCall) (time.Duration, error) {
 	udf, _ := ex.ctx.Registry.UDF(fc.Name)
 	if udf.GroupKeyArg >= len(fc.Args) || udf.ValueArg >= len(fc.Args) {
 		return 0, fmt.Errorf("pig: line %d: UDF %s expects at least %d args, got %d",
@@ -168,26 +187,26 @@ func (ex *executor) foreachGrouped(st *ForeachStmt, in *Relation, fc FuncCall) (
 		}
 		constArgs[i] = v
 	}
-	records := tuplesToRecords(in.Tuples)
-	job := &mapreduce.Job{
-		Name:             fmt.Sprintf("foreach-grouped-%s", st.Alias),
-		Input:            mapreduce.MemoryInput{Records: records, SplitSize: splitSizeFor(len(records), ex.ctx.Engine.Cluster)},
-		NumReducers:      ex.ctx.Engine.Cluster.Nodes,
-		ReduceCostFactor: udf.CostFactor,
-		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
-			tup := kv.Value.(Tuple)
+	return ex.shuffle(shuffleOp{
+		stmt:       st,
+		name:       fmt.Sprintf("foreach-grouped-%s", st.Alias),
+		alias:      st.Alias,
+		input:      st.Input,
+		line:       st.Line,
+		schema:     outputSchema(st),
+		costFactor: udf.CostFactor,
+		key: func(tup Tuple, in *Relation) (string, Value, error) {
 			keyV, err := ex.evalTuple(fc.Args[udf.GroupKeyArg], tup, in, st.Input, st.Line)
 			if err != nil {
-				return err
+				return "", nil, err
 			}
 			valV, err := ex.evalTuple(fc.Args[udf.ValueArg], tup, in, st.Input, st.Line)
 			if err != nil {
-				return err
+				return "", nil, err
 			}
-			emit(mapreduce.KeyValue{Key: FormatValue(keyV), Value: valV})
-			return nil
+			return FormatValue(keyV), valV, nil
 		},
-		Reduce: func(key string, values []any, emit func(mapreduce.KeyValue)) error {
+		fold: func(key string, values []any) ([]Tuple, error) {
 			args := make([]Value, len(fc.Args))
 			copy(args, constArgs)
 			collected := make([]Value, len(values))
@@ -198,24 +217,11 @@ func (ex *executor) foreachGrouped(st *ForeachStmt, in *Relation, fc FuncCall) (
 			args[udf.ValueArg] = collected
 			v, err := udf.Eval(ex.ctx, args)
 			if err != nil {
-				return fmt.Errorf("UDF %s(%s): %w", fc.Name, key, err)
+				return nil, fmt.Errorf("UDF %s(%s): %w", fc.Name, key, err)
 			}
-			emit(mapreduce.KeyValue{Key: key, Value: v})
-			return nil
+			return expandItem(st.Items[0], v), nil
 		},
-	}
-	res, err := ex.ctx.Engine.Run(job)
-	if err != nil {
-		return 0, err
-	}
-	item := st.Items[0]
-	out := &Relation{Schema: ex.outputSchema(st, in)}
-	for _, kv := range res.Output {
-		rows := expandItem(item, kv.Value)
-		out.Tuples = append(out.Tuples, rows...)
-	}
-	ex.aliases[st.Alias] = out
-	return res.Virtual, nil
+	})
 }
 
 // foreachWhole compiles a whole-relation UDF statement: every
@@ -295,7 +301,7 @@ func (ex *executor) foreachWhole(st *ForeachStmt, in *Relation, fc FuncCall) (ti
 		return 0, fmt.Errorf("pig: line %d: UDF %s: %w", st.Line, fc.Name, err)
 	}
 	item := st.Items[0]
-	out := &Relation{Schema: ex.outputSchema(st, in), Tuples: expandItem(item, v)}
+	out := &Relation{Schema: outputSchema(st), Tuples: expandItem(item, v)}
 	ex.aliases[st.Alias] = out
 	return res.Virtual, nil
 }

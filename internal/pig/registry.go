@@ -139,7 +139,10 @@ func (c *Context) Param(name string) (string, error) {
 
 // RunResult reports one script execution.
 type RunResult struct {
-	// Aliases holds every materialized relation by name.
+	// Aliases holds every materialized relation by name. A statement
+	// fused into a neighbouring job's map or reduce phase materializes
+	// nothing, so its alias is absent; the last statement of a fused
+	// reduce chain holds the job's rows.
 	Aliases map[string]*Relation
 	// Stored maps STORE output paths to the relation written there.
 	Stored map[string]string
@@ -149,7 +152,8 @@ type RunResult struct {
 	Virtual time.Duration
 	// Real is the measured execution time.
 	Real time.Duration
-	// Jobs is the number of MapReduce jobs launched.
+	// Jobs is the number of MapReduce jobs launched: one per GROUP,
+	// FILTER, DISTINCT, ORDER, JOIN and unfused FOREACH statement.
 	Jobs int
 	// Restored lists STORE paths whose bytes were validated against and
 	// restored from the checkpoint journal (nil when not resuming).

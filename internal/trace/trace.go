@@ -224,6 +224,16 @@ func (r *Recorder) End(ref SpanRef) {
 	}
 }
 
+// SetDetail sets the Detail of a span opened by Begin.
+func (r *Recorder) SetDetail(ref SpanRef, detail string) {
+	if r == nil || ref.idx == 0 {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.spans[ref.idx-1].Detail = detail
+}
+
 // Emit records a completed span. The ID is assigned by the recorder; a
 // zero Parent inherits the innermost open Begin span.
 func (r *Recorder) Emit(s Span) int64 {
