@@ -162,7 +162,12 @@ func run() error {
 	}
 
 	if *dump != "" {
-		for _, p := range fs.ListOutputs(*dump) {
+		parts := fs.ListOutputs(*dump)
+		if len(parts) == 0 {
+			// A STOREd relation always leaves a part file, even when empty.
+			return fmt.Errorf("-dump %s: no output under that DFS directory", *dump)
+		}
+		for _, p := range parts {
 			lines, err := fs.ReadLines(p)
 			if err != nil {
 				return err
