@@ -82,14 +82,33 @@ type ParamMismatchError struct {
 	Param    string
 	Got      string // current run's value
 	Recorded string // checkpointed value
+	// GotSet and RecordedSet say whether each side records Param at all:
+	// a side without it reads "not recorded", not an empty value.
+	GotSet, RecordedSet bool
 }
 
 func (e *ParamMismatchError) Error() string {
 	if e.Param == "" {
 		return fmt.Sprintf("checkpoint: stage %q was checkpointed with different parameters (use --resume=force to discard)", e.Stage)
 	}
-	return fmt.Sprintf("checkpoint: stage %q parameter %s=%s differs from checkpointed %s=%s (use --resume=force to discard)",
-		e.Stage, e.Param, e.Got, e.Param, e.Recorded)
+	return fmt.Sprintf("checkpoint: stage %q parameter %s differs from checkpointed %s (use --resume=force to discard)",
+		e.Stage, e.GotParam(), e.RecordedParam())
+}
+
+// GotParam renders the current run's side: "name=value", or
+// "name (not recorded)".
+func (e *ParamMismatchError) GotParam() string { return paramSide(e.Param, e.Got, e.GotSet) }
+
+// RecordedParam renders the checkpointed side like GotParam.
+func (e *ParamMismatchError) RecordedParam() string {
+	return paramSide(e.Param, e.Recorded, e.RecordedSet)
+}
+
+func paramSide(name, value string, set bool) string {
+	if !set {
+		return name + " (not recorded)"
+	}
+	return name + "=" + value
 }
 
 // InputMismatchError reports a manifest entry recorded against different
@@ -208,9 +227,12 @@ func (j *Journal) Validate(stage, inputsHash string, params map[string]string) (
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			if params[k] != e.Params[k] {
+			got, gotSet := params[k]
+			recorded, recordedSet := e.Params[k]
+			if got != recorded || gotSet != recordedSet {
 				return nil, false, &ParamMismatchError{
-					Stage: stage, Param: k, Got: params[k], Recorded: e.Params[k],
+					Stage: stage, Param: k, Got: got, Recorded: recorded,
+					GotSet: gotSet, RecordedSet: recordedSet,
 				}
 			}
 		}

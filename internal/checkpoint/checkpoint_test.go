@@ -123,6 +123,48 @@ func TestValidateTypedErrors(t *testing.T) {
 	}
 }
 
+// validateMismatch commits a "sketch" entry with recorded, validates it
+// with got and returns the parameter mismatch it must raise.
+func validateMismatch(t *testing.T, recorded, got map[string]string) *ParamMismatchError {
+	t.Helper()
+	j, _ := tempJournal(t)
+	if _, err := j.Commit("sketch", "in", recorded, []byte("sigs")); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := j.Validate("sketch", "in", got)
+	var pm *ParamMismatchError
+	if !errors.As(err, &pm) {
+		t.Fatalf("want ParamMismatchError, got %v", err)
+	}
+	return pm
+}
+
+// TestParamMismatchUnrecordedInCheckpoint: a parameter an older entry
+// never recorded reads "not recorded", not as an empty value.
+func TestParamMismatchUnrecordedInCheckpoint(t *testing.T) {
+	pm := validateMismatch(t, map[string]string{"k": "8"}, map[string]string{"k": "8", "store_bits": "0"})
+	if pm.Param != "store_bits" || pm.Got != "0" || pm.Recorded != "" {
+		t.Fatalf("mismatch detail wrong: %+v", pm)
+	}
+	want := "parameter store_bits=0 differs from checkpointed store_bits (not recorded)"
+	if msg := pm.Error(); !strings.Contains(msg, want) {
+		t.Fatalf("message %q, want it to contain %q", msg, want)
+	}
+}
+
+// TestParamMismatchUnrecordedInRun: a recorded parameter the current run
+// does not pass reads "not recorded" on the run's side.
+func TestParamMismatchUnrecordedInRun(t *testing.T) {
+	pm := validateMismatch(t, map[string]string{"k": "8", "mode": ""}, map[string]string{"k": "8"})
+	if pm.Param != "mode" || pm.Got != "" || pm.Recorded != "" {
+		t.Fatalf("mismatch detail wrong: %+v", pm)
+	}
+	want := "parameter mode (not recorded) differs from checkpointed mode="
+	if msg := pm.Error(); !strings.Contains(msg, want) || strings.Count(msg, "not recorded") != 1 {
+		t.Fatalf("message %q, want it to contain %q once", msg, want)
+	}
+}
+
 func TestCommitReplacesEntry(t *testing.T) {
 	j, _ := tempJournal(t)
 	if _, err := j.Commit("sketch", "a", nil, []byte("v1")); err != nil {

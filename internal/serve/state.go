@@ -236,8 +236,12 @@ func Open(dir string, p Params, resume bool, inj *faults.Injector) (*State, erro
 type paramsRefusal checkpoint.ParamMismatchError
 
 func (e *paramsRefusal) Error() string {
-	return fmt.Sprintf("serve: data dir was written with %s=%s, not %s=%s; resume it with the params it was written with",
-		e.Param, e.Recorded, e.Param, e.Got)
+	pm := (*checkpoint.ParamMismatchError)(e)
+	if pm.Param == "" {
+		return "serve: data dir was written with other params; resume it with the params it was written with"
+	}
+	return fmt.Sprintf("serve: data dir was written with %s, not %s; resume it with the params it was written with",
+		pm.RecordedParam(), pm.GotParam())
 }
 
 func (e *paramsRefusal) Unwrap() error { return (*checkpoint.ParamMismatchError)(e) }

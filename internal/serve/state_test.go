@@ -271,6 +271,27 @@ func TestParamsDurableBeforeFirstCheckpoint(t *testing.T) {
 	}
 }
 
+// TestParamsRefusalUnrecorded: a parameter one side never recorded reads
+// "not recorded" in the daemon's refusal, and a mismatch naming no
+// parameter renders no "=".
+func TestParamsRefusalUnrecorded(t *testing.T) {
+	for _, c := range []struct {
+		pm   checkpoint.ParamMismatchError
+		want string
+	}{
+		{checkpoint.ParamMismatchError{Param: "store_bits", Got: "0", GotSet: true},
+			"written with store_bits (not recorded), not store_bits=0;"},
+		{checkpoint.ParamMismatchError{Param: "lsh", Recorded: "true", RecordedSet: true},
+			"written with lsh=true, not lsh (not recorded);"},
+		{checkpoint.ParamMismatchError{}, "written with other params;"},
+	} {
+		msg := (*paramsRefusal)(&c.pm).Error()
+		if !strings.Contains(msg, c.want) || strings.Contains(msg, "resume=force") || (c.pm.Param == "" && strings.Contains(msg, "=")) {
+			t.Errorf("refusal %q, want it to contain %q", msg, c.want)
+		}
+	}
+}
+
 // dirFiles maps every entry under dir (a directory as "name/") to its
 // bytes: what a refused Open must leave untouched.
 func dirFiles(t *testing.T, dir string) map[string]string {
