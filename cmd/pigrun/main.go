@@ -164,7 +164,11 @@ func run() error {
 	if *dump != "" {
 		parts := fs.ListOutputs(*dump)
 		if len(parts) == 0 {
-			// A STOREd relation always leaves a part file, even when empty.
+			// A STOREd relation always leaves a part file, even when
+			// empty. The run itself succeeded, so its trace is written.
+			if err := shared.Finish(opt); err != nil {
+				return err
+			}
 			return fmt.Errorf("-dump %s: no output under that DFS directory", *dump)
 		}
 		for _, p := range parts {
