@@ -34,11 +34,11 @@ type fusion struct {
 // phases lists, by alias, the statements each phase of the job launched
 // by alias runs: "map: B, C, E; reduce: E, F".
 func (f fusion) phases(alias string) string {
-	var m, r []string
+	var m []string
 	for _, st := range f.mapChain {
 		m = append(m, st.Alias)
 	}
-	r = append(r, alias)
+	r := []string{alias}
 	for _, st := range f.reduceChain {
 		r = append(r, st.Alias)
 	}
@@ -132,8 +132,9 @@ func compilePlan(stmts []Stmt, reg *Registry) plan {
 	for _, j := range jobs {
 		f := p.jobs[stmts[j]]
 		for cur := reads[j][0]; def(cur) >= 0 && len(readers[cur]) == 1; {
-			fe, ok := link(def(cur))
-			if !ok || !settled(def(cur), "", def(cur)) {
+			k := def(cur)
+			fe, ok := link(k)
+			if !ok || !settled(k, "", k) {
 				break
 			}
 			f.mapChain = append([]*ForeachStmt{fe}, f.mapChain...)
