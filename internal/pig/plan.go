@@ -59,19 +59,19 @@ type plan struct {
 // so it fails where it stands.
 func compilePlan(stmts []Stmt, reg *Registry) plan {
 	p := plan{jobs: make(map[Stmt]fusion), fused: make(map[Stmt]bool)}
-	reads := make([][]string, len(stmts)) // aliases each statement reads
-	readers := make(map[string][]int)     // alias -> statements reading it, in order
-	defs := make(map[string][]int)        // alias -> statements defining it
-	shapes := make(map[Stmt]foreachShape) // FOREACH statements whose UDFs resolve
+	defines := make([]string, len(stmts))         // alias each statement defines
+	reads := make([][]string, len(stmts))         // aliases each statement reads
+	readers := make(map[string][]int)             // alias -> statements reading it, in order
+	defs := make(map[string][]int)                // alias -> statements defining it
+	shapes := make(map[*ForeachStmt]foreachShape) // FOREACH statements whose UDFs resolve
 	var jobs []int
 	for i, st := range stmts {
-		alias, names := deps(st)
-		reads[i] = names
-		for _, n := range names {
+		defines[i], reads[i] = deps(st)
+		for _, n := range reads[i] {
 			readers[n] = append(readers[n], i)
 		}
-		if alias != "" {
-			defs[alias] = append(defs[alias], i)
+		if defines[i] != "" {
+			defs[defines[i]] = append(defs[defines[i]], i)
 		}
 		switch t := st.(type) {
 		case *GroupStmt:
@@ -117,7 +117,7 @@ func compilePlan(stmts []Stmt, reg *Registry) plan {
 	}
 	for _, j := range jobs {
 		var f fusion
-		for cur, _ := deps(stmts[j]); def(cur) >= 0 && len(readers[cur]) == 1; {
+		for cur := defines[j]; def(cur) >= 0 && len(readers[cur]) == 1; {
 			k := readers[cur][0]
 			fe, ok := link(k)
 			if !ok || fe.Input != cur || def(fe.Alias) != k || !settled(k, cur, j) {
