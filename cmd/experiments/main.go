@@ -31,7 +31,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	shared := cli.Register(flag.CommandLine)
 	shared.Batch()
 	var (
@@ -48,6 +48,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// Finish writes the trace whether the run succeeds or fails.
+	defer func() { err = shared.Finish(base, err) }()
 	cfg := bench.DefaultConfig()
 	cfg.Scale = *scale
 	cfg.Seed = base.Seed
@@ -160,7 +162,7 @@ func run() error {
 		flag.Usage()
 		return fmt.Errorf("nothing selected: pass -table, -figure, -ablation or -all")
 	}
-	return shared.Finish(base)
+	return nil
 }
 
 // flagSet reports whether the named flag was explicitly provided.

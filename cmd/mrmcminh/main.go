@@ -35,7 +35,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	shared := cli.Register(flag.CommandLine)
 	shared.Batch()
 	shared.Sketch(5, 100, 0.9)
@@ -59,6 +59,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// Finish writes the trace whether the run succeeds or fails.
+	defer func() { err = shared.Finish(opt, err) }()
 	switch *mode {
 	case "hierarchical":
 		opt.Mode = mrmcminh.Hierarchical
@@ -180,7 +182,7 @@ func run() error {
 		}
 	}
 
-	return shared.Finish(opt)
+	return nil
 }
 
 // loadLabels reads a readID<TAB>class file into read order.

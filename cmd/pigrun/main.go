@@ -66,7 +66,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	shared := cli.Register(flag.CommandLine)
 	shared.Batch()
 	params := paramFlags{}
@@ -104,6 +104,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// Finish writes the trace whether the run succeeds or fails.
+	defer func() { err = shared.Finish(opt, err) }()
 
 	fs := dfs.MustNew(dfs.Config{NumDataNodes: opt.Cluster.Nodes, BlockSize: 256 * 1024, Replication: 3})
 	fs.SetTrace(opt.Trace)
@@ -165,10 +167,7 @@ func run() error {
 		parts := fs.ListOutputs(*dump)
 		if len(parts) == 0 {
 			// A STOREd relation always leaves a part file, even when
-			// empty. The run itself succeeded, so its trace is written.
-			if err := shared.Finish(opt); err != nil {
-				return err
-			}
+			// empty.
 			return fmt.Errorf("-dump %s: no output under that DFS directory", *dump)
 		}
 		for _, p := range parts {
@@ -183,7 +182,7 @@ func run() error {
 		}
 	}
 
-	return shared.Finish(opt)
+	return nil
 }
 
 // stageDemoInput fills the DFS with a small synthetic whole-metagenome

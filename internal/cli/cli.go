@@ -148,17 +148,27 @@ func (f *Flags) Options() (core.Options, error) {
 	return opt, nil
 }
 
-// Finish ends a successful run built from Options: it writes the trace
-// to -trace with a per-node utilization summary on stderr, and reports
-// how many faults were injected.
-func (f *Flags) Finish(opt core.Options) error {
+// Finish ends a run built from Options, given the run's error. Whether
+// the run succeeded or failed, it writes the trace to -trace with a
+// per-node utilization summary on stderr: a failed run's timeline is the
+// one most worth reading. A failed run returns its own error, and a
+// trace that cannot be written is then only reported on stderr. A
+// successful run also reports how many faults were injected.
+func (f *Flags) Finish(opt core.Options, runErr error) error {
 	if opt.Trace != nil {
 		spans := opt.Trace.Spans()
 		if err := trace.WriteFile(f.tracePath, spans); err != nil {
-			return err
+			if runErr == nil {
+				return err
+			}
+			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
+		} else {
+			fmt.Fprintf(os.Stderr, "trace: %d spans written to %s\n", len(spans), f.tracePath)
+			fmt.Fprint(os.Stderr, trace.UtilizationSummary(spans))
 		}
-		fmt.Fprintf(os.Stderr, "trace: %d spans written to %s\n", len(spans), f.tracePath)
-		fmt.Fprint(os.Stderr, trace.UtilizationSummary(spans))
+	}
+	if runErr != nil {
+		return runErr
 	}
 	if opt.Faults != nil {
 		fmt.Fprintf(os.Stderr, "faults injected: %d (recovery included in modelled time; results unaffected)\n",

@@ -3,6 +3,7 @@ package cli
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -242,20 +243,37 @@ func TestFaultsAtOwnSites(t *testing.T) {
 	}
 }
 
+// TestFinishWritesTrace: the trace is written after a failed run as
+// after a successful one, and a failed run returns its own error, even
+// when its trace cannot be written.
 func TestFinishWritesTrace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.json")
-	f, opt, err := parse(t, "experiments", "-trace", path, "-faults", "crash=0.1")
+	dir := t.TempDir()
+	crashed := errors.New("driver crashed")
+	for _, runErr := range []error{nil, crashed} {
+		path := filepath.Join(dir, fmt.Sprintf("trace-%v.json", runErr != nil))
+		f, opt, err := parse(t, "experiments", "-trace", path, "-faults", "crash=0.1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opt.Trace == nil || opt.Faults == nil {
+			t.Fatal("-trace/-faults built no recorder/injector")
+		}
+		opt.Trace.End(opt.Trace.Begin(trace.KindJob, "job"))
+		if err := f.Finish(opt, runErr); err != runErr {
+			t.Fatalf("Finish after run error %v returned %v", runErr, err)
+		}
+		if info, err := os.Stat(path); err != nil || info.Size() == 0 {
+			t.Fatalf("run error %v: trace file: %v, %v", runErr, info, err)
+		}
+	}
+	f, opt, err := parse(t, "experiments", "-trace", filepath.Join(dir, "missing", "trace.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.Trace == nil || opt.Faults == nil {
-		t.Fatal("-trace/-faults built no recorder/injector")
+	if err := f.Finish(opt, crashed); err != crashed {
+		t.Fatalf("failed run with an unwritable trace returned %v, want its own error", err)
 	}
-	opt.Trace.End(opt.Trace.Begin(trace.KindJob, "job"))
-	if err := f.Finish(opt); err != nil {
-		t.Fatal(err)
-	}
-	if info, err := os.Stat(path); err != nil || info.Size() == 0 {
-		t.Fatalf("trace file: %v, %v", info, err)
+	if err := f.Finish(opt, nil); err == nil {
+		t.Fatal("successful run with an unwritable trace returned no error")
 	}
 }

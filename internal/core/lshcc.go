@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -147,11 +149,8 @@ func lshEdgesJobs(engine *mapreduce.Engine, src cluster.SigSource, opt Options) 
 	}
 	// Reduce output is ordered per partition, not globally: sort so the
 	// edge list (and its checkpoint bytes) is canonical.
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a].U != edges[b].U {
-			return edges[a].U < edges[b].U
-		}
-		return edges[a].V < edges[b].V
+	slices.SortFunc(edges, func(a, b cluster.Edge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
 	})
 	return edges, []*mapreduce.Result{bandsOut, verifyOut}, nil
 }

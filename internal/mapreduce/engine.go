@@ -60,7 +60,7 @@ type Engine struct {
 	// ShuffleBufferBytes caps each map task's sort buffer (Hadoop's
 	// io.sort.mb) in every job with a reducer. Every such job runs the one
 	// shuffle: map tasks partition their output into the buffer, and each
-	// reducer sorts its partition by (key, seq). 0 — the default — leaves
+	// reducer sorts its partition stably by key. 0 — the default — leaves
 	// the buffer unbounded: each task flushes once, in memory, with no
 	// spill cost. A positive cap makes the buffer spill a segment (run
 	// through the combiner, as Hadoop does) whenever it holds
@@ -197,7 +197,7 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		var buf *mapSpillBuffer
 		if bufs != nil {
 			buf = &bufs[ti]
-			*buf = newMapSpillBuffer(job, ti, e.ShuffleBufferBytes, parts[ti*numRed:(ti+1)*numRed], part, counters)
+			*buf = newMapSpillBuffer(job, e.ShuffleBufferBytes, parts[ti*numRed:(ti+1)*numRed], part, counters)
 			emit = buf.add
 		} else {
 			emit = func(kv KeyValue) { mapOuts[ti] = append(mapOuts[ti], kv) }
@@ -240,12 +240,8 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 
 	// Map-only job: concatenate map outputs in input order.
 	if job.Reduce == nil {
-		var output []KeyValue
-		for _, out := range mapOuts {
-			output = append(output, out...)
-		}
 		res := &Result{
-			Output:   output,
+			Output:   slices.Concat(mapOuts...),
 			Counters: counters,
 			MapTasks: len(splits),
 		}
@@ -320,7 +316,7 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		if rec.Enabled() {
 			t0 = time.Now()
 		}
-		recs := make([]spillRecord, 0, partRecords[p])
+		recs := make([]KeyValue, 0, partRecords[p])
 		for t := range bufs {
 			bp := &parts[t*numRed+p]
 			recs = append(recs, bp.recs...)
@@ -330,22 +326,23 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		if rec.Enabled() {
 			s0 = time.Now()
 		}
-		slices.SortFunc(recs, compareSpill)
+		idx := sortPartition(recs)
 		if rec.Enabled() {
 			sortReal[p] = time.Since(s0)
 		}
 		var out []KeyValue
 		emit := func(kv KeyValue) { out = append(out, kv) }
-		if err := eachGroup(recs, func(key string, values []any) error {
+		groups, err := eachGroup(recs, idx, func(key string, values []any) error {
 			if err := job.Reduce(key, values, emit); err != nil {
 				return fmt.Errorf("mapreduce: job %q reduce partition %d key %q: %w", job.Name, p, key, err)
 			}
-			counters.Add(CounterReduceInputGroups, 1)
-			counters.Add(CounterReduceInputRecords, int64(len(values)))
 			return nil
-		}); err != nil {
+		})
+		if err != nil {
 			return err
 		}
+		counters.Add(CounterReduceInputGroups, int64(groups))
+		counters.Add(CounterReduceInputRecords, int64(len(recs)))
 		if ext != nil {
 			counters.Add(CounterShuffleMergePasses, int64(ext.passes[p]))
 		}
@@ -363,12 +360,8 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		e.emitReduceAttempts(rec, jobRef, job, sim, reduceTasks, partRecords, shuffleBytes, ext, mapStart, reduceReal, sortReal)
 	}
 
-	var output []KeyValue
-	for _, out := range reduceOuts {
-		output = append(output, out...)
-	}
 	res := &Result{
-		Output:     output,
+		Output:     slices.Concat(reduceOuts...),
 		Counters:   counters,
 		MapTasks:   len(splits),
 		ReduceTask: numRed,

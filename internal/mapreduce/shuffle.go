@@ -8,16 +8,17 @@ package mapreduce
 // whenever it fills, and every flush is a spill to the tasktracker's
 // local disk; an unbounded one flushes once, in memory, when its task
 // ends. Each reducer fetches its partition's segments in map-task order,
-// sorts them once by (key, seq) and feeds the reduce function one group
-// at a time.
+// sorts them once, stably, by key and feeds the reduce function one
+// group at a time.
 //
-// That sort is the merge. Every emitted record carries a unique sequence
-// number (task<<40 | emission index; combined records take fresh ones),
-// so ordering a partition by (key, seq) yields the one stream that a
-// k-way merge of sorted segments would: a stable sort by key of the
-// records in (map task, emission) order. Whatever the buffer size, a
+// That sort is the merge. A partition's records arrive in (map task,
+// emission) order, and a combiner's output takes the place of the flush
+// it combined, so a stable sort by key yields the one stream that a
+// k-way merge of sorted segments would. Whatever the buffer size, a
 // reducer therefore sees the same records in the same order, unless a
-// combiner ran over different spills.
+// combiner ran over different spills. The sort moves no record: it
+// orders a pointer-free index of the partition (sortEntry) with an LSD
+// radix sort, and the combiner groups its flushes through the same sort.
 //
 // Only the records are real; the disk is virtual. For a bounded buffer,
 // planMerge models the merge a reducer with io.sort.factor inputs per
@@ -28,6 +29,7 @@ package mapreduce
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -38,48 +40,163 @@ import (
 // because segments are virtual).
 const DefaultMergeFanIn = 16
 
-// spillRecord pairs a record with its emission sequence: the tie-break
-// that makes every shuffle sort order records stably by key.
-type spillRecord struct {
-	kv  KeyValue
-	seq int64
+// sortEntry indexes one record of a partition for sortPartition. It
+// holds no pointer, so the sort moves 24 bytes per record and the garbage
+// collector never scans it. Keys order by (hi, lo, keyLen): the first 16
+// bytes, zero-padded, decide, and where they tie the shorter key, a
+// prefix of the longer, comes first. Only keys longer than 16 bytes can
+// tie on all three and need the rest of the key compared.
+type sortEntry struct {
+	hi, lo uint64 // the key's first 16 bytes, big-endian, zero-padded
+	tag    uint64 // keyLen above posBits, the record's position below
 }
 
-// compareSpill orders records by (key, seq).
-func compareSpill(a, b spillRecord) int {
-	if c := strings.Compare(a.kv.Key, b.kv.Key); c != 0 {
-		return c
+const (
+	// longKey is the keyLen of every key longer than the 16 bytes an
+	// entry holds.
+	longKey = 17
+	// posBits leaves a tag's top 5 bits for keyLen, and room below for
+	// the position of any record memory can hold.
+	posBits = 59
+)
+
+func newSortEntry(key string, pos int) sortEntry {
+	var b [16]byte
+	copy(b[:], key)
+	return sortEntry{
+		hi:  binary.BigEndian.Uint64(b[:8]),
+		lo:  binary.BigEndian.Uint64(b[8:]),
+		tag: uint64(min(len(key), longKey))<<posBits | uint64(pos),
 	}
-	return cmp.Compare(a.seq, b.seq)
 }
 
-// eachGroup calls fn once per run of equal keys in recs, which are
-// sorted by key, with a freshly allocated values slice (a ReduceFunc or
-// CombineFunc may retain it).
-func eachGroup(recs []spillRecord, fn func(key string, values []any) error) error {
-	for i := 0; i < len(recs); {
+// keyLen is min(len(key), longKey).
+func (e *sortEntry) keyLen() uint64 { return e.tag >> posBits }
+
+// pos is the record's position in its partition.
+func (e *sortEntry) pos() uint64 { return e.tag & (1<<posBits - 1) }
+
+// sortDigits is the number of radix digits of an entry: one for keyLen,
+// eight for each of lo and hi.
+const sortDigits = 17
+
+// digit returns radix digit d of the entry, least significant first:
+// 0 is keyLen, 1–8 are lo's bytes and 9–16 are hi's.
+func (e *sortEntry) digit(d int) byte {
+	switch {
+	case d == 0:
+		return byte(e.keyLen())
+	case d <= 8:
+		return byte(e.lo >> (8 * (d - 1)))
+	}
+	return byte(e.hi >> (8 * (d - 9)))
+}
+
+// sameHead reports whether two entries tie on everything they hold of
+// their keys.
+func sameHead(a, b *sortEntry) bool {
+	return a.hi == b.hi && a.lo == b.lo && a.keyLen() == b.keyLen()
+}
+
+// sortPartition returns an index of recs in stable key order: the
+// records sorted by key, equal keys in position order. A stable LSD
+// radix sort runs one scatter pass per byte digit in which the entries
+// differ; building the index finds those digits, and one pass counts
+// them all. A run of keys longer than 16 bytes that tie on their first
+// 16 is then sorted on the rest of the key and position.
+func sortPartition(recs []KeyValue) []sortEntry {
+	idx := make([]sortEntry, len(recs))
+	var diff sortEntry // the bits in which some entry differs from the first
+	long := false
+	for i := range recs {
+		e := newSortEntry(recs[i].Key, i)
+		idx[i] = e
+		diff.hi |= e.hi ^ idx[0].hi
+		diff.lo |= e.lo ^ idx[0].lo
+		diff.tag |= e.tag ^ idx[0].tag
+		long = long || e.keyLen() == longKey
+	}
+	var digits [sortDigits]int
+	k := 0
+	for d := range sortDigits {
+		if diff.digit(d) != 0 {
+			digits[k] = d
+			k++
+		}
+	}
+	if k > 0 {
+		var counts [sortDigits][256]int
+		for i := range idx {
+			for j, d := range digits[:k] {
+				counts[j][idx[i].digit(d)]++
+			}
+		}
+		src, dst := idx, make([]sortEntry, len(idx))
+		for j, d := range digits[:k] {
+			offs := &counts[j]
+			sum := 0
+			for b, c := range offs {
+				offs[b] = sum
+				sum += c
+			}
+			for i := range src {
+				b := src[i].digit(d)
+				dst[offs[b]] = src[i]
+				offs[b]++
+			}
+			src, dst = dst, src
+		}
+		idx = src
+	}
+	if long {
+		for i := 0; i < len(idx); {
+			j := i + 1
+			for j < len(idx) && sameHead(&idx[i], &idx[j]) {
+				j++
+			}
+			if idx[i].keyLen() == longKey && j-i > 1 {
+				slices.SortFunc(idx[i:j], func(a, b sortEntry) int {
+					return cmp.Or(strings.Compare(recs[a.pos()].Key[16:], recs[b.pos()].Key[16:]), cmp.Compare(a.pos(), b.pos()))
+				})
+			}
+			i = j
+		}
+	}
+	return idx
+}
+
+// eachGroup calls fn once per run of equal keys in idx, the index that
+// sortPartition built over recs, with the run's values in index order.
+// It gathers the values into one slice and hands each group a subslice
+// whose capacity is its length, so a ReduceFunc or CombineFunc may keep
+// its values, or append to them, without touching another group's. It
+// returns the number of groups fn accepted.
+func eachGroup(recs []KeyValue, idx []sortEntry, fn func(key string, values []any) error) (int, error) {
+	values := make([]any, len(idx))
+	for i := range idx {
+		values[i] = recs[idx[i].pos()].Value
+	}
+	groups := 0
+	for i := 0; i < len(idx); groups++ {
+		key := recs[idx[i].pos()].Key
 		j := i + 1
-		for j < len(recs) && recs[j].kv.Key == recs[i].kv.Key {
+		for j < len(idx) && sameHead(&idx[i], &idx[j]) && (idx[j].keyLen() < longKey || recs[idx[j].pos()].Key == key) {
 			j++
 		}
-		values := make([]any, j-i)
-		for t := range values {
-			values[t] = recs[i+t].kv.Value
-		}
-		if err := fn(recs[i].kv.Key, values); err != nil {
-			return err
+		if err := fn(key, values[i:j:j]); err != nil {
+			return groups, err
 		}
 		i = j
 	}
-	return nil
+	return groups, nil
 }
 
 // spillPartition is one map task's output for one reduce partition.
 type spillPartition struct {
-	recs    []spillRecord // flushed segments in flush order, then the buffered records
-	flushed int           // records of recs already flushed
-	bytes   int           // approximate serialized size of the flushed records
-	segs    []int64       // bounded buffer only: each spilled segment's bytes
+	recs    []KeyValue // flushed segments in flush order, then the buffered records
+	flushed int        // records of recs already flushed
+	bytes   int        // approximate serialized size of the flushed records
+	segs    []int64    // bounded buffer only: each spilled segment's bytes
 }
 
 // spillEvent summarizes one map-side spill (all partitions of one buffer
@@ -95,7 +212,6 @@ type mapSpillBuffer struct {
 	job      *Job
 	part     PartitionFunc
 	capBytes int   // 0: unbounded, one flush at close
-	seq      int64 // next global sequence: task<<40 | local counter
 	emitted  int64 // raw map output records, pre-combine
 	buffered int   // records added since the last flush
 	bytes    int   // their approximate size (bounded buffer only)
@@ -105,14 +221,13 @@ type mapSpillBuffer struct {
 	counters *Counters
 }
 
-// newMapSpillBuffer builds the buffer of capBytes (0 = unbounded) for
-// map task ti over its partitions, one per reducer.
-func newMapSpillBuffer(job *Job, ti, capBytes int, parts []spillPartition, part PartitionFunc, counters *Counters) mapSpillBuffer {
+// newMapSpillBuffer builds a map task's buffer of capBytes (0 =
+// unbounded) over its partitions, one per reducer.
+func newMapSpillBuffer(job *Job, capBytes int, parts []spillPartition, part PartitionFunc, counters *Counters) mapSpillBuffer {
 	return mapSpillBuffer{
 		job:      job,
 		part:     part,
 		capBytes: capBytes,
-		seq:      int64(ti) << 40,
 		parts:    parts,
 		counters: counters,
 	}
@@ -129,8 +244,7 @@ func (b *mapSpillBuffer) add(kv KeyValue) {
 		b.err = fmt.Errorf("mapreduce: job %q partitioner returned %d of %d", b.job.Name, p, len(b.parts))
 		return
 	}
-	b.parts[p].recs = append(b.parts[p].recs, spillRecord{kv: kv, seq: b.seq})
-	b.seq++
+	b.parts[p].recs = append(b.parts[p].recs, kv)
 	b.emitted++
 	b.buffered++
 	if b.capBytes > 0 {
@@ -172,7 +286,7 @@ func (b *mapSpillBuffer) flush() error {
 		}
 		bytes := 0
 		for _, r := range run {
-			bytes += len(r.kv.Key) + approxValueBytes(r.kv.Value)
+			bytes += len(r.Key) + approxValueBytes(r.Value)
 		}
 		bp.flushed = len(bp.recs)
 		bp.bytes += bytes
@@ -191,17 +305,13 @@ func (b *mapSpillBuffer) flush() error {
 	return nil
 }
 
-// combineRun sorts one partition's buffered run by (key, seq) and applies
-// the job's combiner to each group. Combined records take fresh sequence
-// numbers, still below any later flush's.
-func (b *mapSpillBuffer) combineRun(recs []spillRecord) ([]spillRecord, error) {
-	slices.SortFunc(recs, compareSpill)
-	var combined []spillRecord
-	emit := func(kv KeyValue) {
-		combined = append(combined, spillRecord{kv: kv, seq: b.seq})
-		b.seq++
-	}
-	if err := eachGroup(recs, func(key string, values []any) error {
+// combineRun groups one partition's buffered run by key and applies the
+// job's combiner to each group. The combined records take the run's
+// place, in key order.
+func (b *mapSpillBuffer) combineRun(recs []KeyValue) ([]KeyValue, error) {
+	var combined []KeyValue
+	emit := func(kv KeyValue) { combined = append(combined, kv) }
+	if _, err := eachGroup(recs, sortPartition(recs), func(key string, values []any) error {
 		if err := b.job.Combine(key, values, emit); err != nil {
 			return fmt.Errorf("mapreduce: job %q combine key %q: %w", b.job.Name, key, err)
 		}
@@ -226,8 +336,8 @@ type mergeStep struct {
 // planMerge is the cost model of a bounded buffer's merge: the
 // deterministic schedule a reducer reading at most fanIn runs per pass
 // would follow over a partition's spill segment sizes. The records
-// themselves are never merged run by run; the reducer's one (key, seq)
-// sort yields the stream this schedule's final pass would. While more
+// themselves are never merged run by run; the reducer's one stable sort
+// by key yields the stream this schedule's final pass would. While more
 // than fanIn runs remain, the fanIn smallest
 // (ties broken by run id) merge into a new run, charged one read and one
 // write of the merged bytes; the final pass reads every surviving run

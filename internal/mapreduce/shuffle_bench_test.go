@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -55,27 +54,40 @@ func BenchmarkShuffleSpill64(b *testing.B) { benchShuffle(b, 64, 0) }
 // Fan-in 2 on the 64-byte segments adds intermediate merge passes.
 func BenchmarkShuffleSpillFanIn2(b *testing.B) { benchShuffle(b, 64, 2) }
 
-// benchPartition builds one reducer partition's worth of records, each
-// tagged with a sequence number in arrival order.
-func benchPartition(n int) []spillRecord {
-	rng := rand.New(rand.NewSource(2))
-	words := benchWords(n, rng)
-	recs := make([]spillRecord, n)
-	for i, w := range words {
-		recs[i] = spillRecord{kv: KeyValue{Key: w, Value: 1}, seq: int64(i)}
+// benchPartition builds one reducer partition's worth of records with
+// the given keys, in arrival order.
+func benchPartition(keys []string) []KeyValue {
+	recs := make([]KeyValue, len(keys))
+	for i, k := range keys {
+		recs[i] = KeyValue{Key: k, Value: 1}
 	}
 	return recs
 }
 
-// BenchmarkPartitionSortKeySeq is the reducer's sort: one partition
-// ordered by (key, seq) with compareSpill.
-func BenchmarkPartitionSortKeySeq(b *testing.B) {
-	recs := benchPartition(8192)
-	scratch := make([]spillRecord, len(recs))
+// benchSortPartition times the sort that the reducer and the combiner
+// run: building a partition's index and ordering it.
+func benchSortPartition(b *testing.B, recs []KeyValue) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(scratch, recs)
-		slices.SortFunc(scratch, compareSpill)
+		sortPartition(recs)
 	}
+}
+
+// BenchmarkPartitionSortWords sorts 8,192 records keyed by the skewed
+// 3-byte words of benchWords.
+func BenchmarkPartitionSortWords(b *testing.B) {
+	benchSortPartition(b, benchPartition(benchWords(8192, rand.New(rand.NewSource(2)))))
+}
+
+// BenchmarkPartitionSortPairKeys sorts 8,192 records keyed by 16-byte
+// PairKeys of two read indices below 65,536, the shape of the
+// connected-components jobs' edge keys.
+func BenchmarkPartitionSortPairKeys(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	keys := make([]string, 8192)
+	for i := range keys {
+		keys[i] = PairKey(uint64(rng.Intn(1<<16)), uint64(rng.Intn(1<<16)))
+	}
+	benchSortPartition(b, benchPartition(keys))
 }

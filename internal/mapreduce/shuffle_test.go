@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -436,5 +438,125 @@ func TestEngineShuffleSettingsApplyToEveryJob(t *testing.T) {
 	}
 	if got := res.Counters.Get(CounterShuffleSpills); got != 0 {
 		t.Fatalf("%d spills after the engine's buffer was set back to 0", got)
+	}
+}
+
+// partitionKeys draws the keys of one random partition in the shape
+// named: "bytes" keys of 0–40 bytes over {0x00, 0x01, 'a', 0xff}, most of
+// them extending one of a few shared 8- or 16-byte prefixes, so that
+// keys tie on all 16 bytes an index entry holds, pad with zeros and
+// prefix one another; or the engine's 8-byte Uint64Key and 16-byte
+// PairKey integer keys, over a range that varies per partition.
+func partitionKeys(rng *rand.Rand, shape string, n int) []string {
+	alphabet := []byte{0x00, 0x01, 'a', 0xff}
+	word := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return b
+	}
+	prefixes := [][]byte{nil, word(8), word(8), word(16), word(16)}
+	bits := 1 + rng.Intn(64)
+	field := func() uint64 { return rng.Uint64() >> (64 - bits) }
+	keys := make([]string, n)
+	for i := range keys {
+		switch shape {
+		case "bytes":
+			p := prefixes[rng.Intn(len(prefixes))]
+			keys[i] = string(append(slices.Clip(p), word(rng.Intn(41-len(p)))...))
+		case "uint64":
+			keys[i] = Uint64Key(field())
+		case "pair":
+			keys[i] = PairKey(field(), field())
+		}
+	}
+	return keys
+}
+
+// TestSortPartitionMatchesStableSort holds the reducer's grouping to its
+// definition: sortPartition and eachGroup must hand over the groups, and
+// each group's values, in the order that a stable sort of the partition
+// by key, split into runs of equal keys, gives.
+func TestSortPartitionMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for _, shape := range []string{"bytes", "uint64", "pair"} {
+		for trial := 0; trial < 300; trial++ {
+			keys := partitionKeys(rng, shape, rng.Intn(400))
+			recs := make([]KeyValue, len(keys))
+			for i, k := range keys {
+				recs[i] = KeyValue{Key: k, Value: i}
+			}
+			sorted := slices.Clone(recs)
+			slices.SortStableFunc(sorted, func(a, b KeyValue) int { return strings.Compare(a.Key, b.Key) })
+			var want []KeyValue // one per group: its key and its values
+			for i := 0; i < len(sorted); {
+				j := i + 1
+				for j < len(sorted) && sorted[j].Key == sorted[i].Key {
+					j++
+				}
+				var values []any
+				for _, r := range sorted[i:j] {
+					values = append(values, r.Value)
+				}
+				want = append(want, KeyValue{Key: sorted[i].Key, Value: values})
+				i = j
+			}
+			var got []KeyValue
+			groups, err := eachGroup(recs, sortPartition(recs), func(key string, values []any) error {
+				got = append(got, KeyValue{Key: key, Value: values})
+				return nil
+			})
+			if err != nil || groups != len(want) {
+				t.Fatalf("%s trial %d: %d groups, error %v; want %d groups", shape, trial, groups, err, len(want))
+			}
+			for g := range want {
+				if got[g].Key != want[g].Key || !reflect.DeepEqual(got[g].Value, want[g].Value) {
+					t.Fatalf("%s trial %d, group %d: got key %q values %v, want key %q values %v",
+						shape, trial, g, got[g].Key, got[g].Value, want[g].Key, want[g].Value)
+				}
+			}
+		}
+	}
+}
+
+// TestReduceMayKeepAndAppendValues: a ReduceFunc may keep its values and
+// append to them without changing any other group's values.
+func TestReduceMayKeepAndAppendValues(t *testing.T) {
+	var recs []KeyValue
+	for i := 0; i < 60; i++ {
+		recs = append(recs, KeyValue{Key: fmt.Sprintf("k%d", i%6), Value: i})
+	}
+	var mu sync.Mutex
+	kept := map[string][]any{}
+	if _, err := MustEngine(chaosCluster).Run(&Job{
+		Name:        "keep-values",
+		Input:       MemoryInput{Records: recs, SplitSize: 7},
+		Map:         func(kv KeyValue, emit func(KeyValue)) error { emit(kv); return nil },
+		NumReducers: 2,
+		Reduce: func(key string, values []any, emit func(KeyValue)) error {
+			values = append(values, "appended to "+key)
+			mu.Lock()
+			kept[key] = values
+			mu.Unlock()
+			return nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != 6 {
+		t.Fatalf("reduced %d groups, want 6", len(kept))
+	}
+	for key, values := range kept {
+		var want []any
+		for _, r := range recs {
+			if r.Key == key {
+				want = append(want, r.Value)
+			}
+		}
+		want = append(want, "appended to "+key)
+		if !reflect.DeepEqual(values, want) {
+			t.Errorf("group %s kept %v, want %v", key, values, want)
+		}
 	}
 }

@@ -3,7 +3,7 @@
 # internal/cluster (similarity / sketch / matrix build) and internal/core
 # (one row of the Pig similarity UDF over a prepared bag) plus the shuffle
 # benchmarks of internal/mapreduce (an unbounded vs a spilling map-side
-# buffer, the reducer's (key, seq) partition sort) with allocation
+# buffer, the reducer's radix partition sort) with allocation
 # stats, and
 # writes them as BENCH_kernels.json and BENCH_shuffle.json; the
 # end-to-end scaling comparison of the exact all-pairs pipeline vs the
