@@ -190,7 +190,7 @@ func starJob(engine *mapreduce.Engine, edges []Edge, large bool) ([]Edge, *mapre
 	}
 	job := &mapreduce.Job{
 		Name:  name,
-		Input: mapreduce.MemoryInput{Records: records, SplitSize: ccSplitSize(len(records), engine.Cluster)},
+		Input: mapreduce.MemoryInput{Records: records},
 		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
 			e := kv.Value.(Edge)
 			if large {
@@ -256,15 +256,4 @@ func starJob(engine *mapreduce.Engine, edges []Edge, large bool) ([]Edge, *mapre
 		return nil, nil, err
 	}
 	return canon, res, nil
-}
-
-// ccSplitSize sizes in-memory splits for the cluster (two waves per slot),
-// mirroring the pipeline's split policy.
-func ccSplitSize(n int, c mapreduce.Cluster) int {
-	waves := 2 * c.TotalSlots()
-	size := (n + waves - 1) / waves
-	if size < 1 {
-		size = 1
-	}
-	return size
 }

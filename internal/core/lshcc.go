@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"github.com/metagenomics/mrmcminh/internal/checkpoint"
 	"github.com/metagenomics/mrmcminh/internal/cluster"
 	"github.com/metagenomics/mrmcminh/internal/mapreduce"
 	"github.com/metagenomics/mrmcminh/internal/metrics"
@@ -72,7 +71,7 @@ func lshEdgesJobs(engine *mapreduce.Engine, src cluster.SigSource, opt Options) 
 	var overflow, buckets atomic.Int64
 	bandsJob := &mapreduce.Job{
 		Name:  "mrmcminh-lsh-bands",
-		Input: mapreduce.MemoryInput{Records: records, SplitSize: splitSize(len(records), engine.Cluster)},
+		Input: mapreduce.MemoryInput{Records: records},
 		// One record hashes b bands of r rows each.
 		MapCostFactor: float64(lsh.Bands) / 2,
 		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
@@ -118,7 +117,7 @@ func lshEdgesJobs(engine *mapreduce.Engine, src cluster.SigSource, opt Options) 
 	var candidates, edgeCount atomic.Int64
 	verifyJob := &mapreduce.Job{
 		Name:  "mrmcminh-lsh-verify",
-		Input: mapreduce.MemoryInput{Records: bandsOut.Output, SplitSize: splitSize(len(bandsOut.Output), engine.Cluster)},
+		Input: mapreduce.MemoryInput{Records: bandsOut.Output},
 		// Grouping by pair key dedups pairs surfaced by several bands, so
 		// each candidate is verified exactly once.
 		ReduceCostFactor: float64(opt.NumHashes) / 20,
@@ -168,7 +167,7 @@ func lshFinishJob(engine *mapreduce.Engine, src cluster.SigSource, comps []int, 
 	local := make([]int, n)
 	job := &mapreduce.Job{
 		Name:  "mrmcminh-lsh-finish",
-		Input: mapreduce.MemoryInput{Records: records, SplitSize: splitSize(n, engine.Cluster)},
+		Input: mapreduce.MemoryInput{Records: records},
 		// Per-component clustering costs |C|² in the worst case but
 		// components are θ-similarity neighborhoods, far smaller than N.
 		ReduceCostFactor: 7.5,
@@ -242,9 +241,9 @@ func relabelComponents(comps, local []int) metrics.Clustering {
 }
 
 // clusterLSHCC drives the LSH candidate stage, connected components and
-// the per-component finish, threading each stage through the checkpoint
-// runner exactly like the exact path's stages.
-func clusterLSHCC(engine *mapreduce.Engine, src cluster.SigSource, sigsHash string, opt Options, res *Result, ck *ckptRunner, addJob func(*mapreduce.Result)) error {
+// the per-component finish, each one checkpointed stage like the exact
+// path's.
+func clusterLSHCC(engine *mapreduce.Engine, src cluster.SigSource, sigsHash string, opt Options, ck *ckptRunner, addJob func(*mapreduce.Result)) (metrics.Clustering, error) {
 	lsh := lshGeometry(opt)
 	edgeParams := map[string]string{
 		"theta":      fmt.Sprint(opt.Theta),
@@ -253,94 +252,46 @@ func clusterLSHCC(engine *mapreduce.Engine, src cluster.SigSource, sigsHash stri
 		"rows":       fmt.Sprint(lsh.Rows),
 		"bucket_cap": fmt.Sprint(lshBucketCap(opt)),
 	}
-	var edges []cluster.Edge
-	var edgeBytes []byte
-	if data, ok, err := ck.lookup(StageLSHEdges, sigsHash, edgeParams); err != nil {
-		return err
-	} else if ok {
-		if edges, err = decodeEdges(data); err != nil {
-			return err
-		}
-		edgeBytes = data
-	} else {
-		var results []*mapreduce.Result
-		var err error
-		if edges, results, err = lshEdgesJobs(engine, src, opt); err != nil {
-			return err
-		}
-		for _, r := range results {
-			addJob(r)
-		}
-		if opt.Checkpoint != nil {
-			edgeBytes = encodeEdges(edges)
-		}
-		if err := ck.commit(StageLSHEdges, sigsHash, edgeParams, func() []byte { return edgeBytes }); err != nil {
-			return err
-		}
+	edges, edgesHash, err := stage(ck, StageLSHEdges, sigsHash, edgeParams, encodeEdges, decodeEdges,
+		func() ([]cluster.Edge, error) {
+			edges, results, err := lshEdgesJobs(engine, src, opt)
+			for _, r := range results {
+				addJob(r)
+			}
+			return edges, err
+		})
+	if err != nil {
+		return nil, err
 	}
-	var edgesHash string
-	if opt.Checkpoint != nil {
-		edgesHash = checkpoint.HashBytes(edgeBytes)
-	}
-
 	ccParams := map[string]string{
 		"n":          fmt.Sprint(src.Len()),
 		"max_rounds": fmt.Sprint(cluster.DefaultCCMaxRounds),
 	}
-	var comps []int
-	var compBytes []byte
-	if data, ok, err := ck.lookup(StageCC, edgesHash, ccParams); err != nil {
-		return err
-	} else if ok {
-		labels, err := decodeLabels(data)
-		if err != nil {
-			return err
-		}
-		comps = labels
-		compBytes = data
-	} else {
-		labels, results, _, err := cluster.ConnectedComponentsMR(engine, src.Len(), edges, cluster.CCOptions{})
-		if err != nil {
-			return err
-		}
-		comps = labels
-		for _, r := range results {
-			addJob(r)
-		}
-		if opt.Checkpoint != nil {
-			compBytes = encodeLabels(comps)
-		}
-		if err := ck.commit(StageCC, edgesHash, ccParams, func() []byte { return compBytes }); err != nil {
-			return err
-		}
+	comps, compsHash, err := stage(ck, StageCC, edgesHash, ccParams, encodeLabels, decodeLabels,
+		func() (metrics.Clustering, error) {
+			labels, results, _, err := cluster.ConnectedComponentsMR(engine, src.Len(), edges, cluster.CCOptions{})
+			for _, r := range results {
+				addJob(r)
+			}
+			return labels, err
+		})
+	if err != nil {
+		return nil, err
 	}
-	var compsHash string
-	if opt.Checkpoint != nil {
-		compsHash = checkpoint.HashBytes(compBytes)
-	}
-
 	finishParams := map[string]string{
 		"mode":      fmt.Sprint(int(opt.Mode)),
 		"theta":     fmt.Sprint(opt.Theta),
 		"linkage":   fmt.Sprint(int(opt.Linkage)),
 		"estimator": fmt.Sprint(int(minhash.SetOverlap)),
 	}
-	if data, ok, err := ck.lookup(StageLSHCluster, compsHash, finishParams); err != nil {
-		return err
-	} else if ok {
-		if res.Assignments, err = decodeLabels(data); err != nil {
-			return err
-		}
-	} else {
-		labels, out, err := lshFinishJob(engine, src, comps, opt)
-		if err != nil {
-			return err
-		}
-		res.Assignments = labels
-		addJob(out)
-		if err := ck.commit(StageLSHCluster, compsHash, finishParams, func() []byte { return encodeLabels(labels) }); err != nil {
-			return err
-		}
-	}
-	return nil
+	labels, _, err := stage(ck, StageLSHCluster, compsHash, finishParams, encodeLabels, decodeLabels,
+		func() (metrics.Clustering, error) {
+			labels, out, err := lshFinishJob(engine, src, comps, opt)
+			if err != nil {
+				return nil, err
+			}
+			addJob(out)
+			return labels, nil
+		})
+	return labels, err
 }

@@ -271,7 +271,7 @@ type Result struct {
 	Jobs int
 	// Counters aggregates the engine counters of every executed job
 	// (shuffle bytes, spills, merge passes, attempts, ...). Stages
-	// restored from a checkpoint contribute nothing. Nil when no job ran.
+	// restored from a checkpoint contribute nothing.
 	Counters map[string]int64
 	// SkippedStages lists the stages restored from the checkpoint journal
 	// instead of re-executed, in pipeline order (nil on fresh runs).
@@ -332,38 +332,49 @@ func (o Options) resumeJournal() (bool, error) {
 	return true, nil
 }
 
-// lookup returns a stage's checkpointed bytes when its manifest entry
-// validates. The first stage with no entry ends the resumable prefix:
-// every stage after it re-executes. A mismatched entry is a typed error.
-func (ck *ckptRunner) lookup(stage, inputsHash string, params map[string]string) ([]byte, bool, error) {
-	if ck.journal == nil || !ck.resume {
-		return nil, false, nil
-	}
-	data, ok, err := ck.journal.Validate(stage, inputsHash, params)
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok {
-		ck.resume = false
-		return nil, false, nil
-	}
-	ck.skipped = append(ck.skipped, stage)
-	return data, true, nil
-}
-
-// commit journals an executed stage's output, then fires any planned
-// driver crash — the crash lands after the checkpoint is durable, so
-// the stage is exactly what a resumed run gets to skip.
-func (ck *ckptRunner) commit(stage, inputsHash string, params map[string]string, output func() []byte) error {
-	if ck.journal != nil {
-		if _, err := ck.journal.Commit(stage, inputsHash, params, output()); err != nil {
-			return err
+// stage runs one checkpointed pipeline stage. When the stage's journal
+// entry validates, its output is restored through decode; the first
+// stage with no entry ends the resumable prefix, and every stage after it
+// runs. A stage that runs has its output encoded and committed only when
+// a journal is open. stage returns the output and the hash of its
+// journaled bytes, the next stage's inputs hash ("" with no journal).
+// Any planned driver crash fires after the commit, so the stage is
+// exactly what a resumed run gets to skip. A mismatched entry is a typed
+// error.
+func stage[T any](ck *ckptRunner, name, inputsHash string, params map[string]string,
+	encode func(T) []byte, decode func([]byte) (T, error), run func() (T, error)) (T, string, error) {
+	var zero T
+	if ck.resume {
+		data, ok, err := ck.journal.Validate(name, inputsHash, params)
+		if err != nil {
+			return zero, "", err
 		}
+		if ok {
+			out, err := decode(data)
+			if err != nil {
+				return zero, "", err
+			}
+			ck.skipped = append(ck.skipped, name)
+			return out, checkpoint.HashBytes(data), nil
+		}
+		ck.resume = false
 	}
-	if ck.faults.DriverCrashAfter(stage) {
-		return &faults.DriverCrashError{Stage: stage}
+	out, err := run()
+	if err != nil {
+		return zero, "", err
 	}
-	return nil
+	var hash string
+	if ck.journal != nil {
+		e, err := ck.journal.Commit(name, inputsHash, params, encode(out))
+		if err != nil {
+			return zero, "", err
+		}
+		hash = e.OutputHash
+	}
+	if ck.faults.DriverCrashAfter(name) {
+		return zero, "", &faults.DriverCrashError{Stage: name}
+	}
+	return out, hash, nil
 }
 
 // Run executes the MrMC-MinH pipeline on reads: sketching as a map-only
@@ -388,7 +399,7 @@ func Run(reads []fasta.Record, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{ReadIDs: make([]string, len(reads))}
+	res := &Result{ReadIDs: make([]string, len(reads)), Counters: make(map[string]int64)}
 	for i := range reads {
 		res.ReadIDs[i] = reads[i].ID
 	}
@@ -398,9 +409,6 @@ func Run(reads []fasta.Record, opt Options) (*Result, error) {
 		res.Jobs++
 		if out.Counters == nil {
 			return
-		}
-		if res.Counters == nil {
-			res.Counters = make(map[string]int64)
 		}
 		for k, v := range out.Counters.Snapshot() {
 			res.Counters[k] += v
@@ -423,131 +431,85 @@ func Run(reads []fasta.Record, opt Options) (*Result, error) {
 		"seed":       fmt.Sprint(opt.Seed),
 		"store_bits": fmt.Sprint(opt.StoreBits),
 	}
-
 	// The sketch stage's checkpoint is the store snapshot (SIGSNAP2).
-	var store *sigstore.Store
-	var sigBytes []byte // the snapshot, when journaling
-	if data, ok, err := ck.lookup(StageSketch, readsHash, sketchParams); err != nil {
+	store, sigsHash, err := stage(ck, StageSketch, readsHash, sketchParams, (*sigstore.Store).Snapshot,
+		func(data []byte) (*sigstore.Store, error) {
+			st, err := sigstore.Restore(data)
+			if err != nil {
+				return nil, err
+			}
+			if st.NumHashes() != opt.NumHashes || st.Bits() != opt.StoreBits || st.Len() != len(reads) {
+				return nil, fmt.Errorf("core: checkpointed store geometry n=%d/b=%d/reads=%d does not match run n=%d/b=%d/reads=%d",
+					st.NumHashes(), st.Bits(), st.Len(), opt.NumHashes, opt.StoreBits, len(reads))
+			}
+			return st, nil
+		},
+		func() (*sigstore.Store, error) {
+			sigs, mrout, err := sketchJob(engine, reads, opt)
+			if err != nil {
+				return nil, err
+			}
+			addJob(mrout)
+			return buildStore(sigs, opt)
+		})
+	if err != nil {
 		return nil, err
-	} else if ok {
-		if store, err = sigstore.Restore(data); err != nil {
-			return nil, err
-		}
-		if store.NumHashes() != opt.NumHashes || store.Bits() != opt.StoreBits || store.Len() != len(reads) {
-			return nil, fmt.Errorf("core: checkpointed store geometry n=%d/b=%d/reads=%d does not match run n=%d/b=%d/reads=%d",
-				store.NumHashes(), store.Bits(), store.Len(), opt.NumHashes, opt.StoreBits, len(reads))
-		}
-		sigBytes = data
-	} else {
-		sigs, mrout, err := sketchJob(engine, reads, opt)
-		if err != nil {
-			return nil, err
-		}
-		addJob(mrout)
-		if store, err = buildStore(sigs, opt); err != nil {
-			return nil, err
-		}
-		if opt.Checkpoint != nil {
-			sigBytes = store.Snapshot()
-		}
-		if err := ck.commit(StageSketch, readsHash, sketchParams, func() []byte { return sigBytes }); err != nil {
-			return nil, err
-		}
 	}
 	src := store.View(minhash.SetOverlap)
-	if res.Counters == nil {
-		res.Counters = make(map[string]int64)
-	}
 	res.Counters["sigstore.resident_bytes"] = store.ResidentBytes()
 	res.Counters["sigstore.reads"] = int64(store.Len())
-	var sigsHash string
-	if opt.Checkpoint != nil {
-		sigsHash = checkpoint.HashBytes(sigBytes)
-	}
 
-	if opt.Candidate == CandidateLSH {
-		if err := clusterLSHCC(engine, src, sigsHash, opt, res, ck, addJob); err != nil {
-			return nil, err
-		}
-		res.SkippedStages = ck.skipped
-		res.Real = time.Since(start)
-		return res, nil
-	}
-
-	switch opt.Mode {
-	case GreedyMode:
+	switch {
+	case opt.Candidate == CandidateLSH:
+		res.Assignments, err = clusterLSHCC(engine, src, sigsHash, opt, ck, addJob)
+	case opt.Mode == GreedyMode:
 		greedyParams := map[string]string{
 			"theta":     fmt.Sprint(opt.Theta),
 			"estimator": fmt.Sprint(int(minhash.SetOverlap)),
 			"use_lsh":   fmt.Sprint(opt.UseLSH),
 		}
-		if data, ok, err := ck.lookup(StageGreedy, sigsHash, greedyParams); err != nil {
-			return nil, err
-		} else if ok {
-			if res.Assignments, err = decodeLabels(data); err != nil {
-				return nil, err
-			}
-		} else {
-			labels, mrout, err := greedyJob(engine, src, opt)
-			if err != nil {
-				return nil, err
-			}
-			res.Assignments = labels
-			addJob(mrout)
-			if err := ck.commit(StageGreedy, sigsHash, greedyParams, func() []byte { return encodeLabels(labels) }); err != nil {
-				return nil, err
-			}
-		}
-	case HierarchicalMode:
+		res.Assignments, _, err = stage(ck, StageGreedy, sigsHash, greedyParams, encodeLabels, decodeLabels,
+			func() (metrics.Clustering, error) {
+				labels, mrout, err := greedyJob(engine, src, opt)
+				if err != nil {
+					return nil, err
+				}
+				addJob(mrout)
+				return labels, nil
+			})
+	default:
 		simParams := map[string]string{
 			"estimator": fmt.Sprint(int(minhash.SetOverlap)),
 		}
 		var m *cluster.Matrix
-		var matBytes []byte
-		if data, ok, err := ck.lookup(StageSimilarity, sigsHash, simParams); err != nil {
-			return nil, err
-		} else if ok {
-			if m, err = decodeMatrix(data); err != nil {
-				return nil, err
-			}
-			matBytes = data
-		} else {
-			var mrout *mapreduce.Result
-			if m, mrout, err = similarityJob(engine, src, opt); err != nil {
-				return nil, err
-			}
-			addJob(mrout)
-			if opt.Checkpoint != nil {
-				matBytes = encodeMatrix(m)
-			}
-			if err := ck.commit(StageSimilarity, sigsHash, simParams, func() []byte { return matBytes }); err != nil {
-				return nil, err
-			}
-		}
 		var matHash string
-		if opt.Checkpoint != nil {
-			matHash = checkpoint.HashBytes(matBytes)
+		m, matHash, err = stage(ck, StageSimilarity, sigsHash, simParams, encodeMatrix, decodeMatrix,
+			func() (*cluster.Matrix, error) {
+				m, mrout, err := similarityJob(engine, src, opt)
+				if err != nil {
+					return nil, err
+				}
+				addJob(mrout)
+				return m, nil
+			})
+		if err != nil {
+			return nil, err
 		}
 		clusterParams := map[string]string{
 			"theta":   fmt.Sprint(opt.Theta),
 			"linkage": fmt.Sprint(int(opt.Linkage)),
 		}
-		if data, ok, err := ck.lookup(StageCluster, matHash, clusterParams); err != nil {
-			return nil, err
-		} else if ok {
-			if res.Assignments, err = decodeLabels(data); err != nil {
-				return nil, err
-			}
-		} else {
-			dend, err := cluster.Hierarchical(m, cluster.HierarchicalOptions{Linkage: opt.Linkage})
-			if err != nil {
-				return nil, err
-			}
-			res.Assignments = dend.CutAt(opt.Theta)
-			if err := ck.commit(StageCluster, matHash, clusterParams, func() []byte { return encodeLabels(res.Assignments) }); err != nil {
-				return nil, err
-			}
-		}
+		res.Assignments, _, err = stage(ck, StageCluster, matHash, clusterParams, encodeLabels, decodeLabels,
+			func() (metrics.Clustering, error) {
+				dend, err := cluster.Hierarchical(m, cluster.HierarchicalOptions{Linkage: opt.Linkage})
+				if err != nil {
+					return nil, err
+				}
+				return dend.CutAt(opt.Theta), nil
+			})
+	}
+	if err != nil {
+		return nil, err
 	}
 	res.SkippedStages = ck.skipped
 	res.Real = time.Since(start)
@@ -571,7 +533,7 @@ func sketchJob(engine *mapreduce.Engine, reads []fasta.Record, opt Options) ([]m
 	}
 	job := &mapreduce.Job{
 		Name:  "mrmcminh-sketch",
-		Input: mapreduce.MemoryInput{Records: records, SplitSize: splitSize(len(records), engine.Cluster)},
+		Input: mapreduce.MemoryInput{Records: records},
 		// Sketching one read costs ~L·n hash evaluations, far above the
 		// baseline per-record map cost.
 		MapCostFactor: float64(opt.NumHashes) / 2,
@@ -638,7 +600,7 @@ func greedyJob(engine *mapreduce.Engine, src *sigstore.View, opt Options) (metri
 	labels := make(metrics.Clustering, n)
 	job := &mapreduce.Job{
 		Name:        "mrmcminh-greedy",
-		Input:       mapreduce.MemoryInput{Records: records, SplitSize: splitSize(len(records), engine.Cluster)},
+		Input:       mapreduce.MemoryInput{Records: records},
 		NumReducers: 1,
 		// The greedy sweep compares each read against the shrinking set of
 		// cluster representatives — modelled as a bounded constant per
@@ -691,7 +653,7 @@ func similarityJob(engine *mapreduce.Engine, src cluster.SigSource, opt Options)
 	}
 	job := &mapreduce.Job{
 		Name:  "mrmcminh-simrows",
-		Input: mapreduce.MemoryInput{Records: records, SplitSize: splitSize(n, engine.Cluster)},
+		Input: mapreduce.MemoryInput{Records: records},
 		// One record = one matrix row = ~n signature comparisons, each a
 		// ~100-value sketch scan plus Hadoop (de)serialization.
 		MapCostFactor: float64(n) * 2.5,
@@ -716,16 +678,6 @@ func similarityJob(engine *mapreduce.Engine, src cluster.SigSource, opt Options)
 		}
 	}
 	return m, out, nil
-}
-
-// splitSize sizes in-memory splits for the cluster (two waves per slot).
-func splitSize(n int, c mapreduce.Cluster) int {
-	waves := 2 * c.TotalSlots()
-	size := (n + waves - 1) / waves
-	if size < 1 {
-		size = 1
-	}
-	return size
 }
 
 // ClustersByID converts a result into clusterID -> read IDs, sorted for

@@ -119,7 +119,7 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 	// jobs, never observed mid-job.
 	workers := e.workerCount()
 	rec := e.Trace
-	splits := job.Input.Splits()
+	splits := job.Input.Splits(e.Cluster)
 	counters := NewCounters()
 	numRed := job.NumReducers
 	if numRed <= 0 {

@@ -164,7 +164,7 @@ func TestVirtualIsJobStartupPlusPhaseMakespans(t *testing.T) {
 		var mapCosts []TaskCost
 		partRecords := make([]int, job.NumReducers)
 		shuffleBytes := make([]int, job.NumReducers)
-		for _, sp := range job.Input.Splits() {
+		for _, sp := range job.Input.Splits(c) {
 			mapCosts = append(mapCosts, c.mapTaskCost(sp, job.MapCostFactor))
 			for _, kv := range sp.Records {
 				if err := job.Map(kv, func(out KeyValue) {

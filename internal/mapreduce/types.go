@@ -88,18 +88,18 @@ type InputSplit struct {
 
 // MemoryInput serves in-memory records chunked into equally sized splits.
 type MemoryInput struct {
-	Records   []KeyValue
-	SplitSize int // records per split; 0 means one split
+	Records []KeyValue
+	// SplitSize is the records per split. 0 sizes splits so the cluster
+	// runs two waves of map tasks per slot, every slot getting work.
+	SplitSize int
 }
 
-// Splits chunks the records.
-func (m MemoryInput) Splits() []InputSplit {
+// Splits chunks the records for cluster c.
+func (m MemoryInput) Splits(c Cluster) []InputSplit {
 	size := m.SplitSize
 	if size <= 0 {
-		size = len(m.Records)
-	}
-	if size == 0 {
-		size = 1
+		waves := 2 * c.TotalSlots()
+		size = max(1, (len(m.Records)+waves-1)/waves)
 	}
 	var splits []InputSplit
 	for off := 0; off < len(m.Records); off += size {

@@ -50,8 +50,8 @@ func (s *Script) Run(ctx *Context) (*RunResult, error) {
 	}
 	start := time.Now()
 	rec := ctx.Engine.Trace
-	ex := &executor{ctx: ctx, aliases: make(map[string]*Relation), plan: compilePlan(s.stmts, ctx.Registry)}
-	res := &RunResult{Aliases: ex.aliases, Stored: make(map[string]string), Dumps: make(map[string][]string)}
+	res := &RunResult{Aliases: make(map[string]*Relation), Stored: make(map[string]string), Dumps: make(map[string][]string)}
+	ex := &executor{ctx: ctx, aliases: res.Aliases, plan: compilePlan(s.stmts, ctx.Registry), res: res}
 	for _, st := range s.stmts {
 		var ref trace.SpanRef
 		if rec.Enabled() {
@@ -59,7 +59,7 @@ func (s *Script) Run(ctx *Context) (*RunResult, error) {
 		}
 		var err error
 		if !ex.plan.fused[st] {
-			err = ex.execStmt(st, res)
+			err = ex.execStmt(st)
 		}
 		rec.End(ref)
 		if err != nil {
@@ -70,77 +70,38 @@ func (s *Script) Run(ctx *Context) (*RunResult, error) {
 	return res, nil
 }
 
-// execStmt dispatches one statement, accumulating job counts and modelled
-// time into res.
-func (ex *executor) execStmt(st Stmt, res *RunResult) error {
+// execStmt dispatches one statement.
+func (ex *executor) execStmt(st Stmt) error {
 	switch t := st.(type) {
 	case *LoadStmt:
 		return ex.load(t)
 	case *ForeachStmt:
-		virt, err := ex.foreach(t)
-		if err != nil {
-			return err
-		}
-		res.Virtual += virt
-		res.Jobs++
+		return ex.foreach(t)
 	case *GroupStmt:
-		virt, err := ex.group(t)
-		if err != nil {
-			return err
-		}
-		res.Virtual += virt
-		res.Jobs++
+		return ex.group(t)
 	case *StoreStmt:
-		path, restored, err := ex.store(t)
-		if err != nil {
-			return err
-		}
-		res.Stored[t.Input] = path
-		if restored {
-			res.Restored = append(res.Restored, path)
-		}
+		return ex.store(t)
 	case *FilterStmt:
-		virt, err := ex.filter(t)
-		if err != nil {
-			return err
-		}
-		res.Virtual += virt
-		res.Jobs++
+		return ex.filter(t)
 	case *DistinctStmt:
-		virt, err := ex.distinct(t)
-		if err != nil {
-			return err
-		}
-		res.Virtual += virt
-		res.Jobs++
+		return ex.distinct(t)
 	case *LimitStmt:
 		return ex.limit(t)
 	case *UnionStmt:
 		return ex.union(t)
 	case *OrderStmt:
-		virt, err := ex.order(t)
-		if err != nil {
-			return err
-		}
-		res.Virtual += virt
-		res.Jobs++
+		return ex.order(t)
 	case *DumpStmt:
-		return ex.dump(t, res)
+		return ex.dump(t)
 	case *JoinStmt:
-		virt, err := ex.join(t)
-		if err != nil {
-			return err
-		}
-		res.Virtual += virt
-		res.Jobs++
+		return ex.join(t)
 	case *DescribeStmt:
-		return ex.describe(t, res)
+		return ex.describe(t)
 	case *SampleStmt:
 		return ex.sample(t)
 	default:
 		return fmt.Errorf("pig: unsupported statement %T", st)
 	}
-	return nil
 }
 
 // stmtLabel names a statement for its trace span, Pig-source style.
@@ -185,6 +146,29 @@ type executor struct {
 	ctx     *Context
 	aliases map[string]*Relation
 	plan    plan
+	res     *RunResult
+}
+
+// runJob launches job over records on the context's engine, adds the job
+// and its modelled time to the run's result, and returns the tuples it
+// output, ordered by key when sorted is set (stably, so a key's rows keep
+// the order its reducer yielded them in).
+func (ex *executor) runJob(job *mapreduce.Job, records []mapreduce.KeyValue, sorted bool) (Bag, error) {
+	job.Input = mapreduce.MemoryInput{Records: records}
+	out, err := ex.ctx.Engine.Run(job)
+	if err != nil {
+		return nil, err
+	}
+	ex.res.Jobs++
+	ex.res.Virtual += out.Virtual
+	if sorted {
+		sort.SliceStable(out.Output, func(i, j int) bool { return out.Output[i].Key < out.Output[j].Key })
+	}
+	rows := make(Bag, len(out.Output))
+	for i, kv := range out.Output {
+		rows[i] = kv.Value.(Tuple)
+	}
+	return rows, nil
 }
 
 // relation resolves an alias or fails with its use-site line.
@@ -279,7 +263,7 @@ func (ex *executor) evalConst(e Expr, line int) (Value, error) {
 
 // ---- GROUP, and the one job shape it shares with grouped FOREACH ----
 
-func (ex *executor) group(st *GroupStmt) (time.Duration, error) {
+func (ex *executor) group(st *GroupStmt) error {
 	return ex.shuffle(shuffleOp{
 		stmt:   st,
 		name:   fmt.Sprintf("group-%s", st.Alias),
@@ -326,8 +310,7 @@ type shuffleOp struct {
 	fold func(key string, values []any) ([]Tuple, error)
 	// costFactor is the fold's UDF CostFactor.
 	costFactor float64
-	// sorted orders the output by key (stably, so a key's rows keep the
-	// order its reducer yielded them in).
+	// sorted orders the output by key (see runJob).
 	sorted bool
 }
 
@@ -340,7 +323,7 @@ type shuffleOp struct {
 // under the key. The rows that leave the last stage materialize under its
 // alias. Each phase charges per input record at the largest CostFactor
 // among the statements it runs.
-func (ex *executor) shuffle(op shuffleOp) (time.Duration, error) {
+func (ex *executor) shuffle(op shuffleOp) error {
 	f := ex.plan.jobs[op.stmt]
 	srcName, srcLine := op.input, op.line
 	if len(f.mapChain) > 0 {
@@ -348,16 +331,13 @@ func (ex *executor) shuffle(op shuffleOp) (time.Duration, error) {
 	}
 	src, err := ex.relation(srcName, srcLine)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	mapStages, keyIn, mapCost := ex.stages(f.mapChain, src)
 	reduceStages, out, reduceCost := ex.stages(f.reduceChain, &Relation{Schema: op.schema})
-	records := tuplesToRecords(src.Tuples)
 	job := &mapreduce.Job{
 		Name:             op.name,
 		Detail:           f.phases(op.alias),
-		Input:            mapreduce.MemoryInput{Records: records, SplitSize: splitSizeFor(len(records), ex.ctx.Engine.Cluster)},
-		NumReducers:      ex.ctx.Engine.Cluster.Nodes,
 		MapCostFactor:    mapCost,
 		ReduceCostFactor: max(op.costFactor, reduceCost),
 		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
@@ -386,23 +366,15 @@ func (ex *executor) shuffle(op shuffleOp) (time.Duration, error) {
 			return nil
 		},
 	}
-	res, err := ex.ctx.Engine.Run(job)
-	if err != nil {
-		return 0, err
-	}
-	if op.sorted {
-		sort.SliceStable(res.Output, func(i, j int) bool { return res.Output[i].Key < res.Output[j].Key })
-	}
-	out.Tuples = make(Bag, len(res.Output))
-	for i, kv := range res.Output {
-		out.Tuples[i] = kv.Value.(Tuple)
+	if out.Tuples, err = ex.runJob(job, tuplesToRecords(src.Tuples), op.sorted); err != nil {
+		return err
 	}
 	alias := op.alias
 	if n := len(f.reduceChain); n > 0 {
 		alias = f.reduceChain[n-1].Alias
 	}
 	ex.aliases[alias] = out
-	return res.Virtual, nil
+	return nil
 }
 
 // stage is one map-only FOREACH fused into a neighbouring job, with the
@@ -455,14 +427,14 @@ func (ex *executor) pipe(stages []stage, tup Tuple, emit func(Tuple) error) erro
 // With a checkpoint journal the committed bytes are also recorded under
 // a "store:<path>" manifest entry; resuming validates the entry (typed
 // error on mismatch) and restores its bytes instead of re-journaling.
-func (ex *executor) store(st *StoreStmt) (string, bool, error) {
+func (ex *executor) store(st *StoreStmt) error {
 	in, err := ex.relation(st.Input, st.Line)
 	if err != nil {
-		return "", false, err
+		return err
 	}
 	path, err := ex.substituteParams(st.Path, st.Line)
 	if err != nil {
-		return "", false, err
+		return err
 	}
 	var sb strings.Builder
 	for _, tup := range in.Tuples {
@@ -481,7 +453,7 @@ func (ex *executor) store(st *StoreStmt) (string, bool, error) {
 		if ex.ctx.Resume {
 			saved, ok, err := ck.Validate(stage, checkpoint.HashBytes(data), nil)
 			if err != nil {
-				return "", false, fmt.Errorf("pig: line %d: %w", st.Line, err)
+				return fmt.Errorf("pig: line %d: %w", st.Line, err)
 			}
 			if ok {
 				data, restored = saved, true
@@ -489,7 +461,7 @@ func (ex *executor) store(st *StoreStmt) (string, bool, error) {
 		}
 		if !restored {
 			if _, err := ck.Commit(stage, checkpoint.HashBytes(data), nil, data); err != nil {
-				return "", false, fmt.Errorf("pig: line %d: %w", st.Line, err)
+				return fmt.Errorf("pig: line %d: %w", st.Line, err)
 			}
 		}
 	}
@@ -497,18 +469,22 @@ func (ex *executor) store(st *StoreStmt) (string, bool, error) {
 	oc := mapreduce.NewOutputCommitter(ex.ctx.FS, path)
 	oc.SetTrace(ex.ctx.Engine.Trace)
 	if err := oc.WriteAttemptFile(0, 0, "part-00000", data); err != nil {
-		return "", false, fmt.Errorf("pig: line %d: storing %q: %w", st.Line, path, err)
+		return fmt.Errorf("pig: line %d: storing %q: %w", st.Line, path, err)
 	}
 	if err := oc.CommitTask(0, 0); err != nil {
-		return "", false, fmt.Errorf("pig: line %d: storing %q: %w", st.Line, path, err)
+		return fmt.Errorf("pig: line %d: storing %q: %w", st.Line, path, err)
 	}
 	if err := oc.CommitJob(); err != nil {
-		return "", false, fmt.Errorf("pig: line %d: storing %q: %w", st.Line, path, err)
+		return fmt.Errorf("pig: line %d: storing %q: %w", st.Line, path, err)
 	}
 	if df := ex.ctx.Engine.Faults; df.DriverCrashAfter(stage) {
-		return "", false, &faults.DriverCrashError{Stage: stage}
+		return &faults.DriverCrashError{Stage: stage}
 	}
-	return path, restored, nil
+	ex.res.Stored[st.Input] = path
+	if restored {
+		ex.res.Restored = append(ex.res.Restored, path)
+	}
+	return nil
 }
 
 // ---- helpers shared with FOREACH ----
@@ -521,16 +497,6 @@ func tuplesToRecords(tuples Bag) []mapreduce.KeyValue {
 		recs[i] = mapreduce.KeyValue{Key: fmt.Sprintf("%012d", i), Value: t}
 	}
 	return recs
-}
-
-// splitSizeFor sizes splits so every cluster slot gets work (≥2 waves).
-func splitSizeFor(n int, c mapreduce.Cluster) int {
-	waves := 2 * c.TotalSlots()
-	size := (n + waves - 1) / waves
-	if size < 1 {
-		size = 1
-	}
-	return size
 }
 
 // evalTuple evaluates an expression against one tuple of relation rel

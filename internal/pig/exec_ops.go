@@ -3,9 +3,9 @@ package pig
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"github.com/metagenomics/mrmcminh/internal/mapreduce"
 )
@@ -17,15 +17,13 @@ import (
 // UNION, SAMPLE and DESCRIBE run on the driver.
 
 // filter runs alias = FILTER input BY cond.
-func (ex *executor) filter(st *FilterStmt) (time.Duration, error) {
+func (ex *executor) filter(st *FilterStmt) error {
 	in, err := ex.relation(st.Input, st.Line)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	records := tuplesToRecords(in.Tuples)
 	job := &mapreduce.Job{
-		Name:  fmt.Sprintf("filter-%s", st.Alias),
-		Input: mapreduce.MemoryInput{Records: records, SplitSize: splitSizeFor(len(records), ex.ctx.Engine.Cluster)},
+		Name: fmt.Sprintf("filter-%s", st.Alias),
 		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
 			tup := kv.Value.(Tuple)
 			v, err := ex.evalTuple(st.Cond, tup, in, st.Input, st.Line)
@@ -42,30 +40,23 @@ func (ex *executor) filter(st *FilterStmt) (time.Duration, error) {
 			return nil
 		},
 	}
-	res, err := ex.ctx.Engine.Run(job)
+	rows, err := ex.runJob(job, tuplesToRecords(in.Tuples), false)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	out := &Relation{Schema: in.Schema}
-	for _, kv := range res.Output {
-		out.Tuples = append(out.Tuples, kv.Value.(Tuple))
-	}
-	ex.aliases[st.Alias] = out
-	return res.Virtual, nil
+	ex.aliases[st.Alias] = &Relation{Schema: in.Schema, Tuples: rows}
+	return nil
 }
 
 // distinct runs alias = DISTINCT input as a full MR job keyed by the
 // tuple's rendered form.
-func (ex *executor) distinct(st *DistinctStmt) (time.Duration, error) {
+func (ex *executor) distinct(st *DistinctStmt) error {
 	in, err := ex.relation(st.Input, st.Line)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	records := tuplesToRecords(in.Tuples)
 	job := &mapreduce.Job{
-		Name:        fmt.Sprintf("distinct-%s", st.Alias),
-		Input:       mapreduce.MemoryInput{Records: records, SplitSize: splitSizeFor(len(records), ex.ctx.Engine.Cluster)},
-		NumReducers: ex.ctx.Engine.Cluster.Nodes,
+		Name: fmt.Sprintf("distinct-%s", st.Alias),
 		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
 			tup := kv.Value.(Tuple)
 			emit(mapreduce.KeyValue{Key: FormatValue(tup), Value: tup})
@@ -80,18 +71,13 @@ func (ex *executor) distinct(st *DistinctStmt) (time.Duration, error) {
 			return nil
 		},
 	}
-	res, err := ex.ctx.Engine.Run(job)
+	// Sorted for deterministic output order across reducers.
+	rows, err := ex.runJob(job, tuplesToRecords(in.Tuples), true)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	// Deterministic output order across reducers.
-	sort.SliceStable(res.Output, func(i, j int) bool { return res.Output[i].Key < res.Output[j].Key })
-	out := &Relation{Schema: in.Schema}
-	for _, kv := range res.Output {
-		out.Tuples = append(out.Tuples, kv.Value.(Tuple))
-	}
-	ex.aliases[st.Alias] = out
-	return res.Virtual, nil
+	ex.aliases[st.Alias] = &Relation{Schema: in.Schema, Tuples: rows}
+	return nil
 }
 
 // limit runs alias = LIMIT input n on the driver.
@@ -142,10 +128,10 @@ func (ex *executor) union(st *UnionStmt) error {
 // tuples so partition i holds keys entirely below partition i+1 (Hadoop's
 // TotalOrderPartitioner), reducers sort locally, and concatenating the
 // partitions yields the total order.
-func (ex *executor) order(st *OrderStmt) (time.Duration, error) {
+func (ex *executor) order(st *OrderStmt) error {
 	in, err := ex.relation(st.Input, st.Line)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	// sortKey evaluates the BY expression into a comparable form.
 	type sortKey struct {
@@ -181,7 +167,7 @@ func (ex *executor) order(st *OrderStmt) (time.Duration, error) {
 	for i, tup := range in.Tuples {
 		k, err := keyOf(tup)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		keys[i] = k
 	}
@@ -204,10 +190,8 @@ func (ex *executor) order(st *OrderStmt) (time.Duration, error) {
 		tup Tuple
 		seq int // original index for stability
 	}
-	records := tuplesToRecords(in.Tuples)
 	job := &mapreduce.Job{
 		Name:        fmt.Sprintf("order-%s", st.Alias),
-		Input:       mapreduce.MemoryInput{Records: records, SplitSize: splitSizeFor(len(records), ex.ctx.Engine.Cluster)},
 		NumReducers: numRed,
 		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
 			tup := kv.Value.(Tuple)
@@ -241,34 +225,27 @@ func (ex *executor) order(st *OrderStmt) (time.Duration, error) {
 			return nil
 		},
 	}
-	res, err := ex.ctx.Engine.Run(job)
-	if err != nil {
-		return 0, err
-	}
 	// Partitions come back keyed by zero-padded partition id; a stable
 	// sort on that key concatenates them in range order.
-	sort.SliceStable(res.Output, func(i, j int) bool { return res.Output[i].Key < res.Output[j].Key })
-	out := &Relation{Schema: in.Schema, Tuples: make(Bag, 0, len(res.Output))}
-	for _, kv := range res.Output {
-		out.Tuples = append(out.Tuples, kv.Value.(Tuple))
+	rows, err := ex.runJob(job, tuplesToRecords(in.Tuples), true)
+	if err != nil {
+		return err
 	}
 	if st.Desc {
-		for a, b := 0, len(out.Tuples)-1; a < b; a, b = a+1, b-1 {
-			out.Tuples[a], out.Tuples[b] = out.Tuples[b], out.Tuples[a]
-		}
+		slices.Reverse(rows)
 	}
-	ex.aliases[st.Alias] = out
-	return res.Virtual, nil
+	ex.aliases[st.Alias] = &Relation{Schema: in.Schema, Tuples: rows}
+	return nil
 }
 
 // describe records a relation's schema into the run's dump log under
 // "describe:<alias>".
-func (ex *executor) describe(st *DescribeStmt, res *RunResult) error {
+func (ex *executor) describe(st *DescribeStmt) error {
 	in, err := ex.relation(st.Input, st.Line)
 	if err != nil {
 		return err
 	}
-	res.Dumps["describe:"+st.Input] = []string{st.Input + ": " + in.Schema.String()}
+	ex.res.Dumps["describe:"+st.Input] = []string{st.Input + ": " + in.Schema.String()}
 	return nil
 }
 
@@ -301,7 +278,7 @@ func (ex *executor) sample(st *SampleStmt) error {
 }
 
 // dump renders a relation into the run's dump log.
-func (ex *executor) dump(st *DumpStmt, res *RunResult) error {
+func (ex *executor) dump(st *DumpStmt) error {
 	in, err := ex.relation(st.Input, st.Line)
 	if err != nil {
 		return err
@@ -310,7 +287,7 @@ func (ex *executor) dump(st *DumpStmt, res *RunResult) error {
 	for _, tup := range in.Tuples {
 		lines = append(lines, FormatValue(tup))
 	}
-	res.Dumps[st.Input] = lines
+	ex.res.Dumps[st.Input] = lines
 	return nil
 }
 

@@ -2,7 +2,6 @@ package pig
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/metagenomics/mrmcminh/internal/mapreduce"
 )
@@ -21,17 +20,17 @@ import (
 // GROUP or grouped-UDF job (plan.go) never gets here: that job runs it in
 // its map phase, ahead of the key step, or in its reduce phase, on every
 // tuple the reducer yields.
-func (ex *executor) foreach(st *ForeachStmt) (time.Duration, error) {
+func (ex *executor) foreach(st *ForeachStmt) error {
 	shape, call, costFactor, err := classify(ex.ctx.Registry, st)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if shape == groupedUDF {
 		return ex.foreachGrouped(st, call)
 	}
 	in, err := ex.relation(st.Input, st.Line)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if shape == wholeRelation {
 		return ex.foreachWhole(st, in, call)
@@ -79,11 +78,9 @@ func classify(reg *Registry, st *ForeachStmt) (foreachShape, FuncCall, float64, 
 }
 
 // foreachMapOnly compiles the statement to a map-only job.
-func (ex *executor) foreachMapOnly(st *ForeachStmt, in *Relation, costFactor float64) (time.Duration, error) {
-	records := tuplesToRecords(in.Tuples)
+func (ex *executor) foreachMapOnly(st *ForeachStmt, in *Relation, costFactor float64) error {
 	job := &mapreduce.Job{
 		Name:          fmt.Sprintf("foreach-%s", st.Alias),
-		Input:         mapreduce.MemoryInput{Records: records, SplitSize: splitSizeFor(len(records), ex.ctx.Engine.Cluster)},
 		MapCostFactor: costFactor,
 		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
 			tup := kv.Value.(Tuple)
@@ -97,16 +94,12 @@ func (ex *executor) foreachMapOnly(st *ForeachStmt, in *Relation, costFactor flo
 			return nil
 		},
 	}
-	res, err := ex.ctx.Engine.Run(job)
+	rows, err := ex.runJob(job, tuplesToRecords(in.Tuples), false)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	out := &Relation{Schema: outputSchema(st)}
-	for _, kv := range res.Output {
-		out.Tuples = append(out.Tuples, kv.Value.(Tuple))
-	}
-	ex.aliases[st.Alias] = out
-	return res.Virtual, nil
+	ex.aliases[st.Alias] = &Relation{Schema: outputSchema(st), Tuples: rows}
+	return nil
 }
 
 // generate evaluates all GENERATE items against one tuple, applying
@@ -169,10 +162,10 @@ func outputSchema(st *ForeachStmt) Schema {
 // (shuffle): the key step emits (key=arg[GroupKeyArg],
 // value=arg[ValueArg]); the fold calls the UDF once per key with the
 // collected values.
-func (ex *executor) foreachGrouped(st *ForeachStmt, fc FuncCall) (time.Duration, error) {
+func (ex *executor) foreachGrouped(st *ForeachStmt, fc FuncCall) error {
 	udf, _ := ex.ctx.Registry.UDF(fc.Name)
 	if udf.GroupKeyArg >= len(fc.Args) || udf.ValueArg >= len(fc.Args) {
-		return 0, fmt.Errorf("pig: line %d: UDF %s expects at least %d args, got %d",
+		return fmt.Errorf("pig: line %d: UDF %s expects at least %d args, got %d",
 			st.Line, fc.Name, max(udf.GroupKeyArg, udf.ValueArg)+1, len(fc.Args))
 	}
 	// Constant (non-field) arguments are evaluated once.
@@ -183,7 +176,7 @@ func (ex *executor) foreachGrouped(st *ForeachStmt, fc FuncCall) (time.Duration,
 		}
 		v, err := ex.evalConst(a, st.Line)
 		if err != nil {
-			return 0, fmt.Errorf("pig: line %d: UDF %s arg %d must be constant: %w", st.Line, fc.Name, i, err)
+			return fmt.Errorf("pig: line %d: UDF %s arg %d must be constant: %w", st.Line, fc.Name, i, err)
 		}
 		constArgs[i] = v
 	}
@@ -227,7 +220,7 @@ func (ex *executor) foreachGrouped(st *ForeachStmt, fc FuncCall) (time.Duration,
 // foreachWhole compiles a whole-relation UDF statement: every
 // field-reference argument is gathered into a []Value across all tuples in
 // a single-reducer job, then the UDF runs once.
-func (ex *executor) foreachWhole(st *ForeachStmt, in *Relation, fc FuncCall) (time.Duration, error) {
+func (ex *executor) foreachWhole(st *ForeachStmt, in *Relation, fc FuncCall) error {
 	udf, _ := ex.ctx.Registry.UDF(fc.Name)
 	// Resolve which arguments are per-tuple fields.
 	fieldArg := make([]bool, len(fc.Args))
@@ -243,22 +236,20 @@ func (ex *executor) foreachWhole(st *ForeachStmt, in *Relation, fc FuncCall) (ti
 			} else {
 				v, err := ex.foreignDeref(d, st.Line)
 				if err != nil {
-					return 0, err
+					return err
 				}
 				constArgs[i] = v
 			}
 		default:
 			v, err := ex.evalConst(a, st.Line)
 			if err != nil {
-				return 0, fmt.Errorf("pig: line %d: UDF %s arg %d: %w", st.Line, fc.Name, i, err)
+				return fmt.Errorf("pig: line %d: UDF %s arg %d: %w", st.Line, fc.Name, i, err)
 			}
 			constArgs[i] = v
 		}
 	}
-	records := tuplesToRecords(in.Tuples)
 	job := &mapreduce.Job{
 		Name:             fmt.Sprintf("foreach-whole-%s", st.Alias),
-		Input:            mapreduce.MemoryInput{Records: records, SplitSize: splitSizeFor(len(records), ex.ctx.Engine.Cluster)},
 		NumReducers:      1,
 		ReduceCostFactor: udf.CostFactor,
 		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
@@ -274,9 +265,9 @@ func (ex *executor) foreachWhole(st *ForeachStmt, in *Relation, fc FuncCall) (ti
 			return nil
 		},
 	}
-	res, err := ex.ctx.Engine.Run(job)
+	rows, err := ex.runJob(job, tuplesToRecords(in.Tuples), false)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	// Gather field arguments across all tuples (reducer output is sorted
 	// by the fixed-width index key, restoring input order).
@@ -286,11 +277,11 @@ func (ex *executor) foreachWhole(st *ForeachStmt, in *Relation, fc FuncCall) (ti
 		if !isField {
 			continue
 		}
-		collected := make([]Value, 0, len(res.Output))
-		for _, kv := range res.Output {
-			v, err := ex.evalTuple(fc.Args[i], kv.Value.(Tuple), in, st.Input, st.Line)
+		collected := make([]Value, 0, len(rows))
+		for _, tup := range rows {
+			v, err := ex.evalTuple(fc.Args[i], tup, in, st.Input, st.Line)
 			if err != nil {
-				return 0, err
+				return err
 			}
 			collected = append(collected, v)
 		}
@@ -298,12 +289,10 @@ func (ex *executor) foreachWhole(st *ForeachStmt, in *Relation, fc FuncCall) (ti
 	}
 	v, err := udf.Eval(ex.ctx, args)
 	if err != nil {
-		return 0, fmt.Errorf("pig: line %d: UDF %s: %w", st.Line, fc.Name, err)
+		return fmt.Errorf("pig: line %d: UDF %s: %w", st.Line, fc.Name, err)
 	}
-	item := st.Items[0]
-	out := &Relation{Schema: outputSchema(st), Tuples: expandItem(item, v)}
-	ex.aliases[st.Alias] = out
-	return res.Virtual, nil
+	ex.aliases[st.Alias] = &Relation{Schema: outputSchema(st), Tuples: expandItem(st.Items[0], v)}
+	return nil
 }
 
 // expandItem applies FLATTEN semantics to one produced value.

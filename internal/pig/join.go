@@ -2,8 +2,6 @@ package pig
 
 import (
 	"fmt"
-	"sort"
-	"time"
 
 	"github.com/metagenomics/mrmcminh/internal/mapreduce"
 )
@@ -13,13 +11,13 @@ import (
 // tuple with its source relation and emit under the join key; reducers
 // cross the per-relation groups. Inner-join semantics: keys missing from
 // any input produce nothing.
-func (ex *executor) join(st *JoinStmt) (time.Duration, error) {
+func (ex *executor) join(st *JoinStmt) error {
 	k := len(st.Inputs)
 	rels := make([]*Relation, k)
 	for i, name := range st.Inputs {
 		rel, err := ex.relation(name, st.Line)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		rels[i] = rel
 	}
@@ -38,9 +36,7 @@ func (ex *executor) join(st *JoinStmt) (time.Duration, error) {
 		}
 	}
 	job := &mapreduce.Job{
-		Name:        fmt.Sprintf("join-%s", st.Alias),
-		Input:       mapreduce.MemoryInput{Records: records, SplitSize: splitSizeFor(len(records), ex.ctx.Engine.Cluster)},
-		NumReducers: ex.ctx.Engine.Cluster.Nodes,
+		Name: fmt.Sprintf("join-%s", st.Alias),
 		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
 			tg := kv.Value.(tagged)
 			keyV, err := ex.evalTuple(st.Keys[tg.src], tg.tup, rels[tg.src], st.Inputs[tg.src], st.Line)
@@ -80,17 +76,12 @@ func (ex *executor) join(st *JoinStmt) (time.Duration, error) {
 			return nil
 		},
 	}
-	res, err := ex.ctx.Engine.Run(job)
+	rows, err := ex.runJob(job, records, true)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	sort.SliceStable(res.Output, func(i, j int) bool { return res.Output[i].Key < res.Output[j].Key })
-	out := &Relation{Schema: joinSchema(st.Inputs, rels)}
-	for _, kv := range res.Output {
-		out.Tuples = append(out.Tuples, kv.Value.(Tuple))
-	}
-	ex.aliases[st.Alias] = out
-	return res.Virtual, nil
+	ex.aliases[st.Alias] = &Relation{Schema: joinSchema(st.Inputs, rels), Tuples: rows}
+	return nil
 }
 
 // joinSchema concatenates the input schemas, disambiguating field names
