@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -113,26 +114,47 @@ func TestGreedyLowerThresholdFewerClusters(t *testing.T) {
 	}
 }
 
+// TestGreedyEmptySignaturesSingletons runs an empty signature (a read
+// shorter than k) before and between two non-empty ones at θ = 0, where
+// its similarity 0 to everything passes: through Greedy, GreedyLSH and
+// Incremental the empty read stays alone and the non-empty ones join.
 func TestGreedyEmptySignaturesSingletons(t *testing.T) {
 	sk := minhash.MustSketcher(20, 5, 1)
-	sigs := []minhash.Signature{
-		sk.Sketch(kmer.Set{}),
-		sk.Sketch(kmer.Set{}),
-		sk.Sketch(kmer.FromSlice([]uint64{1, 2, 3})),
-	}
-	c, err := Greedy(NewSliceSource(sigs, minhash.MatchedPositions), 0.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Empty signatures have similarity 0 to everything; at θ=0 even 0
-	// passes (>=), but empty reps skip the sweep, so each empty read is
-	// alone unless swept by a non-empty rep — which also fails (sim 0 >= 0
-	// is true)... the non-empty rep comes last, so the empties are reps.
-	if c[0] == c[2] && c[1] == c[2] {
-		t.Fatalf("clusters %v", c)
-	}
-	if c.NumClusters() < 2 {
-		t.Fatalf("clusters %v", c)
+	empty := sk.Sketch(kmer.Set{})
+	a := sk.Sketch(kmer.FromSlice([]uint64{1, 2, 3}))
+	b := sk.Sketch(kmer.FromSlice([]uint64{1, 2, 3, 4}))
+	for _, c := range []struct {
+		sigs []minhash.Signature
+		want metrics.Clustering
+	}{
+		{[]minhash.Signature{empty, a, b}, metrics.Clustering{0, 1, 1}},
+		{[]minhash.Signature{a, empty, b}, metrics.Clustering{0, 1, 0}},
+	} {
+		src := NewSliceSource(c.sigs, minhash.MatchedPositions)
+		geo := GeometryFor(len(a), 0)
+		inc, err := NewIncremental(src, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		online := make(metrics.Clustering, len(c.sigs))
+		for i := range online {
+			if online[i], err = inc.Add(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		greedy, err := Greedy(src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		banded, err := GreedyLSH(src, 0, geo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, got := range map[string]metrics.Clustering{"Greedy": greedy, "GreedyLSH": banded, "Incremental": online} {
+			if !slices.Equal(got, c.want) {
+				t.Errorf("%s: labels %v, want %v", name, got, c.want)
+			}
+		}
 	}
 }
 

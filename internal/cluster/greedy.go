@@ -19,41 +19,15 @@ func checkTheta(theta float64) error {
 	return nil
 }
 
-// Greedy runs Algorithm 1: repeatedly take the first unassigned sequence
-// as a new cluster's representative, then sweep all remaining unassigned
-// sequences into the cluster when their estimated Jaccard similarity to
-// the representative reaches θ. Sequences with empty signatures each form
-// their own singleton cluster (they carry no features to compare). A
-// different processing order (e.g. CD-HIT's longest-first) is a permuted
-// Subset of the source.
+// Greedy runs Algorithm 1: take the first unassigned sequence as a new
+// cluster's representative, then sweep every remaining unassigned
+// sequence whose estimated Jaccard similarity to it reaches θ into the
+// cluster. It runs as the batch form of the exact Incremental, adding
+// elements 0..n-1 in order: each joins the first representative, in label
+// order, it reaches θ with, which is the cluster the sweep puts it in.
+// Sequences with empty signatures each form their own singleton cluster
+// (they carry no features to compare). A different processing order
+// (e.g. CD-HIT's longest-first) is a permuted Subset of the source.
 func Greedy(src SigSource, theta float64) (metrics.Clustering, error) {
-	if err := checkTheta(theta); err != nil {
-		return nil, err
-	}
-	n := src.Len()
-	assign := make(metrics.Clustering, n)
-	for i := range assign {
-		assign[i] = -1
-	}
-	next := 0
-	for first := 0; first < n; first++ {
-		if assign[first] >= 0 {
-			continue
-		}
-		label := next
-		next++
-		assign[first] = label
-		if src.Empty(first) {
-			continue // nothing can match an empty signature
-		}
-		for j := first + 1; j < n; j++ {
-			if assign[j] >= 0 {
-				continue
-			}
-			if src.Similarity(first, j) >= theta {
-				assign[j] = label
-			}
-		}
-	}
-	return assign, nil
+	return addAll(src, theta, nil)
 }

@@ -62,15 +62,5 @@ func kneeOf(bands, rows int) float64 {
 // the batch form of the banded Incremental: the labels are those of
 // adding elements 0..n-1 in order.
 func GreedyLSH(src SigSource, theta float64, lsh LSHOptions) (metrics.Clustering, error) {
-	inc, err := NewIncremental(src, theta, &lsh)
-	if err != nil {
-		return nil, err
-	}
-	assign := make(metrics.Clustering, src.Len())
-	for i := range assign {
-		if assign[i], err = inc.Add(i); err != nil {
-			return nil, err
-		}
-	}
-	return assign, nil
+	return addAll(src, theta, &lsh)
 }

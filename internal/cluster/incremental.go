@@ -1,6 +1,10 @@
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/metagenomics/mrmcminh/internal/metrics"
+)
 
 // Incremental is an online version of Algorithm 1: reads arrive one at a
 // time (a sequencer streaming out of a run, or the serving daemon's
@@ -39,8 +43,26 @@ func NewIncremental(src SigSource, theta float64, lshGeometry *LSHOptions) (*Inc
 	return inc, nil
 }
 
+// addAll labels elements 0..n-1 of src in order, the batch form of
+// Incremental behind Greedy and GreedyLSH.
+func addAll(src SigSource, theta float64, lshGeometry *LSHOptions) (metrics.Clustering, error) {
+	inc, err := NewIncremental(src, theta, lshGeometry)
+	if err != nil {
+		return nil, err
+	}
+	assign := make(metrics.Clustering, src.Len())
+	for i := range assign {
+		if assign[i], err = inc.Add(i); err != nil {
+			return nil, err
+		}
+	}
+	return assign, nil
+}
+
 // Add labels source element i and returns its cluster id. Elements must
 // be added at most once; labels are stable for the clusterer's lifetime.
+// A read with an empty signature founds its own cluster, and no read
+// joins it: at θ = 0 its similarity 0 to everything would pass.
 func (inc *Incremental) Add(i int) (int, error) {
 	if i < 0 || i >= inc.src.Len() {
 		return 0, fmt.Errorf("cluster: source index %d out of range [0,%d)", i, inc.src.Len())
@@ -50,13 +72,13 @@ func (inc *Incremental) Add(i int) (int, error) {
 		if inc.lsh != nil {
 			inc.candBuf = inc.lsh.Candidates(i, inc.candBuf[:0])
 			for _, label := range inc.candBuf {
-				if inc.src.Similarity(i, inc.reps[label]) >= inc.theta {
+				if rep := inc.reps[label]; inc.src.Similarity(i, rep) >= inc.theta && !inc.src.Empty(rep) {
 					return label, nil
 				}
 			}
 		} else {
 			for label, rep := range inc.reps {
-				if inc.src.Similarity(i, rep) >= inc.theta {
+				if inc.src.Similarity(i, rep) >= inc.theta && !inc.src.Empty(rep) {
 					return label, nil
 				}
 			}
