@@ -1,12 +1,12 @@
 // Package ingest streams sequence reads into the always-on clustering
-// service. A pluggable Source (pdk-style: file, HTTP, channel) feeds an
+// service. A pluggable Source (pdk-style: file or HTTP) feeds an
 // Ingester that batches records, sketches them on a concurrent worker
 // pool, and hands the batches — in arrival order — to a Sink (the
 // serving state). Every queue between the stages is bounded, so a slow
 // sink applies backpressure all the way to the source instead of growing
 // memory without bound; source failures retry with capped exponential
-// backoff and deterministic seeded jitter (faults.Backoff), and a
-// circuit breaker pauses intake after a streak of consecutive failures.
+// backoff and deterministic seeded jitter (faults.Backoff), and a streak
+// of failures as long as the retry budget ends the run.
 package ingest
 
 import (
@@ -32,8 +32,8 @@ type Record struct {
 
 // Source is the pluggable intake seam. Next returns the next record or
 // io.EOF when the source is drained; any other error is treated as
-// transient and retried by the Ingester (until its retry budget or the
-// circuit breaker gives up). Implementations need not be safe for
+// transient and retried by the Ingester until its retry budget runs
+// out. Implementations need not be safe for
 // concurrent Next calls — the Ingester reads from a single goroutine.
 type Source interface {
 	Next(ctx context.Context) (Record, error)
@@ -113,9 +113,6 @@ type Config struct {
 	QueueDepth int
 	// Retry is the transient source-failure policy.
 	Retry Retry
-	// Breaker is the consecutive-failure circuit breaker; zero values
-	// take defaults. Disable by setting Threshold < 0.
-	Breaker BreakerConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -142,7 +139,6 @@ type Stats struct {
 	Batches      int64 // batches committed to the sink
 	SourceErrors int64 // transient Next failures observed
 	Retries      int64 // retried Next calls (after backoff)
-	BreakerOpens int64 // times the circuit breaker tripped open
 }
 
 // Ingester runs the source → sketch → commit pipeline.
@@ -154,7 +150,6 @@ type Ingester struct {
 	batches      atomic.Int64
 	sourceErrors atomic.Int64
 	retries      atomic.Int64
-	breakerOpens atomic.Int64
 }
 
 // New validates the sketch geometry and returns an Ingester.
@@ -174,7 +169,6 @@ func (in *Ingester) Stats() Stats {
 		Batches:      in.batches.Load(),
 		SourceErrors: in.sourceErrors.Load(),
 		Retries:      in.retries.Load(),
-		BreakerOpens: in.breakerOpens.Load(),
 	}
 }
 
@@ -205,8 +199,8 @@ func (in *Ingester) Run(ctx context.Context, src Source, sink Sink) error {
 		wg      sync.WaitGroup // sketch workers
 	)
 
-	// Reader: single goroutine pulling the source with retry + breaker,
-	// batching records, applying backpressure via the bounded rawCh.
+	// Reader: single goroutine pulling the source with retry, batching
+	// records, applying backpressure via the bounded rawCh.
 	readDone := make(chan struct{})
 	go func() {
 		defer close(readDone)
@@ -282,12 +276,10 @@ func (in *Ingester) Run(ctx context.Context, src Source, sink Sink) error {
 }
 
 // read pulls records from src until EOF, batching into rawCh. Transient
-// errors retry with capped exponential backoff + seeded jitter; a streak
-// of consecutive failures trips the circuit breaker, which pauses
-// intake for its cooldown before probing again.
+// errors retry with capped exponential backoff + seeded jitter, until
+// Retry.MaxAttempts consecutive failures end the run.
 func (in *Ingester) read(ctx context.Context, src Source, rawCh chan<- numbered) error {
 	cfg := in.cfg
-	br := NewBreaker(cfg.Breaker)
 	var (
 		batch []Record
 		seq   int64
@@ -308,15 +300,9 @@ func (in *Ingester) read(ctx context.Context, src Source, rawCh chan<- numbered)
 	}
 	attempt := 0
 	for {
-		if wait := br.Blocked(); wait > 0 {
-			if err := sleepCtx(ctx, wait); err != nil {
-				return err
-			}
-		}
 		rec, err := src.Next(ctx)
 		switch {
 		case err == nil:
-			br.Success()
 			attempt = 0
 			in.records.Add(1)
 			batch = append(batch, rec)
@@ -332,9 +318,6 @@ func (in *Ingester) read(ctx context.Context, src Source, rawCh chan<- numbered)
 		default:
 			in.sourceErrors.Add(1)
 			attempt++
-			if br.Failure() {
-				in.breakerOpens.Add(1)
-			}
 			if attempt >= cfg.Retry.MaxAttempts {
 				return fmt.Errorf("ingest: source failed %d consecutive times: %w", attempt, err)
 			}

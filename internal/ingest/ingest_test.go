@@ -256,58 +256,15 @@ func TestRunContextCancel(t *testing.T) {
 	}
 }
 
-// TestChanSourcePushDrain: records pushed before Finish all come out,
-// then io.EOF; pushes after Finish fail.
-func TestChanSourcePushDrain(t *testing.T) {
-	s := NewChanSource(4)
-	ctx := context.Background()
-	go func() {
-		for i := 0; i < 10; i++ {
-			if err := s.Push(ctx, Record{ID: fmt.Sprintf("r%d", i)}); err != nil {
-				t.Errorf("push %d: %v", i, err)
-				return
-			}
-		}
-		s.Finish()
-	}()
-	var got int
-	for {
-		rec, err := s.Next(ctx)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.ID != fmt.Sprintf("r%d", got) {
-			t.Fatalf("record %d: got %q", got, rec.ID)
-		}
-		got++
-	}
-	if got != 10 {
-		t.Fatalf("drained %d records, want 10", got)
-	}
-	if err := s.Push(ctx, Record{ID: "late"}); err == nil {
-		t.Fatal("push after Finish succeeded")
-	}
-}
-
-// TestChanSourceThroughIngester: end-to-end via the ingester with a
-// concurrent producer — the realistic serving path.
-func TestChanSourceThroughIngester(t *testing.T) {
+// TestRunOrderedUnderBackpressure: with queues of one batch, every
+// batch waits on the sequencer, and the records still commit in order.
+func TestRunOrderedUnderBackpressure(t *testing.T) {
 	recs := makeRecords(64)
-	s := NewChanSource(2)
-	go func() {
-		for _, r := range recs {
-			if err := s.Push(context.Background(), r); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-		s.Finish()
-	}()
+	s := &sliceSource{recs: recs}
 	sink := &collectSink{}
-	ing, err := New(testConfig())
+	cfg := testConfig()
+	cfg.QueueDepth = 1
+	ing, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sync"
 
 	"github.com/metagenomics/mrmcminh/internal/fasta"
 )
@@ -176,71 +175,3 @@ func (s *HTTPSource) Close() error {
 	}
 	return nil
 }
-
-// ChanSource adapts in-process producers (the HTTP submit handler) to
-// the Source seam. Push blocks while the Ingester's queues are full —
-// the same backpressure the pull sources get for free.
-type ChanSource struct {
-	ch       chan Record
-	closing  chan struct{}
-	finished sync.Once
-}
-
-// NewChanSource returns a source whose records arrive via Push. buffer
-// bounds the hand-off queue.
-func NewChanSource(buffer int) *ChanSource {
-	if buffer < 0 {
-		buffer = 0
-	}
-	return &ChanSource{ch: make(chan Record, buffer), closing: make(chan struct{})}
-}
-
-// Push enqueues one record, blocking until the consumer has room. It
-// fails once Finish or Close has been called.
-func (s *ChanSource) Push(ctx context.Context, rec Record) error {
-	select {
-	case <-s.closing:
-		return fmt.Errorf("ingest: push on finished source")
-	default:
-	}
-	select {
-	case s.ch <- rec:
-		return nil
-	case <-s.closing:
-		return fmt.Errorf("ingest: push on finished source")
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// Finish marks the end of input; pending pushes drain, then Next
-// reports io.EOF.
-func (s *ChanSource) Finish() {
-	s.finished.Do(func() { close(s.closing) })
-}
-
-// Next returns the next pushed record, io.EOF after Finish drains.
-func (s *ChanSource) Next(ctx context.Context) (Record, error) {
-	select {
-	case rec := <-s.ch:
-		return rec, nil
-	default:
-	}
-	select {
-	case rec := <-s.ch:
-		return rec, nil
-	case <-s.closing:
-		// Drain anything racing with Finish.
-		select {
-		case rec := <-s.ch:
-			return rec, nil
-		default:
-			return Record{}, io.EOF
-		}
-	case <-ctx.Done():
-		return Record{}, ctx.Err()
-	}
-}
-
-// Close is Finish.
-func (s *ChanSource) Close() error { s.Finish(); return nil }

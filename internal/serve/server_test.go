@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -409,23 +410,25 @@ func TestHTTPServerDropsSlowloris(t *testing.T) {
 }
 
 // TestIngesterThroughServerSink runs the pull-ingest path end to end:
-// a file-less channel source through the Ingester into the server's
-// sink, verifying backpressure-style blocking commits work alongside
-// HTTP queries.
+// a FASTA file source through the Ingester into the server's sink,
+// verifying backpressure-style blocking commits work alongside HTTP
+// queries.
 func TestIngesterThroughServerSink(t *testing.T) {
 	p := testParams()
 	srv, hts := newTestServer(t, p, ServerConfig{QueueDepth: 2}, nil)
 
-	src := ingest.NewChanSource(4)
-	go func() {
-		for i := 0; i < 150; i++ {
-			src.Push(context.Background(), ingest.Record{
-				ID:  fmt.Sprintf("bulk-%03d", i),
-				Seq: []byte("ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT"),
-			})
-		}
-		src.Finish()
-	}()
+	var fa strings.Builder
+	for i := 0; i < 150; i++ {
+		fmt.Fprintf(&fa, ">bulk-%03d\nACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT\n", i)
+	}
+	path := filepath.Join(t.TempDir(), "bulk.fa")
+	if err := os.WriteFile(path, []byte(fa.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src, err := ingest.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ing, err := ingest.New(ingest.Config{
 		K: p.K, NumHashes: p.NumHashes, Seed: p.Seed, Canonical: p.Canonical,
 		BatchSize: 16, QueueDepth: 2,
