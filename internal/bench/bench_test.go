@@ -411,10 +411,24 @@ func TestFormatCSV(t *testing.T) {
 	}
 }
 
+// TestRuntimeScaling takes each method's best of three runs at each scale
+// before comparing ratios: RuntimeScaling times one wall-clock sample per
+// point, and on a loaded host a single sample can run several times slow.
 func TestRuntimeScaling(t *testing.T) {
-	points, err := RuntimeScaling([]float64{0.005, 0.02}, 1)
-	if err != nil {
-		t.Fatal(err)
+	var points []ScalingPoint
+	for run := 0; run < 3; run++ {
+		got, err := RuntimeScaling([]float64{0.005, 0.02}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if points == nil {
+			points = got
+		}
+		for i := range points {
+			points[i].Greedy = min(points[i].Greedy, got[i].Greedy)
+			points[i].Dotur = min(points[i].Dotur, got[i].Dotur)
+			points[i].Ratio = float64(points[i].Dotur) / float64(points[i].Greedy)
+		}
 	}
 	if len(points) != 2 {
 		t.Fatalf("points %d", len(points))
