@@ -255,10 +255,13 @@ func clusterLSHCC(engine *mapreduce.Engine, src cluster.SigSource, sigsHash stri
 	edges, edgesHash, err := stage(ck, StageLSHEdges, sigsHash, edgeParams, encodeEdges, decodeEdges,
 		func() ([]cluster.Edge, error) {
 			edges, results, err := lshEdgesJobs(engine, src, opt)
+			if err != nil {
+				return nil, err
+			}
 			for _, r := range results {
 				addJob(r)
 			}
-			return edges, err
+			return edges, nil
 		})
 	if err != nil {
 		return nil, err
@@ -270,10 +273,13 @@ func clusterLSHCC(engine *mapreduce.Engine, src cluster.SigSource, sigsHash stri
 	comps, compsHash, err := stage(ck, StageCC, edgesHash, ccParams, encodeLabels, decodeLabels,
 		func() (metrics.Clustering, error) {
 			labels, results, _, err := cluster.ConnectedComponentsMR(engine, src.Len(), edges, cluster.CCOptions{})
+			if err != nil {
+				return nil, err
+			}
 			for _, r := range results {
 				addJob(r)
 			}
-			return labels, err
+			return labels, nil
 		})
 	if err != nil {
 		return nil, err
