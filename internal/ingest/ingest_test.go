@@ -202,6 +202,37 @@ func TestRunGivesUpAfterMaxAttempts(t *testing.T) {
 	}
 }
 
+// TestRunRetryBudgetIsConsecutive: the budget counts failures in a row,
+// and a delivered record starts it over. Three streaks of two failures
+// each, under a budget of three, add up to more failures than the
+// budget yet never exhaust it: every record still commits in order.
+func TestRunRetryBudgetIsConsecutive(t *testing.T) {
+	recs := makeRecords(6)
+	src := &sliceSource{recs: recs, failOn: map[int]bool{2: true, 3: true, 5: true, 6: true, 8: true, 9: true}}
+	sink := &collectSink{}
+	cfg := testConfig()
+	cfg.Retry.MaxAttempts = 3
+	ing, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ing.Run(context.Background(), src, sink); err != nil {
+		t.Fatalf("streaks shorter than the budget ended the run: %v", err)
+	}
+	got := sink.all()
+	if len(got) != len(recs) {
+		t.Fatalf("committed %d, want %d", len(got), len(recs))
+	}
+	for i := range got {
+		if got[i].ID != recs[i].ID {
+			t.Fatalf("order broken at %d: %q", i, got[i].ID)
+		}
+	}
+	if st := ing.Stats(); st.SourceErrors != 6 || st.Retries != 6 {
+		t.Fatalf("stats = %+v, want 6 errors / 6 retries", st)
+	}
+}
+
 // TestRunSinkErrorAborts: a sink failure cancels the pipeline promptly
 // and is reported.
 func TestRunSinkErrorAborts(t *testing.T) {

@@ -279,6 +279,46 @@ func TestEmptyInput(t *testing.T) {
 	}
 }
 
+// TestMemoryInputSplits pins the one split-size rule every in-memory job
+// shares: with no SplitSize the records cut into at most two waves of map
+// tasks per slot, each slot getting work when there are records enough;
+// an explicit SplitSize is kept; the splits cover the records in order.
+func TestMemoryInputSplits(t *testing.T) {
+	c := Cluster{Nodes: 3, SlotsPerNode: 2}
+	recs := func(n int) []KeyValue {
+		out := make([]KeyValue, n)
+		for i := range out {
+			out[i] = KeyValue{Key: fmt.Sprint(i), Value: i}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		n, splitSize int
+		want         []int // records per split
+	}{
+		{n: 100, want: []int{9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 1}},
+		{n: 12, want: []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}},
+		{n: 5, want: []int{1, 1, 1, 1, 1}},
+		{n: 100, splitSize: 40, want: []int{40, 40, 20}},
+		{n: 0},
+	} {
+		in := recs(tc.n)
+		splits := MemoryInput{Records: in, SplitSize: tc.splitSize}.Splits(c)
+		var sizes []int
+		var joined []KeyValue
+		for _, sp := range splits {
+			sizes = append(sizes, len(sp.Records))
+			joined = append(joined, sp.Records...)
+		}
+		if fmt.Sprint(sizes) != fmt.Sprint(tc.want) {
+			t.Errorf("n=%d split size %d: split sizes %v, want %v", tc.n, tc.splitSize, sizes, tc.want)
+		}
+		if fmt.Sprint(joined) != fmt.Sprint(in) {
+			t.Errorf("n=%d split size %d: splits hold %v, want %v", tc.n, tc.splitSize, joined, in)
+		}
+	}
+}
+
 // TestVirtualClockScalesWithNodes is the unit-level Figure 2 check: a large
 // job's modelled runtime shrinks as nodes are added, while a tiny job's
 // runtime is overhead-dominated and flat.
