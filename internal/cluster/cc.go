@@ -82,9 +82,9 @@ func ConnectedComponents(n int, edges []Edge) ([]int, error) {
 }
 
 // ConnectedComponentsMR finds the connected components of the candidate
-// graph with Rastogi et al.'s logarithmic-round algorithm ("Finding
-// Connected Components in Map-Reduce in Logarithmic Rounds"): alternate
-// the Large-Star and Small-Star operations, each a MapReduce job on the
+// graph with Kiveris et al.'s logarithmic-round algorithm ("Connected
+// Components in MapReduce and Beyond", SoCC 2014): alternate the
+// Large-Star and Small-Star operations, each a MapReduce job on the
 // simulated engine, until the edge set is a fixed point — a forest of
 // stars whose centers are the component minima. labels[i] is the smallest
 // read index of i's component, identical to ConnectedComponents. The
@@ -184,62 +184,51 @@ func starJob(engine *mapreduce.Engine, edges []Edge, large bool) ([]Edge, *mapre
 	if large {
 		name = "cc-large-star"
 	}
-	records := make([]mapreduce.KeyValue, len(edges))
-	for i, e := range edges {
-		records[i] = mapreduce.KeyValue{Key: mapreduce.PairKey(uint64(e.U), uint64(e.V)), Value: e}
-	}
-	job := &mapreduce.Job{
+	// Each node is a Key64 and each neighbour an int. The reducer emits
+	// each output edge (v, m) as the key v with the value m.
+	job := &mapreduce.Job[Edge, mapreduce.Key64, int]{
 		Name:  name,
-		Input: mapreduce.MemoryInput{Records: records},
-		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
-			e := kv.Value.(Edge)
+		Input: edges,
+		Map: func(e Edge, emit func(mapreduce.Key64, int)) error {
 			if large {
-				emit(mapreduce.KeyValue{Key: mapreduce.Uint64Key(uint64(e.U)), Value: e.V})
-				emit(mapreduce.KeyValue{Key: mapreduce.Uint64Key(uint64(e.V)), Value: e.U})
+				emit(mapreduce.Key64(e.U), e.V)
+				emit(mapreduce.Key64(e.V), e.U)
 			} else {
 				// Canonical edges already satisfy U < V: group at the
 				// larger endpoint.
-				emit(mapreduce.KeyValue{Key: mapreduce.Uint64Key(uint64(e.V)), Value: e.U})
+				emit(mapreduce.Key64(e.V), e.U)
 			}
 			return nil
 		},
-		Reduce: func(key string, values []any, emit func(mapreduce.KeyValue)) error {
-			u := int(mapreduce.KeyField(key, 0))
-			m := u
-			for _, v := range values {
-				if n := v.(int); n < m {
-					m = n
-				}
-			}
-			out := func(v int) {
-				emit(mapreduce.KeyValue{Key: mapreduce.PairKey(uint64(v), uint64(m)), Value: Edge{U: v, V: m}})
-			}
+		Reduce: func(key mapreduce.Key64, nbrs []int, emit func(mapreduce.Key64, int)) error {
+			u := int(key)
+			m := min(u, slices.Min(nbrs))
 			if large {
-				for _, v := range values {
-					if n := v.(int); n > u {
-						out(n)
+				for _, v := range nbrs {
+					if v > u {
+						emit(mapreduce.Key64(v), m)
 					}
 				}
 			} else {
-				for _, v := range values {
-					if n := v.(int); n != m {
-						out(n)
+				for _, v := range nbrs {
+					if v != m {
+						emit(mapreduce.Key64(v), m)
 					}
 				}
 				if u != m {
-					out(u)
+					emit(key, m)
 				}
 			}
 			return nil
 		},
 	}
-	res, err := engine.Run(job)
+	star, res, err := mapreduce.Run(engine, job)
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([]Edge, 0, len(res.Output))
-	for _, kv := range res.Output {
-		out = append(out, kv.Value.(Edge))
+	out := make([]Edge, len(star))
+	for i, kv := range star {
+		out[i] = Edge{U: int(kv.Key), V: kv.Value}
 	}
 	// The star graph is a set: canonicalize for the fixed-point test.
 	maxNode := 0

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"github.com/metagenomics/mrmcminh/internal/cluster"
@@ -21,7 +20,7 @@ import (
 //     into candidate pairs under a per-bucket size cap,
 //  2. verification — each distinct candidate pair is scored once with the
 //     zero-alloc SimilarityPrepared kernel; pairs ≥ θ become edges,
-//  3. connected components — Rastogi et al.'s alternating Large-Star /
+//  3. connected components — Kiveris et al.'s alternating Large-Star /
 //     Small-Star MapReduce rounds (internal/cluster/cc.go),
 //  4. finish — the exact clustering algorithm (greedy or hierarchical)
 //     runs independently inside each component, and the driver relabels
@@ -61,37 +60,33 @@ func lshEdgesJobs(engine *mapreduce.Engine, src cluster.SigSource, opt Options) 
 	// only manufacture degenerate buckets. They stay out of the candidate
 	// stage and end as singleton components, exactly like the exact path
 	// at θ > 0.
-	var records []mapreduce.KeyValue
+	var reads []int
 	for i := 0; i < src.Len(); i++ {
 		if !src.Empty(i) {
-			records = append(records, mapreduce.KeyValue{Key: mapreduce.Uint64Key(uint64(i)), Value: i})
+			reads = append(reads, i)
 		}
 	}
 
+	// A candidate pair (i, j), i < j, is the key Key128{i, j}; the bands
+	// job leaves its int value 0.
 	var overflow, buckets atomic.Int64
-	bandsJob := &mapreduce.Job{
+	bandsJob := &mapreduce.Job[int, mapreduce.Key128, int]{
 		Name:  "mrmcminh-lsh-bands",
-		Input: mapreduce.MemoryInput{Records: records},
+		Input: reads,
 		// One record hashes b bands of r rows each.
 		MapCostFactor: float64(lsh.Bands) / 2,
-		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
-			i := kv.Value.(int)
+		Map: func(i int, emit func(mapreduce.Key128, int)) error {
 			for b := 0; b < lsh.Bands; b++ {
-				h := src.BandHash(i, b, lsh.Rows)
-				emit(mapreduce.KeyValue{Key: mapreduce.PairKey(uint64(b), h), Value: i})
+				emit(mapreduce.Key128{Hi: uint64(b), Lo: src.BandHash(i, b, lsh.Rows)}, i)
 			}
 			return nil
 		},
-		Reduce: func(_ string, values []any, emit func(mapreduce.KeyValue)) error {
-			if len(values) < 2 {
+		Reduce: func(_ mapreduce.Key128, ids []int, emit func(mapreduce.Key128, int)) error {
+			if len(ids) < 2 {
 				return nil
 			}
 			buckets.Add(1)
-			ids := make([]int, len(values))
-			for i, v := range values {
-				ids[i] = v.(int)
-			}
-			sort.Ints(ids)
+			slices.Sort(ids)
 			if len(ids) > cap {
 				// A degenerate bucket of size B would emit B(B-1)/2 pairs
 				// and re-quadratize the run; keep the cap lowest ids (the
@@ -101,13 +96,13 @@ func lshEdgesJobs(engine *mapreduce.Engine, src cluster.SigSource, opt Options) 
 			}
 			for a := 0; a < len(ids); a++ {
 				for b := a + 1; b < len(ids); b++ {
-					emit(mapreduce.KeyValue{Key: mapreduce.PairKey(uint64(ids[a]), uint64(ids[b])), Value: nil})
+					emit(mapreduce.Key128{Hi: uint64(ids[a]), Lo: uint64(ids[b])}, 0)
 				}
 			}
 			return nil
 		},
 	}
-	bandsOut, err := engine.Run(bandsJob)
+	pairs, bandsOut, err := mapreduce.Run(engine, bandsJob)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -115,36 +110,35 @@ func lshEdgesJobs(engine *mapreduce.Engine, src cluster.SigSource, opt Options) 
 	bandsOut.Counters.Add("lsh.bucket_overflow", overflow.Load())
 
 	var candidates, edgeCount atomic.Int64
-	verifyJob := &mapreduce.Job{
+	verifyJob := &mapreduce.Job[mapreduce.KeyValue[mapreduce.Key128, int], mapreduce.Key128, struct{}]{
 		Name:  "mrmcminh-lsh-verify",
-		Input: mapreduce.MemoryInput{Records: bandsOut.Output},
+		Input: pairs,
 		// Grouping by pair key dedups pairs surfaced by several bands, so
 		// each candidate is verified exactly once.
 		ReduceCostFactor: float64(opt.NumHashes) / 20,
-		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
-			emit(kv)
+		Map: func(kv mapreduce.KeyValue[mapreduce.Key128, int], emit func(mapreduce.Key128, struct{})) error {
+			emit(kv.Key, struct{}{})
 			return nil
 		},
-		Reduce: func(key string, _ []any, emit func(mapreduce.KeyValue)) error {
-			i, j := int(mapreduce.KeyField(key, 0)), int(mapreduce.KeyField(key, 1))
+		Reduce: func(pair mapreduce.Key128, _ []struct{}, emit func(mapreduce.Key128, struct{})) error {
 			candidates.Add(1)
-			if src.Similarity(i, j) >= opt.Theta {
+			if src.Similarity(int(pair.Hi), int(pair.Lo)) >= opt.Theta {
 				edgeCount.Add(1)
-				emit(mapreduce.KeyValue{Key: key, Value: cluster.Edge{U: i, V: j}})
+				emit(pair, struct{}{})
 			}
 			return nil
 		},
 	}
-	verifyOut, err := engine.Run(verifyJob)
+	verified, verifyOut, err := mapreduce.Run(engine, verifyJob)
 	if err != nil {
 		return nil, nil, err
 	}
 	verifyOut.Counters.Add("lsh.candidate_pairs", candidates.Load())
 	verifyOut.Counters.Add("lsh.edges", edgeCount.Load())
 
-	edges := make([]cluster.Edge, 0, len(verifyOut.Output))
-	for _, kv := range verifyOut.Output {
-		edges = append(edges, kv.Value.(cluster.Edge))
+	edges := make([]cluster.Edge, len(verified))
+	for i, kv := range verified {
+		edges[i] = cluster.Edge{U: int(kv.Key.Hi), V: int(kv.Key.Lo)}
 	}
 	// Reduce output is ordered per partition, not globally: sort so the
 	// edge list (and its checkpoint bytes) is canonical.
@@ -160,49 +154,40 @@ func lshEdgesJobs(engine *mapreduce.Engine, src cluster.SigSource, opt Options) 
 // resolved to a global label by relabelComponents.
 func lshFinishJob(engine *mapreduce.Engine, src cluster.SigSource, comps []int, opt Options) (metrics.Clustering, *mapreduce.Result, error) {
 	n := src.Len()
-	records := make([]mapreduce.KeyValue, n)
-	for i := range records {
-		records[i] = mapreduce.KeyValue{Key: mapreduce.Uint64Key(uint64(i)), Value: i}
-	}
-	local := make([]int, n)
-	job := &mapreduce.Job{
+	job := &mapreduce.Job[int, mapreduce.Key64, int]{
 		Name:  "mrmcminh-lsh-finish",
-		Input: mapreduce.MemoryInput{Records: records},
+		Input: indices(n),
 		// Per-component clustering costs |C|² in the worst case but
 		// components are θ-similarity neighborhoods, far smaller than N.
 		ReduceCostFactor: 7.5,
-		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
-			i := kv.Value.(int)
-			emit(mapreduce.KeyValue{Key: mapreduce.Uint64Key(uint64(comps[i])), Value: i})
+		Map: func(i int, emit func(mapreduce.Key64, int)) error {
+			emit(mapreduce.Key64(comps[i]), i)
 			return nil
 		},
-		Reduce: func(_ string, values []any, emit func(mapreduce.KeyValue)) error {
-			members := make([]int, len(values))
-			for i, v := range values {
-				members[i] = v.(int)
-			}
+		Reduce: func(_ mapreduce.Key64, members []int, emit func(mapreduce.Key64, int)) error {
 			// Global index order within the component: the exact algorithms
 			// are order-sensitive and the equivalence proof needs the
 			// restriction of the global order.
-			sort.Ints(members)
+			slices.Sort(members)
 			labels, err := clusterComponent(src, members, opt.Mode, opt.Linkage, opt.Theta)
 			if err != nil {
 				return err
 			}
 			for i, m := range members {
-				emit(mapreduce.KeyValue{Key: mapreduce.Uint64Key(uint64(m)), Value: labels[i]})
+				emit(mapreduce.Key64(m), labels[i])
 			}
 			return nil
 		},
 	}
-	out, err := engine.Run(job)
+	out, res, err := mapreduce.Run(engine, job)
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, kv := range out.Output {
-		local[mapreduce.KeyField(kv.Key, 0)] = kv.Value.(int)
+	local := make([]int, n)
+	for _, kv := range out {
+		local[kv.Key] = kv.Value
 	}
-	return relabelComponents(comps, local), out, nil
+	return relabelComponents(comps, local), res, nil
 }
 
 // clusterComponent runs the exact algorithm of mode over one connected

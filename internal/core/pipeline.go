@@ -527,36 +527,41 @@ func sketchJob(engine *mapreduce.Engine, reads []fasta.Record, opt Options) ([]m
 	}
 	ex := &kmer.Extractor{K: opt.K, Canonical: opt.Canonical}
 	scratch := sync.Pool{New: func() any { return new([]uint64) }}
-	records := make([]mapreduce.KeyValue, len(reads))
-	for i := range reads {
-		records[i] = mapreduce.KeyValue{Key: mapreduce.Uint64Key(uint64(i)), Value: i}
-	}
-	job := &mapreduce.Job{
+	job := &mapreduce.Job[int, mapreduce.Key64, minhash.Signature]{
 		Name:  "mrmcminh-sketch",
-		Input: mapreduce.MemoryInput{Records: records},
+		Input: indices(len(reads)),
 		// Sketching one read costs ~L·n hash evaluations, far above the
 		// baseline per-record map cost.
 		MapCostFactor: float64(opt.NumHashes) / 2,
-		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
-			i := kv.Value.(int)
+		Map: func(i int, emit func(mapreduce.Key64, minhash.Signature)) error {
 			buf := scratch.Get().(*[]uint64)
 			kms := ex.SliceInto((*buf)[:0], reads[i].Seq)
 			sig := sk.SketchInto(nil, kms)
 			*buf = kms
 			scratch.Put(buf)
-			emit(mapreduce.KeyValue{Key: kv.Key, Value: sig})
+			emit(mapreduce.Key64(i), sig)
 			return nil
 		},
 	}
-	out, err := engine.Run(job)
+	out, res, err := mapreduce.Run(engine, job)
 	if err != nil {
 		return nil, nil, err
 	}
 	sigs := make([]minhash.Signature, len(reads))
-	for _, kv := range out.Output {
-		sigs[mapreduce.KeyField(kv.Key, 0)] = kv.Value.(minhash.Signature)
+	for _, kv := range out {
+		sigs[kv.Key] = kv.Value
 	}
-	return sigs, out, nil
+	return sigs, res, nil
+}
+
+// indices returns 0, 1, ..., n-1: the input of a job over the reads by
+// index.
+func indices(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
 }
 
 // buildStore ingests a sketched corpus into a signature store. Rows are
@@ -588,29 +593,24 @@ func greedyJob(engine *mapreduce.Engine, src *sigstore.View, opt Options) (metri
 		words []uint64
 	}
 	n := src.Len()
-	packed := opt.StoreBits > 0
-	records := make([]mapreduce.KeyValue, n)
-	for i := 0; i < n; i++ {
-		if packed {
-			records[i] = mapreduce.KeyValue{Key: "all", Value: indexedPacked{idx: i, words: src.PackedSig(i).Words}}
-		} else {
-			records[i] = mapreduce.KeyValue{Key: "all", Value: indexedSig{idx: i, sig: src.Sig(i)}}
-		}
-	}
 	labels := make(metrics.Clustering, n)
-	job := &mapreduce.Job{
+	job := &mapreduce.Job[int, string, any]{
 		Name:        "mrmcminh-greedy",
-		Input:       mapreduce.MemoryInput{Records: records},
+		Input:       indices(n),
 		NumReducers: 1,
 		// The greedy sweep compares each read against the shrinking set of
 		// cluster representatives — modelled as a bounded constant per
 		// read, far below the hierarchical all-pairs row cost.
 		ReduceCostFactor: 7.5,
-		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
-			emit(kv)
+		Map: func(i int, emit func(string, any)) error {
+			if opt.StoreBits > 0 {
+				emit("all", indexedPacked{idx: i, words: src.PackedSig(i).Words})
+			} else {
+				emit("all", indexedSig{idx: i, sig: src.Sig(i)})
+			}
 			return nil
 		},
-		Reduce: func(_ string, _ []any, emit func(mapreduce.KeyValue)) error {
+		Reduce: func(string, []any, func(string, any)) error {
 			var got metrics.Clustering
 			var err error
 			if opt.UseLSH {
@@ -625,11 +625,11 @@ func greedyJob(engine *mapreduce.Engine, src *sigstore.View, opt Options) (metri
 			return nil
 		},
 	}
-	out, err := engine.Run(job)
+	_, res, err := mapreduce.Run(engine, job)
 	if err != nil {
 		return nil, nil, err
 	}
-	return labels, out, nil
+	return labels, res, nil
 }
 
 // similarityJob computes the all-pairs matrix with row-partitioned map
@@ -643,41 +643,32 @@ func similarityJob(engine *mapreduce.Engine, src cluster.SigSource, opt Options)
 	if err != nil {
 		return nil, nil, err
 	}
-	records := make([]mapreduce.KeyValue, n)
-	for i := range records {
-		records[i] = mapreduce.KeyValue{Key: mapreduce.Uint64Key(uint64(i)), Value: i}
-	}
-	type rowResult struct {
-		idx int
-		row []float64
-	}
-	job := &mapreduce.Job{
+	job := &mapreduce.Job[int, mapreduce.Key64, []float64]{
 		Name:  "mrmcminh-simrows",
-		Input: mapreduce.MemoryInput{Records: records},
+		Input: indices(n),
 		// One record = one matrix row = ~n signature comparisons, each a
 		// ~100-value sketch scan plus Hadoop (de)serialization.
 		MapCostFactor: float64(n) * 2.5,
-		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
-			i := kv.Value.(int)
+		Map: func(i int, emit func(mapreduce.Key64, []float64)) error {
 			row := make([]float64, n)
 			for j := i + 1; j < n; j++ {
 				row[j] = src.Similarity(i, j)
 			}
-			emit(mapreduce.KeyValue{Key: kv.Key, Value: rowResult{idx: i, row: row}})
+			emit(mapreduce.Key64(i), row)
 			return nil
 		},
 	}
-	out, err := engine.Run(job)
+	out, res, err := mapreduce.Run(engine, job)
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, kv := range out.Output {
-		rr := kv.Value.(rowResult)
-		for j := rr.idx + 1; j < n; j++ {
-			m.Set(rr.idx, j, rr.row[j])
+	for _, kv := range out {
+		i := int(kv.Key)
+		for j := i + 1; j < n; j++ {
+			m.Set(i, j, kv.Value[j])
 		}
 	}
-	return m, out, nil
+	return m, res, nil
 }
 
 // ClustersByID converts a result into clusterID -> read IDs, sorted for

@@ -134,13 +134,13 @@ func isStraggler(ti int, frac float64) bool {
 	return float64(x%10000) < frac*10000
 }
 
-// mapTaskCost models one map task over a split.
-func (c Cluster) mapTaskCost(split InputSplit, factor float64) TaskCost {
+// mapTaskCost models one map task over a split of records.
+func (c Cluster) mapTaskCost(records int, factor float64) TaskCost {
 	if factor <= 0 {
 		factor = 1
 	}
 	d := c.Cost.TaskStartup +
-		time.Duration(float64(len(split.Records))*factor*float64(c.Cost.MapPerRecord))
+		time.Duration(float64(records)*factor*float64(c.Cost.MapPerRecord))
 	return TaskCost{Duration: d}
 }
 

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
@@ -11,12 +10,8 @@ import (
 	"github.com/metagenomics/mrmcminh/internal/trace"
 )
 
-// Result is the outcome of one job.
+// Result is the outcome of one job, apart from its output records.
 type Result struct {
-	// Output holds the job's records. For jobs with a reducer the records
-	// are grouped by partition and sorted by key within each partition
-	// (Hadoop part-file order); for map-only jobs they follow input order.
-	Output []KeyValue
 	// Counters are the engine and user counters.
 	Counters *Counters
 	// Virtual is the modelled wall time on the simulated cluster.
@@ -109,25 +104,49 @@ func (e *Engine) workerCount() int {
 	return w
 }
 
-// Run executes the job and returns its result.
-func (e *Engine) Run(job *Job) (*Result, error) {
+// split is one map task's share of a job's input: records [lo, hi), of
+// approximately bytes serialized bytes.
+type split struct{ lo, hi, bytes int }
+
+// splitInput cuts input into map-task splits of size records; size 0
+// sizes splits so the cluster runs two waves of map tasks per slot,
+// every slot getting work. An empty input yields zero splits (no phantom
+// map task).
+func splitInput[I any](c Cluster, input []I, size int) []split {
+	if size <= 0 {
+		waves := 2 * c.TotalSlots()
+		size = max(1, (len(input)+waves-1)/waves)
+	}
+	bytes := sizer[I]()
+	var splits []split
+	for lo := 0; lo < len(input); lo += size {
+		sp := split{lo: lo, hi: min(lo+size, len(input))}
+		for _, r := range input[sp.lo:sp.hi] {
+			sp.bytes += bytes(r)
+		}
+		splits = append(splits, sp)
+	}
+	return splits
+}
+
+// Run executes the job on the engine and returns its output records and
+// its result. A job with a reducer outputs its records grouped by
+// partition and sorted by key within each partition (Hadoop part-file
+// order); a map-only job outputs them in input order.
+func Run[I any, K Key, V any](e *Engine, job *Job[I, K, V]) ([]KeyValue[K, V], *Result, error) {
 	start := time.Now()
 	if err := job.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Snapshot the parallelism once: Workers may be reconfigured between
 	// jobs, never observed mid-job.
 	workers := e.workerCount()
 	rec := e.Trace
-	splits := job.Input.Splits(e.Cluster)
+	splits := splitInput(e.Cluster, job.Input, job.SplitSize)
 	counters := NewCounters()
 	numRed := job.NumReducers
 	if numRed <= 0 {
 		numRed = e.Cluster.Nodes
-	}
-	part := job.Partition
-	if part == nil {
-		part = DefaultPartition
 	}
 
 	jobRef := rec.Begin(trace.KindJob, job.Name)
@@ -141,24 +160,26 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 	// An empty input yields zero splits: no tasks run, the output is empty
 	// and nothing is charged to the virtual clock.
 	if len(splits) == 0 {
-		return &Result{Counters: counters, Real: time.Since(start)}, nil
+		return nil, &Result{Counters: counters, Real: time.Since(start)}, nil
 	}
 
 	// ----- Map phase -----
 	// A job with a reducer emits into one shuffle buffer per map task; a
 	// map-only job's output never crosses a sort buffer.
-	var bufs []mapSpillBuffer
-	var parts []spillPartition // task-major: task t's partition p is parts[t*numRed+p]
-	var mapOuts [][]KeyValue
+	var bufs []mapSpillBuffer[K, V]
+	var parts []spillPartition[K, V] // task-major: task t's partition p is parts[t*numRed+p]
+	var mapOuts []chunks[KeyValue[K, V]]
+	var ops *shuffleOps[K, V]
 	if job.Reduce != nil {
-		bufs = make([]mapSpillBuffer, len(splits))
-		parts = make([]spillPartition, len(splits)*numRed)
+		bufs = make([]mapSpillBuffer[K, V], len(splits))
+		parts = make([]spillPartition[K, V], len(splits)*numRed)
+		ops = &shuffleOps[K, V]{partitioner[K](), sizer[K](), sizer[V](), job.Combine, job.Name}
 	} else {
-		mapOuts = make([][]KeyValue, len(splits))
+		mapOuts = make([]chunks[KeyValue[K, V]], len(splits))
 	}
 	var mapCosts []TaskCost
 	for _, sp := range splits {
-		mapCosts = append(mapCosts, e.Cluster.mapTaskCost(sp, job.MapCostFactor))
+		mapCosts = append(mapCosts, e.Cluster.mapTaskCost(sp.hi-sp.lo, job.MapCostFactor))
 	}
 	// The simulator places every task on the virtual cluster. It runs
 	// before the real map work so a task that exhausts its retry budget
@@ -170,13 +191,13 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 	sim := newFaultSim(e.Cluster, inj, e.Retry, job.Name, vbase)
 	mapTasks := sim.newTasks(mapCosts, 0)
 	if err := sim.runPhase(faults.PhaseMap, mapTasks); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if job.Reduce != nil {
 		// Map output lost to a node death during the map window must be
 		// recomputed before reducers can fetch it.
 		if err := sim.reexecuteMapsLostInMapWindow(mapTasks); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	// Per-task real durations of the map loop and of the buffer's final
@@ -193,26 +214,27 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 			t0 = time.Now()
 		}
 		sp := splits[ti]
-		var emit func(KeyValue)
-		var buf *mapSpillBuffer
+		var emit func(K, V)
+		var buf *mapSpillBuffer[K, V]
 		if bufs != nil {
 			buf = &bufs[ti]
-			*buf = newMapSpillBuffer(job, e.ShuffleBufferBytes, parts[ti*numRed:(ti+1)*numRed], part, counters)
+			*buf = mapSpillBuffer[K, V]{ops: ops, capBytes: e.ShuffleBufferBytes, parts: parts[ti*numRed : (ti+1)*numRed], counters: counters}
 			emit = buf.add
 		} else {
-			emit = func(kv KeyValue) { mapOuts[ti] = append(mapOuts[ti], kv) }
+			out := &mapOuts[ti]
+			emit = func(k K, v V) { out.add(KeyValue[K, V]{k, v}) }
 		}
-		for _, kv := range sp.Records {
-			if err := job.Map(kv, emit); err != nil {
+		for _, r := range job.Input[sp.lo:sp.hi] {
+			if err := job.Map(r, emit); err != nil {
 				return fmt.Errorf("mapreduce: job %q map task %d: %w", job.Name, ti, err)
 			}
 			if buf != nil && buf.err != nil {
 				return buf.err
 			}
 		}
-		counters.Add(CounterMapInputRecords, int64(len(sp.Records)))
+		counters.Add(CounterMapInputRecords, int64(sp.hi-sp.lo))
 		if buf == nil {
-			counters.Add(CounterMapOutputRecords, int64(len(mapOuts[ti])))
+			counters.Add(CounterMapOutputRecords, int64(mapOuts[ti].n))
 		} else {
 			counters.Add(CounterMapOutputRecords, buf.emitted)
 		}
@@ -230,22 +252,18 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		}
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	mapStart := vbase + e.Cluster.Cost.JobStartup
 	if rec.Enabled() {
-		e.emitMapAttempts(rec, jobRef, job, sim, mapTasks, splits, bufs, mapStart, mapReal, flushReal)
+		emitMapAttempts(e, rec, jobRef, job.Name, sim, mapTasks, splits, bufs, mapStart, mapReal, flushReal)
 	}
 
 	// Map-only job: concatenate map outputs in input order.
 	if job.Reduce == nil {
-		res := &Result{
-			Output:   slices.Concat(mapOuts...),
-			Counters: counters,
-			MapTasks: len(splits),
-		}
-		return e.finish(res, sim, start), nil
+		res := &Result{Counters: counters, MapTasks: len(splits)}
+		return concat(mapOuts), e.finish(res, sim, start), nil
 	}
 
 	// ----- Shuffle -----
@@ -267,7 +285,7 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		for t := range bufs {
 			bp := &parts[t*numRed+p]
 			shuffleBytes[p] += bp.bytes
-			partRecords[p] += len(bp.recs)
+			partRecords[p] += bp.keys.n
 			sizes = append(sizes, bp.segs...)
 		}
 		if ext != nil {
@@ -284,7 +302,7 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 	}
 
 	// ----- Reduce phase -----
-	reduceOuts := make([][]KeyValue, numRed)
+	reduceOuts := make([]chunks[KeyValue[K, V]], numRed)
 	var reduceCosts []TaskCost
 	for p := 0; p < numRed; p++ {
 		var spillIO int64
@@ -299,12 +317,12 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 	sim.barrier(mapMakespan)
 	reduceTasks := sim.newTasks(reduceCosts, mapMakespan)
 	if err := sim.runPhase(faults.PhaseReduce, reduceTasks); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Nodes dying during the shuffle lose completed map output; Hadoop
 	// re-executes those maps and reruns the fetching reducers.
 	if err := sim.reexecuteMapsLostInShuffle(mapTasks, reduceTasks, shuffleBytes); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var reduceReal, sortReal []time.Duration
 	if rec.Enabled() {
@@ -316,25 +334,26 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		if rec.Enabled() {
 			t0 = time.Now()
 		}
-		recs := make([]KeyValue, 0, partRecords[p])
+		keys := make([]K, 0, partRecords[p])
+		vals := make([]V, 0, partRecords[p])
 		for t := range bufs {
 			bp := &parts[t*numRed+p]
-			recs = append(recs, bp.recs...)
-			bp.recs = nil // fetched: the map side's copy can go
+			keys, vals = bp.keys.appendTo(keys), bp.vals.appendTo(vals)
+			bp.keys, bp.vals = chunks[K]{}, chunks[V]{} // fetched: the map side's copy can go
 		}
 		var s0 time.Time
 		if rec.Enabled() {
 			s0 = time.Now()
 		}
-		idx := sortPartition(recs)
+		idx := sortPartition(keys)
 		if rec.Enabled() {
 			sortReal[p] = time.Since(s0)
 		}
-		var out []KeyValue
-		emit := func(kv KeyValue) { out = append(out, kv) }
-		groups, err := eachGroup(recs, idx, func(key string, values []any) error {
+		out := &reduceOuts[p]
+		emit := func(k K, v V) { out.add(KeyValue[K, V]{k, v}) }
+		groups, err := eachGroup(keys, vals, idx, func(key K, values []V) error {
 			if err := job.Reduce(key, values, emit); err != nil {
-				return fmt.Errorf("mapreduce: job %q reduce partition %d key %q: %w", job.Name, p, key, err)
+				return fmt.Errorf("mapreduce: job %q reduce partition %d key %v: %w", job.Name, p, key, err)
 			}
 			return nil
 		})
@@ -342,31 +361,25 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 			return err
 		}
 		counters.Add(CounterReduceInputGroups, int64(groups))
-		counters.Add(CounterReduceInputRecords, int64(len(recs)))
+		counters.Add(CounterReduceInputRecords, int64(len(keys)))
 		if ext != nil {
 			counters.Add(CounterShuffleMergePasses, int64(ext.passes[p]))
 		}
-		counters.Add(CounterReduceOutput, int64(len(out)))
-		reduceOuts[p] = out
+		counters.Add(CounterReduceOutput, int64(out.n))
 		if rec.Enabled() {
 			reduceReal[p] = time.Since(t0)
 		}
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	if rec.Enabled() {
-		e.emitReduceAttempts(rec, jobRef, job, sim, reduceTasks, partRecords, shuffleBytes, ext, mapStart, reduceReal, sortReal)
+		e.emitReduceAttempts(rec, jobRef, job.Name, sim, reduceTasks, partRecords, shuffleBytes, ext, mapStart, reduceReal, sortReal)
 	}
 
-	res := &Result{
-		Output:     slices.Concat(reduceOuts...),
-		Counters:   counters,
-		MapTasks:   len(splits),
-		ReduceTask: numRed,
-	}
-	return e.finish(res, sim, start), nil
+	res := &Result{Counters: counters, MapTasks: len(splits), ReduceTask: numRed}
+	return concat(reduceOuts), e.finish(res, sim, start), nil
 }
 
 // finish stamps a completed job's times: its virtual span is job startup
@@ -395,13 +408,13 @@ type extShuffle struct {
 // emitSpills renders one map task's spill events as KindSpill children of
 // its map span, stacked sequentially after the map window (the write-out
 // of each buffer flush).
-func (e *Engine) emitSpills(rec *trace.Recorder, parent int64, job *Job, buf *mapSpillBuffer, task, node int, vstart time.Duration) {
-	for si, ev := range buf.events {
+func (e *Engine) emitSpills(rec *trace.Recorder, parent int64, job string, spills []spillEvent, task, node int, vstart time.Duration) {
+	for si, ev := range spills {
 		d := time.Duration(float64(ev.bytes) * float64(e.Cluster.Cost.SpillPerByte))
 		rec.Emit(trace.Span{
 			Parent:  parent,
 			Kind:    trace.KindSpill,
-			Name:    fmt.Sprintf("%s/spill[%d.%d]", job.Name, task, si),
+			Name:    fmt.Sprintf("%s/spill[%d.%d]", job, task, si),
 			Node:    node,
 			Records: ev.records,
 			Bytes:   ev.bytes,
@@ -414,14 +427,14 @@ func (e *Engine) emitSpills(rec *trace.Recorder, parent int64, job *Job, buf *ma
 
 // emitMerge renders one reducer's merge phase as a KindMerge child of its
 // reduce span, sized by the partition's total local-disk traffic.
-func (e *Engine) emitMerge(rec *trace.Recorder, parent int64, job *Job, ext *extShuffle, p, node int, records int64, vstart time.Duration) {
+func (e *Engine) emitMerge(rec *trace.Recorder, parent int64, job string, ext *extShuffle, p, node int, records int64, vstart time.Duration) {
 	if ext.passes[p] == 0 {
 		return
 	}
 	rec.Emit(trace.Span{
 		Parent:  parent,
 		Kind:    trace.KindMerge,
-		Name:    fmt.Sprintf("%s/merge[%d]", job.Name, p),
+		Name:    fmt.Sprintf("%s/merge[%d]", job, p),
 		Node:    node,
 		Records: records,
 		Bytes:   ext.io[p],
@@ -437,7 +450,7 @@ func (e *Engine) emitMerge(rec *trace.Recorder, parent int64, job *Job, ext *ext
 // bounded buffer or a combine span for an unbounded buffer's one flush.
 // Real durations attach to final attempts only — that is the execution
 // that actually ran on this machine.
-func (e *Engine) emitMapAttempts(rec *trace.Recorder, jobRef trace.SpanRef, job *Job, sim *faultSim, tasks []*simTask, splits []InputSplit, bufs []mapSpillBuffer, mapStart time.Duration, mapReal, flushReal []time.Duration) {
+func emitMapAttempts[K Key, V any](e *Engine, rec *trace.Recorder, jobRef trace.SpanRef, job string, sim *faultSim, tasks []*simTask, splits []split, bufs []mapSpillBuffer[K, V], mapStart time.Duration, mapReal, flushReal []time.Duration) {
 	for i, a := range sim.attempts {
 		if a.Phase != faults.PhaseMap {
 			continue
@@ -448,10 +461,10 @@ func (e *Engine) emitMapAttempts(rec *trace.Recorder, jobRef trace.SpanRef, job 
 		span := trace.Span{
 			Parent:  jobRef.ID,
 			Kind:    trace.KindMap,
-			Name:    fmt.Sprintf("%s/map[%d]", job.Name, a.Task),
+			Name:    fmt.Sprintf("%s/map[%d]", job, a.Task),
 			Node:    a.Node,
-			Records: int64(len(sp.Records)),
-			Bytes:   int64(sp.Bytes),
+			Records: int64(sp.hi - sp.lo),
+			Bytes:   int64(sp.bytes),
 			Detail:  a.Reason,
 			Attempt: attempt,
 			Status:  status,
@@ -471,18 +484,18 @@ func (e *Engine) emitMapAttempts(rec *trace.Recorder, jobRef trace.SpanRef, job 
 		// the task's combine.
 		buf := &bufs[a.Task]
 		if buf.capBytes > 0 {
-			e.emitSpills(rec, id, job, buf, a.Task, a.Node, mapStart+a.End)
+			e.emitSpills(rec, id, job, buf.events, a.Task, a.Node, mapStart+a.End)
 			continue
 		}
-		if job.Combine != nil {
+		if buf.ops.combine != nil {
 			var combined int
 			for _, bp := range buf.parts {
-				combined += len(bp.recs)
+				combined += bp.keys.n
 			}
 			rec.Emit(trace.Span{
 				Parent:  jobRef.ID,
 				Kind:    trace.KindCombine,
-				Name:    fmt.Sprintf("%s/combine[%d]", job.Name, a.Task),
+				Name:    fmt.Sprintf("%s/combine[%d]", job, a.Task),
 				Node:    a.Node,
 				Records: int64(combined),
 				Attempt: attempt,
@@ -500,7 +513,7 @@ func (e *Engine) emitMapAttempts(rec *trace.Recorder, jobRef trace.SpanRef, job 
 // reduce compute, mirroring Hadoop's task phases. A sort span's real
 // duration is the measured sort of its partition, part of the reduce
 // span's.
-func (e *Engine) emitReduceAttempts(rec *trace.Recorder, jobRef trace.SpanRef, job *Job, sim *faultSim, tasks []*simTask, partRecords []int, shuffleBytes []int, ext *extShuffle, mapStart time.Duration, reduceReal, sortReal []time.Duration) {
+func (e *Engine) emitReduceAttempts(rec *trace.Recorder, jobRef trace.SpanRef, job string, sim *faultSim, tasks []*simTask, partRecords []int, shuffleBytes []int, ext *extShuffle, mapStart time.Duration, reduceReal, sortReal []time.Duration) {
 	for i, a := range sim.attempts {
 		if a.Phase != faults.PhaseReduce {
 			continue
@@ -511,7 +524,7 @@ func (e *Engine) emitReduceAttempts(rec *trace.Recorder, jobRef trace.SpanRef, j
 		span := trace.Span{
 			Parent:  jobRef.ID,
 			Kind:    trace.KindReduce,
-			Name:    fmt.Sprintf("%s/reduce[%d]", job.Name, p),
+			Name:    fmt.Sprintf("%s/reduce[%d]", job, p),
 			Node:    a.Node,
 			Records: int64(partRecords[p]),
 			Bytes:   int64(shuffleBytes[p]),
@@ -533,7 +546,7 @@ func (e *Engine) emitReduceAttempts(rec *trace.Recorder, jobRef trace.SpanRef, j
 		rec.Emit(trace.Span{
 			Parent: id,
 			Kind:   trace.KindShuffle,
-			Name:   fmt.Sprintf("%s/shuffle[%d]", job.Name, p),
+			Name:   fmt.Sprintf("%s/shuffle[%d]", job, p),
 			Node:   a.Node,
 			Bytes:  int64(shuffleBytes[p]),
 			VStart: mapStart + shufStart,
@@ -546,7 +559,7 @@ func (e *Engine) emitReduceAttempts(rec *trace.Recorder, jobRef trace.SpanRef, j
 		rec.Emit(trace.Span{
 			Parent:  id,
 			Kind:    trace.KindSort,
-			Name:    fmt.Sprintf("%s/sort[%d]", job.Name, p),
+			Name:    fmt.Sprintf("%s/sort[%d]", job, p),
 			Node:    a.Node,
 			Records: int64(partRecords[p]),
 			Attempt: attempt,

@@ -29,17 +29,17 @@ func manyLines(n int) []string {
 }
 
 // runFaulted executes the wordcount job on a fresh engine with the plan.
-func runFaulted(t *testing.T, plan faults.Plan, retry RetryPolicy, lines []string) (*Result, error) {
+func runFaulted(t *testing.T, plan faults.Plan, retry RetryPolicy, lines []string) (outcome[string, int], error) {
 	t.Helper()
 	e := MustEngine(chaosCluster)
 	e.Faults = faults.MustNew(plan)
 	e.Retry = retry
-	return e.Run(wordCountJob(lines, false))
+	return run(e, wordCountJob(lines, false))
 }
 
 func TestFaultedRunIdenticalOutput(t *testing.T) {
 	lines := manyLines(16)
-	baseline, err := MustEngine(chaosCluster).Run(wordCountJob(lines, false))
+	baseline, err := run(MustEngine(chaosCluster), wordCountJob(lines, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestReduceTaskExhaustsRetries(t *testing.T) {
 
 func TestNodeDeathInMapPhaseRecovers(t *testing.T) {
 	lines := manyLines(16) // 8 map tasks fill all 8 slots in one wave
-	baseline, err := MustEngine(chaosCluster).Run(wordCountJob(lines, false))
+	baseline, err := run(MustEngine(chaosCluster), wordCountJob(lines, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestNodeDeathInMapPhaseRecovers(t *testing.T) {
 
 func TestNodeDeathDuringShuffleReexecutesMaps(t *testing.T) {
 	lines := manyLines(16)
-	baseline, err := MustEngine(chaosCluster).Run(wordCountJob(lines, false))
+	baseline, err := run(MustEngine(chaosCluster), wordCountJob(lines, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,25 +208,23 @@ func TestNodeDeathDuringShuffleReexecutesMaps(t *testing.T) {
 func TestMapOnlyJobSkipsReexecution(t *testing.T) {
 	// A map-only job writes its output straight to the job client; a node
 	// death after its tasks completed loses nothing.
-	recs := make([]KeyValue, 12)
+	recs := make([]KeyValue[string, int], 12)
 	for i := range recs {
-		recs[i] = KeyValue{Key: fmt.Sprint(i), Value: i}
+		recs[i] = KeyValue[string, int]{Key: fmt.Sprint(i), Value: i}
 	}
-	job := func() *Job {
-		return &Job{
-			Name:  "maponly",
-			Input: MemoryInput{Records: recs, SplitSize: 2},
-			Map: func(kv KeyValue, emit func(KeyValue)) error {
-				emit(kv)
-				return nil
-			},
+	job := func() *Job[KeyValue[string, int], string, int] {
+		return &Job[KeyValue[string, int], string, int]{
+			Name:      "maponly",
+			Input:     recs,
+			SplitSize: 2,
+			Map:       identity[string, int],
 		}
 	}
 	e := MustEngine(chaosCluster)
 	e.Faults = faults.MustNew(faults.Plan{
 		NodeDeaths: []faults.NodeDeath{{Node: 0, At: DefaultCostModel.JobStartup + time.Hour}},
 	})
-	res, err := e.Run(job())
+	res, err := run(e, job())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +276,7 @@ func TestLastNodeNeverBlacklisted(t *testing.T) {
 		Crashes: []faults.TaskCrash{{Phase: faults.PhaseMap, Task: 0, UpToAttempt: 2}},
 	})
 	e.Retry = RetryPolicy{BlacklistAfter: 1}
-	res, err := e.Run(wordCountJob(manyLines(6), false))
+	res, err := run(e, wordCountJob(manyLines(6), false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +352,7 @@ func chaosSeeds(t *testing.T) []int64 {
 
 func TestChaosMatrix(t *testing.T) {
 	lines := manyLines(40)
-	baseline, err := MustEngine(chaosCluster).Run(wordCountJob(lines, false))
+	baseline, err := run(MustEngine(chaosCluster), wordCountJob(lines, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +389,7 @@ func TestFaultTraceSpans(t *testing.T) {
 	e.Faults = faults.MustNew(faults.Plan{
 		Crashes: []faults.TaskCrash{{Phase: faults.PhaseMap, Task: 0, UpToAttempt: 1}},
 	})
-	if _, err := e.Run(wordCountJob(manyLines(8), true)); err != nil {
+	if _, err := run(e, wordCountJob(manyLines(8), true)); err != nil {
 		t.Fatal(err)
 	}
 	var crashed, retried, combines int

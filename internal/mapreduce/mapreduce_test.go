@@ -10,26 +10,36 @@ import (
 	"time"
 )
 
+// outcome is one job's output records and result, for tests that
+// check both.
+type outcome[K Key, V any] struct {
+	Output []KeyValue[K, V]
+	*Result
+}
+
+// run runs job on e and returns its outcome.
+func run[I any, K Key, V any](e *Engine, job *Job[I, K, V]) (outcome[K, V], error) {
+	out, res, err := Run(e, job)
+	return outcome[K, V]{out, res}, err
+}
+
 // wordCountJob builds the canonical test job over the given lines.
-func wordCountJob(lines []string, combiner bool) *Job {
-	recs := make([]KeyValue, len(lines))
-	for i, l := range lines {
-		recs[i] = KeyValue{Key: fmt.Sprint(i), Value: l}
-	}
-	sum := func(key string, values []any, emit func(KeyValue)) error {
+func wordCountJob(lines []string, combiner bool) *Job[string, string, int] {
+	sum := func(key string, values []int, emit func(string, int)) error {
 		n := 0
 		for _, v := range values {
-			n += v.(int)
+			n += v
 		}
-		emit(KeyValue{Key: key, Value: n})
+		emit(key, n)
 		return nil
 	}
-	j := &Job{
-		Name:  "wordcount",
-		Input: MemoryInput{Records: recs, SplitSize: 2},
-		Map: func(kv KeyValue, emit func(KeyValue)) error {
-			for _, w := range strings.Fields(kv.Value.(string)) {
-				emit(KeyValue{Key: w, Value: 1})
+	j := &Job[string, string, int]{
+		Name:      "wordcount",
+		Input:     lines,
+		SplitSize: 2,
+		Map: func(line string, emit func(string, int)) error {
+			for _, w := range strings.Fields(line) {
+				emit(w, 1)
 			}
 			return nil
 		},
@@ -42,10 +52,10 @@ func wordCountJob(lines []string, combiner bool) *Job {
 	return j
 }
 
-func collectCounts(out []KeyValue) map[string]int {
+func collectCounts(out []KeyValue[string, int]) map[string]int {
 	m := make(map[string]int)
 	for _, kv := range out {
-		m[kv.Key] += kv.Value.(int)
+		m[kv.Key] += kv.Value
 	}
 	return m
 }
@@ -53,7 +63,7 @@ func collectCounts(out []KeyValue) map[string]int {
 func TestWordCount(t *testing.T) {
 	e := MustEngine(Cluster{Nodes: 4, SlotsPerNode: 2, Cost: DefaultCostModel})
 	lines := []string{"a b a", "b c", "a", "c c c"}
-	res, err := e.Run(wordCountJob(lines, false))
+	res, err := run(e, wordCountJob(lines, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +82,11 @@ func TestWordCount(t *testing.T) {
 func TestCombinerSameResultFewerShuffledRecords(t *testing.T) {
 	e := MustEngine(DefaultCluster)
 	lines := []string{"x x x x", "x x x x", "y"}
-	plain, err := e.Run(wordCountJob(lines, false))
+	plain, err := run(e, wordCountJob(lines, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	combined, err := e.Run(wordCountJob(lines, true))
+	combined, err := run(e, wordCountJob(lines, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,15 +101,16 @@ func TestCombinerSameResultFewerShuffledRecords(t *testing.T) {
 
 func TestMapOnlyJobPreservesOrder(t *testing.T) {
 	e := MustEngine(DefaultCluster)
-	recs := make([]KeyValue, 20)
+	recs := make([]int, 20)
 	for i := range recs {
-		recs[i] = KeyValue{Key: fmt.Sprint(i), Value: i}
+		recs[i] = i
 	}
-	res, err := e.Run(&Job{
-		Name:  "identity",
-		Input: MemoryInput{Records: recs, SplitSize: 3},
-		Map: func(kv KeyValue, emit func(KeyValue)) error {
-			emit(KeyValue{Key: kv.Key, Value: kv.Value.(int) * 10})
+	res, err := run(e, &Job[int, Key64, int]{
+		Name:      "identity",
+		Input:     recs,
+		SplitSize: 3,
+		Map: func(i int, emit func(Key64, int)) error {
+			emit(Key64(i), i*10)
 			return nil
 		},
 	})
@@ -110,7 +121,7 @@ func TestMapOnlyJobPreservesOrder(t *testing.T) {
 		t.Fatalf("output size %d", len(res.Output))
 	}
 	for i, kv := range res.Output {
-		if kv.Value.(int) != i*10 {
+		if kv.Value != i*10 {
 			t.Fatalf("output[%d] = %v, want %d (order broken)", i, kv.Value, i*10)
 		}
 	}
@@ -121,17 +132,18 @@ func TestMapOnlyJobPreservesOrder(t *testing.T) {
 
 func TestReduceGroupsSortedWithinPartition(t *testing.T) {
 	e := MustEngine(DefaultCluster)
-	var recs []KeyValue
+	var recs []KeyValue[string, int]
 	for i := 0; i < 30; i++ {
-		recs = append(recs, KeyValue{Key: fmt.Sprintf("k%02d", i%10), Value: i})
+		recs = append(recs, KeyValue[string, int]{Key: fmt.Sprintf("k%02d", i%10), Value: i})
 	}
 	var mu sortRecorder
-	_, err := e.Run(&Job{
+	_, _, err := Run(e, &Job[KeyValue[string, int], string, int]{
 		Name:        "sorted",
-		Input:       MemoryInput{Records: recs, SplitSize: 7},
-		Map:         func(kv KeyValue, emit func(KeyValue)) error { emit(kv); return nil },
+		Input:       recs,
+		SplitSize:   7,
+		Map:         identity[string, int],
 		NumReducers: 1,
-		Reduce: func(key string, values []any, emit func(KeyValue)) error {
+		Reduce: func(key string, values []int, emit func(string, int)) error {
 			mu.record(key)
 			if len(values) != 3 {
 				return fmt.Errorf("key %s got %d values", key, len(values))
@@ -154,17 +166,34 @@ type sortRecorder struct{ keys []string }
 
 func (s *sortRecorder) record(k string) { s.keys = append(s.keys, k) }
 
+// identity is the map function that emits its input record.
+func identity[K Key, V any](kv KeyValue[K, V], emit func(K, V)) error {
+	emit(kv.Key, kv.Value)
+	return nil
+}
+
+// oneRecord is the input of a job that only needs to run.
+var oneRecord = []KeyValue[string, int]{{Key: "a", Value: 1}}
+
 func TestJobValidation(t *testing.T) {
 	e := MustEngine(DefaultCluster)
-	if _, err := e.Run(&Job{Name: "no-map", Input: MemoryInput{}}); err == nil {
+	if _, _, err := Run(e, &Job[KeyValue[string, int], string, int]{Name: "no-map"}); err == nil {
 		t.Error("job without map accepted")
 	}
-	if _, err := e.Run(&Job{
-		Name: "combine-no-reduce", Input: MemoryInput{},
-		Map:     func(KeyValue, func(KeyValue)) error { return nil },
-		Combine: func(string, []any, func(KeyValue)) error { return nil },
+	if _, _, err := Run(e, &Job[KeyValue[string, int], string, int]{
+		Name:    "combine-no-reduce",
+		Map:     identity[string, int],
+		Combine: func(string, []int, func(string, int)) error { return nil },
 	}); err == nil {
 		t.Error("combiner without reducer accepted")
+	}
+	if _, _, err := Run(e, &Job[KeyValue[string, int], string, int]{
+		Name:        "negative-reducers",
+		Map:         identity[string, int],
+		Reduce:      func(string, []int, func(string, int)) error { return nil },
+		NumReducers: -1,
+	}); err == nil {
+		t.Error("negative reducer count accepted")
 	}
 }
 
@@ -180,10 +209,10 @@ func TestClusterValidation(t *testing.T) {
 func TestMapErrorPropagates(t *testing.T) {
 	e := MustEngine(DefaultCluster)
 	boom := errors.New("boom")
-	_, err := e.Run(&Job{
+	_, _, err := Run(e, &Job[KeyValue[string, int], string, int]{
 		Name:  "failing-map",
-		Input: MemoryInput{Records: []KeyValue{{Key: "a", Value: 1}}},
-		Map:   func(KeyValue, func(KeyValue)) error { return boom },
+		Input: oneRecord,
+		Map:   func(KeyValue[string, int], func(string, int)) error { return boom },
 	})
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
@@ -193,28 +222,14 @@ func TestMapErrorPropagates(t *testing.T) {
 func TestReduceErrorPropagates(t *testing.T) {
 	e := MustEngine(DefaultCluster)
 	boom := errors.New("boom")
-	_, err := e.Run(&Job{
+	_, _, err := Run(e, &Job[KeyValue[string, int], string, int]{
 		Name:   "failing-reduce",
-		Input:  MemoryInput{Records: []KeyValue{{Key: "a", Value: 1}}},
-		Map:    func(kv KeyValue, emit func(KeyValue)) error { emit(kv); return nil },
-		Reduce: func(string, []any, func(KeyValue)) error { return boom },
+		Input:  oneRecord,
+		Map:    identity[string, int],
+		Reduce: func(string, []int, func(string, int)) error { return boom },
 	})
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestBadPartitionerRejected(t *testing.T) {
-	e := MustEngine(DefaultCluster)
-	_, err := e.Run(&Job{
-		Name:      "bad-part",
-		Input:     MemoryInput{Records: []KeyValue{{Key: "a", Value: 1}}},
-		Map:       func(kv KeyValue, emit func(KeyValue)) error { emit(kv); return nil },
-		Reduce:    func(string, []any, func(KeyValue)) error { return nil },
-		Partition: func(string, int) int { return 99 },
-	})
-	if err == nil {
-		t.Fatal("out-of-range partition accepted")
 	}
 }
 
@@ -244,7 +259,7 @@ func TestDefaultPartitionDeterministic(t *testing.T) {
 
 func TestCountersAccounting(t *testing.T) {
 	e := MustEngine(DefaultCluster)
-	res, err := e.Run(wordCountJob([]string{"a b", "c"}, false))
+	_, res, err := Run(e, wordCountJob([]string{"a b", "c"}, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,30 +280,29 @@ func TestCountersAccounting(t *testing.T) {
 
 func TestEmptyInput(t *testing.T) {
 	e := MustEngine(DefaultCluster)
-	res, err := e.Run(&Job{
+	out, _, err := Run(e, &Job[KeyValue[string, int], string, int]{
 		Name:   "empty",
-		Input:  MemoryInput{},
-		Map:    func(kv KeyValue, emit func(KeyValue)) error { emit(kv); return nil },
-		Reduce: func(string, []any, func(KeyValue)) error { return nil },
+		Map:    identity[string, int],
+		Reduce: func(string, []int, func(string, int)) error { return nil },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Output) != 0 {
-		t.Fatalf("output %v", res.Output)
+	if len(out) != 0 {
+		t.Fatalf("output %v", out)
 	}
 }
 
-// TestMemoryInputSplits pins the one split-size rule every in-memory job
-// shares: with no SplitSize the records cut into at most two waves of map
-// tasks per slot, each slot getting work when there are records enough;
-// an explicit SplitSize is kept; the splits cover the records in order.
-func TestMemoryInputSplits(t *testing.T) {
+// TestSplitInput pins the one split-size rule every job shares: with no
+// SplitSize the records cut into at most two waves of map tasks per
+// slot, each slot getting work when there are records enough; an
+// explicit SplitSize is kept; the splits cover the records in order.
+func TestSplitInput(t *testing.T) {
 	c := Cluster{Nodes: 3, SlotsPerNode: 2}
-	recs := func(n int) []KeyValue {
-		out := make([]KeyValue, n)
+	recs := func(n int) []KeyValue[string, any] {
+		out := make([]KeyValue[string, any], n)
 		for i := range out {
-			out[i] = KeyValue{Key: fmt.Sprint(i), Value: i}
+			out[i] = KeyValue[string, any]{Key: fmt.Sprint(i), Value: i}
 		}
 		return out
 	}
@@ -303,12 +317,19 @@ func TestMemoryInputSplits(t *testing.T) {
 		{n: 0},
 	} {
 		in := recs(tc.n)
-		splits := MemoryInput{Records: in, SplitSize: tc.splitSize}.Splits(c)
 		var sizes []int
-		var joined []KeyValue
-		for _, sp := range splits {
-			sizes = append(sizes, len(sp.Records))
-			joined = append(joined, sp.Records...)
+		var joined []KeyValue[string, any]
+		for _, sp := range splitInput(c, in, tc.splitSize) {
+			sizes = append(sizes, sp.hi-sp.lo)
+			joined = append(joined, in[sp.lo:sp.hi]...)
+			// A Pig record counts its key's length plus its value's bytes.
+			bytes := 0
+			for _, kv := range in[sp.lo:sp.hi] {
+				bytes += len(kv.Key) + 8
+			}
+			if sp.bytes != bytes {
+				t.Errorf("n=%d split [%d, %d) counts %d bytes, want %d", tc.n, sp.lo, sp.hi, sp.bytes, bytes)
+			}
 		}
 		if fmt.Sprint(sizes) != fmt.Sprint(tc.want) {
 			t.Errorf("n=%d split size %d: split sizes %v, want %v", tc.n, tc.splitSize, sizes, tc.want)
@@ -323,23 +344,24 @@ func TestMemoryInputSplits(t *testing.T) {
 // job's modelled runtime shrinks as nodes are added, while a tiny job's
 // runtime is overhead-dominated and flat.
 func TestVirtualClockScalesWithNodes(t *testing.T) {
-	bigRecs := make([]KeyValue, 20000)
+	bigRecs := make([]KeyValue[string, int], 20000)
 	for i := range bigRecs {
-		bigRecs[i] = KeyValue{Key: fmt.Sprint(i % 100), Value: 1}
+		bigRecs[i] = KeyValue[string, int]{Key: fmt.Sprint(i % 100), Value: 1}
 	}
-	runWith := func(nodes int, recs []KeyValue, splitSize int) time.Duration {
+	runWith := func(nodes int, recs []KeyValue[string, int], splitSize int) time.Duration {
 		e := MustEngine(Cluster{Nodes: nodes, SlotsPerNode: 2, Cost: DefaultCostModel})
-		job := &Job{
-			Name:  "scale",
-			Input: MemoryInput{Records: recs, SplitSize: splitSize},
-			Map:   func(kv KeyValue, emit func(KeyValue)) error { emit(kv); return nil },
-			Reduce: func(k string, vs []any, emit func(KeyValue)) error {
-				emit(KeyValue{Key: k, Value: len(vs)})
+		job := &Job[KeyValue[string, int], string, int]{
+			Name:      "scale",
+			Input:     recs,
+			SplitSize: splitSize,
+			Map:       identity[string, int],
+			Reduce: func(k string, vs []int, emit func(string, int)) error {
+				emit(k, len(vs))
 				return nil
 			},
 			MapCostFactor: 50, // pretend the map work is heavy
 		}
-		res, err := e.Run(job)
+		_, res, err := Run(e, job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,16 +417,17 @@ func TestMakespanMonotonicInNodes(t *testing.T) {
 func TestEnginePropertyTotalCountPreserved(t *testing.T) {
 	e := MustEngine(Cluster{Nodes: 3, SlotsPerNode: 2, Cost: DefaultCostModel})
 	f := func(keys []uint8) bool {
-		recs := make([]KeyValue, len(keys))
+		recs := make([]KeyValue[string, int], len(keys))
 		for i, k := range keys {
-			recs[i] = KeyValue{Key: fmt.Sprint(k % 10), Value: 1}
+			recs[i] = KeyValue[string, int]{Key: fmt.Sprint(k % 10), Value: 1}
 		}
-		res, err := e.Run(&Job{
-			Name:  "prop",
-			Input: MemoryInput{Records: recs, SplitSize: 4},
-			Map:   func(kv KeyValue, emit func(KeyValue)) error { emit(kv); return nil },
-			Reduce: func(k string, vs []any, emit func(KeyValue)) error {
-				emit(KeyValue{Key: k, Value: len(vs)})
+		out, _, err := Run(e, &Job[KeyValue[string, int], string, int]{
+			Name:      "prop",
+			Input:     recs,
+			SplitSize: 4,
+			Map:       identity[string, int],
+			Reduce: func(k string, vs []int, emit func(string, int)) error {
+				emit(k, len(vs))
 				return nil
 			},
 		})
@@ -412,8 +435,8 @@ func TestEnginePropertyTotalCountPreserved(t *testing.T) {
 			return false
 		}
 		total := 0
-		for _, kv := range res.Output {
-			total += kv.Value.(int)
+		for _, kv := range out {
+			total += kv.Value
 		}
 		return total == len(keys)
 	}
@@ -430,7 +453,7 @@ func BenchmarkWordCount10k(b *testing.B) {
 	e := MustEngine(DefaultCluster)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(wordCountJob(lines, true)); err != nil {
+		if _, _, err := Run(e, wordCountJob(lines, true)); err != nil {
 			b.Fatal(err)
 		}
 	}

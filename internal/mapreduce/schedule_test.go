@@ -150,7 +150,7 @@ func TestScheduleMatchesMakespan(t *testing.T) {
 	}
 }
 
-// TestVirtualIsJobStartupPlusPhaseMakespans pins Engine.Run's virtual
+// TestVirtualIsJobStartupPlusPhaseMakespans pins Run's virtual
 // clock to Cluster.Makespan, which core.ModelRuntime prices whole runs
 // with: a map-only job costs JobStartup plus the makespan of its map
 // tasks, and a job with reducers adds the makespan of its reduce tasks
@@ -164,13 +164,13 @@ func TestVirtualIsJobStartupPlusPhaseMakespans(t *testing.T) {
 		var mapCosts []TaskCost
 		partRecords := make([]int, job.NumReducers)
 		shuffleBytes := make([]int, job.NumReducers)
-		for _, sp := range job.Input.Splits(c) {
-			mapCosts = append(mapCosts, c.mapTaskCost(sp, job.MapCostFactor))
-			for _, kv := range sp.Records {
-				if err := job.Map(kv, func(out KeyValue) {
-					p := DefaultPartition(out.Key, job.NumReducers)
+		for _, sp := range splitInput(c, job.Input, job.SplitSize) {
+			mapCosts = append(mapCosts, c.mapTaskCost(sp.hi-sp.lo, job.MapCostFactor))
+			for _, line := range job.Input[sp.lo:sp.hi] {
+				if err := job.Map(line, func(k string, _ int) {
+					p := DefaultPartition(k, job.NumReducers)
 					partRecords[p]++
-					shuffleBytes[p] += len(out.Key) + approxValueBytes(out.Value)
+					shuffleBytes[p] += len(k) + 8
 				}); err != nil {
 					t.Fatal(err)
 				}
@@ -181,7 +181,7 @@ func TestVirtualIsJobStartupPlusPhaseMakespans(t *testing.T) {
 			reduceCosts = append(reduceCosts, c.reduceTaskCost(partRecords[p], shuffleBytes[p], 0, job.ReduceCostFactor))
 		}
 
-		res, err := MustEngine(c).Run(job)
+		res, err := run(MustEngine(c), job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestVirtualIsJobStartupPlusPhaseMakespans(t *testing.T) {
 			t.Errorf("speculative=%v: job Virtual %v, want JobStartup + map + reduce makespans = %v", c.Speculative, res.Virtual, want)
 		}
 		job.Reduce = nil
-		res, err = MustEngine(c).Run(job)
+		res, err = run(MustEngine(c), job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,8 +205,8 @@ func TestVirtualIsJobStartupPlusPhaseMakespans(t *testing.T) {
 func TestZeroCostClusterChargesOneMillisecondPerAttempt(t *testing.T) {
 	e := MustEngine(Cluster{Nodes: 2, SlotsPerNode: 1})
 	job := wordCountJob(manyLines(5), false)
-	job.Input.SplitSize = 1 // five map tasks: three waves on two slots
-	res, err := e.Run(job)
+	job.SplitSize = 1 // five map tasks: three waves on two slots
+	res, err := run(e, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestZeroCostClusterChargesOneMillisecondPerAttempt(t *testing.T) {
 		t.Fatalf("%d maps, %d reduces in %v; want 5 maps, 3 reduces in 5ms", res.MapTasks, res.ReduceTask, res.Virtual)
 	}
 	job.Reduce = nil
-	if res, err = e.Run(job); err != nil {
+	if res, err = run(e, job); err != nil {
 		t.Fatal(err)
 	}
 	if res.Virtual != 3*time.Millisecond {
@@ -233,7 +233,7 @@ func TestFaultFreeRunRecordsNoAttempts(t *testing.T) {
 		e := MustEngine(chaosCluster)
 		e.Faults = inj
 		e.Trace = trace.New()
-		res, err := e.Run(wordJob(64))
+		res, err := run(e, wordJob(64))
 		if err != nil {
 			t.Fatal(err)
 		}

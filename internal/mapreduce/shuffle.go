@@ -20,6 +20,12 @@ package mapreduce
 // orders a pointer-free index of the partition (sortEntry) with an LSD
 // radix sort, and the combiner groups its flushes through the same sort.
 //
+// Records stay typed the whole way. A Key64 or Key128 key fills its
+// index entry from its words, as its big-endian bytes would, and a value
+// is never boxed. Buffers grow in chunks that never move (chunks), and
+// each is concatenated once, at its final size: a reducer's partition
+// when it fetches it, and the job's output when the last task ends.
+//
 // Only the records are real; the disk is virtual. For a bounded buffer,
 // planMerge models the merge a reducer with io.sort.factor inputs per
 // pass would run, and the spill writes and merge reads are charged to the
@@ -98,23 +104,36 @@ func sameHead(a, b *sortEntry) bool {
 	return a.hi == b.hi && a.lo == b.lo && a.keyLen() == b.keyLen()
 }
 
-// sortPartition returns an index of recs in stable key order: the
+// sortPartition returns an index of keys in stable key order: the
 // records sorted by key, equal keys in position order. A stable LSD
 // radix sort runs one scatter pass per byte digit in which the entries
-// differ; building the index finds those digits, and one pass counts
-// them all. A run of keys longer than 16 bytes that tie on their first
-// 16 is then sorted on the rest of the key and position.
-func sortPartition(recs []KeyValue) []sortEntry {
-	idx := make([]sortEntry, len(recs))
+// differ; building the index, once per partition for its key type,
+// finds those digits, and one pass counts them all. A run of string keys
+// longer than 16 bytes that tie on their first 16 is then sorted on the
+// rest of the key and position.
+func sortPartition[K Key](keys []K) []sortEntry {
+	idx := make([]sortEntry, len(keys))
 	var diff sortEntry // the bits in which some entry differs from the first
-	long := false
-	for i := range recs {
-		e := newSortEntry(recs[i].Key, i)
-		idx[i] = e
-		diff.hi |= e.hi ^ idx[0].hi
-		diff.lo |= e.lo ^ idx[0].lo
-		diff.tag |= e.tag ^ idx[0].tag
-		long = long || e.keyLen() == longKey
+	var long []string  // the keys, when some string key is longer than an entry holds
+	switch ks := any(keys).(type) {
+	case []string:
+		for i, k := range ks {
+			idx[i] = newSortEntry(k, i)
+			diff.include(&idx[i], &idx[0])
+			if len(k) >= longKey {
+				long = ks
+			}
+		}
+	case []Key64:
+		for i, k := range ks {
+			idx[i] = sortEntry{hi: uint64(k), tag: 8<<posBits | uint64(i)}
+			diff.include(&idx[i], &idx[0])
+		}
+	case []Key128:
+		for i, k := range ks {
+			idx[i] = sortEntry{hi: k.Hi, lo: k.Lo, tag: 16<<posBits | uint64(i)}
+			diff.include(&idx[i], &idx[0])
+		}
 	}
 	var digits [sortDigits]int
 	k := 0
@@ -148,7 +167,7 @@ func sortPartition(recs []KeyValue) []sortEntry {
 		}
 		idx = src
 	}
-	if long {
+	if long != nil {
 		for i := 0; i < len(idx); {
 			j := i + 1
 			for j < len(idx) && sameHead(&idx[i], &idx[j]) {
@@ -156,7 +175,7 @@ func sortPartition(recs []KeyValue) []sortEntry {
 			}
 			if idx[i].keyLen() == longKey && j-i > 1 {
 				slices.SortFunc(idx[i:j], func(a, b sortEntry) int {
-					return cmp.Or(strings.Compare(recs[a.pos()].Key[16:], recs[b.pos()].Key[16:]), cmp.Compare(a.pos(), b.pos()))
+					return cmp.Or(strings.Compare(long[a.pos()][16:], long[b.pos()][16:]), cmp.Compare(a.pos(), b.pos()))
 				})
 			}
 			i = j
@@ -165,22 +184,29 @@ func sortPartition(recs []KeyValue) []sortEntry {
 	return idx
 }
 
+// include adds to d the bits in which e differs from first.
+func (d *sortEntry) include(e, first *sortEntry) {
+	d.hi |= e.hi ^ first.hi
+	d.lo |= e.lo ^ first.lo
+	d.tag |= e.tag ^ first.tag
+}
+
 // eachGroup calls fn once per run of equal keys in idx, the index that
-// sortPartition built over recs, with the run's values in index order.
+// sortPartition built over keys, with the run's values in index order.
 // It gathers the values into one slice and hands each group a subslice
-// whose capacity is its length, so a ReduceFunc or CombineFunc may keep
+// whose capacity is its length, so a reduce or combine function may keep
 // its values, or append to them, without touching another group's. It
 // returns the number of groups fn accepted.
-func eachGroup(recs []KeyValue, idx []sortEntry, fn func(key string, values []any) error) (int, error) {
-	values := make([]any, len(idx))
+func eachGroup[K Key, V any](keys []K, vals []V, idx []sortEntry, fn func(key K, values []V) error) (int, error) {
+	values := make([]V, len(idx))
 	for i := range idx {
-		values[i] = recs[idx[i].pos()].Value
+		values[i] = vals[idx[i].pos()]
 	}
 	groups := 0
 	for i := 0; i < len(idx); groups++ {
-		key := recs[idx[i].pos()].Key
+		key := keys[idx[i].pos()]
 		j := i + 1
-		for j < len(idx) && sameHead(&idx[i], &idx[j]) && (idx[j].keyLen() < longKey || recs[idx[j].pos()].Key == key) {
+		for j < len(idx) && sameHead(&idx[i], &idx[j]) && (idx[j].keyLen() < longKey || keys[idx[j].pos()] == key) {
 			j++
 		}
 		if err := fn(key, values[i:j:j]); err != nil {
@@ -191,12 +217,92 @@ func eachGroup(recs []KeyValue, idx []sortEntry, fn func(key string, values []an
 	return groups, nil
 }
 
+// chunks is an append-only list stored in chunks that never move: the
+// first holds firstChunk elements and each next one twice as many as the
+// last, up to maxChunk. It allocates about what a slice grown by doubling
+// does, but copies no element as it grows; appendTo copies each one
+// once, into a slice of the final size.
+type chunks[T any] struct {
+	full [][]T // the filled chunks, in order
+	last []T   // the chunk being filled
+	n    int   // the elements held
+}
+
+const (
+	// firstChunk is small because most partitions of a Pig job's map
+	// tasks hold only a few records.
+	firstChunk = 8
+	maxChunk   = 1 << 16
+)
+
+func (c *chunks[T]) add(v T) {
+	if len(c.last) == cap(c.last) {
+		size := firstChunk
+		if c.last != nil {
+			c.full = append(c.full, c.last)
+			size = min(2*cap(c.last), maxChunk)
+		}
+		c.last = make([]T, 0, size)
+	}
+	c.last = append(c.last, v)
+	c.n++
+}
+
+// appendTo appends the list's elements to dst, in order.
+func (c *chunks[T]) appendTo(dst []T) []T {
+	for _, ch := range c.full {
+		dst = append(dst, ch...)
+	}
+	return append(dst, c.last...)
+}
+
+// cut removes the elements from index from on and returns them, in
+// order, in a slice of their own.
+func (c *chunks[T]) cut(from int) []T {
+	// Chunk i, which is c.last when i == len(c.full), starts at element
+	// start and holds element from.
+	i, start := 0, 0
+	for i < len(c.full) && start+len(c.full[i]) <= from {
+		start += len(c.full[i])
+		i++
+	}
+	head := c.last
+	if i < len(c.full) {
+		head = c.full[i]
+	}
+	tail := append(make([]T, 0, c.n-from), head[from-start:]...)
+	if i < len(c.full) {
+		for _, ch := range c.full[i+1:] {
+			tail = append(tail, ch...)
+		}
+		tail = append(tail, c.last...)
+	}
+	c.full, c.last, c.n = c.full[:i], head[:from-start], from
+	return tail
+}
+
+// concat returns the elements of lists, in order, in one slice of their
+// total length.
+func concat[T any](lists []chunks[T]) []T {
+	n := 0
+	for i := range lists {
+		n += lists[i].n
+	}
+	out := make([]T, 0, n)
+	for i := range lists {
+		out = lists[i].appendTo(out)
+	}
+	return out
+}
+
 // spillPartition is one map task's output for one reduce partition.
-type spillPartition struct {
-	recs    []KeyValue // flushed segments in flush order, then the buffered records
-	flushed int        // records of recs already flushed
-	bytes   int        // approximate serialized size of the flushed records
-	segs    []int64    // bounded buffer only: each spilled segment's bytes
+type spillPartition[K Key, V any] struct {
+	keys    chunks[K] // flushed segments in flush order, then the buffered records
+	vals    chunks[V]
+	flushed int     // records already flushed
+	pending int     // approximate serialized size of the buffered records
+	bytes   int     // approximate serialized size of the flushed records
+	segs    []int64 // bounded buffer only: each spilled segment's bytes
 }
 
 // spillEvent summarizes one map-side spill (all partitions of one buffer
@@ -206,59 +312,53 @@ type spillEvent struct {
 	bytes   int64
 }
 
+// shuffleOps is how one job's shuffle partitions and counts its records,
+// chosen once per job.
+type shuffleOps[K Key, V any] struct {
+	partition func(K, int) int
+	keyBytes  func(K) int
+	valBytes  func(V) int
+	combine   func(key K, values []V, emit func(K, V)) error
+	job       string
+}
+
 // mapSpillBuffer is the map-side sort buffer of one task. It is owned by
 // a single map worker goroutine; only the Counters it updates are shared.
-type mapSpillBuffer struct {
-	job      *Job
-	part     PartitionFunc
+type mapSpillBuffer[K Key, V any] struct {
+	ops      *shuffleOps[K, V]
 	capBytes int   // 0: unbounded, one flush at close
 	emitted  int64 // raw map output records, pre-combine
 	buffered int   // records added since the last flush
-	bytes    int   // their approximate size (bounded buffer only)
-	parts    []spillPartition
+	bytes    int   // their approximate size
+	parts    []spillPartition[K, V]
 	events   []spillEvent
-	err      error // the first partitioner or combiner error
+	err      error // the first combiner error
 	counters *Counters
-}
-
-// newMapSpillBuffer builds a map task's buffer of capBytes (0 =
-// unbounded) over its partitions, one per reducer.
-func newMapSpillBuffer(job *Job, capBytes int, parts []spillPartition, part PartitionFunc, counters *Counters) mapSpillBuffer {
-	return mapSpillBuffer{
-		job:      job,
-		part:     part,
-		capBytes: capBytes,
-		parts:    parts,
-		counters: counters,
-	}
 }
 
 // add buffers one emitted record in its partition, spilling when a
 // bounded buffer overflows. After an error it drops every record.
-func (b *mapSpillBuffer) add(kv KeyValue) {
+func (b *mapSpillBuffer[K, V]) add(k K, v V) {
 	if b.err != nil {
 		return
 	}
-	p := b.part(kv.Key, len(b.parts))
-	if p < 0 || p >= len(b.parts) {
-		b.err = fmt.Errorf("mapreduce: job %q partitioner returned %d of %d", b.job.Name, p, len(b.parts))
-		return
-	}
-	b.parts[p].recs = append(b.parts[p].recs, kv)
+	bp := &b.parts[b.ops.partition(k, len(b.parts))]
+	bp.keys.add(k)
+	bp.vals.add(v)
+	n := b.ops.keyBytes(k) + b.ops.valBytes(v)
+	bp.pending += n
 	b.emitted++
 	b.buffered++
-	if b.capBytes > 0 {
-		b.bytes += len(kv.Key) + approxValueBytes(kv.Value)
-		if b.bytes >= b.capBytes {
-			b.err = b.flush()
-		}
+	b.bytes += n
+	if b.capBytes > 0 && b.bytes >= b.capBytes {
+		b.err = b.flush()
 	}
 }
 
 // close flushes whatever remains in the buffer as the task's final
 // segments (Hadoop always writes at least one spill file for a non-empty
 // output) and returns the buffer's first error.
-func (b *mapSpillBuffer) close() error {
+func (b *mapSpillBuffer[K, V]) close() error {
 	if b.err != nil || b.buffered == 0 {
 		return b.err
 	}
@@ -268,33 +368,26 @@ func (b *mapSpillBuffer) close() error {
 // flush ends every partition's buffered records as one segment, running
 // the combiner over each first as Hadoop does per spill. Only a bounded
 // buffer's flush counts as a spill.
-func (b *mapSpillBuffer) flush() error {
+func (b *mapSpillBuffer[K, V]) flush() error {
 	var ev spillEvent
 	for p := range b.parts {
 		bp := &b.parts[p]
-		run := bp.recs[bp.flushed:]
-		if len(run) == 0 {
+		if bp.keys.n == bp.flushed {
 			continue
 		}
-		if b.job.Combine != nil {
-			combined, err := b.combineRun(run)
-			if err != nil {
+		if b.ops.combine != nil {
+			if err := b.combineRun(bp); err != nil {
 				return err
 			}
-			bp.recs = append(bp.recs[:bp.flushed], combined...)
-			run = bp.recs[bp.flushed:]
 		}
-		bytes := 0
-		for _, r := range run {
-			bytes += len(r.Key) + approxValueBytes(r.Value)
-		}
-		bp.flushed = len(bp.recs)
-		bp.bytes += bytes
+		ev.records += int64(bp.keys.n - bp.flushed)
+		ev.bytes += int64(bp.pending)
+		bp.flushed = bp.keys.n
+		bp.bytes += bp.pending
 		if b.capBytes > 0 {
-			bp.segs = append(bp.segs, int64(bytes))
+			bp.segs = append(bp.segs, int64(bp.pending))
 		}
-		ev.records += int64(len(run))
-		ev.bytes += int64(bytes)
+		bp.pending = 0
 	}
 	b.buffered, b.bytes = 0, 0
 	if b.capBytes > 0 {
@@ -308,20 +401,25 @@ func (b *mapSpillBuffer) flush() error {
 // combineRun groups one partition's buffered run by key and applies the
 // job's combiner to each group. The combined records take the run's
 // place, in key order.
-func (b *mapSpillBuffer) combineRun(recs []KeyValue) ([]KeyValue, error) {
-	var combined []KeyValue
-	emit := func(kv KeyValue) { combined = append(combined, kv) }
-	if _, err := eachGroup(recs, sortPartition(recs), func(key string, values []any) error {
-		if err := b.job.Combine(key, values, emit); err != nil {
-			return fmt.Errorf("mapreduce: job %q combine key %q: %w", b.job.Name, key, err)
+func (b *mapSpillBuffer[K, V]) combineRun(bp *spillPartition[K, V]) error {
+	keys, vals := bp.keys.cut(bp.flushed), bp.vals.cut(bp.flushed)
+	bp.pending = 0
+	emit := func(k K, v V) {
+		bp.keys.add(k)
+		bp.vals.add(v)
+		bp.pending += b.ops.keyBytes(k) + b.ops.valBytes(v)
+	}
+	if _, err := eachGroup(keys, vals, sortPartition(keys), func(key K, values []V) error {
+		if err := b.ops.combine(key, values, emit); err != nil {
+			return fmt.Errorf("mapreduce: job %q combine key %v: %w", b.ops.job, key, err)
 		}
 		return nil
 	}); err != nil {
-		return nil, err
+		return err
 	}
-	b.counters.Add(CounterCombineInput, int64(len(recs)))
-	b.counters.Add(CounterCombineOutput, int64(len(combined)))
-	return combined, nil
+	b.counters.Add(CounterCombineInput, int64(len(keys)))
+	b.counters.Add(CounterCombineOutput, int64(bp.keys.n-bp.flushed))
+	return nil
 }
 
 // mergeStep is one pass of a reducer's modelled merge schedule: the

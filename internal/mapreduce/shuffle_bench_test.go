@@ -37,7 +37,7 @@ func benchShuffle(b *testing.B, bufBytes, fanIn int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(wordCountJob(lines, false)); err != nil {
+		if _, _, err := Run(e, wordCountJob(lines, false)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -54,40 +54,30 @@ func BenchmarkShuffleSpill64(b *testing.B) { benchShuffle(b, 64, 0) }
 // Fan-in 2 on the 64-byte segments adds intermediate merge passes.
 func BenchmarkShuffleSpillFanIn2(b *testing.B) { benchShuffle(b, 64, 2) }
 
-// benchPartition builds one reducer partition's worth of records with
-// the given keys, in arrival order.
-func benchPartition(keys []string) []KeyValue {
-	recs := make([]KeyValue, len(keys))
-	for i, k := range keys {
-		recs[i] = KeyValue{Key: k, Value: 1}
-	}
-	return recs
-}
-
 // benchSortPartition times the sort that the reducer and the combiner
 // run: building a partition's index and ordering it.
-func benchSortPartition(b *testing.B, recs []KeyValue) {
+func benchSortPartition[K Key](b *testing.B, keys []K) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sortPartition(recs)
+		sortPartition(keys)
 	}
 }
 
 // BenchmarkPartitionSortWords sorts 8,192 records keyed by the skewed
 // 3-byte words of benchWords.
 func BenchmarkPartitionSortWords(b *testing.B) {
-	benchSortPartition(b, benchPartition(benchWords(8192, rand.New(rand.NewSource(2)))))
+	benchSortPartition(b, benchWords(8192, rand.New(rand.NewSource(2))))
 }
 
-// BenchmarkPartitionSortPairKeys sorts 8,192 records keyed by 16-byte
-// PairKeys of two read indices below 65,536, the shape of the
+// BenchmarkPartitionSortPairKeys sorts 8,192 records keyed by Key128
+// pairs of two read indices below 65,536, the shape of the
 // connected-components jobs' edge keys.
 func BenchmarkPartitionSortPairKeys(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	keys := make([]string, 8192)
+	keys := make([]Key128, 8192)
 	for i := range keys {
-		keys[i] = PairKey(uint64(rng.Intn(1<<16)), uint64(rng.Intn(1<<16)))
+		keys[i] = Key128{uint64(rng.Intn(1 << 16)), uint64(rng.Intn(1 << 16))}
 	}
-	benchSortPartition(b, benchPartition(keys))
+	benchSortPartition(b, keys)
 }

@@ -74,7 +74,7 @@ func TestShuffleGolden(t *testing.T) {
 		if c.chaosSeed != 0 {
 			e.Faults = faults.MustNew(faults.ChaosPlan(c.chaosSeed))
 		}
-		res, err := e.Run(wordCountJob(lines, c.combiner))
+		res, err := run(e, wordCountJob(lines, c.combiner))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

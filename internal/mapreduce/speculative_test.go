@@ -24,11 +24,11 @@ func speculativeEngine(t *testing.T, speculative bool) *Engine {
 
 func TestSpeculativeBackupsLaunchOnSlowNodes(t *testing.T) {
 	lines := manyLines(24)
-	baseline, err := MustEngine(chaosCluster).Run(wordCountJob(lines, false))
+	baseline, err := run(MustEngine(chaosCluster), wordCountJob(lines, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := speculativeEngine(t, true).Run(wordCountJob(lines, false))
+	res, err := run(speculativeEngine(t, true), wordCountJob(lines, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestSpeculativeBackupsLaunchOnSlowNodes(t *testing.T) {
 }
 
 func TestSpeculativeLoserKilledNotFailed(t *testing.T) {
-	res, err := speculativeEngine(t, true).Run(wordCountJob(manyLines(24), false))
+	res, err := run(speculativeEngine(t, true), wordCountJob(manyLines(24), false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +135,11 @@ func TestSpeculativeLoserKilledNotFailed(t *testing.T) {
 
 func TestSpeculationShortensSlowNodeMakespan(t *testing.T) {
 	lines := manyLines(24)
-	without, err := speculativeEngine(t, false).Run(wordCountJob(lines, false))
+	without, err := run(speculativeEngine(t, false), wordCountJob(lines, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	with, err := speculativeEngine(t, true).Run(wordCountJob(lines, false))
+	with, err := run(speculativeEngine(t, true), wordCountJob(lines, false))
 	if err != nil {
 		t.Fatal(err)
 	}

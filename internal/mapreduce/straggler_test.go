@@ -83,7 +83,7 @@ func TestIsStragglerFractionRoughlyHonored(t *testing.T) {
 
 func TestEngineRunsWithStragglerModel(t *testing.T) {
 	e := MustEngine(stragglerCluster(true))
-	res, err := e.Run(wordCountJob([]string{"a b", "b c", "c d"}, false))
+	res, err := run(e, wordCountJob([]string{"a b", "b c", "c d"}, false))
 	if err != nil {
 		t.Fatal(err)
 	}

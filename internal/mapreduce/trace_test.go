@@ -9,29 +9,30 @@ import (
 	"github.com/metagenomics/mrmcminh/internal/trace"
 )
 
-// wordJob builds a small full-MR job (word count) over n records.
-func wordJob(n int) *Job {
-	records := make([]KeyValue, n)
-	for i := range records {
-		records[i] = KeyValue{Key: fmt.Sprint(i), Value: fmt.Sprintf("w%d", i%7)}
+// wordJob builds a small full-MR job (word count) over n words.
+func wordJob(n int) *Job[string, string, int] {
+	words := make([]string, n)
+	for i := range words {
+		words[i] = fmt.Sprintf("w%d", i%7)
 	}
-	return &Job{
-		Name:  "wordcount",
-		Input: MemoryInput{Records: records, SplitSize: 8},
-		Map: func(kv KeyValue, emit func(KeyValue)) error {
-			emit(KeyValue{Key: kv.Value.(string), Value: 1})
+	return &Job[string, string, int]{
+		Name:      "wordcount",
+		Input:     words,
+		SplitSize: 8,
+		Map: func(w string, emit func(string, int)) error {
+			emit(w, 1)
 			return nil
 		},
-		Combine: func(key string, values []any, emit func(KeyValue)) error {
-			emit(KeyValue{Key: key, Value: len(values)})
+		Combine: func(key string, values []int, emit func(string, int)) error {
+			emit(key, len(values))
 			return nil
 		},
-		Reduce: func(key string, values []any, emit func(KeyValue)) error {
+		Reduce: func(key string, values []int, emit func(string, int)) error {
 			total := 0
 			for _, v := range values {
-				total += v.(int)
+				total += v
 			}
-			emit(KeyValue{Key: key, Value: total})
+			emit(key, total)
 			return nil
 		},
 	}
@@ -46,7 +47,7 @@ func TestEngineTraceSpans(t *testing.T) {
 	rec := trace.New()
 	e.Trace = rec
 
-	res, err := e.Run(wordJob(64))
+	res, err := run(e, wordJob(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestEngineTraceSpans(t *testing.T) {
 	}
 
 	// A second job stacks after the first on the virtual timeline.
-	res2, err := e.Run(wordJob(16))
+	res2, err := run(e, wordJob(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestEngineTraceMapOnly(t *testing.T) {
 	e.Trace = rec
 	job := wordJob(10)
 	job.Combine, job.Reduce = nil, nil
-	res, err := e.Run(job)
+	res, err := run(e, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,13 +174,13 @@ func TestEngineTraceMapOnly(t *testing.T) {
 // results and no spans.
 func TestEngineUntracedUnchanged(t *testing.T) {
 	e := MustEngine(Cluster{Nodes: 4, SlotsPerNode: 2, Cost: DefaultCostModel})
-	res, err := e.Run(wordJob(32))
+	res, err := run(e, wordJob(32))
 	if err != nil {
 		t.Fatal(err)
 	}
 	et := MustEngine(Cluster{Nodes: 4, SlotsPerNode: 2, Cost: DefaultCostModel})
 	et.Trace = trace.New()
-	res2, err := et.Run(wordJob(32))
+	res2, err := run(et, wordJob(32))
 	if err != nil {
 		t.Fatal(err)
 	}

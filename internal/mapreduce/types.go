@@ -9,129 +9,126 @@
 package mapreduce
 
 import (
-	"encoding/binary"
 	"fmt"
 	"reflect"
 	"time"
 )
 
-// KeyValue is one record flowing through a job.
-type KeyValue struct {
-	Key   string
-	Value any
+// KeyValue is one record a job emits: a shuffle key and its value.
+type KeyValue[K Key, V any] struct {
+	Key   K
+	Value V
 }
 
-// Uint64Key encodes v as an 8-byte big-endian key. Fixed-width
-// big-endian keys compare bytewise in numeric order, as zero-padded
-// decimals do, so the engine partitions, sorts and merges them like any
-// other key while jobs skip formatting and parsing.
-func Uint64Key(v uint64) string {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	return string(b[:])
+// Key is the type of a shuffle key: a string, or a fixed-width numeric
+// key that partitions, sorts and counts exactly as its big-endian bytes
+// would, without a string ever being built.
+type Key interface {
+	string | Key64 | Key128
 }
 
-// PairKey encodes (a, b) as a 16-byte big-endian key; keys compare
-// bytewise in (a, b) lexicographic order.
-func PairKey(a, b uint64) string {
-	var buf [16]byte
-	binary.BigEndian.PutUint64(buf[:8], a)
-	binary.BigEndian.PutUint64(buf[8:], b)
-	return string(buf[:])
-}
+// Key64 is a numeric key that shuffles as its 8 big-endian bytes: keys
+// sort in numeric order and each counts 8 shuffle bytes.
+type Key64 uint64
 
-// KeyField decodes field i of a key built by Uint64Key (i = 0) or
-// PairKey (i = 0 or 1) without allocating. Any other key is a bug in the
-// job that built it, and an index past its end panics.
-func KeyField(key string, i int) uint64 {
-	f := key[8*i : 8*i+8]
-	return uint64(f[0])<<56 | uint64(f[1])<<48 | uint64(f[2])<<40 | uint64(f[3])<<32 |
-		uint64(f[4])<<24 | uint64(f[5])<<16 | uint64(f[6])<<8 | uint64(f[7])
-}
+// Key128 is a pair key that shuffles as the 16 big-endian bytes of Hi
+// then Lo: keys sort in (Hi, Lo) order and each counts 16 shuffle bytes.
+type Key128 struct{ Hi, Lo uint64 }
 
-// MapFunc transforms one input record into zero or more output records.
-type MapFunc func(kv KeyValue, emit func(KeyValue)) error
-
-// ReduceFunc folds all values sharing a key into zero or more records.
-// It is also the signature of combiners (mini-reducers run on map output).
-type ReduceFunc func(key string, values []any, emit func(KeyValue)) error
-
-// PartitionFunc routes a key to one of n reduce partitions.
-type PartitionFunc func(key string, n int) int
+// FNV-1a, the hash every key is partitioned by.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
 
 // DefaultPartition hashes the key (FNV-1a) modulo n. A degenerate
-// partition count (n <= 0) returns -1 — out of every valid range — so
-// the engine rejects the job with a clean partitioner error instead of
-// the integer-divide panic a bare modulo would hit.
+// partition count (n <= 0) returns -1, out of every valid range, instead
+// of the integer-divide panic a bare modulo would hit.
 func DefaultPartition(key string, n int) int {
 	if n <= 0 {
 		return -1
 	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := uint64(fnvOffset)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
-		h *= prime64
+		h *= fnvPrime
 	}
 	return int(h % uint64(n))
 }
 
-// InputSplit is one unit of map-task work.
-type InputSplit struct {
-	Records []KeyValue
-	// Bytes approximates the split's on-disk size for the cost model.
-	Bytes int
-}
-
-// MemoryInput serves in-memory records chunked into equally sized splits.
-type MemoryInput struct {
-	Records []KeyValue
-	// SplitSize is the records per split. 0 sizes splits so the cluster
-	// runs two waves of map tasks per slot, every slot getting work.
-	SplitSize int
-}
-
-// Splits chunks the records for cluster c.
-func (m MemoryInput) Splits(c Cluster) []InputSplit {
-	size := m.SplitSize
-	if size <= 0 {
-		waves := 2 * c.TotalSlots()
-		size = max(1, (len(m.Records)+waves-1)/waves)
+// fnvWord folds the 8 big-endian bytes of w into the FNV-1a hash h.
+func fnvWord(h, w uint64) uint64 {
+	for s := 56; s >= 0; s -= 8 {
+		h ^= w >> s & 0xff
+		h *= fnvPrime
 	}
-	var splits []InputSplit
-	for off := 0; off < len(m.Records); off += size {
-		end := off + size
-		if end > len(m.Records) {
-			end = len(m.Records)
-		}
-		chunk := m.Records[off:end]
-		b := 0
-		for _, kv := range chunk {
-			b += len(kv.Key) + approxValueBytes(kv.Value)
-		}
-		splits = append(splits, InputSplit{Records: chunk, Bytes: b})
-	}
-	// An empty input yields zero splits (no phantom map task); Run
-	// short-circuits a splitless job to an empty result at zero cost.
-	return splits
+	return h
 }
 
-// Sizer lets a user value type report its serialized size to the shuffle
-// accounting (split sizing, shuffle.bytes, spill-buffer budgeting).
-// Implement it on heavy custom payloads where the reflective estimate is
-// either wrong or too slow for the emit hot path.
-type Sizer interface {
-	SizeBytes() int
+// partitioner returns the partition function of a key type, chosen once
+// per job so that no record pays for a type switch. A numeric key hashes
+// its big-endian bytes, so it lands where its byte encoding would.
+func partitioner[K Key]() func(key K, n int) int {
+	var f any
+	switch any(*new(K)).(type) {
+	case string:
+		f = DefaultPartition
+	case Key64:
+		f = func(k Key64, n int) int { return int(fnvWord(fnvOffset, uint64(k)) % uint64(n)) }
+	case Key128:
+		f = func(k Key128, n int) int { return int(fnvWord(fnvWord(fnvOffset, k.Hi), k.Lo) % uint64(n)) }
+	}
+	return f.(func(K, int) int)
+}
+
+// sizer returns how the cost model counts the bytes of a T, chosen once
+// per job: the length of a string; the one size of a pointer-free,
+// fixed-size type (a Key64 or an int 8, a Key128 16, struct{} 0), as
+// approxValueBytes would give it; and approxValueBytes of each value of
+// any other type. Pig's KeyValue[string, any] records count their key's
+// length plus their value's approxValueBytes.
+func sizer[T any]() func(T) int {
+	var f any
+	switch any(*new(T)).(type) {
+	case string:
+		f = func(s string) int { return len(s) }
+	case KeyValue[string, any]:
+		f = func(kv KeyValue[string, any]) int { return len(kv.Key) + approxValueBytes(kv.Value) }
+	}
+	if f != nil {
+		return f.(func(T) int)
+	}
+	if t := reflect.TypeFor[T](); fixedSize(t) {
+		n := reflectValueBytes(reflect.Zero(t), maxSizeDepth)
+		return func(T) int { return n }
+	}
+	return func(v T) int { return approxValueBytes(v) }
+}
+
+// fixedSize reports whether every value of type t has the same
+// reflectValueBytes: t holds no string, slice, map, pointer or interface.
+func fixedSize(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.String, reflect.Slice, reflect.Map, reflect.Pointer, reflect.Interface,
+		reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		return false
+	case reflect.Array:
+		return fixedSize(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !fixedSize(t.Field(i).Type) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // approxValueBytes estimates serialized size for the cost model. Known
-// concrete types are sized directly; a type implementing Sizer reports
-// itself; anything else (named slice types, structs, tuples) is walked
-// reflectively so struct- and slice-valued jobs charge shuffle bytes
-// proportional to their payload instead of a flat constant.
+// concrete types are sized directly; anything else (named slice types,
+// structs, tuples) is walked reflectively so struct- and slice-valued
+// jobs charge shuffle bytes proportional to their payload instead of a
+// flat constant.
 func approxValueBytes(v any) int {
 	switch x := v.(type) {
 	case nil:
@@ -146,9 +143,6 @@ func approxValueBytes(v any) int {
 		return 8 * len(x)
 	case int, int64, uint64, float64:
 		return 8
-	}
-	if s, ok := v.(Sizer); ok {
-		return s.SizeBytes()
 	}
 	return reflectValueBytes(reflect.ValueOf(v), maxSizeDepth)
 }
@@ -228,7 +222,7 @@ func reflectValueBytes(rv reflect.Value, depth int) int {
 }
 
 // Validate rejects malformed jobs before execution.
-func (j *Job) Validate() error {
+func (j *Job[I, K, V]) Validate() error {
 	if j.Map == nil {
 		return fmt.Errorf("mapreduce: job %q has no map function", j.Name)
 	}
@@ -388,20 +382,26 @@ func (e *TaskFailedError) Error() string {
 		e.Job, e.Phase, e.Task, e.Attempts, e.Reason)
 }
 
-// Job specifies one MapReduce computation.
-type Job struct {
+// Job specifies one MapReduce computation over input records of type I
+// whose map emits K-keyed V values. The reducer (or, in a map-only job,
+// the map) emits the job's output records, of the same key and value
+// types.
+type Job[I any, K Key, V any] struct {
 	Name  string
-	Input MemoryInput
-	Map   MapFunc
+	Input []I
+	// SplitSize is the input records per map task. 0 sizes splits so the
+	// cluster runs two waves of map tasks per slot, every slot getting
+	// work.
+	SplitSize int
+	Map       func(in I, emit func(K, V)) error
 	// Combine optionally pre-aggregates map output per task.
-	Combine ReduceFunc
+	Combine func(key K, values []V, emit func(K, V)) error
 	// Reduce folds shuffled groups; nil makes the job map-only (map output
-	// is the job output, no shuffle).
-	Reduce ReduceFunc
+	// is the job output, no shuffle). It may keep its values, or append
+	// to them, without touching another group's.
+	Reduce func(key K, values []V, emit func(K, V)) error
 	// NumReducers defaults to the cluster node count.
 	NumReducers int
-	// Partition defaults to DefaultPartition.
-	Partition PartitionFunc
 	// MapCostFactor/ReduceCostFactor scale the modelled per-record compute
 	// cost of this job's tasks relative to the cost model baseline
 	// (1.0 when zero). Heavy UDFs (e.g. all-pairs similarity rows) set >1.

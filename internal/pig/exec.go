@@ -149,23 +149,30 @@ type executor struct {
 	res     *RunResult
 }
 
+// mrRecord is one record of a Pig job: a tuple under its index or group
+// key, or a value on its way to a reducer.
+type mrRecord = mapreduce.KeyValue[string, any]
+
+// mrJob is the MapReduce job a Pig statement compiles to.
+type mrJob = mapreduce.Job[mrRecord, string, any]
+
 // runJob launches job over records on the context's engine, adds the job
 // and its modelled time to the run's result, and returns the tuples it
 // output, ordered by key when sorted is set (stably, so a key's rows keep
 // the order its reducer yielded them in).
-func (ex *executor) runJob(job *mapreduce.Job, records []mapreduce.KeyValue, sorted bool) (Bag, error) {
-	job.Input = mapreduce.MemoryInput{Records: records}
-	out, err := ex.ctx.Engine.Run(job)
+func (ex *executor) runJob(job *mrJob, records []mrRecord, sorted bool) (Bag, error) {
+	job.Input = records
+	out, res, err := mapreduce.Run(ex.ctx.Engine, job)
 	if err != nil {
 		return nil, err
 	}
 	ex.res.Jobs++
-	ex.res.Virtual += out.Virtual
+	ex.res.Virtual += res.Virtual
 	if sorted {
-		sort.SliceStable(out.Output, func(i, j int) bool { return out.Output[i].Key < out.Output[j].Key })
+		sort.SliceStable(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	}
-	rows := make(Bag, len(out.Output))
-	for i, kv := range out.Output {
+	rows := make(Bag, len(out))
+	for i, kv := range out {
 		rows[i] = kv.Value.(Tuple)
 	}
 	return rows, nil
@@ -335,29 +342,29 @@ func (ex *executor) shuffle(op shuffleOp) error {
 	}
 	mapStages, keyIn, mapCost := ex.stages(f.mapChain, src)
 	reduceStages, out, reduceCost := ex.stages(f.reduceChain, &Relation{Schema: op.schema})
-	job := &mapreduce.Job{
+	job := &mrJob{
 		Name:             op.name,
 		Detail:           f.phases(op.alias),
 		MapCostFactor:    mapCost,
 		ReduceCostFactor: max(op.costFactor, reduceCost),
-		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
+		Map: func(kv mrRecord, emit func(string, any)) error {
 			return ex.pipe(mapStages, kv.Value.(Tuple), func(tup Tuple) error {
 				key, val, err := op.key(tup, keyIn)
 				if err != nil {
 					return err
 				}
-				emit(mapreduce.KeyValue{Key: key, Value: val})
+				emit(key, val)
 				return nil
 			})
 		},
-		Reduce: func(key string, values []any, emit func(mapreduce.KeyValue)) error {
+		Reduce: func(key string, values []any, emit func(string, any)) error {
 			tuples, err := op.fold(key, values)
 			if err != nil {
 				return err
 			}
 			for _, tup := range tuples {
 				if err := ex.pipe(reduceStages, tup, func(row Tuple) error {
-					emit(mapreduce.KeyValue{Key: key, Value: row})
+					emit(key, row)
 					return nil
 				}); err != nil {
 					return err
@@ -491,10 +498,10 @@ func (ex *executor) store(st *StoreStmt) error {
 
 // tuplesToRecords wraps tuples as MapReduce records keyed by a
 // fixed-width index so lexicographic key order equals tuple order.
-func tuplesToRecords(tuples Bag) []mapreduce.KeyValue {
-	recs := make([]mapreduce.KeyValue, len(tuples))
+func tuplesToRecords(tuples Bag) []mrRecord {
+	recs := make([]mrRecord, len(tuples))
 	for i, t := range tuples {
-		recs[i] = mapreduce.KeyValue{Key: fmt.Sprintf("%012d", i), Value: t}
+		recs[i] = mrRecord{Key: fmt.Sprintf("%012d", i), Value: t}
 	}
 	return recs
 }

@@ -6,8 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-
-	"github.com/metagenomics/mrmcminh/internal/mapreduce"
 )
 
 // Execution of the relational operators beyond LOAD/FOREACH/GROUP/STORE:
@@ -22,9 +20,9 @@ func (ex *executor) filter(st *FilterStmt) error {
 	if err != nil {
 		return err
 	}
-	job := &mapreduce.Job{
+	job := &mrJob{
 		Name: fmt.Sprintf("filter-%s", st.Alias),
-		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
+		Map: func(kv mrRecord, emit func(string, any)) error {
 			tup := kv.Value.(Tuple)
 			v, err := ex.evalTuple(st.Cond, tup, in, st.Input, st.Line)
 			if err != nil {
@@ -35,7 +33,7 @@ func (ex *executor) filter(st *FilterStmt) error {
 				return fmt.Errorf("pig: line %d: FILTER condition: %w", st.Line, err)
 			}
 			if keep {
-				emit(kv)
+				emit(kv.Key, kv.Value)
 			}
 			return nil
 		},
@@ -55,19 +53,19 @@ func (ex *executor) distinct(st *DistinctStmt) error {
 	if err != nil {
 		return err
 	}
-	job := &mapreduce.Job{
+	job := &mrJob{
 		Name: fmt.Sprintf("distinct-%s", st.Alias),
-		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
+		Map: func(kv mrRecord, emit func(string, any)) error {
 			tup := kv.Value.(Tuple)
-			emit(mapreduce.KeyValue{Key: FormatValue(tup), Value: tup})
+			emit(FormatValue(tup), tup)
 			return nil
 		},
-		Combine: func(key string, values []any, emit func(mapreduce.KeyValue)) error {
-			emit(mapreduce.KeyValue{Key: key, Value: values[0]})
+		Combine: func(key string, values []any, emit func(string, any)) error {
+			emit(key, values[0])
 			return nil
 		},
-		Reduce: func(key string, values []any, emit func(mapreduce.KeyValue)) error {
-			emit(mapreduce.KeyValue{Key: key, Value: values[0]})
+		Reduce: func(key string, values []any, emit func(string, any)) error {
+			emit(key, values[0])
 			return nil
 		},
 	}
@@ -190,22 +188,19 @@ func (ex *executor) order(st *OrderStmt) error {
 		tup Tuple
 		seq int // original index for stability
 	}
-	job := &mapreduce.Job{
+	job := &mrJob{
 		Name:        fmt.Sprintf("order-%s", st.Alias),
 		NumReducers: numRed,
-		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
+		Map: func(kv mrRecord, emit func(string, any)) error {
 			tup := kv.Value.(Tuple)
 			seq := 0
 			fmt.Sscanf(kv.Key, "%d", &seq)
 			k := keys[seq]
 			// Key by partition id; the reducer sorts its partition.
-			emit(mapreduce.KeyValue{
-				Key:   fmt.Sprintf("%06d", partitionOf(k)),
-				Value: keyedTuple{key: k, tup: tup, seq: seq},
-			})
+			emit(fmt.Sprintf("%06d", partitionOf(k)), keyedTuple{key: k, tup: tup, seq: seq})
 			return nil
 		},
-		Reduce: func(key string, values []any, emit func(mapreduce.KeyValue)) error {
+		Reduce: func(key string, values []any, emit func(string, any)) error {
 			part := make([]keyedTuple, len(values))
 			for i, v := range values {
 				part[i] = v.(keyedTuple)
@@ -220,7 +215,7 @@ func (ex *executor) order(st *OrderStmt) error {
 				return part[i].seq < part[j].seq // stable on ties
 			})
 			for _, kt := range part {
-				emit(mapreduce.KeyValue{Key: key, Value: kt.tup})
+				emit(key, kt.tup)
 			}
 			return nil
 		},

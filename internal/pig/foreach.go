@@ -2,8 +2,6 @@ package pig
 
 import (
 	"fmt"
-
-	"github.com/metagenomics/mrmcminh/internal/mapreduce"
 )
 
 // foreach executes alias = FOREACH input GENERATE items...; as a MapReduce
@@ -79,17 +77,17 @@ func classify(reg *Registry, st *ForeachStmt) (foreachShape, FuncCall, float64, 
 
 // foreachMapOnly compiles the statement to a map-only job.
 func (ex *executor) foreachMapOnly(st *ForeachStmt, in *Relation, costFactor float64) error {
-	job := &mapreduce.Job{
+	job := &mrJob{
 		Name:          fmt.Sprintf("foreach-%s", st.Alias),
 		MapCostFactor: costFactor,
-		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
+		Map: func(kv mrRecord, emit func(string, any)) error {
 			tup := kv.Value.(Tuple)
 			rows, err := ex.generate(st, tup, in)
 			if err != nil {
 				return err
 			}
 			for _, r := range rows {
-				emit(mapreduce.KeyValue{Key: kv.Key, Value: r})
+				emit(kv.Key, r)
 			}
 			return nil
 		},
@@ -248,19 +246,19 @@ func (ex *executor) foreachWhole(st *ForeachStmt, in *Relation, fc FuncCall) err
 			constArgs[i] = v
 		}
 	}
-	job := &mapreduce.Job{
+	job := &mrJob{
 		Name:             fmt.Sprintf("foreach-whole-%s", st.Alias),
 		NumReducers:      1,
 		ReduceCostFactor: udf.CostFactor,
-		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
+		Map: func(kv mrRecord, emit func(string, any)) error {
 			// Keys are fixed-width indices, so the single reducer's sorted
 			// order restores tuple order.
-			emit(kv)
+			emit(kv.Key, kv.Value)
 			return nil
 		},
-		Reduce: func(key string, values []any, emit func(mapreduce.KeyValue)) error {
+		Reduce: func(key string, values []any, emit func(string, any)) error {
 			for _, v := range values {
-				emit(mapreduce.KeyValue{Key: key, Value: v})
+				emit(key, v)
 			}
 			return nil
 		},

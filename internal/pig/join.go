@@ -2,8 +2,6 @@ package pig
 
 import (
 	"fmt"
-
-	"github.com/metagenomics/mrmcminh/internal/mapreduce"
 )
 
 // join executes alias = JOIN a BY ka, b BY kb [, c BY kc ...]; as one
@@ -26,27 +24,27 @@ func (ex *executor) join(st *JoinStmt) error {
 		src int
 		tup Tuple
 	}
-	var records []mapreduce.KeyValue
+	var records []mrRecord
 	for src, rel := range rels {
 		for ti, tup := range rel.Tuples {
-			records = append(records, mapreduce.KeyValue{
+			records = append(records, mrRecord{
 				Key:   fmt.Sprintf("%d/%012d", src, ti),
 				Value: tagged{src: src, tup: tup},
 			})
 		}
 	}
-	job := &mapreduce.Job{
+	job := &mrJob{
 		Name: fmt.Sprintf("join-%s", st.Alias),
-		Map: func(kv mapreduce.KeyValue, emit func(mapreduce.KeyValue)) error {
+		Map: func(kv mrRecord, emit func(string, any)) error {
 			tg := kv.Value.(tagged)
 			keyV, err := ex.evalTuple(st.Keys[tg.src], tg.tup, rels[tg.src], st.Inputs[tg.src], st.Line)
 			if err != nil {
 				return err
 			}
-			emit(mapreduce.KeyValue{Key: FormatValue(keyV), Value: tg})
+			emit(FormatValue(keyV), tg)
 			return nil
 		},
-		Reduce: func(key string, values []any, emit func(mapreduce.KeyValue)) error {
+		Reduce: func(key string, values []any, emit func(string, any)) error {
 			// Partition the group by source relation, preserving order.
 			bySrc := make([][]Tuple, k)
 			for _, v := range values {
@@ -71,7 +69,7 @@ func (ex *executor) join(st *JoinStmt) error {
 				cross = next
 			}
 			for _, tup := range cross {
-				emit(mapreduce.KeyValue{Key: key, Value: tup})
+				emit(key, tup)
 			}
 			return nil
 		},
