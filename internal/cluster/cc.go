@@ -14,22 +14,24 @@ type Edge struct {
 
 // CCOptions parameterizes the MapReduce connected-components run.
 type CCOptions struct {
-	// MaxRounds bounds the alternating Large-Star/Small-Star rounds (0 =
+	// MaxRounds bounds the star jobs, one MapReduce round each (0 =
 	// DefaultCCMaxRounds). The star operations preserve connectivity, so
 	// hitting the bound still yields exact components — only the modelled
 	// per-round cost stops accruing.
 	MaxRounds int
 }
 
-// DefaultCCMaxRounds bounds the alternating rounds far above the
-// logarithmic count any real graph needs (2^64 nodes would converge first).
+// DefaultCCMaxRounds bounds the star jobs far above the logarithmic count
+// real graphs need: a path, the slowest shape tested, takes about 2·log₂N
+// jobs, so the bound covers paths of about 2^32 nodes.
 const DefaultCCMaxRounds = 64
 
 // CCStats reports how a connected-components run converged.
 type CCStats struct {
-	// Rounds is the number of Large-Star/Small-Star round pairs executed.
+	// Rounds is the number of star jobs executed, Large-Star and
+	// Small-Star alike: one MapReduce round each.
 	Rounds int
-	// Converged reports whether the edge set reached a fixed point within
+	// Converged reports whether the edge set reached a star forest within
 	// MaxRounds (labels are exact either way).
 	Converged bool
 	// InputEdges counts the distinct canonical input edges; FinalEdges the
@@ -85,15 +87,17 @@ func ConnectedComponents(n int, edges []Edge) ([]int, error) {
 // graph with Kiveris et al.'s logarithmic-round algorithm ("Connected
 // Components in MapReduce and Beyond", SoCC 2014): alternate the
 // Large-Star and Small-Star operations, each a MapReduce job on the
-// simulated engine, until the edge set is a fixed point — a forest of
-// stars whose centers are the component minima. labels[i] is the smallest
-// read index of i's component, identical to ConnectedComponents. The
-// returned results carry each job's virtual time and counters (the
-// engine's per-job counters plus cc.round/cc.active_edges recorded by the
+// simulated engine, until the edge set is a forest of stars whose centers
+// are the component minima. Before every job, the first included, the
+// driver tests the canonical edge list it already holds for that star
+// forest, which both operations would map to itself. labels[i] is the
+// smallest read index of i's component, identical to ConnectedComponents.
+// The returned results carry each job's virtual time and counters (the
+// engine's per-job counters plus cc.rounds/cc.active_edges recorded by the
 // driver).
 func ConnectedComponentsMR(engine *mapreduce.Engine, n int, edges []Edge, opt CCOptions) ([]int, []*mapreduce.Result, CCStats, error) {
 	var stats CCStats
-	cur, err := canonicalEdges(n, edges)
+	cur, err := CanonicalEdges(n, edges)
 	if err != nil {
 		return nil, nil, stats, err
 	}
@@ -103,35 +107,28 @@ func ConnectedComponentsMR(engine *mapreduce.Engine, n int, edges []Edge, opt CC
 		maxRounds = DefaultCCMaxRounds
 	}
 	var results []*mapreduce.Result
-	for stats.Rounds < maxRounds && len(cur) > 0 {
-		large, lres, err := starJob(engine, cur, true)
-		if err != nil {
-			return nil, nil, stats, err
+	for large := true; ; large = !large {
+		if isStarForest(n, cur) {
+			stats.Converged = true
+			break
 		}
-		small, sres, err := starJob(engine, large, false)
+		if stats.Rounds >= maxRounds {
+			break
+		}
+		next, res, err := starJob(engine, n, cur, large)
 		if err != nil {
 			return nil, nil, stats, err
 		}
 		stats.Rounds++
-		for _, r := range []*mapreduce.Result{lres, sres} {
-			r.Counters.Add("cc.rounds", 1) // each job belongs to one round
-			r.Counters.Add("cc.active_edges", int64(len(cur)))
-			results = append(results, r)
-		}
-		if slices.Equal(small, cur) {
-			stats.Converged = true
-			cur = small
-			break
-		}
-		cur = small
-	}
-	if len(cur) == 0 {
-		stats.Converged = true
+		res.Counters.Add("cc.rounds", 1) // one star job is one round
+		res.Counters.Add("cc.active_edges", int64(len(cur)))
+		results = append(results, res)
+		cur = next
 	}
 	stats.FinalEdges = len(cur)
-	// Label extraction. At the fixed point cur is a star forest and this
-	// is a direct read-off; before MaxRounds exhaustion it is still exact
-	// because both star operations preserve connectivity.
+	// Label extraction. At a star forest this is a direct read-off; at
+	// the MaxRounds cutoff it is still exact because both star operations
+	// preserve connectivity.
 	labels, err := ConnectedComponents(n, cur)
 	if err != nil {
 		return nil, nil, stats, err
@@ -139,9 +136,31 @@ func ConnectedComponentsMR(engine *mapreduce.Engine, n int, edges []Edge, opt CC
 	return labels, results, stats, nil
 }
 
-// canonicalEdges validates, orients (min,max), sorts and dedups an edge
-// list, dropping self-loops — the normal form compared across rounds.
-func canonicalEdges(n int, edges []Edge) ([]Edge, error) {
+// isStarForest reports whether a canonical edge set is a forest of stars
+// centered on their minima: each V occurs once, and no U is also some
+// edge's V.
+func isStarForest(n int, edges []Edge) bool {
+	leaf := make([]bool, n)
+	for _, e := range edges {
+		if leaf[e.V] {
+			return false
+		}
+		leaf[e.V] = true
+	}
+	for _, e := range edges {
+		if leaf[e.U] {
+			return false
+		}
+	}
+	return true
+}
+
+// CanonicalEdges validates, orients (min,max), sorts and dedups an edge
+// list, dropping self-loops: the normal form every star job reads and the
+// LSH stage checkpoints. Node ids lie in [0, n), so two stable counting
+// passes, by V and then by U, sort it in O(E + n). The input is not
+// modified.
+func CanonicalEdges(n int, edges []Edge) ([]Edge, error) {
 	out := make([]Edge, 0, len(edges))
 	for _, e := range edges {
 		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
@@ -155,15 +174,36 @@ func canonicalEdges(n int, edges []Edge) ([]Edge, error) {
 		}
 		out = append(out, e)
 	}
-	slices.SortFunc(out, compareEdges)
+	byV := make([]Edge, len(out))
+	count := make([]int, n)
+	countingSort(byV, out, count, false)
+	countingSort(out, byV, count, true)
 	return slices.Compact(out), nil
 }
 
-func compareEdges(a, b Edge) int {
-	if a.U != b.U {
-		return a.U - b.U
+// countingSort writes src to dst in stable order of each edge's U (byU)
+// or V, every one of which lies in [0, len(count)).
+func countingSort(dst, src []Edge, count []int, byU bool) {
+	key := func(e Edge) int {
+		if byU {
+			return e.U
+		}
+		return e.V
 	}
-	return a.V - b.V
+	clear(count)
+	for _, e := range src {
+		count[key(e)]++
+	}
+	sum := 0
+	for i, c := range count {
+		count[i] = sum
+		sum += c
+	}
+	for _, e := range src {
+		k := key(e)
+		dst[count[k]] = e
+		count[k]++
+	}
 }
 
 // starJob runs one Large-Star (large=true) or Small-Star operation as a
@@ -179,7 +219,7 @@ func compareEdges(a, b Edge) int {
 // Both operations preserve connectivity; alternating them converges to
 // per-component stars centered on the minimum node in a logarithmic
 // number of rounds.
-func starJob(engine *mapreduce.Engine, edges []Edge, large bool) ([]Edge, *mapreduce.Result, error) {
+func starJob(engine *mapreduce.Engine, n int, edges []Edge, large bool) ([]Edge, *mapreduce.Result, error) {
 	name := "cc-small-star"
 	if large {
 		name = "cc-large-star"
@@ -230,17 +270,9 @@ func starJob(engine *mapreduce.Engine, edges []Edge, large bool) ([]Edge, *mapre
 	for i, kv := range star {
 		out[i] = Edge{U: int(kv.Key), V: kv.Value}
 	}
-	// The star graph is a set: canonicalize for the fixed-point test.
-	maxNode := 0
-	for _, e := range out {
-		if e.U > maxNode {
-			maxNode = e.U
-		}
-		if e.V > maxNode {
-			maxNode = e.V
-		}
-	}
-	canon, err := canonicalEdges(maxNode+1, out)
+	// The star graph is a set: canonicalize it for the next job and the
+	// star-forest test.
+	canon, err := CanonicalEdges(n, out)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -140,11 +139,12 @@ func lshEdgesJobs(engine *mapreduce.Engine, src cluster.SigSource, opt Options) 
 	for i, kv := range verified {
 		edges[i] = cluster.Edge{U: int(kv.Key.Hi), V: int(kv.Key.Lo)}
 	}
-	// Reduce output is ordered per partition, not globally: sort so the
-	// edge list (and its checkpoint bytes) is canonical.
-	slices.SortFunc(edges, func(a, b cluster.Edge) int {
-		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
-	})
+	// Reduce output is ordered per partition, not globally: canonicalize
+	// so the edge list (and its checkpoint bytes) is sorted.
+	edges, err = cluster.CanonicalEdges(src.Len(), edges)
+	if err != nil {
+		return nil, nil, err
+	}
 	return edges, []*mapreduce.Result{bandsOut, verifyOut}, nil
 }
 
