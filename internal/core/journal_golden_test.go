@@ -8,29 +8,53 @@ import (
 	"testing"
 
 	"github.com/metagenomics/mrmcminh/internal/checkpoint"
+	"github.com/metagenomics/mrmcminh/internal/cluster"
 	"github.com/metagenomics/mrmcminh/internal/dfs"
 )
 
 // journalCases are the core.Run configurations testdata/journal.golden
-// pins: every stage chain the pipeline journals, and a packed store.
+// pins: every stage chain the pipeline journals and a packed store, on
+// makeReads(4, 6, 200, 0.01, 5) unless a case brings its own reads. The
+// last two cases sketch corpora whose k-mer occurrences outnumber the
+// k-mer space 4^k several times over, at lsh-cc-65k's geometry (2,000
+// 100-bp reads: 186,000 occurrences of 65,536 k-mers) and at mrmcminh's
+// defaults (300 200-bp reads: 58,800 occurrences of 1,024 k-mers).
 var journalCases = []struct {
-	name string
-	mut  func(*Options)
+	name  string
+	reads journalReads
+	mut   func(*Options)
 }{
-	{"greedy", func(o *Options) { o.Mode = GreedyMode }},
-	{"greedy-uselsh", func(o *Options) { o.Mode = GreedyMode; o.UseLSH = true }},
-	{"hierarchical", func(o *Options) { o.Mode = HierarchicalMode }},
-	{"lshcc-greedy", func(o *Options) { o.Mode = GreedyMode; o.Candidate = CandidateLSH }},
-	{"lshcc-hierarchical", func(o *Options) { o.Mode = HierarchicalMode; o.Candidate = CandidateLSH }},
-	{"greedy-bbits4", func(o *Options) { o.Mode = GreedyMode; o.StoreBits = 4 }},
+	{"greedy", defaultJournalReads, func(o *Options) { o.Mode = GreedyMode }},
+	{"greedy-uselsh", defaultJournalReads, func(o *Options) { o.Mode = GreedyMode; o.UseLSH = true }},
+	{"hierarchical", defaultJournalReads, func(o *Options) { o.Mode = HierarchicalMode }},
+	{"lshcc-greedy", defaultJournalReads, func(o *Options) { o.Mode = GreedyMode; o.Candidate = CandidateLSH }},
+	{"lshcc-hierarchical", defaultJournalReads, func(o *Options) { o.Mode = HierarchicalMode; o.Candidate = CandidateLSH }},
+	{"greedy-bbits4", defaultJournalReads, func(o *Options) { o.Mode = GreedyMode; o.StoreBits = 4 }},
+	{"lshcc-k8-n24", journalReads{200, 10, 100, 0.002, 31}, func(o *Options) {
+		o.K, o.NumHashes, o.Theta, o.Seed = 8, 24, 0.9, 2
+		o.Mode, o.Candidate, o.LSH = GreedyMode, CandidateLSH, cluster.LSHOptions{Bands: 4, Rows: 6}
+	}},
+	{"cli-k5-n100", journalReads{30, 10, 200, 0.01, 37}, func(o *Options) {
+		o.K, o.NumHashes, o.Theta, o.Seed = 5, 100, 0.9, 1
+		o.Mode, o.Linkage = HierarchicalMode, cluster.Average
+	}},
 }
+
+// journalReads are the arguments of makeReads.
+type journalReads struct {
+	groups, members, length int
+	mutRate                 float64
+	seed                    int64
+}
+
+var defaultJournalReads = journalReads{4, 6, 200, 0.01, 5}
 
 // journalLines runs one case with a checkpoint journal on an in-memory
 // DFS and renders the manifest's entries in commit order: the case name,
 // stage, inputs hash, params hash and output hash.
-func journalLines(t *testing.T, name string, mut func(*Options)) []string {
+func journalLines(t *testing.T, name string, r journalReads, mut func(*Options)) []string {
 	t.Helper()
-	reads, _ := makeReads(4, 6, 200, 0.01, 5)
+	reads, _ := makeReads(r.groups, r.members, r.length, r.mutRate, r.seed)
 	fs := dfs.MustNew(dfs.Config{NumDataNodes: 2, BlockSize: 4096, Replication: 1})
 	j, err := checkpoint.Open(fs, "/ck")
 	if err != nil {
@@ -74,7 +98,7 @@ func TestJournalGolden(t *testing.T) {
 	}
 	var got []string
 	for _, c := range journalCases {
-		got = append(got, journalLines(t, c.name, c.mut)...)
+		got = append(got, journalLines(t, c.name, c.reads, c.mut)...)
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("manifests differ from testdata/journal.golden; actual lines:\n%s", strings.Join(got, "\n"))
