@@ -18,7 +18,9 @@ import (
 // last two cases sketch corpora whose k-mer occurrences outnumber the
 // k-mer space 4^k several times over, at lsh-cc-65k's geometry (2,000
 // 100-bp reads: 186,000 occurrences of 65,536 k-mers) and at mrmcminh's
-// defaults (300 200-bp reads: 58,800 occurrences of 1,024 k-mers).
+// defaults (300 200-bp reads: 58,800 occurrences of 1,024 k-mers), so
+// the sketch job sketches reads both before and after its sketcher
+// tabulates its hash functions.
 var journalCases = []struct {
 	name  string
 	reads journalReads

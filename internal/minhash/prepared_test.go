@@ -157,11 +157,12 @@ func BenchmarkSimilarityPrepared(b *testing.B) {
 }
 
 // BenchmarkSketchInto100Hashes is the slice-kernel counterpart of
-// BenchmarkSketch100Hashes: the same distinct feature set (so both
-// kernels do identical hash-evaluation work), fed as a slice with the
-// destination reused.
+// BenchmarkSketch100Hashes: the same distinct feature set, fed as a
+// slice with the destination reused. The sketcher is warmed first, so
+// it times the hash-value table and allocates nothing.
 func BenchmarkSketchInto100Hashes(b *testing.B) {
 	s := MustSketcher(100, 5, 1)
+	warm(s)
 	rng := rand.New(rand.NewSource(2))
 	set := kmer.Set{}
 	for i := 0; i < 1000; i++ {
@@ -203,8 +204,10 @@ func BenchmarkSketchReadLegacy(b *testing.B) {
 // BenchmarkSketchReadKernel measures the kernel per-read cost: stream
 // occurrences into a reused slice and sketch with the slice kernel
 // (the signature itself is still allocated — it is retained downstream).
+// The sketcher is warmed first, so it times the hash-value table.
 func BenchmarkSketchReadKernel(b *testing.B) {
 	s := MustSketcher(100, 5, 1)
+	warm(s)
 	ex := kmer.MustExtractor(5)
 	seq := benchRead(250)
 	var buf []uint64

@@ -3,6 +3,8 @@ package minhash
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
 
 	"github.com/metagenomics/mrmcminh/internal/kmer"
 )
@@ -18,7 +20,16 @@ type Signature []uint64
 // Sketcher computes signatures from k-mer feature sets.
 type Sketcher struct {
 	Family *HashFamily
+
+	// direct counts the features SketchInto has hashed directly; the
+	// call that takes it to Family.M builds table, when tabulable.
+	direct atomic.Int64
+	// table holds h_i(x) at [x*n+i] for every x < Family.M.
+	table atomic.Pointer[[]uint16]
 }
+
+// maxTableBytes bounds a Sketcher's hash-value table.
+const maxTableBytes = 16 << 20
 
 // MaxK is the largest k-mer length a Sketcher hashes: its feature space
 // 4^k must stay below the prime modulus, and 4^31 = 2^62 does not.
@@ -71,13 +82,16 @@ func (s *Sketcher) SketchSlice(kms []uint64) Signature {
 
 // SketchInto computes the signature of a k-mer occurrence slice into dst,
 // reusing dst's backing array when it has capacity (pass nil to
-// allocate). It returns exactly the same signature as SketchSlice: one
-// pass over the feature slice per hash function, keeping the running
-// minimum in a register instead of re-loading the signature slot on every
-// feature — the batched kernel behind the pipeline's sketch map tasks and
-// the daemon's submit path. A power-of-two range (every NewSketcher's
-// 4^k) reduces with a mask; any other range, such as the Pig UDF's prime
-// $DIV, divides.
+// allocate). It returns exactly the same signature as SketchSlice.
+//
+// Directly, it makes one pass over the feature slice per hash function,
+// keeping the running minimum in a register. A power-of-two range (every
+// NewSketcher's 4^k) reduces with a mask; any other range, such as the
+// Pig UDF's prime $DIV, divides. Once the sketcher has hashed M features
+// this way, and when M ≤ 2^16 with n·M·2 bytes ≤ 16 MiB, it tabulates
+// every h_i(x) for x < M, and from then on each slot is the minimum over
+// the table rows of the slice's features. A slice holding a feature ≥ M
+// still takes the direct loop.
 func (s *Sketcher) SketchInto(dst Signature, kms []uint64) Signature {
 	f := s.Family
 	n := f.N()
@@ -85,6 +99,10 @@ func (s *Sketcher) SketchInto(dst Signature, kms []uint64) Signature {
 		dst = make(Signature, n)
 	}
 	dst = dst[:n]
+	if t := s.table.Load(); t != nil && (len(kms) == 0 || slices.Max(kms) < f.M) {
+		minRows(dst, *t, kms)
+		return dst
+	}
 	mask := f.M - 1
 	for i := range dst {
 		a, b := f.A[i], f.B[i]
@@ -100,7 +118,61 @@ func (s *Sketcher) SketchInto(dst Signature, kms []uint64) Signature {
 		}
 		dst[i] = m
 	}
+	if f.M <= 1<<16 && uint64(n)*f.M*2 <= maxTableBytes {
+		m, k := int64(f.M), int64(len(kms))
+		if c := s.direct.Add(k); c >= m && c-k < m {
+			t := tabulate(f)
+			s.table.Store(&t)
+		}
+	}
 	return dst
+}
+
+// tabulate returns h_i(x) at [x*n+i] for every x < M. Consecutive
+// features differ by one, so (a_i·x + b_i) mod p advances by adding a_i
+// and subtracting p at most once; the values are Hash's exactly.
+func tabulate(f *HashFamily) []uint16 {
+	n, m, p, a := f.N(), f.M, f.P, f.A
+	t := make([]uint16, uint64(n)*m)
+	v := slices.Clone(f.B) // (a_i·0 + b_i) mod p, as b_i < p
+	a = a[:len(v)]
+	for row := t; len(row) > 0; row = row[n:] {
+		row := row[:len(v)]
+		for i, h := range v {
+			if m&(m-1) == 0 {
+				row[i] = uint16(h & (m - 1))
+			} else {
+				row[i] = uint16(h % m)
+			}
+			h += a[i]
+			v[i] = min(h, h-p) // h-p wraps above h when h < p
+		}
+	}
+	return t
+}
+
+// minRows sets each slot of dst to its minimum over the table rows of
+// kms, four rows per pass (EmptyMin when kms is empty).
+func minRows(dst Signature, t []uint16, kms []uint64) {
+	n := uint64(len(dst))
+	for i := range dst {
+		dst[i] = EmptyMin
+	}
+	for ; len(kms) >= 4; kms = kms[4:] {
+		r0 := t[kms[0]*n:][:len(dst)]
+		r1 := t[kms[1]*n:][:len(dst)]
+		r2 := t[kms[2]*n:][:len(dst)]
+		r3 := t[kms[3]*n:][:len(dst)]
+		for i := range dst {
+			dst[i] = min(dst[i], uint64(min(r0[i], r1[i], r2[i], r3[i])))
+		}
+	}
+	for _, x := range kms {
+		r := t[x*n:][:len(dst)]
+		for i := range dst {
+			dst[i] = min(dst[i], uint64(r[i]))
+		}
+	}
 }
 
 // observe folds one feature into a partial signature.

@@ -80,15 +80,24 @@ func goldenLine(name string, sig Signature) string {
 }
 
 // sketchGoldenLines computes every line testdata/sketch.golden pins, in
-// file order.
-func sketchGoldenLines(t *testing.T) []string {
+// file order. With warmed set, each sketcher whose range is at most 2^16
+// first hashes features 0..M−1, so it sketches from its table.
+func sketchGoldenLines(t *testing.T, warmed bool) []string {
 	t.Helper()
 	var lines []string
+	warmUp := func(sk *Sketcher) {
+		if warmed && sk.Family.M <= 1<<16 {
+			if warm(sk); sk.table.Load() == nil {
+				t.Fatalf("m=%d n=%d: no table after warm-up", sk.Family.M, sk.N())
+			}
+		}
+	}
 	for _, c := range sketcherGoldenCases {
 		sk, err := NewSketcher(c.n, c.k, c.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
+		warmUp(sk)
 		ex := &kmer.Extractor{K: c.k, Canonical: c.canonical}
 		for _, r := range goldenReads(c.k) {
 			kms := ex.Slice([]byte(r[1]))
@@ -103,6 +112,7 @@ func sketchGoldenLines(t *testing.T) []string {
 	xs := goldenValues()
 	for _, c := range familyGoldenCases {
 		sk := &Sketcher{Family: MustHashFamily(c.n, c.m, c.seed)}
+		warmUp(sk)
 		lines = append(lines, goldenLine(c.name, sk.SketchSlice(xs)))
 	}
 	return lines
@@ -110,8 +120,9 @@ func sketchGoldenLines(t *testing.T) []string {
 
 // TestSketchGolden pins the signature bits of the sketch kernel, so a
 // faster kernel must reproduce every slot the WAL, snapshots, checkpoint
-// journals and the other goldens were written with. A mismatch prints
-// the actual line.
+// journals and the other goldens were written with: cold, and again from
+// the hash-value table where the range allows one. A mismatch prints the
+// actual line.
 func TestSketchGolden(t *testing.T) {
 	data, err := os.ReadFile("testdata/sketch.golden")
 	if err != nil {
@@ -123,14 +134,16 @@ func TestSketchGolden(t *testing.T) {
 			want[name] = line
 		}
 	}
-	lines := sketchGoldenLines(t)
-	if len(lines) != len(want) {
-		t.Errorf("testdata/sketch.golden has %d lines, the cases produce %d", len(want), len(lines))
-	}
-	for _, got := range lines {
-		name, _, _ := strings.Cut(got, " ")
-		if got != want[name] {
-			t.Errorf("%s: line differs from testdata/sketch.golden (recorded: %q); actual line:\n%s", name, want[name], got)
+	for _, warmed := range []bool{false, true} {
+		lines := sketchGoldenLines(t, warmed)
+		if len(lines) != len(want) {
+			t.Errorf("testdata/sketch.golden has %d lines, the cases produce %d", len(want), len(lines))
+		}
+		for _, got := range lines {
+			name, _, _ := strings.Cut(got, " ")
+			if got != want[name] {
+				t.Errorf("%s (warmed %v): line differs from testdata/sketch.golden (recorded: %q); actual line:\n%s", name, warmed, want[name], got)
+			}
 		}
 	}
 }

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Benchmark recorder: runs the kernel benchmarks of internal/minhash,
-# internal/cluster (similarity / sketch / matrix build) and internal/core
+# internal/cluster (similarity / sketch / matrix build; the Sketch
+# pattern includes SketchReadK8N24, a read sketched from the hash-value
+# table, and SketchTabulate, the table's build) and internal/core
 # (one row of the Pig similarity UDF over a prepared bag) plus the shuffle
 # benchmarks of internal/mapreduce (an unbounded vs a spilling map-side
 # buffer, the reducer's radix partition sort) with allocation
