@@ -519,7 +519,9 @@ func Run(reads []fasta.Record, opt Options) (*Result, error) {
 // sketchJob computes minwise signatures for all reads as a map-only job.
 // Map tasks run the slice-based SketchInto kernel: k-mer occurrences are
 // streamed into a pooled scratch buffer (duplicates do not change the
-// minima) so the hot path never materializes a kmer.Set map.
+// minima) so the hot path never materializes a kmer.Set map. Read i's
+// signature is row i of one slab, which each read's map call writes
+// alone.
 func sketchJob(engine *mapreduce.Engine, reads []fasta.Record, opt Options) ([]minhash.Signature, *mapreduce.Result, error) {
 	sk, err := minhash.NewSketcher(opt.NumHashes, opt.K, opt.Seed)
 	if err != nil {
@@ -527,6 +529,8 @@ func sketchJob(engine *mapreduce.Engine, reads []fasta.Record, opt Options) ([]m
 	}
 	ex := &kmer.Extractor{K: opt.K, Canonical: opt.Canonical}
 	scratch := sync.Pool{New: func() any { return new([]uint64) }}
+	n := opt.NumHashes
+	slab := make(minhash.Signature, len(reads)*n)
 	job := &mapreduce.Job[int, mapreduce.Key64, minhash.Signature]{
 		Name:  "mrmcminh-sketch",
 		Input: indices(len(reads)),
@@ -536,7 +540,7 @@ func sketchJob(engine *mapreduce.Engine, reads []fasta.Record, opt Options) ([]m
 		Map: func(i int, emit func(mapreduce.Key64, minhash.Signature)) error {
 			buf := scratch.Get().(*[]uint64)
 			kms := ex.SliceInto((*buf)[:0], reads[i].Seq)
-			sig := sk.SketchInto(nil, kms)
+			sig := sk.SketchInto(slab[i*n:(i+1)*n:(i+1)*n], kms)
 			*buf = kms
 			scratch.Put(buf)
 			emit(mapreduce.Key64(i), sig)
