@@ -132,10 +132,10 @@ func (s *Sketcher) SketchInto(dst Signature, kms []uint64) Signature {
 // features differ by one, so (a_i·x + b_i) mod p advances by adding a_i
 // and subtracting p at most once; the values are Hash's exactly.
 func tabulate(f *HashFamily) []uint16 {
-	n, m, p, a := f.N(), f.M, f.P, f.A
+	n, m, p := f.N(), f.M, f.P
 	t := make([]uint16, uint64(n)*m)
 	v := slices.Clone(f.B) // (a_i·0 + b_i) mod p, as b_i < p
-	a = a[:len(v)]
+	a := f.A[:len(v)]
 	for row := t; len(row) > 0; row = row[n:] {
 		row := row[:len(v)]
 		for i, h := range v {
