@@ -1,59 +1,96 @@
 package minhash
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/metagenomics/mrmcminh/internal/kmer"
 )
 
-// randomSignature draws a length-n signature whose values cluster in a
-// small range so duplicates (within and across signatures) are common —
-// the regime where set-overlap and matched-positions disagree and edge
-// cases live.
-func randomSignature(rng *rand.Rand, n int) Signature {
+// bitmapSignature draws a length-n signature over [0, m) whose values
+// stay below a random power-of-two fraction of m, so that signatures of
+// one range both do and do not build a bitmap. It repeats slots and
+// plants the word-edge values 0, 63, 64 and 127.
+func bitmapSignature(rng *rand.Rand, n int, m uint64) Signature {
+	bound := m >> rng.Intn(bits.Len64(m))
 	sig := make(Signature, n)
 	for i := range sig {
-		sig[i] = uint64(rng.Intn(50))
+		sig[i] = rng.Uint64() % bound
+	}
+	edges := []uint64{0, 63, 64, 127}
+	for i := range sig {
+		switch rng.Intn(8) {
+		case 0:
+			if e := edges[rng.Intn(len(edges))]; e < m {
+				sig[i] = e
+			}
+		case 1:
+			sig[i] = sig[rng.Intn(n)]
+		}
 	}
 	return sig
 }
 
 // TestSimilarityPreparedEquivalence is the property test behind the
-// kernel swap: for random signatures (shared values, empty slices,
-// EmptyMin slots) both estimators must return bit-identical floats on
-// the prepared and legacy paths.
+// prepared kernels: both estimators must return bit-identical floats on
+// the prepared and unprepared paths, in either order. It draws values
+// over the ranges of a power-of-two k-mer space (64, 1,024, 4,096 and
+// 65,536 are 4^k for k = 3, 5, 6 and 8) and the Pig script's prime $DIV
+// 1,031, at the signature lengths the pipelines use. Set-overlap pairs
+// fall into every case the kernel distinguishes: both sides with a
+// bitmap (of equal and of unequal length), one side only, neither, and
+// empty signatures (all EmptyMin, nil, or EmptyMin in slot 0 only).
 func TestSimilarityPreparedEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	ests := []Estimator{MatchedPositions, SetOverlap}
-	for trial := 0; trial < 2000; trial++ {
-		n := rng.Intn(20)
-		a := randomSignature(rng, n)
-		b := randomSignature(rng, n)
-		// Sometimes force empty feature sets or other edge shapes.
-		switch trial % 5 {
-		case 1:
-			for i := range a {
-				a[i] = EmptyMin
-			}
-		case 2:
-			copy(b, a) // identical signatures
-		case 3:
-			if n > 0 {
-				b[0] = EmptyMin // Empty() true even with trailing values
+	rng := rand.New(rand.NewSource(29))
+	var both, unequal, one, neither, empty int
+	for _, m := range []uint64{64, 1024, 1031, 4096, 65536} {
+		for _, n := range []int{1, 2, 16, 24, 50, 100} {
+			for trial := 0; trial < 300; trial++ {
+				a, b := bitmapSignature(rng, n, m), bitmapSignature(rng, n, m)
+				switch trial % 10 {
+				case 1:
+					for i := range a {
+						a[i] = EmptyMin
+					}
+				case 2:
+					b = nil
+				case 3:
+					copy(b, a)
+				case 4:
+					b[0] = EmptyMin
+				}
+				pa, pb := Prepare(a), Prepare(b)
+				for _, est := range []Estimator{MatchedPositions, SetOverlap} {
+					want := est.Similarity(a, b)
+					got := est.SimilarityPrepared(pa, pb)
+					if got != want {
+						t.Fatalf("m=%d n=%d %v: prepared %v != unprepared %v (a=%v b=%v)", m, n, est, got, want, a, b)
+					}
+					if sym := est.SimilarityPrepared(pb, pa); sym != got {
+						t.Fatalf("m=%d n=%d %v: not symmetric (%v vs %v)", m, n, est, got, sym)
+					}
+				}
+				switch {
+				case pa.Empty() || pb.Empty():
+					empty++
+				case pa.bitmap != nil && pb.bitmap != nil:
+					both++
+					if len(pa.bitmap) != len(pb.bitmap) && SetOverlap.SimilarityPrepared(pa, pb) > 0 {
+						unequal++
+					}
+				case pa.bitmap != nil || pb.bitmap != nil:
+					one++
+				default:
+					neither++
+				}
 			}
 		}
-		pa, pb := Prepare(a), Prepare(b)
-		for _, est := range ests {
-			want := est.Similarity(a, b)
-			got := est.SimilarityPrepared(pa, pb)
-			if got != want {
-				t.Fatalf("trial %d est %v: prepared %v != legacy %v (a=%v b=%v)", trial, est, got, want, a, b)
-			}
-			if sym := est.SimilarityPrepared(pb, pa); sym != got {
-				t.Fatalf("trial %d est %v: not symmetric (%v vs %v)", trial, est, got, sym)
-			}
-		}
+	}
+	t.Logf("set-overlap pairs: %d both bitmaps (%d overlapping of unequal length), %d one, %d neither, %d empty", both, unequal, one, neither, empty)
+	if both == 0 || unequal == 0 || one == 0 || neither == 0 || empty == 0 {
+		t.Fatal("a kernel case was never exercised")
 	}
 }
 
@@ -75,6 +112,103 @@ func TestSimilarityPreparedEmpty(t *testing.T) {
 	}
 	if !empty.Empty() || !nilSig.Empty() || full.Empty() {
 		t.Fatal("Prepared.Empty disagrees with Signature.Empty")
+	}
+}
+
+// TestPrepareBitmapRule: Prepare builds a bitmap exactly when the largest
+// value is below 64·len(Vals), one bit per distinct value and no more
+// words than the largest value needs, never for an empty signature, and
+// caps Vals so that an append cannot reach the bitmap.
+func TestPrepareBitmapRule(t *testing.T) {
+	check := func(sig Signature) {
+		t.Helper()
+		p := Prepare(sig)
+		if cap(p.Vals) != len(p.Vals) {
+			t.Fatalf("%v: Vals has len %d cap %d", sig, len(p.Vals), cap(p.Vals))
+		}
+		d := len(p.Vals)
+		if d == 0 || p.Vals[d-1] >= 64*uint64(d) {
+			if p.bitmap != nil {
+				t.Fatalf("%v: bitmap of %d words, want none", sig, len(p.bitmap))
+			}
+			return
+		}
+		if words := int(p.Vals[d-1]/64) + 1; len(p.bitmap) != words {
+			t.Fatalf("%v: bitmap of %d words, want %d", sig, len(p.bitmap), words)
+		}
+		set := 0
+		for _, w := range p.bitmap {
+			set += bits.OnesCount64(w)
+		}
+		for _, v := range p.Vals {
+			if p.bitmap[v/64]&(1<<(v%64)) == 0 {
+				t.Fatalf("%v: value %d not in the bitmap", sig, v)
+			}
+		}
+		if set != d {
+			t.Fatalf("%v: bitmap has %d bits for %d values", sig, set, d)
+		}
+		before := slices.Clone(p.bitmap)
+		_ = append(p.Vals, 1<<40)
+		if !slices.Equal(before, p.bitmap) {
+			t.Fatalf("%v: an append to Vals changed the bitmap", sig)
+		}
+	}
+	for _, c := range []struct {
+		sig   Signature
+		words int
+	}{
+		{nil, 0},
+		{Signature{EmptyMin, EmptyMin, EmptyMin}, 0},
+		{Signature{EmptyMin, 3, 4}, 0},
+		{Signature{3, 4, EmptyMin}, 0},
+		{Signature{0}, 1},
+		{Signature{63}, 1},
+		{Signature{64}, 0},
+		{Signature{64, 64, 64}, 0},
+		{Signature{0, 127}, 2},
+		{Signature{127, 0, 127}, 2},
+		{Signature{0, 128}, 0},
+		{Signature{1, 2, 191}, 3},
+		{Signature{1, 2, 192}, 0},
+	} {
+		if p := Prepare(c.sig); len(p.bitmap) != c.words {
+			t.Fatalf("%v: bitmap of %d words, want %d", c.sig, len(p.bitmap), c.words)
+		}
+		check(c.sig)
+	}
+	rng := rand.New(rand.NewSource(31))
+	for _, m := range []uint64{64, 1031, 65536} {
+		for _, n := range []int{1, 2, 24, 100, 300} {
+			for trial := 0; trial < 50; trial++ {
+				check(bitmapSignature(rng, n, m))
+			}
+		}
+	}
+}
+
+var preparedSink Prepared
+
+// TestPreparedAllocations: Prepare allocates once, with or without a
+// bitmap, and SimilarityPrepared allocates nothing on any of its paths.
+func TestPreparedAllocations(t *testing.T) {
+	small := Signature{3, 9, 3, 70}
+	large := Signature{3, 9, 1 << 20, 70}
+	for _, sig := range []Signature{small, large} {
+		if a := testing.AllocsPerRun(100, func() { preparedSink = Prepare(sig) }); a != 1 {
+			t.Fatalf("Prepare(%v) allocates %v times, want 1", sig, a)
+		}
+	}
+	ps, pl := Prepare(small), Prepare(large)
+	if ps.bitmap == nil || pl.bitmap != nil {
+		t.Fatal("test signatures do not cover both paths")
+	}
+	for _, pair := range [][2]Prepared{{ps, ps}, {ps, pl}, {pl, pl}} {
+		for _, est := range []Estimator{MatchedPositions, SetOverlap} {
+			if a := testing.AllocsPerRun(100, func() { _ = est.SimilarityPrepared(pair[0], pair[1]) }); a != 0 {
+				t.Fatalf("%v SimilarityPrepared allocates %v times", est, a)
+			}
+		}
 	}
 }
 
@@ -145,10 +279,31 @@ func BenchmarkSimilaritySetOverlapLegacy(b *testing.B) {
 }
 
 // BenchmarkSimilarityPrepared is the kernel path: signatures prepared
-// once, each pair a single allocation-free merge.
+// once, each pair allocation-free. At k=5 both signatures build a
+// bitmap, so it times the popcount.
 func BenchmarkSimilarityPrepared(b *testing.B) {
 	sa, sb := benchSigPair()
 	pa, pb := Prepare(sa), Prepare(sb)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = SetOverlap.SimilarityPrepared(pa, pb)
+	}
+}
+
+// BenchmarkSimilarityPreparedMerge times the sorted-list merge that
+// signatures too spread for a bitmap keep, at the daemon's geometry
+// (k=12, 64 hashes, canonical k-mers) on two 200-bp reads that share
+// half their bases.
+func BenchmarkSimilarityPreparedMerge(b *testing.B) {
+	s := MustSketcher(64, 12, 3)
+	ex := &kmer.Extractor{K: 12, Canonical: true}
+	seq := benchRead(300)
+	pa := Prepare(s.SketchSlice(ex.Slice(seq[:200])))
+	pb := Prepare(s.SketchSlice(ex.Slice(seq[100:])))
+	if pa.bitmap != nil || pb.bitmap != nil {
+		b.Fatal("a signature built a bitmap; this benchmark times the merge")
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
