@@ -233,7 +233,11 @@ func translateToKmer(_ *pig.Context, args []pig.Value) (pig.Value, error) {
 	if k < 1 || k > kmer.MaxK {
 		return nil, fmt.Errorf("TranslateToKmer: k=%d out of range [1,%d]", k, kmer.MaxK)
 	}
-	var bag pig.Bag
+	// A read of length L holds at most L-k+1 k-mers. Their tuples share
+	// one slab of fields and one boxed read id.
+	bag := make(pig.Bag, 0, max(len(enc)-k+1, 0))
+	fields := make([]pig.Value, 2*cap(bag))
+	idv := pig.Value(id)
 	// Roll over the digit-encoded sequence; '.' (ambiguous) resets.
 	var v uint64
 	mask := uint64(1)<<(2*k) - 1
@@ -249,7 +253,10 @@ func translateToKmer(_ *pig.Context, args []pig.Value) (pig.Value, error) {
 			valid++
 		}
 		if valid == k {
-			bag = append(bag, pig.NewTuple(int64(v), id))
+			tup := fields[:2:2]
+			fields = fields[2:]
+			tup[0], tup[1] = int64(v), idv
+			bag = append(bag, pig.Tuple{Fields: tup})
 		}
 	}
 	return bag, nil

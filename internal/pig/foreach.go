@@ -113,8 +113,9 @@ func (ex *executor) generate(st *ForeachStmt, tup Tuple, in *Relation) ([]Tuple,
 		if item.Flatten {
 			switch x := v.(type) {
 			case Bag:
-				for _, bt := range x {
-					expansions = append(expansions, bt.Fields)
+				expansions = make([][]Value, len(x))
+				for i, bt := range x {
+					expansions[i] = bt.Fields
 				}
 			case Tuple:
 				expansions = [][]Value{x.Fields}
@@ -124,11 +125,24 @@ func (ex *executor) generate(st *ForeachStmt, tup Tuple, in *Relation) ([]Tuple,
 		} else {
 			expansions = [][]Value{{v}}
 		}
+		// Every output row's fields are cut from one slab, each row
+		// capped so that an append to it cannot write into the next.
+		size := 0
+		for _, r := range rows {
+			size += len(r.Fields) * len(expansions)
+		}
+		for _, fields := range expansions {
+			size += len(fields) * len(rows)
+		}
+		slab := make([]Value, size)
 		next := make([]Tuple, 0, len(rows)*len(expansions))
 		for _, r := range rows {
 			for _, fields := range expansions {
-				nt := Tuple{Fields: append(append([]Value{}, r.Fields...), fields...)}
-				next = append(next, nt)
+				w := len(r.Fields) + len(fields)
+				row := slab[:w:w]
+				slab = slab[w:]
+				copy(row[copy(row, r.Fields):], fields)
+				next = append(next, Tuple{Fields: row})
 			}
 		}
 		rows = next

@@ -269,6 +269,35 @@ W = FOREACH A GENERATE FLATTEN(Explode(line)) AS word;
 	}
 }
 
+// TestFlattenedRowsAreCapped: FLATTEN cuts a statement's output rows
+// from one slab, so appending to one row must leave the next unchanged.
+func TestFlattenedRowsAreCapped(t *testing.T) {
+	ctx := testContext(t)
+	ctx.FS.WriteLines("/in", []string{"a b c"})
+	script := MustCompile(`
+A = LOAD '/in';
+W = FOREACH A GENERATE line, FLATTEN(Explode(line)) AS word;
+`)
+	res, err := script.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := res.Aliases["W"].Tuples
+	if len(w) != 3 {
+		t.Fatalf("tuples %+v", w)
+	}
+	for i := range w[:len(w)-1] {
+		next := fmt.Sprint(w[i+1].Fields)
+		_ = append(w[i].Fields, "appended")
+		if got := fmt.Sprint(w[i+1].Fields); got != next {
+			t.Fatalf("appending to row %d changed row %d from %s to %s", i, i+1, next, got)
+		}
+	}
+	if got := fmt.Sprint(w[2].Fields); got != "[a b c c]" {
+		t.Fatalf("last row %s, want [a b c c]", got)
+	}
+}
+
 func TestRunGroupAllAndForeignDeref(t *testing.T) {
 	ctx := testContext(t)
 	ctx.FS.WriteLines("/in", []string{"x", "y", "z"})
