@@ -157,10 +157,16 @@ func isStarForest(n int, edges []Edge) bool {
 
 // CanonicalEdges validates, orients (min,max), sorts and dedups an edge
 // list, dropping self-loops: the normal form every star job reads and the
-// LSH stage checkpoints. Node ids lie in [0, n), so two stable counting
-// passes, by V and then by U, sort it in O(E + n). The input is not
-// modified.
+// LSH stage checkpoints. A list already in that form, as the LSH stage
+// hands to ConnectedComponentsMR, is copied after one linear check.
+// Otherwise node ids lie in [0, n), so two stable counting passes, by V
+// and then by U, sort it in O(E + n). The input is not modified.
 func CanonicalEdges(n int, edges []Edge) ([]Edge, error) {
+	if isCanonical(n, edges) {
+		out := make([]Edge, len(edges))
+		copy(out, edges)
+		return out, nil
+	}
 	out := make([]Edge, 0, len(edges))
 	for _, e := range edges {
 		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
@@ -179,6 +185,19 @@ func CanonicalEdges(n int, edges []Edge) ([]Edge, error) {
 	countingSort(byV, out, count, false)
 	countingSort(out, byV, count, true)
 	return slices.Compact(out), nil
+}
+
+// isCanonical reports whether edges is in CanonicalEdges' normal form:
+// each edge in range with U < V, in strictly increasing (U, V) order.
+func isCanonical(n int, edges []Edge) bool {
+	prev := Edge{U: -1}
+	for _, e := range edges {
+		if e.U < 0 || e.U >= e.V || e.V >= n || e.U < prev.U || e.U == prev.U && e.V <= prev.V {
+			return false
+		}
+		prev = e
+	}
+	return true
 }
 
 // countingSort writes src to dst in stable order of each edge's U (byU)

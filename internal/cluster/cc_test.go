@@ -208,8 +208,42 @@ func TestCanonicalEdgesMatchesSortReference(t *testing.T) {
 		if !slices.Equal(edges, in) {
 			t.Fatalf("trial %d: CanonicalEdges modified its input", trial)
 		}
+		// An already-canonical list comes back equal, as a copy.
+		canon := slices.Clone(got)
+		again, err := CanonicalEdges(n, canon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(again, got) || !slices.Equal(canon, got) {
+			t.Fatalf("trial %d: canonical %v came back as %v", trial, got, again)
+		}
+		if len(again) > 0 {
+			again[0].U = -7
+			if canon[0].U == -7 {
+				t.Fatalf("trial %d: CanonicalEdges returned its canonical input, not a copy", trial)
+			}
+		}
 	}
-	for _, bad := range []Edge{{-1, 0}, {0, 3}, {3, 1}, {0, -2}} {
+	// Lists one step from canonical take the counting passes.
+	for _, edges := range [][]Edge{
+		{{0, 1}, {0, 1}},
+		{{0, 1}, {1, 1}, {1, 2}},
+		{{0, 2}, {2, 1}},
+		{{0, 2}, {0, 1}},
+		{{1, 2}, {0, 2}},
+	} {
+		got, err := CanonicalEdges(3, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := reference(edges); !slices.Equal(got, want) {
+			t.Fatalf("%v:\n got %v\nwant %v", edges, got, want)
+		}
+	}
+	if got, err := CanonicalEdges(3, nil); err != nil || got == nil || len(got) != 0 {
+		t.Fatalf("no edges: got %v, %v; want an empty list", got, err)
+	}
+	for _, bad := range []Edge{{-1, 0}, {0, 3}, {3, 1}, {0, -2}, {1, 3}, {2, 5}} {
 		if _, err := CanonicalEdges(3, []Edge{{0, 1}, bad}); err == nil {
 			t.Fatalf("edge %v on 3 nodes: want an out-of-range error", bad)
 		}
