@@ -20,7 +20,10 @@ import (
 // 100-bp reads: 186,000 occurrences of 65,536 k-mers) and at mrmcminh's
 // defaults (300 200-bp reads: 58,800 occurrences of 1,024 k-mers), so
 // the sketch job sketches reads both before and after its sketcher
-// tabulates its hash functions.
+// tabulates its hash functions. The lshcc-cap7 case caps LSH buckets at
+// 7 reads, so that groups of 30 overflow in some bands and not in others:
+// 71 of its candidate pairs are kept only by a band later than the first
+// one they collide in.
 var journalCases = []struct {
 	name  string
 	reads journalReads
@@ -39,6 +42,10 @@ var journalCases = []struct {
 	{"cli-k5-n100", journalReads{30, 10, 200, 0.01, 37}, func(o *Options) {
 		o.K, o.NumHashes, o.Theta, o.Seed = 5, 100, 0.9, 1
 		o.Mode, o.Linkage = HierarchicalMode, cluster.Average
+	}},
+	{"lshcc-cap7", journalReads{6, 30, 80, 0.01, 7}, func(o *Options) {
+		o.K, o.NumHashes, o.Theta, o.Seed = 5, 12, 0.5, 3
+		o.Mode, o.Candidate, o.LSH, o.LSHBucketCap = GreedyMode, CandidateLSH, cluster.LSHOptions{Bands: 6, Rows: 2}, 7
 	}},
 }
 

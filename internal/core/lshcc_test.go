@@ -396,3 +396,149 @@ func TestComponentFinishReproducesExactLabels(t *testing.T) {
 		}
 	}
 }
+
+// lshReference is the LSH stage computed directly from its definition:
+// per band, the non-empty reads are bucketed by band hash; each bucket of
+// two or more reads counts once, keeps its cap lowest ids and expands
+// them into pairs. The union of those pairs over all bands is the
+// candidate set, and the candidates of similarity ≥ θ are the edges.
+type lshReference struct {
+	edges                []cluster.Edge // sorted
+	candidates, buckets  int64
+	overflow, laterBands int64 // laterBands: candidates first colliding in a band that capped them out
+}
+
+func computeLSHReference(src cluster.SigSource, opt Options) lshReference {
+	lsh, cap := lshGeometry(opt), lshBucketCap(opt)
+	var ref lshReference
+	first := map[cluster.Edge]int{} // lowest band in which a pair collides
+	kept := map[cluster.Edge]bool{}
+	for b := 0; b < lsh.Bands; b++ {
+		buckets := map[uint64][]int{}
+		for i := 0; i < src.Len(); i++ {
+			if !src.Empty(i) {
+				h := src.BandHash(i, b, lsh.Rows)
+				buckets[h] = append(buckets[h], i) // ascending ids
+			}
+		}
+		for _, ids := range buckets {
+			if len(ids) < 2 {
+				continue
+			}
+			ref.buckets++
+			ref.overflow += int64(max(len(ids)-cap, 0))
+			for x := range ids {
+				for y := x + 1; y < len(ids); y++ {
+					e := cluster.Edge{U: ids[x], V: ids[y]}
+					if _, ok := first[e]; !ok {
+						first[e] = b
+					}
+					if y < cap && !kept[e] {
+						kept[e] = true
+						if first[e] < b {
+							ref.laterBands++
+						}
+					}
+				}
+			}
+		}
+	}
+	for e := range kept {
+		if src.Similarity(e.U, e.V) >= opt.Theta {
+			ref.edges = append(ref.edges, e)
+		}
+	}
+	ref.candidates = int64(len(kept))
+	slices.SortFunc(ref.edges, func(a, b cluster.Edge) int {
+		if a.U != b.U {
+			return a.U - b.U
+		}
+		return a.V - b.V
+	})
+	return ref
+}
+
+// TestLSHEdgesMatchReference holds lshEdgesJobs to computeLSHReference
+// on corpora whose buckets overflow their cap in some bands and not in
+// others, with duplicate reads and empty signatures: the same edges, and
+// the same candidate, bucket and overflow counts. Across the corpora some
+// candidates first collide in a band whose cap drops one of the two
+// reads, and only a later band keeps them; the test fails if none do.
+func TestLSHEdgesMatchReference(t *testing.T) {
+	withEmpty := func(reads []fasta.Record) []fasta.Record {
+		return append(reads, fasta.Record{ID: "tiny1", Seq: []byte("AC")}, fasta.Record{ID: "tiny2", Seq: []byte("GT")})
+	}
+	journal, _ := makeReads(6, 30, 80, 0.01, 7)
+	dups, _ := makeReads(3, 12, 120, 0, 9)
+	mixed, _ := makeReads(10, 20, 100, 0.02, 13)
+	dense, _ := makeReads(8, 25, 200, 0.004, 1)
+	var identical []fasta.Record
+	for i := 0; i < 40; i++ {
+		identical = append(identical, fasta.Record{ID: fmt.Sprintf("dup%d", i), Seq: []byte("ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT")})
+	}
+	identical = append(identical, mixed[:30]...)
+	cases := []struct {
+		name  string
+		reads []fasta.Record
+		k, n  int
+		theta float64
+		lsh   cluster.LSHOptions
+		cap   int
+	}{
+		{"journal-cap7", journal, 5, 12, 0.5, cluster.LSHOptions{Bands: 6, Rows: 2}, 7},
+		{"duplicates-empty-cap5", withEmpty(dups), 5, 24, 0.6, cluster.LSHOptions{Bands: 4, Rows: 3}, 5},
+		{"mixed-k8-cap4", withEmpty(mixed), 8, 24, 0.5, cluster.LSHOptions{Bands: 4, Rows: 6}, 4},
+		{"dense-cap3", dense, 5, 100, 0.9, cluster.LSHOptions{Bands: 20, Rows: 5}, 3},
+		{"identical-cap8", identical, 5, 24, 0.4, cluster.LSHOptions{Bands: 8, Rows: 3}, 8},
+		{"mixed-default-cap", mixed, 5, 48, 0.4, cluster.LSHOptions{}, 0},
+	}
+	var laterBands int64
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := Options{
+				K: tc.k, NumHashes: tc.n, Theta: tc.theta, Seed: 3, Cluster: smallCluster(),
+				Candidate: CandidateLSH, LSH: tc.lsh, LSHBucketCap: tc.cap,
+			}.withDefaults()
+			sk, err := minhash.NewSketcher(opt.NumHashes, opt.K, opt.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex := &kmer.Extractor{K: opt.K}
+			sigs := make([]minhash.Signature, len(tc.reads))
+			for i, r := range tc.reads {
+				sigs[i] = sk.Sketch(ex.Set(r.Seq))
+			}
+			src := cluster.NewSliceSource(sigs, minhash.SetOverlap)
+			engine, err := opt.engine()
+			if err != nil {
+				t.Fatal(err)
+			}
+			edges, results, err := lshEdgesJobs(engine, src, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := map[string]int64{}
+			for _, r := range results {
+				for _, c := range []string{"lsh.candidate_pairs", "lsh.buckets", "lsh.bucket_overflow"} {
+					got[c] += r.Counters.Get(c)
+				}
+			}
+			ref := computeLSHReference(src, opt)
+			if !slices.Equal(edges, ref.edges) {
+				t.Errorf("edges differ from the reference: %d, want %d", len(edges), len(ref.edges))
+			}
+			want := map[string]int64{"lsh.candidate_pairs": ref.candidates, "lsh.buckets": ref.buckets, "lsh.bucket_overflow": ref.overflow}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("counters %v, want %v", got, want)
+			}
+			if ref.edges == nil {
+				t.Error("no edges: the corpus verifies nothing")
+			}
+			t.Logf("%d candidates, %d edges, %d kept only by a later band", ref.candidates, len(ref.edges), ref.laterBands)
+			laterBands += ref.laterBands
+		})
+	}
+	if laterBands == 0 {
+		t.Fatal("no candidate is kept only by a band later than its first collision: the caps never decide")
+	}
+}
