@@ -15,10 +15,12 @@ import (
 // of the O(N²) all-pairs barrier it runs:
 //
 //  1. candidate generation — a map phase hashes each signature's b bands
-//     and emits (bandHash, readID); the reduce phase expands every bucket
-//     into candidate pairs under a per-bucket size cap,
-//  2. verification — each distinct candidate pair is scored once with the
-//     zero-alloc SimilarityPrepared kernel; pairs ≥ θ become edges,
+//     and emits (bandHash, readID); the reduce phase keeps the lowest ids
+//     of every bucket under a per-bucket size cap and emits them,
+//  2. verification — a map-only job expands each kept bucket into its
+//     pairs and scores each distinct pair once, in the lowest band whose
+//     kept bucket holds both reads, with the zero-alloc
+//     SimilarityPrepared kernel; pairs ≥ θ become edges,
 //  3. connected components — Kiveris et al.'s alternating Large-Star /
 //     Small-Star MapReduce rounds (internal/cluster/cc.go),
 //  4. finish — the exact clustering algorithm (greedy or hierarchical)
@@ -66,8 +68,9 @@ func lshEdgesJobs(engine *mapreduce.Engine, src cluster.SigSource, opt Options) 
 		}
 	}
 
-	// A candidate pair (i, j), i < j, is the key Key128{i, j}; the bands
-	// job leaves its int value 0.
+	// A bucket is the key Key128{band, band hash}. The bands job emits one
+	// record per kept member, the member's id its value, so each kept
+	// bucket is one run of ascending ids in the job's output.
 	var overflow, buckets atomic.Int64
 	bandsJob := &mapreduce.Job[int, mapreduce.Key128, int]{
 		Name:  "mrmcminh-lsh-bands",
@@ -80,51 +83,87 @@ func lshEdgesJobs(engine *mapreduce.Engine, src cluster.SigSource, opt Options) 
 			}
 			return nil
 		},
-		Reduce: func(_ mapreduce.Key128, ids []int, emit func(mapreduce.Key128, int)) error {
+		Reduce: func(key mapreduce.Key128, ids []int, emit func(mapreduce.Key128, int)) error {
 			if len(ids) < 2 {
 				return nil
 			}
 			buckets.Add(1)
 			slices.Sort(ids)
 			if len(ids) > cap {
-				// A degenerate bucket of size B would emit B(B-1)/2 pairs
-				// and re-quadratize the run; keep the cap lowest ids (the
-				// dropped reads stay reachable through their other bands).
+				// A degenerate bucket of size B would expand into B(B-1)/2
+				// pairs and re-quadratize the run; keep the cap lowest ids
+				// (the dropped reads stay reachable through their other
+				// bands).
 				overflow.Add(int64(len(ids) - cap))
 				ids = ids[:cap]
 			}
-			for a := 0; a < len(ids); a++ {
-				for b := a + 1; b < len(ids); b++ {
-					emit(mapreduce.Key128{Hi: uint64(ids[a]), Lo: uint64(ids[b])}, 0)
-				}
+			for _, id := range ids {
+				emit(key, id)
 			}
 			return nil
 		},
 	}
-	pairs, bandsOut, err := mapreduce.Run(engine, bandsJob)
+	members, bandsOut, err := mapreduce.Run(engine, bandsJob)
 	if err != nil {
 		return nil, nil, err
 	}
 	bandsOut.Counters.Add("lsh.buckets", buckets.Load())
 	bandsOut.Counters.Add("lsh.bucket_overflow", overflow.Load())
 
+	// Cut the members into buckets, and index for every (read, band) the
+	// kept bucket that holds the read: bucketOf[id·bands + band], −1 where
+	// the read is in none.
+	bucketOf := make([]int32, src.Len()*lsh.Bands)
+	for i := range bucketOf {
+		bucketOf[i] = -1
+	}
+	var spans []bucketSpan
+	expanded := 0
+	for lo := 0; lo < len(members); {
+		hi, key := lo+1, members[lo].Key
+		for hi < len(members) && members[hi].Key == key {
+			hi++
+		}
+		for _, m := range members[lo:hi] {
+			bucketOf[m.Value*lsh.Bands+int(key.Hi)] = int32(len(spans))
+		}
+		spans = append(spans, bucketSpan{lo, hi})
+		expanded += (hi - lo) * (hi - lo - 1) / 2
+		lo = hi
+	}
+
+	// A pair of band b's bucket is a candidate of band b alone when no
+	// earlier band's kept bucket holds both reads: each distinct pair is
+	// verified exactly once, in the lowest band that keeps it, and the
+	// candidate set is the union of every band's capped pairs.
 	var candidates, edgeCount atomic.Int64
-	verifyJob := &mapreduce.Job[mapreduce.KeyValue[mapreduce.Key128, int], mapreduce.Key128, struct{}]{
+	verifyJob := &mapreduce.Job[bucketSpan, mapreduce.Key128, struct{}]{
 		Name:  "mrmcminh-lsh-verify",
-		Input: pairs,
-		// Grouping by pair key dedups pairs surfaced by several bands, so
-		// each candidate is verified exactly once.
-		ReduceCostFactor: float64(opt.NumHashes) / 20,
-		Map: func(kv mapreduce.KeyValue[mapreduce.Key128, int], emit func(mapreduce.Key128, struct{})) error {
-			emit(kv.Key, struct{}{})
-			return nil
-		},
-		Reduce: func(pair mapreduce.Key128, _ []struct{}, emit func(mapreduce.Key128, struct{})) error {
-			candidates.Add(1)
-			if src.Similarity(int(pair.Hi), int(pair.Lo)) >= opt.Theta {
-				edgeCount.Add(1)
-				emit(pair, struct{}{})
+		Input: spans,
+		// One record expands a bucket: each of its pairs is charged one
+		// verification at the mean pairs per bucket.
+		MapCostFactor: float64(opt.NumHashes) / 20 * float64(expanded) / float64(max(len(spans), 1)),
+		Map: func(sp bucketSpan, emit func(mapreduce.Key128, struct{})) error {
+			bucket := members[sp.lo:sp.hi]
+			band := int(bucket[0].Key.Hi)
+			var cands, edges int64
+			for a, x := range bucket {
+				i := x.Value
+				earlierI := bucketOf[i*lsh.Bands : i*lsh.Bands+band]
+				for _, y := range bucket[a+1:] {
+					j := y.Value
+					if shareBucket(earlierI, bucketOf[j*lsh.Bands:j*lsh.Bands+band]) {
+						continue
+					}
+					cands++
+					if src.Similarity(i, j) >= opt.Theta {
+						edges++
+						emit(mapreduce.Key128{Hi: uint64(i), Lo: uint64(j)}, struct{}{})
+					}
+				}
 			}
+			candidates.Add(cands)
+			edgeCount.Add(edges)
 			return nil
 		},
 	}
@@ -139,13 +178,29 @@ func lshEdgesJobs(engine *mapreduce.Engine, src cluster.SigSource, opt Options) 
 	for i, kv := range verified {
 		edges[i] = cluster.Edge{U: int(kv.Key.Hi), V: int(kv.Key.Lo)}
 	}
-	// Reduce output is ordered per partition, not globally: canonicalize
-	// so the edge list (and its checkpoint bytes) is sorted.
+	// Map output follows the buckets, not the pairs: canonicalize so the
+	// edge list (and its checkpoint bytes) is sorted.
 	edges, err = cluster.CanonicalEdges(src.Len(), edges)
 	if err != nil {
 		return nil, nil, err
 	}
 	return edges, []*mapreduce.Result{bandsOut, verifyOut}, nil
+}
+
+// bucketSpan is one kept bucket of the bands job's output: its records
+// [lo, hi). A fixed-size record, so splitting the verify job's input
+// sizes no record one by one.
+type bucketSpan struct{ lo, hi int }
+
+// shareBucket reports whether two reads' rows of bucketOf, over the same
+// bands, name one kept bucket in some band.
+func shareBucket(a, b []int32) bool {
+	for band, x := range a {
+		if x >= 0 && x == b[band] {
+			return true
+		}
+	}
+	return false
 }
 
 // lshFinishJob runs the exact clustering algorithm independently inside
