@@ -2,7 +2,9 @@ package minhash
 
 import (
 	"math/bits"
+	"runtime"
 	"slices"
+	"sync"
 )
 
 // Prepared caches the derived views of a signature that the similarity
@@ -34,32 +36,93 @@ const prepareScratch = 256
 // it cannot write into the bitmap.
 func Prepare(sig Signature) Prepared {
 	var scratch [prepareScratch]uint64
-	vals := append(scratch[:0], sig...)
-	slices.Sort(vals)
-	vals = slices.Compact(vals)
-	d, words := len(vals), 0
-	if d > 0 && vals[d-1] < 64*uint64(d) {
-		words = int(vals[d-1]/64) + 1
+	vals := sortedDistinct(scratch[:0], sig)
+	return prepareIn(sig, vals, make([]uint64, len(vals)+bitmapWords(vals)))
+}
+
+// prepareSplit is the fewest rows PrepareAll gives one goroutine.
+const prepareSplit = 4096
+
+// PrepareAll prepares every signature of a batch: element i equals
+// Prepare(sigs[i]). A batch of at least 2·prepareSplit rows is split over
+// up to GOMAXPROCS goroutines. Each goroutine cuts its rows' Vals and
+// bitmaps from slabs of its own, a few allocations in all instead of one
+// per row, and caps every cut as Prepare does.
+func PrepareAll(sigs []Signature) []Prepared {
+	out := make([]Prepared, len(sigs))
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(sigs)/prepareSplit))
+	per := (len(sigs) + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := per; lo < len(sigs); lo += per {
+		hi := min(lo+per, len(sigs))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prepareSlab(out[lo:hi], sigs[lo:hi])
+		}()
 	}
-	buf := make([]uint64, d+words)
-	copy(buf, vals)
+	prepareSlab(out[:per], sigs[:per])
+	wg.Wait()
+	return out
+}
+
+// prepareSlab sets out[i] to Prepare(sigs[i]), cutting the rows from
+// slabs. A new slab is sized for the rows left, at their signatures'
+// lengths: the most their Vals can take, so rows without a bitmap fit
+// one slab, and each row with a bitmap, which takes at most twice that,
+// leaves the next slab fewer rows to hold.
+func prepareSlab(out []Prepared, sigs []Signature) {
+	left := 0
+	for _, sig := range sigs {
+		left += len(sig)
+	}
+	var scratch [prepareScratch]uint64
+	var slab []uint64
+	for i, sig := range sigs {
+		vals := sortedDistinct(scratch[:0], sig)
+		n := len(vals) + bitmapWords(vals)
+		if len(slab)+n > cap(slab) {
+			slab = make([]uint64, 0, max(n, left))
+		}
+		left -= len(sig)
+		at := len(slab)
+		slab = slab[:at+n]
+		out[i] = prepareIn(sig, vals, slab[at:at+n:at+n])
+	}
+}
+
+// sortedDistinct appends the values of sig to dst and returns them
+// sorted, each once.
+func sortedDistinct(dst []uint64, sig Signature) []uint64 {
+	vals := append(dst, sig...)
+	slices.Sort(vals)
+	return slices.Compact(vals)
+}
+
+// bitmapWords is the length of the bitmap of the sorted distinct values
+// vals: the words up to the largest value's when they are no more than
+// len(vals), 0 (no bitmap) otherwise.
+func bitmapWords(vals []uint64) int {
+	d := len(vals)
+	if d > 0 && vals[d-1] < 64*uint64(d) {
+		return int(vals[d-1]/64) + 1
+	}
+	return 0
+}
+
+// prepareIn builds the Prepared of sig, whose sorted distinct values are
+// vals, in buf: Vals is buf's first len(vals) words, capped, and the
+// bitmap the rest of buf, which must be zero and bitmapWords(vals) long.
+func prepareIn(sig Signature, vals, buf []uint64) Prepared {
+	d := copy(buf, vals)
 	p := Prepared{Sig: sig, Vals: buf[:d:d]}
-	if words > 0 {
+	if len(buf) > d {
 		p.bitmap = buf[d:]
 		for _, v := range vals {
 			p.bitmap[v/64] |= 1 << (v % 64)
 		}
 	}
 	return p
-}
-
-// PrepareAll prepares every signature of a batch.
-func PrepareAll(sigs []Signature) []Prepared {
-	out := make([]Prepared, len(sigs))
-	for i, s := range sigs {
-		out[i] = Prepare(s)
-	}
-	return out
 }
 
 // Empty reports whether the underlying signature came from an empty

@@ -2,8 +2,10 @@ package sigstore
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"github.com/metagenomics/mrmcminh/internal/kmer"
 	"github.com/metagenomics/mrmcminh/internal/minhash"
 )
 
@@ -83,6 +85,44 @@ func BenchmarkSigStoreViewBandHash(b *testing.B) {
 			b.StopTimer()
 			_ = sink
 		})
+	}
+}
+
+// BenchmarkSigStoreViewBuild times building a full store's view, which
+// prepares every row, over lsh-cc-65k's store: 65,530 signatures of
+// random 100-bp reads at k=8, n=24. Run it at -cpu 1,2: the rows prepare
+// in parallel.
+func BenchmarkSigStoreViewBuild(b *testing.B) {
+	const rows, k, n = 65530, 8, 24
+	sk, err := minhash.NewSketcher(n, k, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ex := &kmer.Extractor{K: k}
+	rng := rand.New(rand.NewSource(42))
+	seq := make([]byte, 100)
+	var kms []uint64
+	sigs := make([]minhash.Signature, rows)
+	for i := range sigs {
+		for j := range seq {
+			seq[j] = "ACGT"[rng.Intn(4)]
+		}
+		kms = ex.SliceInto(kms[:0], seq)
+		sigs[i] = sk.SketchInto(make(minhash.Signature, n), kms)
+	}
+	s, err := New(Config{NumHashes: n})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.PutBatch(0, sigs); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if v := s.View(minhash.SetOverlap); v.Len() != rows {
+			b.Fatalf("view of %d rows", v.Len())
+		}
 	}
 }
 

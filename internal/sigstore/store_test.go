@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"github.com/metagenomics/mrmcminh/internal/minhash"
@@ -309,6 +312,65 @@ func TestViewGrowMatchesView(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestViewsBuiltConcurrently builds views of one full store from several
+// goroutines at once (run it under -race). The store is large enough for
+// minhash.PrepareAll to split its rows over goroutines, with rows that
+// do and do not build a bitmap and empty rows, and each view must match
+// the row-by-row Prepare path.
+func TestViewsBuiltConcurrently(t *testing.T) {
+	const rows, n, views = 9000, 24, 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rng := rand.New(rand.NewSource(17))
+	sigs := make([]minhash.Signature, rows)
+	prep := make([]minhash.Prepared, rows)
+	for i := range sigs {
+		bound := uint64(1031) // small values build a bitmap
+		if i%2 == 1 {
+			bound = 1 << 61
+		}
+		sigs[i] = make(minhash.Signature, n)
+		for j := range sigs[i] {
+			sigs[i][j] = rng.Uint64() % bound
+			if i%97 == 0 {
+				sigs[i][j] = minhash.EmptyMin
+			}
+		}
+		prep[i] = minhash.Prepare(sigs[i])
+	}
+	s, err := New(Config{NumHashes: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutBatch(0, sigs); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, views)
+	var wg sync.WaitGroup
+	for g := 0; g < views; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v := s.View(minhash.SetOverlap)
+			for i := 0; i < rows; i++ {
+				j := (i*7919 + 1) % rows
+				if !slices.Equal(v.Prepared(i).Vals, prep[i].Vals) {
+					errs <- fmt.Errorf("row %d: Vals %v, want %v", i, v.Prepared(i).Vals, prep[i].Vals)
+					return
+				}
+				if got, want := v.Similarity(i, j), minhash.SetOverlap.SimilarityPrepared(prep[i], prep[j]); got != want {
+					errs <- fmt.Errorf("Similarity(%d, %d) = %v, want %v", i, j, got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -9,8 +9,10 @@ import (
 // View is an index-aligned, read-only projection of a store: element i
 // of the view is dense ID i. Construction materializes borrowed row
 // views (and, for full stores, the Prepared caches the zero-alloc
-// kernels need) exactly once, so the O(N²) pair loops downstream index
-// plain slices with no locking and no per-pair allocation.
+// kernels need, built by minhash.PrepareAll: in parallel for a large
+// store, their values cut from a few slabs) exactly once, so the O(N²)
+// pair loops downstream index plain slices with no locking and no
+// per-pair allocation.
 //
 // A View satisfies cluster.SigSource. It assumes the store is quiescent
 // while the view is read: either ingest finishes before clustering
@@ -39,11 +41,14 @@ func (s *Store) View(est minhash.Estimator) *View {
 	n := s.Len()
 	v := &View{est: est, bits: s.cfg.Bits, numHashes: s.cfg.NumHashes}
 	if s.cfg.Bits == 0 {
-		v.sigs = make([]minhash.Signature, 0, n)
-		v.prep = make([]minhash.Prepared, 0, n)
-	} else {
-		v.packed = make([]minhash.BBitSignature, 0, n)
+		v.sigs = make([]minhash.Signature, n)
+		for id := range v.sigs {
+			v.sigs[id] = minhash.Signature(s.row(id))
+		}
+		v.prep = minhash.PrepareAll(v.sigs)
+		return v
 	}
+	v.packed = make([]minhash.BBitSignature, 0, n)
 	for id := 0; id < n; id++ {
 		v.appendRow(s, id)
 	}
