@@ -505,6 +505,42 @@ func TestTranslateToKmerWindows(t *testing.T) {
 	}
 }
 
+// TestTranslateToKmerBoxedTable: a k up to boxedKmersMaxK takes its k-mer
+// fields from the table of boxed values, a larger k boxes each, and both
+// give every window's packed value as an int64.
+func TestTranslateToKmerBoxedTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	enc := make([]byte, 200)
+	for i := range enc {
+		enc[i] = "0123"[rng.Intn(4)]
+	}
+	for _, k := range []int{1, 5, boxedKmersMaxK, boxedKmersMaxK + 1, 12} {
+		args := []pig.Value{string(enc), "r1", int64(k)}
+		v, err := translateToKmer(nil, args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bag := v.(pig.Bag)
+		if len(bag) != len(enc)-k+1 {
+			t.Fatalf("k=%d: %d k-mers, want %d", k, len(bag), len(enc)-k+1)
+		}
+		for i, tup := range bag {
+			var want int64
+			for _, c := range enc[i : i+k] {
+				want = want<<2 | int64(c-'0')
+			}
+			if got, ok := tup.Fields[0].(int64); !ok || got != want || tup.Fields[1] != "r1" {
+				t.Fatalf("k=%d: window %d = %v, want (%d, r1)", k, i, tup.Fields, want)
+			}
+		}
+		// The bag, its slab of fields, the boxed read id and the boxed bag.
+		allocs := testing.AllocsPerRun(20, func() { _, _ = translateToKmer(nil, args) })
+		if small := k <= boxedKmersMaxK; small != (allocs <= 4) {
+			t.Errorf("k=%d: %v allocations per call", k, allocs)
+		}
+	}
+}
+
 func TestSortTuplesByFirstField(t *testing.T) {
 	bag := pig.Bag{pig.NewTuple("b"), pig.NewTuple("a")}
 	sortTuplesByFirstField(bag)

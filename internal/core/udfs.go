@@ -212,6 +212,28 @@ func stringGenerator(_ *pig.Context, args []pig.Value) (pig.Value, error) {
 	return pig.NewTuple(sb.String(), id), nil
 }
 
+// boxedKmersMaxK is the largest k whose k-mer fields translateToKmer takes
+// from a table of boxed values: 4^8 = 65,536 entries, 1 MiB of
+// interfaces over 512 KiB of boxes.
+const boxedKmersMaxK = 8
+
+// boxedKmers[k-1] returns the k-mer values 0..4^k−1 boxed as pig.Values,
+// built on first use and read-only afterwards, so that no k-mer of a k up
+// to boxedKmersMaxK is boxed per tuple.
+var boxedKmers [boxedKmersMaxK]func() []pig.Value
+
+func init() {
+	for k := range boxedKmers {
+		boxedKmers[k] = sync.OnceValue(func() []pig.Value {
+			table := make([]pig.Value, 1<<(2*(k+1)))
+			for v := range table {
+				table[v] = int64(v)
+			}
+			return table
+		})
+	}
+}
+
 // translateToKmer emits the packed k-mers of an integer-encoded sequence
 // (Algorithm 3 step 3) as a bag of (seqkmer:long, seqid) tuples.
 func translateToKmer(_ *pig.Context, args []pig.Value) (pig.Value, error) {
@@ -238,6 +260,10 @@ func translateToKmer(_ *pig.Context, args []pig.Value) (pig.Value, error) {
 	bag := make(pig.Bag, 0, max(len(enc)-k+1, 0))
 	fields := make([]pig.Value, 2*cap(bag))
 	idv := pig.Value(id)
+	var boxed []pig.Value
+	if k <= boxedKmersMaxK {
+		boxed = boxedKmers[k-1]()
+	}
 	// Roll over the digit-encoded sequence; '.' (ambiguous) resets.
 	var v uint64
 	mask := uint64(1)<<(2*k) - 1
@@ -255,7 +281,12 @@ func translateToKmer(_ *pig.Context, args []pig.Value) (pig.Value, error) {
 		if valid == k {
 			tup := fields[:2:2]
 			fields = fields[2:]
-			tup[0], tup[1] = int64(v), idv
+			if boxed != nil {
+				tup[0] = boxed[v]
+			} else {
+				tup[0] = int64(v)
+			}
+			tup[1] = idv
 			bag = append(bag, pig.Tuple{Fields: tup})
 		}
 	}
