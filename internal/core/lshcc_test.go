@@ -1,13 +1,17 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
+	"github.com/metagenomics/mrmcminh/internal/checkpoint"
 	"github.com/metagenomics/mrmcminh/internal/cluster"
 	"github.com/metagenomics/mrmcminh/internal/dfs"
 	"github.com/metagenomics/mrmcminh/internal/fasta"
@@ -174,6 +178,71 @@ func TestClusterLSHCCResumeBitIdentical(t *testing.T) {
 			if len(res.SkippedStages) == 0 {
 				t.Fatalf("%s resume after %s re-executed every stage", mode, crashAfter)
 			}
+		}
+	}
+}
+
+// TestClusterLSHCCResumesFromEveryEdgeJournal resumes from a journal
+// whose lsh-edges entry holds every verified θ-edge, as builds that
+// checkpointed all of them wrote it, not the bucket forests: connected
+// components then run over more edges with the same components, so the
+// labels equal an uninterrupted run's.
+func TestClusterLSHCCResumesFromEveryEdgeJournal(t *testing.T) {
+	reads, _ := makeReads(5, 15, 200, 0.004, 3)
+	for _, mode := range []Mode{GreedyMode, HierarchicalMode} {
+		opt := lshOptions(mode, 3)
+		opt.Candidate = CandidateLSH
+		baseline, err := Run(reads, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		run1 := opt
+		run1.Checkpoint = openJournal(t, dir)
+		run1.Faults = faults.MustNew(faults.Plan{
+			DriverCrashes: []faults.DriverCrash{{AfterStage: StageLSHEdges}},
+		})
+		var dce *faults.DriverCrashError
+		if _, err := Run(reads, run1); !errors.As(err, &dce) {
+			t.Fatalf("%s crash after %s: got %v", mode, StageLSHEdges, err)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var forest checkpoint.Entry
+		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+			var e checkpoint.Entry
+			if err := json.Unmarshal([]byte(line), &e); err != nil {
+				t.Fatal(err)
+			}
+			if e.Stage == StageLSHEdges {
+				forest = e
+			}
+		}
+		ref := computeLSHReference(sketchSource(t, reads, opt.withDefaults()), opt.withDefaults())
+		if len(ref.edges) <= len(ref.forest) {
+			t.Fatalf("%d θ-edges, %d forest edges: the corpus drops no edge", len(ref.edges), len(ref.forest))
+		}
+		j := openJournal(t, dir)
+		if _, err := j.Commit(StageLSHEdges, forest.InputsHash, forest.Params, encodeEdges(ref.edges)); err != nil {
+			t.Fatal(err)
+		}
+		run2 := opt
+		run2.Checkpoint = openJournal(t, dir)
+		run2.Resume = ResumeOn
+		res, err := Run(reads, run2)
+		if err != nil {
+			t.Fatalf("%s resume: %v", mode, err)
+		}
+		if !slices.Equal(res.SkippedStages, []string{StageSketch, StageLSHEdges}) {
+			t.Fatalf("%s resume skipped %v", mode, res.SkippedStages)
+		}
+		if got, forestRun := res.Counters["cc.active_edges"], baseline.Counters["cc.active_edges"]; got <= forestRun {
+			t.Fatalf("%s: %d active CC edges resuming, %d uninterrupted: the journal's edges were not read", mode, got, forestRun)
+		}
+		if !reflect.DeepEqual(res.Assignments, baseline.Assignments) {
+			t.Fatalf("%s: resuming from every verified edge changed the clustering", mode)
 		}
 	}
 }
@@ -401,9 +470,12 @@ func TestComponentFinishReproducesExactLabels(t *testing.T) {
 // per band, the non-empty reads are bucketed by band hash; each bucket of
 // two or more reads counts once, keeps its cap lowest ids and expands
 // them into pairs. The union of those pairs over all bands is the
-// candidate set, and the candidates of similarity ≥ θ are the edges.
+// candidate set, and the candidates of similarity ≥ θ are the edges. A
+// pair belongs to the lowest band that keeps it, and each bucket's forest
+// takes, in pair order, the edges of its own pairs that join two of its
+// union-find components.
 type lshReference struct {
-	edges                []cluster.Edge // sorted
+	edges, forest        []cluster.Edge // sorted
 	candidates, buckets  int64
 	overflow, laterBands int64 // laterBands: candidates first colliding in a band that capped them out
 }
@@ -427,43 +499,78 @@ func computeLSHReference(src cluster.SigSource, opt Options) lshReference {
 			}
 			ref.buckets++
 			ref.overflow += int64(max(len(ids)-cap, 0))
+			parent := make([]int, len(ids)) // the bucket's union-find, by position
+			for x := range parent {
+				parent[x] = x
+			}
+			root := func(x int) int {
+				for parent[x] != x {
+					x = parent[x]
+				}
+				return x
+			}
 			for x := range ids {
 				for y := x + 1; y < len(ids); y++ {
 					e := cluster.Edge{U: ids[x], V: ids[y]}
 					if _, ok := first[e]; !ok {
 						first[e] = b
 					}
-					if y < cap && !kept[e] {
-						kept[e] = true
-						if first[e] < b {
-							ref.laterBands++
-						}
+					if y >= cap || kept[e] {
+						continue
+					}
+					kept[e] = true
+					if first[e] < b {
+						ref.laterBands++
+					}
+					if src.Similarity(e.U, e.V) < opt.Theta {
+						continue
+					}
+					ref.edges = append(ref.edges, e)
+					if rx, ry := root(x), root(y); rx != ry {
+						parent[ry] = rx
+						ref.forest = append(ref.forest, e)
 					}
 				}
 			}
 		}
 	}
-	for e := range kept {
-		if src.Similarity(e.U, e.V) >= opt.Theta {
-			ref.edges = append(ref.edges, e)
-		}
-	}
 	ref.candidates = int64(len(kept))
-	slices.SortFunc(ref.edges, func(a, b cluster.Edge) int {
-		if a.U != b.U {
-			return a.U - b.U
-		}
-		return a.V - b.V
-	})
+	for _, edges := range [][]cluster.Edge{ref.edges, ref.forest} {
+		slices.SortFunc(edges, func(a, b cluster.Edge) int {
+			if a.U != b.U {
+				return a.U - b.U
+			}
+			return a.V - b.V
+		})
+	}
 	return ref
+}
+
+// sketchSource sketches reads as core.Run does, into a slice-backed
+// source.
+func sketchSource(t *testing.T, reads []fasta.Record, opt Options) cluster.SigSource {
+	t.Helper()
+	sk, err := minhash.NewSketcher(opt.NumHashes, opt.K, opt.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := &kmer.Extractor{K: opt.K, Canonical: opt.Canonical}
+	sigs := make([]minhash.Signature, len(reads))
+	for i, r := range reads {
+		sigs[i] = sk.Sketch(ex.Set(r.Seq))
+	}
+	return cluster.NewSliceSource(sigs, minhash.SetOverlap)
 }
 
 // TestLSHEdgesMatchReference holds lshEdgesJobs to computeLSHReference
 // on corpora whose buckets overflow their cap in some bands and not in
-// others, with duplicate reads and empty signatures: the same edges, and
-// the same candidate, bucket and overflow counts. Across the corpora some
-// candidates first collide in a band whose cap drops one of the two
-// reads, and only a later band keeps them; the test fails if none do.
+// others, with duplicate reads and empty signatures: edges exactly the
+// reference's bucket forests, lsh.edges its θ-edge count, and the same
+// candidate, bucket and overflow counts. The forests must connect exactly
+// what every θ-edge connects, and drop some edges somewhere. Across the
+// corpora some candidates first collide in a band whose cap drops one of
+// the two reads, and only a later band keeps them; the test fails if
+// none do. One case keeps more than 256 reads of a bucket.
 func TestLSHEdgesMatchReference(t *testing.T) {
 	withEmpty := func(reads []fasta.Record) []fasta.Record {
 		return append(reads, fasta.Record{ID: "tiny1", Seq: []byte("AC")}, fasta.Record{ID: "tiny2", Seq: []byte("GT")})
@@ -472,6 +579,7 @@ func TestLSHEdgesMatchReference(t *testing.T) {
 	dups, _ := makeReads(3, 12, 120, 0, 9)
 	mixed, _ := makeReads(10, 20, 100, 0.02, 13)
 	dense, _ := makeReads(8, 25, 200, 0.004, 1)
+	wide, _ := makeReads(1, 330, 100, 0.01, 19)
 	var identical []fasta.Record
 	for i := 0; i < 40; i++ {
 		identical = append(identical, fasta.Record{ID: fmt.Sprintf("dup%d", i), Seq: []byte("ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT")})
@@ -491,6 +599,7 @@ func TestLSHEdgesMatchReference(t *testing.T) {
 		{"dense-cap3", dense, 5, 100, 0.9, cluster.LSHOptions{Bands: 20, Rows: 5}, 3},
 		{"identical-cap8", identical, 5, 24, 0.4, cluster.LSHOptions{Bands: 8, Rows: 3}, 8},
 		{"mixed-default-cap", mixed, 5, 48, 0.4, cluster.LSHOptions{}, 0},
+		{"wide-cap260", wide, 5, 24, 0.6, cluster.LSHOptions{Bands: 8, Rows: 3}, 260},
 	}
 	var laterBands int64
 	for _, tc := range cases {
@@ -499,16 +608,7 @@ func TestLSHEdgesMatchReference(t *testing.T) {
 				K: tc.k, NumHashes: tc.n, Theta: tc.theta, Seed: 3, Cluster: smallCluster(),
 				Candidate: CandidateLSH, LSH: tc.lsh, LSHBucketCap: tc.cap,
 			}.withDefaults()
-			sk, err := minhash.NewSketcher(opt.NumHashes, opt.K, opt.Seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ex := &kmer.Extractor{K: opt.K}
-			sigs := make([]minhash.Signature, len(tc.reads))
-			for i, r := range tc.reads {
-				sigs[i] = sk.Sketch(ex.Set(r.Seq))
-			}
-			src := cluster.NewSliceSource(sigs, minhash.SetOverlap)
+			src := sketchSource(t, tc.reads, opt)
 			engine, err := opt.engine()
 			if err != nil {
 				t.Fatal(err)
@@ -517,24 +617,43 @@ func TestLSHEdgesMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			counters := []string{"lsh.candidate_pairs", "lsh.edges", "lsh.buckets", "lsh.bucket_overflow"}
 			got := map[string]int64{}
 			for _, r := range results {
-				for _, c := range []string{"lsh.candidate_pairs", "lsh.buckets", "lsh.bucket_overflow"} {
+				for _, c := range counters {
 					got[c] += r.Counters.Get(c)
 				}
 			}
 			ref := computeLSHReference(src, opt)
-			if !slices.Equal(edges, ref.edges) {
-				t.Errorf("edges differ from the reference: %d, want %d", len(edges), len(ref.edges))
+			if !slices.Equal(edges, ref.forest) {
+				t.Errorf("edges differ from the reference's bucket forests: %d, want %d", len(edges), len(ref.forest))
 			}
-			want := map[string]int64{"lsh.candidate_pairs": ref.candidates, "lsh.buckets": ref.buckets, "lsh.bucket_overflow": ref.overflow}
+			want := map[string]int64{
+				"lsh.candidate_pairs": ref.candidates, "lsh.edges": int64(len(ref.edges)),
+				"lsh.buckets": ref.buckets, "lsh.bucket_overflow": ref.overflow,
+			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("counters %v, want %v", got, want)
 			}
 			if ref.edges == nil {
 				t.Error("no edges: the corpus verifies nothing")
 			}
-			t.Logf("%d candidates, %d edges, %d kept only by a later band", ref.candidates, len(ref.edges), ref.laterBands)
+			forestCC, err := cluster.ConnectedComponents(src.Len(), ref.forest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edgesCC, err := cluster.ConnectedComponents(src.Len(), ref.edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(forestCC, edgesCC) {
+				t.Error("the bucket forests' components differ from the θ-edges'")
+			}
+			if tc.cap > DefaultLSHBucketCap && ref.overflow == 0 {
+				t.Errorf("no bucket overflows cap %d: none keeps more than %d reads", tc.cap, DefaultLSHBucketCap)
+			}
+			t.Logf("%d candidates, %d edges, %d forest edges, %d kept only by a later band",
+				ref.candidates, len(ref.edges), len(ref.forest), ref.laterBands)
 			laterBands += ref.laterBands
 		})
 	}
