@@ -92,11 +92,60 @@ func prepareSlab(out []Prepared, sigs []Signature) {
 }
 
 // sortedDistinct appends the values of sig to dst and returns them
-// sorted, each once.
+// sorted, each once. Up to networkMax values sort by a sorting network,
+// branch-free, where slices.Sort's insertion sort mispredicts on nearly
+// every comparison of random hash values.
 func sortedDistinct(dst []uint64, sig Signature) []uint64 {
 	vals := append(dst, sig...)
-	slices.Sort(vals)
+	if len(vals) <= networkMax {
+		for _, c := range network(len(vals)) {
+			a, b := vals[c.lo], vals[c.hi]
+			vals[c.lo], vals[c.hi] = min(a, b), max(a, b)
+		}
+	} else {
+		slices.Sort(vals)
+	}
 	return slices.Compact(vals)
+}
+
+// networkMax is the longest row sortedDistinct sorts by a network.
+const networkMax = 128
+
+// comparator puts the lesser of two values at lo and the greater at hi.
+type comparator struct{ lo, hi uint8 }
+
+// networks[n] is the sorting network for n values, built on first use
+// and only read afterwards.
+var networks [networkMax + 1]struct {
+	once sync.Once
+	cmp  []comparator
+}
+
+// network returns the comparators that sort n ≤ networkMax values.
+func network(n int) []comparator {
+	nw := &networks[n]
+	nw.once.Do(func() { nw.cmp = oddEvenMergeNetwork(n) })
+	return nw.cmp
+}
+
+// oddEvenMergeNetwork lists, in order, the comparators of Batcher's
+// odd–even merge sort on n values: the network for the next power of
+// two without the comparators that reach position n or beyond, which
+// would only meet padding above every value.
+func oddEvenMergeNetwork(n int) []comparator {
+	var cmp []comparator
+	for p := 1; p < n; p *= 2 {
+		for k := p; k >= 1; k /= 2 {
+			for j := k % p; j+k < n; j += 2 * k {
+				for i := j; i < j+k && i+k < n; i++ {
+					if i/(2*p) == (i+k)/(2*p) {
+						cmp = append(cmp, comparator{uint8(i), uint8(i + k)})
+					}
+				}
+			}
+		}
+	}
+	return cmp
 }
 
 // bitmapWords is the length of the bitmap of the sorted distinct values

@@ -241,6 +241,37 @@ func TestPrepareAllMatchesPrepare(t *testing.T) {
 	}
 }
 
+// TestSortedDistinctMatchesSort holds sortedDistinct, which sorts rows of
+// up to networkMax values by a sorting network, to slices.Sort and
+// Compact at every length from 0 to networkMax+2: random rows over a
+// range small enough to repeat values, over the whole uint64 range, and
+// with EmptyMin and 0 planted.
+func TestSortedDistinctMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var scratch [prepareScratch]uint64
+	for n := 0; n <= networkMax+2; n++ {
+		for trial := 0; trial < 40; trial++ {
+			sig := make(Signature, n)
+			for i := range sig {
+				switch {
+				case trial%4 == 0:
+					sig[i] = rng.Uint64()
+				case rng.Intn(6) == 0:
+					sig[i] = []uint64{EmptyMin, 0}[rng.Intn(2)]
+				default:
+					sig[i] = rng.Uint64() % uint64(1+trial*n/8)
+				}
+			}
+			want := slices.Clone(sig)
+			slices.Sort(want)
+			want = slices.Compact(want)
+			if got := sortedDistinct(scratch[:0], sig); !slices.Equal(got, want) {
+				t.Fatalf("n=%d: sortedDistinct(%v) = %v, want %v", n, sig, got, want)
+			}
+		}
+	}
+}
+
 var preparedSink Prepared
 
 // TestPreparedAllocations: Prepare allocates once, with or without a
