@@ -56,14 +56,14 @@ func RunLevels(reads []fasta.Record, opt Options, thetas []float64) (*LevelsResu
 	for i := range reads {
 		res.ReadIDs[i] = reads[i].ID
 	}
-	sigs, skOut, err := sketchJob(engine, reads, opt)
+	slab, skOut, err := sketchJob(engine, reads, opt)
 	if err != nil {
 		return nil, err
 	}
 	res.Virtual += skOut.Virtual
 	res.Jobs++
 	// Same source as Run: the matrix rows read borrowed store rows.
-	store, err := buildStore(sigs, opt)
+	store, err := buildStore(slab, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -104,9 +104,9 @@ func PickRepresentatives(reads []fasta.Record, labels metrics.Clustering, opt Op
 	if err != nil {
 		return nil, err
 	}
-	sigs, _, err := sketchJob(engine, reads, opt)
+	slab, _, err := sketchJob(engine, reads, opt)
 	if err != nil {
 		return nil, err
 	}
-	return cluster.Representatives(labels, cluster.NewSliceSource(sigs, minhash.SetOverlap))
+	return cluster.Representatives(labels, cluster.NewSliceSource(sigRows(slab, opt.NumHashes), minhash.SetOverlap))
 }

@@ -445,12 +445,12 @@ func Run(reads []fasta.Record, opt Options) (*Result, error) {
 			return st, nil
 		},
 		func() (*sigstore.Store, error) {
-			sigs, mrout, err := sketchJob(engine, reads, opt)
+			slab, mrout, err := sketchJob(engine, reads, opt)
 			if err != nil {
 				return nil, err
 			}
 			addJob(mrout)
-			return buildStore(sigs, opt)
+			return buildStore(slab, opt)
 		})
 	if err != nil {
 		return nil, err
@@ -516,13 +516,13 @@ func Run(reads []fasta.Record, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// sketchJob computes minwise signatures for all reads as a map-only job.
-// Map tasks run the slice-based SketchInto kernel: k-mer occurrences are
-// streamed into a pooled scratch buffer (duplicates do not change the
-// minima) so the hot path never materializes a kmer.Set map. Read i's
-// signature is row i of one slab, which each read's map call writes
-// alone.
-func sketchJob(engine *mapreduce.Engine, reads []fasta.Record, opt Options) ([]minhash.Signature, *mapreduce.Result, error) {
+// sketchJob computes minwise signatures for all reads as a map-only job
+// and returns them as one slab: read i's signature is row i, which each
+// read's map call writes alone. Map tasks run the slice-based SketchInto
+// kernel: k-mer occurrences are streamed into a pooled scratch buffer
+// (duplicates do not change the minima) so the hot path never
+// materializes a kmer.Set map.
+func sketchJob(engine *mapreduce.Engine, reads []fasta.Record, opt Options) (minhash.Signature, *mapreduce.Result, error) {
 	sk, err := minhash.NewSketcher(opt.NumHashes, opt.K, opt.Seed)
 	if err != nil {
 		return nil, nil, err
@@ -547,15 +547,20 @@ func sketchJob(engine *mapreduce.Engine, reads []fasta.Record, opt Options) ([]m
 			return nil
 		},
 	}
-	out, res, err := mapreduce.Run(engine, job)
+	_, res, err := mapreduce.Run(engine, job)
 	if err != nil {
 		return nil, nil, err
 	}
-	sigs := make([]minhash.Signature, len(reads))
-	for _, kv := range out {
-		sigs[kv.Key] = kv.Value
+	return slab, res, nil
+}
+
+// sigRows cuts a slab into its rows of n values, each capped.
+func sigRows(slab minhash.Signature, n int) []minhash.Signature {
+	sigs := make([]minhash.Signature, len(slab)/n)
+	for i := range sigs {
+		sigs[i] = slab[i*n : (i+1)*n : (i+1)*n]
 	}
-	return sigs, res, nil
+	return sigs
 }
 
 // indices returns 0, 1, ..., n-1: the input of a job over the reads by
@@ -568,15 +573,19 @@ func indices(n int) []int {
 	return ids
 }
 
-// buildStore ingests a sketched corpus into a signature store. Rows are
-// keyed by read index (PutBatch from dense ID 0), which keeps the store
-// index-aligned with the reads even when a FASTA repeats a read ID.
-func buildStore(sigs []minhash.Signature, opt Options) (*sigstore.Store, error) {
+// buildStore ingests a sketched corpus, the sketch job's slab, into a
+// signature store. Rows are keyed by read index, which keeps the store
+// index-aligned with the reads even when a FASTA repeats a read ID. A
+// full store adopts the slab as its arena; a packed one packs each row.
+func buildStore(slab minhash.Signature, opt Options) (*sigstore.Store, error) {
+	if opt.StoreBits == 0 {
+		return sigstore.Adopt(opt.NumHashes, slab)
+	}
 	st, err := sigstore.New(sigstore.Config{NumHashes: opt.NumHashes, Bits: opt.StoreBits})
 	if err != nil {
 		return nil, err
 	}
-	if err := st.PutBatch(0, sigs); err != nil {
+	if err := st.PutBatch(0, sigRows(slab, opt.NumHashes)); err != nil {
 		return nil, err
 	}
 	return st, nil

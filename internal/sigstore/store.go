@@ -64,6 +64,26 @@ func New(cfg Config) (*Store, error) {
 	return &Store{cfg: cfg, stride: cfg.stride(), trans: NewTranslator()}, nil
 }
 
+// Adopt returns a full store (Bits 0) of signature length numHashes whose
+// arena is words, row i being words[i·numHashes : (i+1)·numHashes]: the
+// store a PutBatch of those rows from dense ID 0 builds, without copying
+// them. The store owns words from then on.
+func Adopt(numHashes int, words []uint64) (*Store, error) {
+	s, err := New(Config{NumHashes: numHashes})
+	if err != nil {
+		return nil, err
+	}
+	if len(words)%numHashes != 0 {
+		return nil, fmt.Errorf("sigstore: %d words are not whole rows of %d", len(words), numHashes)
+	}
+	s.words = words
+	s.empty = make([]bool, len(words)/numHashes)
+	for id := range s.empty {
+		s.empty[id] = minhash.Signature(s.row(id)).Empty()
+	}
+	return s, nil
+}
+
 // NumHashes returns the signature length n.
 func (s *Store) NumHashes() int { return s.cfg.NumHashes }
 

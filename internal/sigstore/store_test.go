@@ -405,6 +405,51 @@ func TestPackedResidentBytesRatio(t *testing.T) {
 	}
 }
 
+// TestAdoptMatchesPutBatch: a store that adopts a slab of rows equals the
+// store a PutBatch of the same rows builds, in Len, every row, every
+// empty flag and the Snapshot bytes, and it reads the slab in place.
+// Adopt refuses a slab that is not whole rows.
+func TestAdoptMatchesPutBatch(t *testing.T) {
+	for _, rows := range []int{0, 1, 37} {
+		sigs := randSigs(t, rows, 24, 5, int64(rows))
+		slab := slices.Concat(sigs...)
+		want, err := New(Config{NumHashes: 24})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := want.PutBatch(0, sigs); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Adopt(24, slab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != want.Len() || got.NumHashes() != 24 || got.Bits() != 0 {
+			t.Fatalf("%d rows: adopted geometry %d/%d/%d", rows, got.Len(), got.NumHashes(), got.Bits())
+		}
+		for id := 0; id < rows; id++ {
+			if !slices.Equal(got.row(id), want.row(id)) || got.empty[id] != want.empty[id] {
+				t.Fatalf("%d rows: row %d differs", rows, id)
+			}
+		}
+		if rows >= 5 && !got.empty[4] {
+			t.Fatalf("%d rows: empty row 4 not flagged", rows)
+		}
+		if !bytes.Equal(got.Snapshot(), want.Snapshot()) {
+			t.Fatalf("%d rows: snapshots differ", rows)
+		}
+		if rows > 0 && &got.row(rows - 1)[23] != &slab[len(slab)-1] {
+			t.Fatalf("%d rows: the store copied the slab", rows)
+		}
+	}
+	if _, err := Adopt(24, make([]uint64, 25)); err == nil {
+		t.Fatal("Adopt accepted 25 words as rows of 24")
+	}
+	if _, err := Adopt(0, nil); err == nil {
+		t.Fatal("Adopt accepted rows of 0 words")
+	}
+}
+
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	for _, bits := range []int{0, 1, 4} {
 		s := keyedStore(t, Config{NumHashes: 24, Bits: bits}, 300, 11, 10)
