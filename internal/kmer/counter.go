@@ -22,10 +22,11 @@ func NewCounter(k int) *Counter {
 
 // Observe adds every k-mer occurrence of seq to the counter.
 func (c *Counter) Observe(seq []byte, e *Extractor) {
-	e.appendInto(seq, func(km uint64) {
+	kms := e.Slice(seq)
+	for _, km := range kms {
 		c.counts[km]++
-		c.total++
-	})
+	}
+	c.total += len(kms)
 }
 
 // Count returns the number of occurrences of km.

@@ -49,8 +49,11 @@ func MustExtractor(k int) *Extractor {
 // Windows containing ambiguous bases are skipped. The result order is
 // unspecified. A sequence shorter than k yields an empty set.
 func (e *Extractor) Set(seq []byte) Set {
-	set := make(Set, max(0, len(seq)-e.K+1))
-	e.appendInto(seq, func(km uint64) { set[km] = struct{}{} })
+	kms := e.Slice(seq)
+	set := make(Set, len(kms))
+	for _, km := range kms {
+		set[km] = struct{}{}
+	}
 	return set
 }
 
@@ -63,17 +66,12 @@ func (e *Extractor) Slice(seq []byte) []uint64 {
 // SliceInto appends every k-mer occurrence of seq to dst and returns the
 // extended slice, reusing dst's backing array when it has capacity —
 // the buffer-recycling form of Slice for hot loops that process many
-// sequences.
+// sequences. It streams the packed k-mers of seq through a rolling
+// window.
 func (e *Extractor) SliceInto(dst []uint64, seq []byte) []uint64 {
-	e.appendInto(seq, func(km uint64) { dst = append(dst, km) })
-	return dst
-}
-
-// appendInto streams packed k-mers of seq to emit using a rolling window.
-func (e *Extractor) appendInto(seq []byte, emit func(uint64)) {
 	k := e.K
 	if len(seq) < k {
-		return
+		return dst
 	}
 	mask := uint64(1)<<(2*k) - 1
 	var fwd, rc uint64
@@ -96,9 +94,10 @@ func (e *Extractor) appendInto(seq []byte, emit func(uint64)) {
 			if e.Canonical && rc < km {
 				km = rc
 			}
-			emit(km)
+			dst = append(dst, km)
 		}
 	}
+	return dst
 }
 
 // Pack encodes an unambiguous DNA string of length <= MaxK into a uint64.
