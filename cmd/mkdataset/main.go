@@ -73,12 +73,15 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
+		defer f.Close() // on error paths; the success path checks Close
 		bw := bufio.NewWriter(f)
 		for i, r := range reads {
 			fmt.Fprintf(bw, "%s\t%s\n", r.ID, labels[i])
 		}
 		if err := bw.Flush(); err != nil {
+			return err
+		}
+		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "wrote ground truth to %s\n", *truth)

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 
 	"github.com/metagenomics/mrmcminh"
@@ -46,7 +47,7 @@ func run() (err error) {
 		link         = flag.String("link", "average", "hierarchical linkage: single, average or complete")
 		bucketCap    = flag.Int("lsh-bucket-cap", 0, "max reads per LSH bucket expanded into candidate pairs (0 = default cap; -candidate=lsh only)")
 		labels       = flag.String("labels", "", "optional ground-truth TSV (readID<TAB>class) for W.Acc")
-		levels       = flag.String("levels", "", "comma-separated extra thresholds for multi-level output (hierarchical mode)")
+		levels       = flag.String("levels", "", "comma-separated extra thresholds to cut the run's dendrogram at (exact hierarchical mode)")
 		otu          = flag.String("otu", "", "write an OTU table (size, abundance, representative) to this file")
 		consensusOut = flag.String("consensus", "", "write per-cluster consensus sequences to this FASTA file")
 	)
@@ -73,6 +74,16 @@ func run() (err error) {
 		return err
 	}
 	opt.LSHBucketCap = *bucketCap
+	var thetas []float64
+	if *levels != "" {
+		for _, s := range strings.Split(*levels, ",") {
+			t, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+			if err != nil {
+				return fmt.Errorf("-levels: bad threshold %q", s)
+			}
+			thetas = append(thetas, t)
+		}
+	}
 	reads, err := fasta.ReadSequencesFile(*in) // FASTA or FASTQ
 	if err != nil {
 		return err
@@ -85,6 +96,14 @@ func run() (err error) {
 	for _, s := range res.SkippedStages {
 		fmt.Fprintf(os.Stderr, "resume: skipped stage %s (checkpoint valid)\n", s)
 	}
+	// Cut the levels before writing anything, so that a run which cannot
+	// answer -levels leaves no output behind.
+	var lvls []mrmcminh.Level
+	if thetas != nil {
+		if lvls, err = res.Levels(thetas); err != nil {
+			return fmt.Errorf("-levels: %w", err)
+		}
+	}
 
 	w := os.Stdout
 	if *out != "" {
@@ -92,7 +111,7 @@ func run() (err error) {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
+		defer f.Close() // on error paths; the success path checks Close
 		w = f
 	}
 	bw := bufio.NewWriter(w)
@@ -101,6 +120,11 @@ func run() (err error) {
 	}
 	if err := bw.Flush(); err != nil {
 		return err
+	}
+	if w != os.Stdout {
+		if err := w.Close(); err != nil {
+			return err
+		}
 	}
 
 	fmt.Fprintf(os.Stderr, "%d reads -> %d clusters in %v (modelled %d-node time %s)\n",
@@ -119,7 +143,7 @@ func run() (err error) {
 	}
 
 	if *otu != "" {
-		reps, err := mrmcminh.Representatives(reads, res, opt)
+		reps, err := res.Representatives()
 		if err != nil {
 			return err
 		}
@@ -135,7 +159,7 @@ func run() (err error) {
 	}
 
 	if *consensusOut != "" {
-		cons, err := mrmcminh.Consensus(reads, res, opt, mrmcminh.ConsensusOptions{MaxMembers: 50})
+		cons, err := mrmcminh.Consensus(reads, res, mrmcminh.ConsensusOptions{MaxMembers: 50})
 		if err != nil {
 			return err
 		}
@@ -161,27 +185,9 @@ func run() (err error) {
 		fmt.Fprintf(os.Stderr, "wrote %d consensus sequences to %s\n", len(recs), *consensusOut)
 	}
 
-	if *levels != "" {
-		if opt.Mode != mrmcminh.Hierarchical {
-			return fmt.Errorf("-levels requires hierarchical mode")
-		}
-		var thetas []float64
-		for _, s := range strings.Split(*levels, ",") {
-			var t float64
-			if _, err := fmt.Sscanf(strings.TrimSpace(s), "%f", &t); err != nil {
-				return fmt.Errorf("bad level %q", s)
-			}
-			thetas = append(thetas, t)
-		}
-		lres, err := mrmcminh.ClusterLevels(reads, opt, thetas)
-		if err != nil {
-			return err
-		}
-		for _, lv := range lres.Levels {
-			fmt.Fprintf(os.Stderr, "level θ=%.2f: %d clusters\n", lv.Theta, lv.Assignments.NumClusters())
-		}
+	for _, lv := range lvls {
+		fmt.Fprintf(os.Stderr, "level θ=%.2f: %d clusters\n", lv.Theta, lv.Clusters)
 	}
-
 	return nil
 }
 

@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -181,5 +183,105 @@ func TestExtrasGolden(t *testing.T) {
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("outputs differ from testdata/extras.golden; actual lines:\n%s", strings.Join(got, "\n"))
+	}
+}
+
+// jobSpans counts the job spans of a JSON-lines trace by job name.
+func jobSpans(t *testing.T, path string) map[string]int {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if line == "" {
+			continue
+		}
+		var span struct{ Kind, Name string }
+		if err := json.Unmarshal([]byte(line), &span); err != nil {
+			t.Fatal(err)
+		}
+		if span.Kind == "job" {
+			jobs[span.Name]++
+		}
+	}
+	return jobs
+}
+
+// TestExtrasLaunchNoJobs: the OTU table, the consensus and the levels
+// read the run's own signatures and dendrogram, so the first extras
+// case launches one sketch job and one matrix job in all.
+func TestExtrasLaunchNoJobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes")
+	}
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	corpus := filepath.Join(dir, "reads.fa")
+	writeCorpus(t, corpus, 300)
+	tr := filepath.Join(dir, "x.jsonl")
+	args := append(append([]string{"-in", corpus, "-trace", tr}, extrasArgs(dir, "traced")...), extrasCases[0].args...)
+	if stderr, code := runCLI(t, bin, args...); code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	want := map[string]int{"mrmcminh-sketch": 1, "mrmcminh-simrows": 1}
+	if got := jobSpans(t, tr); !reflect.DeepEqual(got, want) {
+		t.Fatalf("job spans %v, want %v", got, want)
+	}
+}
+
+// TestRefusedBeforeOutput: a -levels the run cannot answer, or a θ no
+// check can place in [0,1], exits 1 and leaves no -out, -otu or
+// -consensus file. Unparsable levels and θ=NaN are refused before any
+// job runs; θ=NaN also before the checkpoint directory is made.
+func TestRefusedBeforeOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes")
+	}
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	corpus := filepath.Join(dir, "reads.fa")
+	writeCorpus(t, corpus, 120)
+	done := filepath.Join(dir, "done")
+	if stderr, code := runCLI(t, bin, "-in", corpus, "-checkpoint-dir", done, "-out", filepath.Join(dir, "done.tsv")); code != 0 {
+		t.Fatalf("journaled run: exit %d\n%s", code, stderr)
+	}
+	for _, c := range []struct {
+		name, msg string
+		args      []string
+	}{
+		{"levels-0.x", `bad threshold "0.x"`, []string{"-levels", "0.x"}},
+		{"levels-0.5x", `bad threshold "0.5x"`, []string{"-levels", "0.5x"}},
+		{"levels-nan", "threshold NaN out of [0,1]", []string{"-levels", "nan"}},
+		{"levels-1.5", "threshold 1.5 out of [0,1]", []string{"-levels", "1.5"}},
+		{"greedy-levels", "no dendrogram", []string{"-mode", "greedy", "-levels", "0.5"}},
+		{"lsh-levels", "no dendrogram", []string{"-candidate", "lsh", "-levels", "0.5"}},
+		{"restored-levels", `restored its "cluster" stage`, []string{"-checkpoint-dir", done, "-resume", "-levels", "0.5"}},
+		{"theta-nan", "θ=NaN", []string{"-theta", "nan", "-checkpoint-dir", filepath.Join(dir, "nan-ck")}},
+	} {
+		tr := filepath.Join(dir, c.name+".jsonl")
+		args := append(append([]string{"-in", corpus, "-trace", tr}, extrasArgs(dir, c.name)...), c.args...)
+		stderr, code := runCLI(t, bin, args...)
+		if code != 1 || !strings.Contains(stderr, c.msg) {
+			t.Errorf("%s: exit %d, want 1 with %q\n%s", c.name, code, c.msg, stderr)
+		}
+		for _, ext := range []string{".tsv", ".otu", ".fa"} {
+			if _, err := os.Stat(filepath.Join(dir, c.name+ext)); !os.IsNotExist(err) {
+				t.Errorf("%s: left %s behind (stat: %v)", c.name, c.name+ext, err)
+			}
+		}
+		switch c.name {
+		case "levels-0.x", "levels-0.5x":
+			if jobs := jobSpans(t, tr); len(jobs) != 0 {
+				t.Errorf("%s: ran jobs %v before refusing", c.name, jobs)
+			}
+		case "theta-nan":
+			for _, p := range []string{tr, filepath.Join(dir, "nan-ck")} {
+				if _, err := os.Stat(p); !os.IsNotExist(err) {
+					t.Errorf("theta-nan: wrote %s (stat: %v)", p, err)
+				}
+			}
+		}
 	}
 }

@@ -87,6 +87,16 @@ func TestDaemonChaosKillAndRecover(t *testing.T) {
 		t.Fatalf("reference run: %v\n%s", err, out)
 	}
 
+	// θ=NaN is refused before the daemon writes any state.
+	nanDir := filepath.Join(work, "nan-state")
+	cmd = exec.Command(bin, append(append([]string{}, common...), "-theta", "nan", "-data-dir", nanDir)...)
+	if out, err := cmd.CombinedOutput(); err == nil {
+		t.Fatalf("-theta nan accepted\n%s", out)
+	}
+	if _, err := os.Stat(nanDir); !os.IsNotExist(err) {
+		t.Fatalf("-theta nan left a data dir behind (stat: %v)", err)
+	}
+
 	// Chaos run: crash after 150 acked reads.
 	dir := filepath.Join(work, "chaos-state")
 	cmd = exec.Command(bin, append(append([]string{}, common...),

@@ -73,7 +73,7 @@ func main() {
 	fmt.Printf("clustered %d reads into %d bins\n\n", len(reads), res.NumClusters())
 
 	// 2. Consensus per cluster.
-	cons, err := mrmcminh.Consensus(reads, res, opt, mrmcminh.ConsensusOptions{MaxMembers: 20})
+	cons, err := mrmcminh.Consensus(reads, res, mrmcminh.ConsensusOptions{MaxMembers: 20})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func main() {
 	}
 
 	// One representative per cluster: the medoid under minhash similarity.
-	reps, err := mrmcminh.Representatives(reads, res, opt)
+	reps, err := res.Representatives()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -165,6 +166,9 @@ func TestGreedyValidation(t *testing.T) {
 	}
 	if _, err := Greedy(empty, 1.1); err == nil {
 		t.Fatal("threshold > 1 accepted")
+	}
+	if _, err := Greedy(empty, math.NaN()); err == nil {
+		t.Fatal("threshold NaN accepted")
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 
 // checkTheta rejects a clustering threshold outside [0,1].
 func checkTheta(theta float64) error {
-	if theta < 0 || theta > 1 {
+	if !(theta >= 0 && theta <= 1) {
 		return fmt.Errorf("cluster: threshold must be in [0,1], got %v", theta)
 	}
 	return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -70,6 +71,7 @@ func TestOptionsValidate(t *testing.T) {
 		{NumHashes: -5},
 		{Theta: 1.5},
 		{Theta: -0.1},
+		{Theta: math.NaN()},
 		{Mode: Mode(7)},
 		{StoreBits: -1}, // the per-run slice path is gone
 		{StoreBits: 17},
@@ -82,6 +84,9 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if err := (Options{}).Validate(); err != nil {
 		t.Fatalf("default options rejected: %v", err)
+	}
+	if _, err := Run(nil, Options{Theta: math.NaN()}); err == nil {
+		t.Fatal("Run accepted θ=NaN")
 	}
 }
 
@@ -625,74 +630,6 @@ K = FOREACH J GENERATE FLATTEN(AgglomerativeHierarchicalClustering(similaritymat
 	}
 	if len(labels) != 2 {
 		t.Fatalf("got %d clusters, want 2", len(labels))
-	}
-}
-
-func TestRunLevelsCoreAndRepresentatives(t *testing.T) {
-	reads, _ := makeReads(2, 6, 200, 0.01, 41)
-	opt := Options{K: 8, NumHashes: 60, Mode: HierarchicalMode, Cluster: smallCluster(), Seed: 42}
-	lres, err := RunLevels(reads, opt, []float64{0.2, 0.6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lres.Levels) != 2 || lres.Levels[0].Theta != 0.6 {
-		t.Fatalf("levels %+v", lres.Levels)
-	}
-	if _, err := RunLevels(reads, opt, nil); err == nil {
-		t.Fatal("no thresholds accepted")
-	}
-	if _, err := RunLevels(reads, opt, []float64{-1}); err == nil {
-		t.Fatal("bad threshold accepted")
-	}
-	reps, err := PickRepresentatives(reads, lres.Levels[1].Assignments, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != lres.Levels[1].Assignments.NumClusters() {
-		t.Fatalf("reps %d", len(reps))
-	}
-	if _, err := PickRepresentatives(reads[:1], lres.Levels[1].Assignments, opt); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
-// TestRunLevelsHonorsFaultPlan runs RunLevels and PickRepresentatives
-// under a plan that crashes the first two attempts of map task 0 in every
-// job: both must inject the crashes, the retries must cost RunLevels
-// virtual time, and the levels must not change.
-func TestRunLevelsHonorsFaultPlan(t *testing.T) {
-	reads, _ := makeReads(4, 6, 200, 0.01, 5)
-	opt := Options{K: 8, NumHashes: 48, Seed: 9, Cluster: smallCluster()}
-	thetas := []float64{0.2, 0.4, 0.6}
-	clean, err := RunLevels(reads, opt, thetas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := faults.ParsePlan("taskfail=*:map:0:2", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faulted := opt
-	faulted.Faults = faults.MustNew(plan)
-	got, err := RunLevels(reads, faulted, thetas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if faulted.Faults.Injected() == 0 {
-		t.Fatal("RunLevels injected no faults")
-	}
-	if got.Virtual <= clean.Virtual {
-		t.Fatalf("retries cost no virtual time: faulted %v <= clean %v", got.Virtual, clean.Virtual)
-	}
-	if !reflect.DeepEqual(got.Levels, clean.Levels) {
-		t.Fatal("fault injection changed the levels")
-	}
-	faulted.Faults = faults.MustNew(plan)
-	if _, err := PickRepresentatives(reads, clean.Levels[0].Assignments, faulted); err != nil {
-		t.Fatal(err)
-	}
-	if faulted.Faults.Injected() == 0 {
-		t.Fatal("PickRepresentatives injected no faults")
 	}
 }
 

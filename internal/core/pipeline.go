@@ -224,7 +224,7 @@ func (o Options) Validate() error {
 	if o.NumHashes < 1 {
 		return fmt.Errorf("core: need at least one hash function, got %d", o.NumHashes)
 	}
-	if o.Theta < 0 || o.Theta > 1 {
+	if !(o.Theta >= 0 && o.Theta <= 1) {
 		return fmt.Errorf("core: θ=%v out of range [0,1]", o.Theta)
 	}
 	if o.Mode != GreedyMode && o.Mode != HierarchicalMode {
@@ -257,7 +257,10 @@ func (o Options) Validate() error {
 	return o.Cluster.Validate()
 }
 
-// Result is a completed clustering run.
+// Result is a completed clustering run. It also holds the signatures
+// the run clustered and, for an exact hierarchical run whose cluster
+// stage ran, the dendrogram that stage cut at θ: Representatives and
+// Levels read them and launch no job.
 type Result struct {
 	// Assignments maps read index -> cluster label.
 	Assignments metrics.Clustering
@@ -276,6 +279,14 @@ type Result struct {
 	// SkippedStages lists the stages restored from the checkpoint journal
 	// instead of re-executed, in pipeline order (nil on fresh runs).
 	SkippedStages []string
+
+	// src is the signature view every stage after the sketch read,
+	// whether the sketch stage ran or was restored.
+	src *sigstore.View
+	// dend is the dendrogram the cluster stage built, before its cut at
+	// θ. It is nil on the greedy and CandidateLSH paths and when the
+	// cluster stage was restored from the journal.
+	dend *cluster.Dendrogram
 }
 
 // NumClusters returns the number of clusters in the result.
@@ -456,6 +467,7 @@ func Run(reads []fasta.Record, opt Options) (*Result, error) {
 		return nil, err
 	}
 	src := store.View(minhash.SetOverlap)
+	res.src = src
 	res.Counters["sigstore.resident_bytes"] = store.ResidentBytes()
 	res.Counters["sigstore.reads"] = int64(store.Len())
 
@@ -505,6 +517,7 @@ func Run(reads []fasta.Record, opt Options) (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
+				res.dend = dend
 				return dend.CutAt(opt.Theta), nil
 			})
 	}

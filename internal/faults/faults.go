@@ -162,7 +162,7 @@ func (p Plan) Empty() bool {
 
 // Validate rejects malformed plans.
 func (p Plan) Validate() error {
-	if p.TaskCrashProb < 0 || p.TaskCrashProb > 1 {
+	if !(p.TaskCrashProb >= 0 && p.TaskCrashProb <= 1) {
 		return fmt.Errorf("faults: crash probability %v out of [0,1]", p.TaskCrashProb)
 	}
 	for _, s := range p.SlowNodes {

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -146,6 +147,12 @@ func TestParsePlan(t *testing.T) {
 
 	if _, err := ParsePlan("crash=1.5", 1); err == nil {
 		t.Fatal("probability > 1 accepted")
+	}
+	if _, err := ParsePlan("crash=nan", 1); err == nil {
+		t.Fatal("probability NaN accepted")
+	}
+	if err := (Plan{TaskCrashProb: math.NaN()}).Validate(); err == nil {
+		t.Fatal("plan with crash probability NaN accepted")
 	}
 	for _, unknown := range []string{"bogus=1", "dfsfail=1", "blockerr=*:-1:100", "chaos=1"} {
 		if _, err := ParsePlan(unknown, 1); err == nil || !strings.Contains(err.Error(), "unknown directive") {

@@ -167,7 +167,7 @@ func parseProb(val string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return 0, fmt.Errorf("probability %v out of [0,1]", p)
 	}
 	return p, nil

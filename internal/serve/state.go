@@ -48,7 +48,7 @@ func (p Params) Validate() error {
 	if p.NumHashes < 1 {
 		return fmt.Errorf("serve: num hashes must be >= 1, got %d", p.NumHashes)
 	}
-	if p.Theta < 0 || p.Theta > 1 {
+	if !(p.Theta >= 0 && p.Theta <= 1) {
 		return fmt.Errorf("serve: theta must be in [0,1], got %v", p.Theta)
 	}
 	if p.Bits < 0 || p.Bits > 16 {

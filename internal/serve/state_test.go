@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -557,5 +558,13 @@ func TestDiversityAndQueries(t *testing.T) {
 	}
 	if _, ok := st.Cluster(10_000); ok {
 		t.Fatal("unknown cluster found")
+	}
+}
+
+func TestParamsValidateRefusesNaN(t *testing.T) {
+	p := testParams()
+	p.Theta = math.NaN()
+	if err := p.Validate(); err == nil {
+		t.Fatal("theta NaN accepted")
 	}
 }

@@ -1,33 +1,15 @@
 package mrmcminh
 
 import (
+	"github.com/metagenomics/mrmcminh/internal/cluster"
 	"github.com/metagenomics/mrmcminh/internal/consensus"
-	"github.com/metagenomics/mrmcminh/internal/core"
 	"github.com/metagenomics/mrmcminh/internal/diversity"
 )
 
-// LevelsResult is a multi-threshold hierarchical clustering: one shared
-// similarity matrix and dendrogram, cut at several thresholds (finest
-// first) — the paper's per-taxonomic-level output.
-type LevelsResult = core.LevelsResult
-
-// LevelAssignment is one flat clustering within a LevelsResult.
-type LevelAssignment = core.LevelAssignment
-
-// ClusterLevels runs the hierarchical pipeline once and extracts a flat
-// clustering at every threshold, e.g. species/genus/family OTU levels
-// from a single run. Options' Theta and Mode are ignored.
-func ClusterLevels(reads []Record, opt Options, thetas []float64) (*LevelsResult, error) {
-	return core.RunLevels(reads, opt, thetas)
-}
-
-// Representatives returns clusterID -> representative read index: the
-// medoid of each cluster under the minhash similarity estimator, computed
-// with the same sketch parameters used for clustering. Downstream
-// workflows can then analyze one read per cluster instead of all reads.
-func Representatives(reads []Record, res *Result, opt Options) (map[int]int, error) {
-	return core.PickRepresentatives(reads, res.Assignments, opt)
-}
+// Level is one flat clustering cut from a run's dendrogram, as
+// Result.Levels returns it: species/genus/family OTU levels from a
+// single hierarchical run.
+type Level = cluster.Level
 
 // DiversityProfile summarizes a clustering as an OTU abundance profile
 // exposing the standard diversity statistics (Shannon, Simpson, Chao1,
@@ -42,12 +24,13 @@ func Diversity(res *Result) DiversityProfile {
 // ConsensusOptions tunes per-cluster consensus building.
 type ConsensusOptions = consensus.Options
 
-// Consensus derives one consensus sequence per cluster: members are
-// star-aligned to the cluster medoid and each column takes the majority
-// base, outvoting individual sequencing errors. Returns clusterID ->
-// consensus sequence.
-func Consensus(reads []Record, res *Result, opt Options, copt ConsensusOptions) (map[int][]byte, error) {
-	reps, err := core.PickRepresentatives(reads, res.Assignments, opt)
+// Consensus derives one consensus sequence per cluster of res, the run
+// that clustered reads: members are star-aligned to the cluster's medoid
+// (res.Representatives) and each column takes the majority base,
+// outvoting individual sequencing errors. Returns clusterID -> consensus
+// sequence.
+func Consensus(reads []Record, res *Result, copt ConsensusOptions) (map[int][]byte, error) {
+	reps, err := res.Representatives()
 	if err != nil {
 		return nil, err
 	}

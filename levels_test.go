@@ -1,46 +1,68 @@
 package mrmcminh
 
 import (
+	"math"
+	"reflect"
 	"testing"
 )
 
-func TestClusterLevelsNestedCuts(t *testing.T) {
+func TestLevelsNestedCuts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow full-pipeline run")
 	}
 	reads, _ := sampleReads(t)
-	res, err := ClusterLevels(reads, Options{
-		K: 20, NumHashes: 100, Mode: Hierarchical, Linkage: SingleLinkage,
+	res, err := Cluster(reads, Options{
+		K: 20, NumHashes: 100, Theta: 0.55, Mode: Hierarchical, Linkage: SingleLinkage,
 		Canonical: true, Seed: 1,
-	}, []float64{0.3, 0.55, 0.8})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Levels) != 3 {
-		t.Fatalf("got %d levels", len(res.Levels))
+	levels, err := res.Levels([]float64{0.3, 0.55, 0.8})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Levels[0].Theta != 0.8 || res.Levels[2].Theta != 0.3 {
-		t.Fatalf("levels not finest-first: %v %v", res.Levels[0].Theta, res.Levels[2].Theta)
+	if len(levels) != 3 {
+		t.Fatalf("got %d levels", len(levels))
+	}
+	if levels[0].Theta != 0.8 || levels[2].Theta != 0.3 {
+		t.Fatalf("levels not finest-first: %v %v", levels[0].Theta, levels[2].Theta)
 	}
 	prev := 1 << 30
-	for _, lv := range res.Levels {
-		n := lv.Assignments.NumClusters()
+	for _, lv := range levels {
+		n := lv.Labels.NumClusters()
 		if n > prev {
 			t.Fatalf("coarser level has more clusters (%d > %d)", n, prev)
 		}
 		prev = n
 	}
-	if res.Jobs != 2 {
-		t.Fatalf("jobs %d, want 2 (one matrix, many cuts)", res.Jobs)
+	if !reflect.DeepEqual(levels[1].Labels, res.Assignments) {
+		t.Fatal("the level at the run's own θ differs from its clusters")
 	}
 }
 
-func TestClusterLevelsValidation(t *testing.T) {
-	if _, err := ClusterLevels(nil, Options{}, nil); err == nil {
-		t.Fatal("no thresholds accepted")
+func TestLevelsValidation(t *testing.T) {
+	reads, _ := sampleReads(t)
+	opt := Options{K: 20, NumHashes: 60, Theta: 0.3, Mode: Hierarchical, Canonical: true, Seed: 1}
+	res, err := Cluster(reads[:40], opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ClusterLevels(nil, Options{}, []float64{1.5}); err == nil {
-		t.Fatal("bad threshold accepted")
+	for _, thetas := range [][]float64{nil, {1.5}, {-0.1}, {0.5, math.NaN()}} {
+		if _, err := res.Levels(thetas); err == nil {
+			t.Fatalf("thresholds %v accepted", thetas)
+		}
+	}
+	opt.Mode = Greedy
+	greedy, err := Cluster(reads[:40], opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := greedy.Levels([]float64{0.5}); err == nil {
+		t.Fatal("a greedy run, which builds no dendrogram, was cut into levels")
+	}
+	if _, err := new(Result).Levels([]float64{0.5}); err == nil {
+		t.Fatal("a Result no run returned was cut into levels")
 	}
 }
 
@@ -51,7 +73,7 @@ func TestRepresentativesPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reps, err := Representatives(reads, res, opt)
+	reps, err := res.Representatives()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +85,8 @@ func TestRepresentativesPublic(t *testing.T) {
 			t.Fatalf("representative %d not in cluster %d", idx, id)
 		}
 	}
-	if _, err := Representatives(reads[:1], res, opt); err == nil {
-		t.Fatal("length mismatch accepted")
+	if _, err := new(Result).Representatives(); err == nil {
+		t.Fatal("a Result no run returned has representatives")
 	}
 }
 
@@ -96,7 +118,7 @@ func TestConsensusPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons, err := Consensus(reads, res, opt, ConsensusOptions{MaxMembers: 15})
+	cons, err := Consensus(reads, res, ConsensusOptions{MaxMembers: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
