@@ -74,19 +74,21 @@ func starConsensus(reads []fasta.Record, rep int, members []int, minSupport floa
 	counts := make([][4]int, n)
 	coverage := make([]int, n)
 	for _, m := range members {
-		path := alignPath(ref, reads[m].Seq)
-		for _, step := range path {
-			if step.refPos < 0 {
-				continue // insertion relative to the representative
+		seq := reads[m].Seq
+		align.Walk(ref, seq, align.DefaultScoring, func(i, j int) {
+			// An insertion relative to the representative (i < 0) has no
+			// column. A deletion (j < 0) is *absence* of coverage: a
+			// member that skips a column gets no say in it, and overhang
+			// columns beyond short members stay unsupported. So does an
+			// ambiguous base.
+			if i < 0 || j < 0 {
+				return
 			}
-			if step.base >= 0 {
-				// A deletion (base < 0) is *absence* of coverage: a member
-				// that skips a column gets no say in it, and overhang
-				// columns beyond short members stay unsupported.
-				coverage[step.refPos]++
-				counts[step.refPos][step.base]++
+			if base := fasta.BaseCode(seq[j]); base >= 0 {
+				coverage[i]++
+				counts[i][base]++
 			}
-		}
+		})
 	}
 	minVotes := int(minSupport * float64(len(members)))
 	if minVotes < 1 {
@@ -114,77 +116,4 @@ func starConsensus(reads []fasta.Record, rep int, members []int, minSupport floa
 		consensus = append(consensus, fasta.CodeBase(int8(best)))
 	}
 	return consensus
-}
-
-// pathStep maps one alignment column: refPos is the reference coordinate
-// (-1 for an insertion in the member), base is the member's base code
-// (-1 for a deletion or ambiguous base).
-type pathStep struct {
-	refPos int
-	base   int8
-}
-
-// alignPath reruns the banded global alignment with a traceback that
-// yields reference-coordinate steps.
-func alignPath(ref, member []byte) []pathStep {
-	n, m := len(ref), len(member)
-	if n == 0 || m == 0 {
-		return nil
-	}
-	// Full DP with direction matrix (reads are short; clarity over the
-	// rolling-band variant used in metric scoring).
-	const (
-		diag = byte(0)
-		up   = byte(1) // consume ref (deletion in member)
-		left = byte(2) // consume member (insertion in member)
-	)
-	sc := align.DefaultScoring
-	trace := make([]byte, (n+1)*(m+1))
-	prev := make([]int32, m+1)
-	cur := make([]int32, m+1)
-	for j := 1; j <= m; j++ {
-		prev[j] = int32(sc.Gap) * int32(j)
-		trace[j] = left
-	}
-	for i := 1; i <= n; i++ {
-		cur[0] = int32(sc.Gap) * int32(i)
-		trace[i*(m+1)] = up
-		for j := 1; j <= m; j++ {
-			sub := int32(sc.Mismatch)
-			if ref[i-1] == member[j-1] {
-				sub = int32(sc.Match)
-			}
-			best, dir := prev[j-1]+sub, diag
-			if u := prev[j] + int32(sc.Gap); u > best {
-				best, dir = u, up
-			}
-			if l := cur[j-1] + int32(sc.Gap); l > best {
-				best, dir = l, left
-			}
-			cur[j] = best
-			trace[i*(m+1)+j] = dir
-		}
-		prev, cur = cur, prev
-	}
-	var rev []pathStep
-	i, j := n, m
-	for i > 0 || j > 0 {
-		switch trace[i*(m+1)+j] {
-		case diag:
-			rev = append(rev, pathStep{refPos: i - 1, base: fasta.BaseCode(member[j-1])})
-			i--
-			j--
-		case up:
-			rev = append(rev, pathStep{refPos: i - 1, base: -1})
-			i--
-		default:
-			rev = append(rev, pathStep{refPos: -1, base: fasta.BaseCode(member[j-1])})
-			j--
-		}
-	}
-	// Reverse in place.
-	for a, b := 0, len(rev)-1; a < b; a, b = a+1, b-1 {
-		rev[a], rev[b] = rev[b], rev[a]
-	}
-	return rev
 }
