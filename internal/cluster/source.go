@@ -26,9 +26,9 @@ type SigSource interface {
 }
 
 // SliceSource adapts a signature slice (Prepared once) to SigSource, for
-// callers that hold signatures rather than a store: representative
-// picking, the MC-LSH baseline and the tests. Its Similarity is the same
-// SimilarityPrepared kernel a full-width store view uses.
+// callers that hold signatures rather than a store: the MC-LSH baseline
+// and the tests. Its Similarity is the same SimilarityPrepared kernel a
+// full-width store view uses.
 type SliceSource struct {
 	sigs   []minhash.Signature
 	prep   []minhash.Prepared

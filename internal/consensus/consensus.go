@@ -77,10 +77,10 @@ func starConsensus(reads []fasta.Record, rep int, members []int, minSupport floa
 		seq := reads[m].Seq
 		align.Walk(ref, seq, align.DefaultScoring, func(i, j int) {
 			// An insertion relative to the representative (i < 0) has no
-			// column. A deletion (j < 0) is *absence* of coverage: a
-			// member that skips a column gets no say in it, and overhang
-			// columns beyond short members stay unsupported. So does an
-			// ambiguous base.
+			// column. A deletion (j < 0), like an ambiguous base, is
+			// *absence* of coverage: a member that skips a column gets no
+			// say in it, and overhang columns beyond short members stay
+			// unsupported.
 			if i < 0 || j < 0 {
 				return
 			}

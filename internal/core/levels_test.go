@@ -15,12 +15,11 @@ import (
 	"github.com/metagenomics/mrmcminh/internal/minhash"
 )
 
-// fullWidthSource sketches reads again at full width into a slice
-// source: how medoids were scored before a Result kept the signatures
-// its run clustered.
-func fullWidthSource(t *testing.T, reads []fasta.Record, opt Options, est minhash.Estimator) cluster.SigSource {
+// sketchAgain runs the sketch job over reads again, as medoid picking
+// did before a Result kept the signatures its run clustered. opt must
+// have its defaults filled.
+func sketchAgain(t *testing.T, reads []fasta.Record, opt Options) minhash.Signature {
 	t.Helper()
-	opt = opt.withDefaults()
 	engine, err := opt.engine()
 	if err != nil {
 		t.Fatal(err)
@@ -29,12 +28,20 @@ func fullWidthSource(t *testing.T, reads []fasta.Record, opt Options, est minhas
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cluster.NewSliceSource(sigRows(slab, opt.NumHashes), est)
+	return slab
+}
+
+// fullWidthSource sketches reads again into a slice source of full-width
+// signatures compared by est.
+func fullWidthSource(t *testing.T, reads []fasta.Record, opt Options, est minhash.Estimator) cluster.SigSource {
+	t.Helper()
+	opt = opt.withDefaults()
+	return cluster.NewSliceSource(sigRows(sketchAgain(t, reads, opt), opt.NumHashes), est)
 }
 
 // evenReads builds g groups of m reads: each member is its group's
-// template with exactly subs substitutions, so no member stands out and
-// which one is the medoid turns on the estimator.
+// template after subs substitutions at random positions, so no member
+// stands out and which one is the medoid turns on the estimator.
 func evenReads(g, m, length, subs int, seed int64) []fasta.Record {
 	rng := rand.New(rand.NewSource(seed))
 	var reads []fasta.Record
@@ -47,7 +54,7 @@ func evenReads(g, m, length, subs int, seed int64) []fasta.Record {
 			seq := append([]byte{}, template...)
 			for s := 0; s < subs; s++ {
 				p := rng.Intn(length)
-				seq[p] = "ACGT"[(int(seq[p]>>1)+1+rng.Intn(3))%4]
+				seq[p] = "ACGT"[(strings.IndexByte("ACGT", seq[p])+1+rng.Intn(3))%4]
 			}
 			reads = append(reads, fasta.Record{ID: fmt.Sprintf("g%d_r%d", gi, mi), Seq: seq})
 		}
@@ -311,15 +318,7 @@ func TestPackedRepresentativesUsePackedEstimator(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := opt.withDefaults()
-	engine, err := o.engine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	slab, _, err := sketchJob(engine, reads, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := buildStore(slab, o)
+	store, err := buildStore(sketchAgain(t, reads, o), o)
 	if err != nil {
 		t.Fatal(err)
 	}
