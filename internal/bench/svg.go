@@ -119,26 +119,3 @@ func humanCount(n int) string {
 		return fmt.Sprint(n)
 	}
 }
-
-// FormatCSV renders any table rows as comma-separated values for external
-// plotting.
-func FormatCSV(rows []Row) string {
-	var sb strings.Builder
-	sb.WriteString("dataset,method,clusters,wacc,wsim,seconds,model_seconds\n")
-	for _, r := range rows {
-		wacc, wsim := "", ""
-		if r.Summary.HasAcc {
-			wacc = fmt.Sprintf("%.2f", r.Summary.WAcc)
-		}
-		if r.Summary.HasSim {
-			wsim = fmt.Sprintf("%.2f", r.Summary.WSim)
-		}
-		model := ""
-		if r.Model > 0 {
-			model = fmt.Sprintf("%.1f", r.Model.Seconds())
-		}
-		fmt.Fprintf(&sb, "%s,%s,%d,%s,%s,%.2f,%s\n",
-			r.Dataset, r.Method, r.Summary.NumClusters, wacc, wsim, r.Summary.Elapsed.Seconds(), model)
-	}
-	return sb.String()
-}

@@ -190,19 +190,3 @@ func (d *Detector) Check(read []byte) (Verdict, error) {
 	}
 	return v, nil
 }
-
-// Filter partitions reads into clean and chimeric sets.
-func (d *Detector) Filter(reads []fasta.Record) (clean, chimeric []fasta.Record, err error) {
-	for _, r := range reads {
-		v, err := d.Check(r.Seq)
-		if err != nil {
-			return nil, nil, fmt.Errorf("read %s: %w", r.ID, err)
-		}
-		if v.Chimeric {
-			chimeric = append(chimeric, r)
-		} else {
-			clean = append(clean, r)
-		}
-	}
-	return clean, chimeric, nil
-}

@@ -12,18 +12,12 @@ type Edge struct {
 	U, V int
 }
 
-// CCOptions parameterizes the MapReduce connected-components run.
-type CCOptions struct {
-	// MaxRounds bounds the star jobs, one MapReduce round each (0 =
-	// DefaultCCMaxRounds). The star operations preserve connectivity, so
-	// hitting the bound still yields exact components — only the modelled
-	// per-round cost stops accruing.
-	MaxRounds int
-}
-
-// DefaultCCMaxRounds bounds the star jobs far above the logarithmic count
-// real graphs need: a path, the slowest shape tested, takes about 2·log₂N
-// jobs, so the bound covers paths of about 2^32 nodes.
+// DefaultCCMaxRounds bounds the star jobs, one MapReduce round each, far
+// above the logarithmic count real graphs need: a path, the slowest shape
+// tested, takes about 2·log₂N jobs, so the bound covers paths of about
+// 2^32 nodes. The star operations preserve connectivity, so hitting the
+// bound still yields exact components; only the modelled per-round cost
+// stops accruing.
 const DefaultCCMaxRounds = 64
 
 // CCStats reports how a connected-components run converged.
@@ -32,7 +26,7 @@ type CCStats struct {
 	// Small-Star alike: one MapReduce round each.
 	Rounds int
 	// Converged reports whether the edge set reached a star forest within
-	// MaxRounds (labels are exact either way).
+	// DefaultCCMaxRounds (labels are exact either way).
 	Converged bool
 	// InputEdges counts the distinct canonical input edges; FinalEdges the
 	// star edges of the converged graph (one per non-minimum member).
@@ -95,17 +89,19 @@ func ConnectedComponents(n int, edges []Edge) ([]int, error) {
 // The returned results carry each job's virtual time and counters (the
 // engine's per-job counters plus cc.rounds/cc.active_edges recorded by the
 // driver).
-func ConnectedComponentsMR(engine *mapreduce.Engine, n int, edges []Edge, opt CCOptions) ([]int, []*mapreduce.Result, CCStats, error) {
+func ConnectedComponentsMR(engine *mapreduce.Engine, n int, edges []Edge) ([]int, []*mapreduce.Result, CCStats, error) {
+	return connectedComponentsMR(engine, n, edges, DefaultCCMaxRounds)
+}
+
+// connectedComponentsMR is ConnectedComponentsMR stopping after at most
+// maxRounds star jobs.
+func connectedComponentsMR(engine *mapreduce.Engine, n int, edges []Edge, maxRounds int) ([]int, []*mapreduce.Result, CCStats, error) {
 	var stats CCStats
 	cur, err := CanonicalEdges(n, edges)
 	if err != nil {
 		return nil, nil, stats, err
 	}
 	stats.InputEdges = len(cur)
-	maxRounds := opt.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = DefaultCCMaxRounds
-	}
 	var results []*mapreduce.Result
 	for large := true; ; large = !large {
 		if isStarForest(n, cur) {
@@ -127,7 +123,7 @@ func ConnectedComponentsMR(engine *mapreduce.Engine, n int, edges []Edge, opt CC
 	}
 	stats.FinalEdges = len(cur)
 	// Label extraction. At a star forest this is a direct read-off; at
-	// the MaxRounds cutoff it is still exact because both star operations
+	// the round cap it is still exact because both star operations
 	// preserve connectivity.
 	labels, err := ConnectedComponents(n, cur)
 	if err != nil {

@@ -75,7 +75,7 @@ func TestConnectedComponentsMRMatchesUnionFind(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, results, stats, err := ConnectedComponentsMR(engine, tc.n, edges, CCOptions{})
+			got, results, stats, err := ConnectedComponentsMR(engine, tc.n, edges)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +111,7 @@ func TestConnectedComponentsMRLogarithmicRounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, stats, err := ConnectedComponentsMR(engine, n, edges, CCOptions{})
+		got, _, stats, err := ConnectedComponentsMR(engine, n, edges)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestConnectedComponentsMRStopsAtStarForest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		labels, results, stats, err := ConnectedComponentsMR(engine, tc.n, tc.edges, CCOptions{})
+		labels, results, stats, err := ConnectedComponentsMR(engine, tc.n, tc.edges)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,12 +253,12 @@ func TestCanonicalEdgesMatchesSortReference(t *testing.T) {
 func TestConnectedComponentsMRDeterministic(t *testing.T) {
 	engine := ccEngine(t)
 	edges := randomGraph(300, 500, 42)
-	first, _, firstStats, err := ConnectedComponentsMR(engine, 300, edges, CCOptions{})
+	first, _, firstStats, err := ConnectedComponentsMR(engine, 300, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		again, _, stats, err := ConnectedComponentsMR(engine, 300, edges, CCOptions{})
+		again, _, stats, err := ConnectedComponentsMR(engine, 300, edges)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +271,7 @@ func TestConnectedComponentsMRDeterministic(t *testing.T) {
 func TestConnectedComponentsMREdgeCases(t *testing.T) {
 	engine := ccEngine(t)
 
-	labels, results, stats, err := ConnectedComponentsMR(engine, 5, nil, CCOptions{})
+	labels, results, stats, err := ConnectedComponentsMR(engine, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestConnectedComponentsMREdgeCases(t *testing.T) {
 	}
 
 	// Self-loops and duplicates collapse during canonicalization.
-	labels, _, stats, err = ConnectedComponentsMR(engine, 4, []Edge{{2, 2}, {1, 0}, {0, 1}, {0, 1}}, CCOptions{})
+	labels, _, stats, err = ConnectedComponentsMR(engine, 4, []Edge{{2, 2}, {1, 0}, {0, 1}, {0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,11 +291,11 @@ func TestConnectedComponentsMREdgeCases(t *testing.T) {
 		t.Fatalf("InputEdges = %d, want 1 after dedup", stats.InputEdges)
 	}
 
-	if _, _, _, err := ConnectedComponentsMR(engine, 3, []Edge{{0, 7}}, CCOptions{}); err == nil {
+	if _, _, _, err := ConnectedComponentsMR(engine, 3, []Edge{{0, 7}}); err == nil {
 		t.Fatal("expected out-of-range error")
 	}
 
-	// MaxRounds=1 on a long path: labels must still be exact (star
+	// One round on a long path: labels must still be exact (star
 	// operations preserve connectivity) even though convergence is cut off.
 	edges := make([]Edge, 63)
 	for i := range edges {
@@ -305,7 +305,7 @@ func TestConnectedComponentsMREdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels, _, stats, err = ConnectedComponentsMR(engine, 64, edges, CCOptions{MaxRounds: 1})
+	labels, _, stats, err = connectedComponentsMR(engine, 64, edges, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,14 +313,14 @@ func TestConnectedComponentsMREdgeCases(t *testing.T) {
 		t.Fatalf("Rounds = %d, want 1", stats.Rounds)
 	}
 	if !reflect.DeepEqual(labels, want) {
-		t.Fatal("MaxRounds cutoff changed the labels")
+		t.Fatal("the round cap changed the labels")
 	}
 }
 
 func TestConnectedComponentsMRCounters(t *testing.T) {
 	engine := ccEngine(t)
 	edges := []Edge{{0, 1}, {1, 2}, {3, 4}}
-	_, results, stats, err := ConnectedComponentsMR(engine, 5, edges, CCOptions{})
+	_, results, stats, err := ConnectedComponentsMR(engine, 5, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,14 +346,14 @@ func TestConnectedComponentsMRCounters(t *testing.T) {
 func TestConnectedComponentsMRLargeStarFaults(t *testing.T) {
 	edges := randomGraph(200, 350, 9)
 	clean := ccEngine(t)
-	want, _, _, err := ConnectedComponentsMR(clean, 200, edges, CCOptions{})
+	want, _, _, err := ConnectedComponentsMR(clean, 200, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, seed := range []int64{1, 7, 1234} {
 		faulted := ccEngine(t)
 		faulted.Faults = faults.MustNew(faults.Plan{Seed: seed, TaskCrashProb: 0.2})
-		got, _, _, err := ConnectedComponentsMR(faulted, 200, edges, CCOptions{})
+		got, _, _, err := ConnectedComponentsMR(faulted, 200, edges)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,13 +369,13 @@ func TestConnectedComponentsMRLargeStarFaults(t *testing.T) {
 func TestConnectedComponentsMRSmallStarExternalShuffle(t *testing.T) {
 	engine := ccEngine(t)
 	edges := randomGraph(400, 900, 17)
-	want, _, _, err := ConnectedComponentsMR(engine, 400, edges, CCOptions{})
+	want, _, _, err := ConnectedComponentsMR(engine, 400, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spill := ccEngine(t)
 	spill.ShuffleBufferBytes = 512
-	got, _, _, err := ConnectedComponentsMR(spill, 400, edges, CCOptions{})
+	got, _, _, err := ConnectedComponentsMR(spill, 400, edges)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/metagenomics/mrmcminh/internal/metrics"
 	"github.com/metagenomics/mrmcminh/internal/minhash"
@@ -195,17 +194,6 @@ func (d *Dendrogram) CutAt(theta float64) metrics.Clustering {
 		labels[i] = l
 	}
 	return labels
-}
-
-// Heights returns the merge similarities sorted descending — the levels at
-// which the dendrogram changes shape, useful for multi-level OTU reports.
-func (d *Dendrogram) Heights() []float64 {
-	hs := make([]float64, len(d.Merges))
-	for i, m := range d.Merges {
-		hs[i] = m.Similarity
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(hs)))
-	return hs
 }
 
 // SimilarityMatrix computes the dense all-pairs matrix from signatures

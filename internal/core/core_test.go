@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/metagenomics/mrmcminh/internal/cluster"
 	"github.com/metagenomics/mrmcminh/internal/dfs"
@@ -639,13 +638,12 @@ func engineSettings() Options {
 		Cluster:            mapreduce.Cluster{Nodes: 3, SlotsPerNode: 1, Cost: mapreduce.DefaultCostModel, Speculative: true},
 		Trace:              trace.New(),
 		Faults:             faults.MustNew(faults.ChaosPlan(1)),
-		Retry:              mapreduce.RetryPolicy{MaxAttempts: 7, Backoff: time.Second},
 		ShuffleBufferBytes: 4096,
 	}
 }
 
-// checkEngine fails unless e carries opt's cluster, trace, faults, retry
-// policy and shuffle buffer, with the default merge fan-in.
+// checkEngine fails unless e carries opt's cluster, trace, faults and
+// shuffle buffer.
 func checkEngine(t *testing.T, e *mapreduce.Engine, opt Options) {
 	t.Helper()
 	if !reflect.DeepEqual(e.Cluster, opt.Cluster) {
@@ -654,11 +652,8 @@ func checkEngine(t *testing.T, e *mapreduce.Engine, opt Options) {
 	if e.Trace != opt.Trace || e.Faults != opt.Faults {
 		t.Error("engine does not carry the options' trace recorder and fault injector")
 	}
-	if e.Retry != opt.Retry {
-		t.Errorf("engine retry policy %+v, want %+v", e.Retry, opt.Retry)
-	}
-	if e.ShuffleBufferBytes != opt.ShuffleBufferBytes || e.MergeFanIn != 0 {
-		t.Errorf("engine shuffle buffer %d, fan-in %d; want %d and the default", e.ShuffleBufferBytes, e.MergeFanIn, opt.ShuffleBufferBytes)
+	if e.ShuffleBufferBytes != opt.ShuffleBufferBytes {
+		t.Errorf("engine shuffle buffer %d, want %d", e.ShuffleBufferBytes, opt.ShuffleBufferBytes)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/metagenomics/mrmcminh/internal/faults"
-	"github.com/metagenomics/mrmcminh/internal/mapreduce"
 	"github.com/metagenomics/mrmcminh/internal/trace"
 )
 
@@ -31,7 +30,6 @@ func TestPipelineBitIdenticalUnderChaos(t *testing.T) {
 			rec := trace.New()
 			chaos := opt
 			chaos.Trace = rec
-			chaos.Retry = mapreduce.RetryPolicy{MaxAttempts: 4}
 			plan := faults.ChaosPlan(3)
 			plan.Crashes = []faults.TaskCrash{{Phase: faults.PhaseMap, Task: 0, UpToAttempt: 1}}
 			plan.NodeDeaths = []faults.NodeDeath{{Node: 2, At: 25 * time.Second}}
@@ -70,7 +68,6 @@ func TestPipelineBitIdenticalUnderChaos(t *testing.T) {
 
 			// Determinism: the same chaos seed reproduces the same schedule.
 			again := opt
-			again.Retry = chaos.Retry
 			again.Faults = faults.MustNew(plan)
 			res2, err := Run(reads, again)
 			if err != nil {

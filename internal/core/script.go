@@ -100,12 +100,11 @@ func nextPrimeAbove(n uint64) uint64 {
 }
 
 // NewPigContext builds the context a Pig script runs in over fs: the
-// engine Run builds (opt's Cluster, Trace, Faults, Retry and
+// engine Run builds (opt's Cluster, Trace, Faults and
 // ShuffleBufferBytes), the paper's UDFs plus the Pig builtins, and opt's
 // Checkpoint journal prepared for opt.Resume. params fills the script's
-// $ holes. Of opt it reads Cluster, Seed, Trace, Faults, Retry,
-// Checkpoint, Resume, ShuffleBufferBytes and StoreBits; the rest is only
-// validated.
+// $ holes. Of opt it reads Cluster, Seed, Trace, Faults, Checkpoint,
+// Resume, ShuffleBufferBytes and StoreBits; the rest is only validated.
 func NewPigContext(fs *dfs.FileSystem, params map[string]string, opt Options) (*pig.Context, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err

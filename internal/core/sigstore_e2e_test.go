@@ -117,7 +117,6 @@ func TestStoreBackedBitIdenticalUnderChaosAndSpill(t *testing.T) {
 				Seed: 7, Cluster: smallCluster(),
 			}
 			chaos.ShuffleBufferBytes = 256 // force record-at-a-time spills
-			chaos.Retry = mapreduce.RetryPolicy{MaxAttempts: 4}
 			plan := faults.ChaosPlan(11)
 			plan.NodeDeaths = []faults.NodeDeath{{Node: 1, At: 20 * time.Second}}
 			chaos.Faults = faults.MustNew(plan)

@@ -29,36 +29,6 @@ func CodeBase(c int8) byte {
 	return "ACGT"[c&3]
 }
 
-// Encode maps a sequence to per-base codes. Ambiguous bases become -1.
-func Encode(seq []byte) []int8 {
-	out := make([]int8, len(seq))
-	for i, b := range seq {
-		out[i] = baseTable[b]
-	}
-	return out
-}
-
-// Decode maps 2-bit codes back to an upper-case DNA string; code -1 becomes N.
-func Decode(codes []int8) []byte {
-	out := make([]byte, len(codes))
-	for i, c := range codes {
-		if c < 0 {
-			out[i] = 'N'
-		} else {
-			out[i] = CodeBase(c)
-		}
-	}
-	return out
-}
-
-// Complement returns the complement code of a 2-bit base code.
-func Complement(c int8) int8 {
-	if c < 0 {
-		return -1
-	}
-	return 3 - c
-}
-
 // ReverseComplement returns the reverse complement of a DNA sequence in
 // place-independent fashion (a new slice is returned). Ambiguous characters
 // map to N.

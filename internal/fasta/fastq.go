@@ -5,15 +5,13 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strings"
 )
 
 // FASTQ support. Modern read archives ship FASTQ (sequence + per-base
-// Phred quality); the clustering pipeline accepts either format, and the
-// quality column feeds error-aware tooling (expected error counts, qualty
-// trimming) without changing the Record type downstream.
+// Phred quality); the clustering pipeline accepts either format and drops
+// the quality column, so the Record type downstream does not change.
 
 // FastqRecord is one FASTQ entry.
 type FastqRecord struct {
@@ -46,41 +44,6 @@ func (r *FastqRecord) Validate() error {
 		}
 	}
 	return nil
-}
-
-// PhredScore returns the Phred quality of base i.
-func (r *FastqRecord) PhredScore(i int) int { return int(r.Qual[i]) - 33 }
-
-// ErrorProbability returns the error probability of base i: 10^(-Q/10).
-func (r *FastqRecord) ErrorProbability(i int) float64 {
-	return math.Pow(10, -float64(r.PhredScore(i))/10)
-}
-
-// ExpectedErrors sums per-base error probabilities — the "maximum expected
-// error" filter statistic popularized by USEARCH.
-func (r *FastqRecord) ExpectedErrors() float64 {
-	sum := 0.0
-	for i := range r.Qual {
-		sum += r.ErrorProbability(i)
-	}
-	return sum
-}
-
-// TrimToQuality truncates the read at the first position where quality
-// drops below minPhred (simple 454-style end trimming). The record is
-// modified in place; trimming to zero length is allowed and flagged by
-// the return value.
-func (r *FastqRecord) TrimToQuality(minPhred int) (kept int) {
-	cut := len(r.Seq)
-	for i := range r.Qual {
-		if r.PhredScore(i) < minPhred {
-			cut = i
-			break
-		}
-	}
-	r.Seq = r.Seq[:cut]
-	r.Qual = r.Qual[:cut]
-	return cut
 }
 
 // FastqReader parses FASTQ records.
@@ -167,39 +130,6 @@ func ReadAllFastq(r io.Reader) ([]FastqRecord, error) {
 		}
 		recs = append(recs, rec)
 	}
-}
-
-// ReadFastqFile parses every record from the named file.
-func ReadFastqFile(path string) ([]FastqRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadAllFastq(f)
-}
-
-// WriteFastq emits records in four-line FASTQ form.
-func WriteFastq(w io.Writer, recs []FastqRecord) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	for i := range recs {
-		r := &recs[i]
-		if err := r.Validate(); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(bw, "@%s\n%s\n+\n%s\n", headerOf(r), r.Seq, r.Qual); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// headerOf renders the full header text.
-func headerOf(r *FastqRecord) string {
-	if r.Description == "" {
-		return r.ID
-	}
-	return r.ID + " " + r.Description
 }
 
 // FastqToRecords converts FASTQ records to plain records.

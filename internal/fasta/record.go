@@ -70,10 +70,3 @@ func (r *Record) String() string {
 	sb.WriteByte('\n')
 	return sb.String()
 }
-
-// Clone returns a deep copy of the record.
-func (r *Record) Clone() Record {
-	seq := make([]byte, len(r.Seq))
-	copy(seq, r.Seq)
-	return Record{ID: r.ID, Description: r.Description, Seq: seq}
-}

@@ -40,19 +40,8 @@ func (c *Counter) Each(fn func(km uint64, count int)) {
 	}
 }
 
-// Total returns the number of observed k-mer occurrences.
-func (c *Counter) Total() int { return c.total }
-
 // Distinct returns the number of distinct observed k-mers.
 func (c *Counter) Distinct() int { return len(c.counts) }
-
-// Frequency returns the relative frequency of km.
-func (c *Counter) Frequency(km uint64) float64 {
-	if c.total == 0 {
-		return 0
-	}
-	return float64(c.counts[km]) / float64(c.total)
-}
 
 // FrequencyVector returns the dense 4^k frequency vector for small k
 // (k <= 8, i.e. at most 65536 entries). It panics for larger k where a

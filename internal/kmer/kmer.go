@@ -100,32 +100,6 @@ func (e *Extractor) SliceInto(dst []uint64, seq []byte) []uint64 {
 	return dst
 }
 
-// Pack encodes an unambiguous DNA string of length <= MaxK into a uint64.
-func Pack(seq []byte) (uint64, error) {
-	if len(seq) == 0 || len(seq) > MaxK {
-		return 0, fmt.Errorf("kmer: cannot pack sequence of length %d", len(seq))
-	}
-	var v uint64
-	for _, b := range seq {
-		c := fasta.BaseCode(b)
-		if c < 0 {
-			return 0, fmt.Errorf("kmer: ambiguous base %q", b)
-		}
-		v = (v << 2) | uint64(c)
-	}
-	return v, nil
-}
-
-// Unpack decodes a packed k-mer of length k back to a DNA string.
-func Unpack(km uint64, k int) []byte {
-	out := make([]byte, k)
-	for i := k - 1; i >= 0; i-- {
-		out[i] = fasta.CodeBase(int8(km & 3))
-		km >>= 2
-	}
-	return out
-}
-
 // ReverseComplement returns the reverse complement of a packed k-mer.
 func ReverseComplement(km uint64, k int) uint64 {
 	var rc uint64

@@ -47,33 +47,6 @@ func Jaccard(a, b Set) float64 {
 	return float64(inter) / float64(union)
 }
 
-// Intersection returns a new set containing elements present in both a and b.
-func Intersection(a, b Set) Set {
-	small, large := a, b
-	if len(small) > len(large) {
-		small, large = large, small
-	}
-	out := make(Set, len(small))
-	for km := range small {
-		if large.Contains(km) {
-			out.Add(km)
-		}
-	}
-	return out
-}
-
-// Union returns a new set containing elements present in either a or b.
-func Union(a, b Set) Set {
-	out := make(Set, len(a)+len(b))
-	for km := range a {
-		out.Add(km)
-	}
-	for km := range b {
-		out.Add(km)
-	}
-	return out
-}
-
 // FromSlice builds a Set from a slice of packed k-mers.
 func FromSlice(kms []uint64) Set {
 	s := make(Set, len(kms))

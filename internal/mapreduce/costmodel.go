@@ -90,7 +90,7 @@ type TaskCost struct {
 // to the slot that frees up first (the virtual-clock analogue of
 // Hadoop's wave scheduling). The cluster must be valid.
 func (c Cluster) Makespan(tasks []TaskCost) time.Duration {
-	s := newFaultSim(c, nil, RetryPolicy{}, "makespan", 0)
+	s := newFaultSim(c, nil, retryPolicy{}, "makespan", 0)
 	if err := s.runPhase(faults.PhaseMap, s.newTasks(tasks, 0)); err != nil {
 		// Without an injector nothing crashes, dies or is blacklisted, so
 		// only a cluster with no slots leaves a task unplaced.

@@ -1,9 +1,6 @@
 package mapreduce
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Counters collects named job statistics, Hadoop-style.
 type Counters struct {
@@ -28,18 +25,6 @@ func (c *Counters) Get(name string) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.m[name]
-}
-
-// Names returns the defined counter names, sorted.
-func (c *Counters) Names() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.m))
-	for k := range c.m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Snapshot copies all counters.
@@ -76,7 +61,7 @@ const (
 	// simulated local disk across all spills.
 	CounterShuffleSpilledBytes = "shuffle.spilled_bytes"
 	// CounterShuffleMergePasses counts the reducers' modelled merge
-	// passes (intermediate passes forced by Engine.MergeFanIn plus the
+	// passes (intermediate passes forced by Engine.mergeFanIn plus the
 	// final pass of every partition with at least one segment).
 	CounterShuffleMergePasses = "shuffle.merge_passes"
 )
@@ -103,7 +88,9 @@ const (
 	CounterSpeculative = "task.speculative"
 )
 
-// Commit-protocol counter names, maintained by the OutputCommitter.
+// Commit-protocol counter names, maintained by the fault simulator: a
+// task attempt's output is promoted when it succeeds and discarded when
+// it crashes or is killed.
 const (
 	// CounterCommitCommitted counts task attempts whose staged output was
 	// atomically promoted into the job output directory.

@@ -29,11 +29,11 @@ func manyLines(n int) []string {
 }
 
 // runFaulted executes the wordcount job on a fresh engine with the plan.
-func runFaulted(t *testing.T, plan faults.Plan, retry RetryPolicy, lines []string) (outcome[string, int], error) {
+func runFaulted(t *testing.T, plan faults.Plan, retry retryPolicy, lines []string) (outcome[string, int], error) {
 	t.Helper()
 	e := MustEngine(chaosCluster)
 	e.Faults = faults.MustNew(plan)
-	e.Retry = retry
+	e.retry = retry
 	return run(e, wordCountJob(lines, false))
 }
 
@@ -47,7 +47,7 @@ func TestFaultedRunIdenticalOutput(t *testing.T) {
 	// default budget of 4.
 	faulted, err := runFaulted(t, faults.Plan{
 		Crashes: []faults.TaskCrash{{Phase: faults.PhaseMap, Task: 0, UpToAttempt: 2}},
-	}, RetryPolicy{}, lines)
+	}, retryPolicy{}, lines)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +87,10 @@ func TestFaultedRunIdenticalOutput(t *testing.T) {
 	}
 	gap1 := crashes[1].Start - crashes[0].End
 	gap2 := crashes[2].Start - crashes[1].End
-	if gap1 < DefaultRetryPolicy.Backoff {
-		t.Fatalf("first retry backoff %v < %v", gap1, DefaultRetryPolicy.Backoff)
+	if gap1 < defaultRetryPolicy.Backoff {
+		t.Fatalf("first retry backoff %v < %v", gap1, defaultRetryPolicy.Backoff)
 	}
-	if gap2 < 2*DefaultRetryPolicy.Backoff {
+	if gap2 < 2*defaultRetryPolicy.Backoff {
 		t.Fatalf("second retry backoff %v not doubled (%v)", gap2, gap1)
 	}
 }
@@ -98,7 +98,7 @@ func TestFaultedRunIdenticalOutput(t *testing.T) {
 func TestTaskExhaustsRetriesTypedError(t *testing.T) {
 	_, err := runFaulted(t, faults.Plan{
 		Crashes: []faults.TaskCrash{{Phase: faults.PhaseMap, Task: 1, UpToAttempt: 99}},
-	}, RetryPolicy{}, manyLines(8))
+	}, retryPolicy{}, manyLines(8))
 	if err == nil {
 		t.Fatal("always-crashing task should fail the job")
 	}
@@ -109,15 +109,15 @@ func TestTaskExhaustsRetriesTypedError(t *testing.T) {
 	if tf.Phase != faults.PhaseMap || tf.Task != 1 {
 		t.Fatalf("failure site %s/%d, want map/1", tf.Phase, tf.Task)
 	}
-	if tf.Attempts != DefaultRetryPolicy.MaxAttempts {
-		t.Fatalf("attempts %d, want %d", tf.Attempts, DefaultRetryPolicy.MaxAttempts)
+	if tf.Attempts != defaultRetryPolicy.MaxAttempts {
+		t.Fatalf("attempts %d, want %d", tf.Attempts, defaultRetryPolicy.MaxAttempts)
 	}
 }
 
 func TestReduceTaskExhaustsRetries(t *testing.T) {
 	_, err := runFaulted(t, faults.Plan{
 		Crashes: []faults.TaskCrash{{Phase: faults.PhaseReduce, Task: 0, UpToAttempt: 99}},
-	}, RetryPolicy{MaxAttempts: 2}, manyLines(8))
+	}, retryPolicy{MaxAttempts: 2}, manyLines(8))
 	var tf *TaskFailedError
 	if !errors.As(err, &tf) {
 		t.Fatalf("error %v is not a *TaskFailedError", err)
@@ -138,7 +138,7 @@ func TestNodeDeathInMapPhaseRecovers(t *testing.T) {
 	death := DefaultCostModel.JobStartup + time.Second
 	faulted, err := runFaulted(t, faults.Plan{
 		NodeDeaths: []faults.NodeDeath{{Node: 1, At: death}},
-	}, RetryPolicy{}, lines)
+	}, retryPolicy{}, lines)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestNodeDeathDuringShuffleReexecutesMaps(t *testing.T) {
 	death := DefaultCostModel.JobStartup + 4500*time.Millisecond
 	faulted, err := runFaulted(t, faults.Plan{
 		NodeDeaths: []faults.NodeDeath{{Node: 1, At: death}},
-	}, RetryPolicy{}, lines)
+	}, retryPolicy{}, lines)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestMapOnlyJobSkipsReexecution(t *testing.T) {
 		return &Job[KeyValue[string, int], string, int]{
 			Name:      "maponly",
 			Input:     recs,
-			SplitSize: 2,
+			splitSize: 2,
 			Map:       identity[string, int],
 		}
 	}
@@ -240,7 +240,7 @@ func TestBlacklistAfterRepeatedCrashes(t *testing.T) {
 	lines := manyLines(16)
 	faulted, err := runFaulted(t, faults.Plan{
 		Crashes: []faults.TaskCrash{{Phase: faults.PhaseMap, Task: 0, UpToAttempt: 1}},
-	}, RetryPolicy{BlacklistAfter: 1}, lines)
+	}, retryPolicy{BlacklistAfter: 1}, lines)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestLastNodeNeverBlacklisted(t *testing.T) {
 	e.Faults = faults.MustNew(faults.Plan{
 		Crashes: []faults.TaskCrash{{Phase: faults.PhaseMap, Task: 0, UpToAttempt: 2}},
 	})
-	e.Retry = RetryPolicy{BlacklistAfter: 1}
+	e.retry = retryPolicy{BlacklistAfter: 1}
 	res, err := run(e, wordCountJob(manyLines(6), false))
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +288,7 @@ func TestLastNodeNeverBlacklisted(t *testing.T) {
 func TestAllNodesDeadFailsTyped(t *testing.T) {
 	_, err := runFaulted(t, faults.Plan{
 		NodeDeaths: []faults.NodeDeath{{Node: 0}, {Node: 1}, {Node: 2}, {Node: 3}},
-	}, RetryPolicy{}, manyLines(4))
+	}, retryPolicy{}, manyLines(4))
 	var tf *TaskFailedError
 	if !errors.As(err, &tf) {
 		t.Fatalf("cluster-wide death should yield *TaskFailedError, got %v", err)
@@ -297,11 +297,11 @@ func TestAllNodesDeadFailsTyped(t *testing.T) {
 
 func TestSlowNodeStretchesVirtualTime(t *testing.T) {
 	lines := manyLines(16)
-	baseline, err := runFaulted(t, faults.Plan{SlowNodes: []faults.SlowNode{{Node: 0, Factor: 1}}}, RetryPolicy{}, lines)
+	baseline, err := runFaulted(t, faults.Plan{SlowNodes: []faults.SlowNode{{Node: 0, Factor: 1}}}, retryPolicy{}, lines)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slowed, err := runFaulted(t, faults.Plan{SlowNodes: []faults.SlowNode{{Node: 0, Factor: 4}}}, RetryPolicy{}, lines)
+	slowed, err := runFaulted(t, faults.Plan{SlowNodes: []faults.SlowNode{{Node: 0, Factor: 4}}}, retryPolicy{}, lines)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,11 +317,11 @@ func TestFaultedRunDeterminism(t *testing.T) {
 	lines := manyLines(24)
 	plan := faults.ChaosPlan(42)
 	plan.NodeDeaths = []faults.NodeDeath{{Node: 2, At: DefaultCostModel.JobStartup + 4*time.Second}}
-	a, err := runFaulted(t, plan, RetryPolicy{}, lines)
+	a, err := runFaulted(t, plan, retryPolicy{}, lines)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runFaulted(t, plan, RetryPolicy{}, lines)
+	b, err := runFaulted(t, plan, retryPolicy{}, lines)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestChaosMatrix(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			plan := faults.ChaosPlan(seed)
 			plan.NodeDeaths = []faults.NodeDeath{{Node: int(seed) % chaosCluster.Nodes, At: DefaultCostModel.JobStartup + 4*time.Second}}
-			res, err := runFaulted(t, plan, RetryPolicy{}, lines)
+			res, err := runFaulted(t, plan, retryPolicy{}, lines)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -371,7 +371,7 @@ func TestChaosMatrix(t *testing.T) {
 			if got := res.Counters.Get(CounterTaskKilled) + res.Counters.Get(CounterTaskFailures); got < 1 {
 				t.Fatalf("chaos plan injected nothing observable (killed+failed = %d)", got)
 			}
-			again, err := runFaulted(t, plan, RetryPolicy{}, lines)
+			again, err := runFaulted(t, plan, retryPolicy{}, lines)
 			if err != nil {
 				t.Fatal(err)
 			}

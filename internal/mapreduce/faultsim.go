@@ -47,7 +47,7 @@ type simTask struct {
 type faultSim struct {
 	c       Cluster
 	inj     *faults.Injector
-	pol     RetryPolicy
+	pol     retryPolicy
 	jobName string
 
 	slotFree    []time.Duration
@@ -64,7 +64,7 @@ type faultSim struct {
 // newFaultSim builds the simulator for a job starting at global virtual
 // time vbase (death times in the plan are on the global clock; the job's
 // task timeline starts after JobStartup).
-func newFaultSim(c Cluster, inj *faults.Injector, pol RetryPolicy, jobName string, vbase time.Duration) *faultSim {
+func newFaultSim(c Cluster, inj *faults.Injector, pol retryPolicy, jobName string, vbase time.Duration) *faultSim {
 	s := &faultSim{
 		c:           c,
 		inj:         inj,
@@ -151,7 +151,7 @@ func (s *faultSim) runPhase(phase string, tasks []*simTask) error {
 			// Capped exponential virtual-time backoff before the retry,
 			// de-synchronized by seeded jitter (a pure function of the
 			// retry site, so faulted makespans stay reproducible).
-			backoff := s.pol.BackoffFor(t.crashes)
+			backoff := s.pol.backoffFor(t.crashes)
 			site := fmt.Sprintf("retry/%s/%s/%d", s.jobName, phase, t.id)
 			t.readyAt = att.End + backoff +
 				faults.Jitter(s.inj.Plan().Seed, site, t.crashes, backoff/2)

@@ -155,7 +155,7 @@ func checkReduceOrder[K Key](t *testing.T, keys []K, compare func(a, b K) int) {
 	if _, _, err := Run(MustEngine(DefaultCluster), &Job[int, K, int]{
 		Name:      "numeric-order",
 		Input:     input,
-		SplitSize: 97,
+		splitSize: 97,
 		Map: func(i int, emit func(K, int)) error {
 			emit(keys[i], i)
 			return nil

@@ -8,7 +8,7 @@ import (
 )
 
 func TestBackoffForCapsAtMaxBackoff(t *testing.T) {
-	p := RetryPolicy{
+	p := retryPolicy{
 		Backoff:       3 * time.Second,
 		BackoffFactor: 2,
 		MaxBackoff:    20 * time.Second,
@@ -22,31 +22,31 @@ func TestBackoffForCapsAtMaxBackoff(t *testing.T) {
 		20 * time.Second, // n=50: no overflow from the exponent
 	}
 	for i, n := range []int{1, 2, 3, 4, 5, 50} {
-		if got := p.BackoffFor(n); got != want[i] {
-			t.Fatalf("BackoffFor(%d) = %v, want %v", n, got, want[i])
+		if got := p.backoffFor(n); got != want[i] {
+			t.Fatalf("backoffFor(%d) = %v, want %v", n, got, want[i])
 		}
 	}
 }
 
 func TestBackoffForUncappedWhenZero(t *testing.T) {
-	p := RetryPolicy{Backoff: time.Second, BackoffFactor: 2}
-	if got := p.BackoffFor(6); got != 32*time.Second {
-		t.Fatalf("uncapped BackoffFor(6) = %v, want 32s", got)
+	p := retryPolicy{Backoff: time.Second, BackoffFactor: 2}
+	if got := p.backoffFor(6); got != 32*time.Second {
+		t.Fatalf("uncapped backoffFor(6) = %v, want 32s", got)
 	}
 }
 
 func TestDefaultRetryPolicyHasSaneMaxBackoff(t *testing.T) {
-	if DefaultRetryPolicy.MaxBackoff <= 0 {
-		t.Fatal("DefaultRetryPolicy.MaxBackoff must be set")
+	if defaultRetryPolicy.MaxBackoff <= 0 {
+		t.Fatal("defaultRetryPolicy.MaxBackoff must be set")
 	}
-	p := RetryPolicy{}.withDefaults()
-	if p.MaxBackoff != DefaultRetryPolicy.MaxBackoff {
-		t.Fatalf("withDefaults MaxBackoff = %v, want %v", p.MaxBackoff, DefaultRetryPolicy.MaxBackoff)
+	p := retryPolicy{}.withDefaults()
+	if p.MaxBackoff != defaultRetryPolicy.MaxBackoff {
+		t.Fatalf("withDefaults MaxBackoff = %v, want %v", p.MaxBackoff, defaultRetryPolicy.MaxBackoff)
 	}
 	// The canned default must actually bound a long crash streak: after
 	// 20 failures the delay equals the ceiling, not 3s*2^19.
-	if got := p.BackoffFor(20); got != p.MaxBackoff {
-		t.Fatalf("BackoffFor(20) = %v, want ceiling %v", got, p.MaxBackoff)
+	if got := p.backoffFor(20); got != p.MaxBackoff {
+		t.Fatalf("backoffFor(20) = %v, want ceiling %v", got, p.MaxBackoff)
 	}
 }
 
@@ -61,11 +61,11 @@ func TestRetryBackoffJitterDeterministic(t *testing.T) {
 		Crashes: []faults.TaskCrash{{Phase: faults.PhaseMap, Task: 0, UpToAttempt: 2}},
 	}
 	lines := manyLines(6)
-	a, err := runFaulted(t, plan, RetryPolicy{}, lines)
+	a, err := runFaulted(t, plan, retryPolicy{}, lines)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runFaulted(t, plan, RetryPolicy{}, lines)
+	b, err := runFaulted(t, plan, retryPolicy{}, lines)
 	if err != nil {
 		t.Fatal(err)
 	}

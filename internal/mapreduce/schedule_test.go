@@ -30,7 +30,7 @@ func TestScheduleGolden(t *testing.T) {
 		cases  int
 	)
 	check := func(wantMakespan string) {
-		sim := newFaultSim(c, nil, RetryPolicy{}, "golden", 0)
+		sim := newFaultSim(c, nil, retryPolicy{}, "golden", 0)
 		tasks := sim.newTasks(costs, 0)
 		if err := sim.runPhase(faults.PhaseMap, tasks); err != nil {
 			t.Fatalf("%s: %v", header, err)
@@ -105,7 +105,7 @@ func TestScheduleMatchesMakespan(t *testing.T) {
 			costs[i] = TaskCost{Duration: time.Duration(rng.Int63n(int64(30 * time.Second)))}
 		}
 		name := fmt.Sprintf("trial %d (%d nodes × %d slots, %d tasks)", trial, c.Nodes, c.SlotsPerNode, len(costs))
-		sim := newFaultSim(c, nil, RetryPolicy{}, "schedule", 0)
+		sim := newFaultSim(c, nil, retryPolicy{}, "schedule", 0)
 		tasks := sim.newTasks(costs, 0)
 		if err := sim.runPhase(faults.PhaseMap, tasks); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -164,7 +164,7 @@ func TestVirtualIsJobStartupPlusPhaseMakespans(t *testing.T) {
 		var mapCosts []TaskCost
 		partRecords := make([]int, job.NumReducers)
 		shuffleBytes := make([]int, job.NumReducers)
-		for _, sp := range splitInput(c, job.Input, job.SplitSize) {
+		for _, sp := range splitInput(c, job.Input, job.splitSize) {
 			mapCosts = append(mapCosts, c.mapTaskCost(sp.hi-sp.lo, job.MapCostFactor))
 			for _, line := range job.Input[sp.lo:sp.hi] {
 				if err := job.Map(line, func(k string, _ int) {
@@ -205,7 +205,7 @@ func TestVirtualIsJobStartupPlusPhaseMakespans(t *testing.T) {
 func TestZeroCostClusterChargesOneMillisecondPerAttempt(t *testing.T) {
 	e := MustEngine(Cluster{Nodes: 2, SlotsPerNode: 1})
 	job := wordCountJob(manyLines(5), false)
-	job.SplitSize = 1 // five map tasks: three waves on two slots
+	job.splitSize = 1 // five map tasks: three waves on two slots
 	res, err := run(e, job)
 	if err != nil {
 		t.Fatal(err)

@@ -41,10 +41,10 @@ import (
 	"strings"
 )
 
-// DefaultMergeFanIn is the reducer merge width used when Engine.MergeFanIn
+// defaultMergeFanIn is the reducer merge width used when Engine.mergeFanIn
 // is zero (Hadoop's io.sort.factor default is 10; we run a little wider
 // because segments are virtual).
-const DefaultMergeFanIn = 16
+const defaultMergeFanIn = 16
 
 // sortEntry indexes one record of a partition for sortPartition. It
 // holds no pointer, so the sort moves 24 bytes per record and the garbage
@@ -447,7 +447,7 @@ func planMerge(sizes []int64, fanIn int) (steps []mergeStep, ioBytes int64, pass
 		return nil, 0, 0
 	}
 	if fanIn < 2 {
-		fanIn = DefaultMergeFanIn
+		fanIn = defaultMergeFanIn
 	}
 	type run struct {
 		id   int

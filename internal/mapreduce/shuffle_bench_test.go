@@ -33,7 +33,7 @@ func benchShuffle(b *testing.B, bufBytes, fanIn int) {
 	}
 	e := MustEngine(DefaultCluster)
 	e.ShuffleBufferBytes = bufBytes
-	e.MergeFanIn = fanIn
+	e.mergeFanIn = fanIn
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -70,7 +70,7 @@ func TestShuffleGolden(t *testing.T) {
 		name := fmt.Sprintf("combiner=%t,buffer=%d,fanin=%d,chaos=%d", c.combiner, c.buffer, c.fanIn, c.chaosSeed)
 		rec := trace.New()
 		e := MustEngine(chaosCluster)
-		e.ShuffleBufferBytes, e.MergeFanIn, e.Trace = c.buffer, c.fanIn, rec
+		e.ShuffleBufferBytes, e.mergeFanIn, e.Trace = c.buffer, c.fanIn, rec
 		if c.chaosSeed != 0 {
 			e.Faults = faults.MustNew(faults.ChaosPlan(c.chaosSeed))
 		}

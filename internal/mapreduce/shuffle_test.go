@@ -62,7 +62,7 @@ func TestSpillShuffleMemoryBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each map task covers 2 lines (SplitSize 2) and emits 4 records of
+	// Each map task covers 2 lines (splitSize 2) and emits 4 records of
 	// 12-15 bytes; a 24-byte cap forces a spill every second record, i.e.
 	// at least two spills per map task (the acceptance bar).
 	if got, want := res.Counters.Get(CounterShuffleSpills), int64(2*res.MapTasks); got < want {
@@ -88,7 +88,7 @@ func TestSpillMultiPassMergeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	narrow := spillingEngine(24)
-	narrow.MergeFanIn = 2 // force intermediate merge passes
+	narrow.mergeFanIn = 2 // force intermediate merge passes
 	res, err := run(narrow, wordCountJob(lines, false))
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestSpillMultiPassMergeBitIdentical(t *testing.T) {
 		t.Fatalf("merge passes %d implies single-pass merges despite fan-in 2", got)
 	}
 	wide := spillingEngine(24)
-	wide.MergeFanIn = 64
+	wide.mergeFanIn = 64
 	wideRes, err := run(wide, wordCountJob(lines, false))
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestSpillCombinerPropertyEquivalence(t *testing.T) {
 		fanIn := 2 + rng.Intn(5)
 		configure := func(combiner bool) *Job[string, string, int] {
 			j := wordCountJob(lines, combiner)
-			j.SplitSize = 1 + rng.Intn(4)
+			j.splitSize = 1 + rng.Intn(4)
 			j.NumReducers = 1 + rng.Intn(4)
 			return j
 		}
@@ -152,7 +152,7 @@ func TestSpillCombinerPropertyEquivalence(t *testing.T) {
 			e := MustEngine(chaosCluster)
 			if spill {
 				e.ShuffleBufferBytes = bufBytes
-				e.MergeFanIn = fanIn
+				e.mergeFanIn = fanIn
 			}
 			res, err := run(e, configure(combiner))
 			if err != nil {
@@ -232,7 +232,7 @@ func TestSpillMapOnlyJobNeverSpills(t *testing.T) {
 	res, err := run(spillingEngine(1), &Job[KeyValue[string, int], string, int]{
 		Name:      "identity",
 		Input:     recs,
-		SplitSize: 3,
+		splitSize: 3,
 		Map:       identity[string, int],
 	})
 	if err != nil {
@@ -334,7 +334,7 @@ func payloadJob(n int, value any) *Job[int, string, any] {
 	return &Job[int, string, any]{
 		Name:      "payload",
 		Input:     recs,
-		SplitSize: 2,
+		splitSize: 2,
 		Map: func(i int, emit func(string, any)) error {
 			emit(fmt.Sprint("k", i), value)
 			return nil
@@ -501,7 +501,7 @@ func TestReduceMayKeepAndAppendValues(t *testing.T) {
 	if _, _, err := Run(MustEngine(chaosCluster), &Job[KeyValue[string, any], string, any]{
 		Name:        "keep-values",
 		Input:       recs,
-		SplitSize:   7,
+		splitSize:   7,
 		Map:         identity[string, any],
 		NumReducers: 2,
 		Reduce: func(key string, values []any, emit func(string, any)) error {

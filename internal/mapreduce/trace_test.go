@@ -18,7 +18,7 @@ func wordJob(n int) *Job[string, string, int] {
 	return &Job[string, string, int]{
 		Name:      "wordcount",
 		Input:     words,
-		SplitSize: 8,
+		splitSize: 8,
 		Map: func(w string, emit func(string, int)) error {
 			emit(w, 1)
 			return nil

@@ -292,9 +292,9 @@ type TaskAttempt struct {
 	Speculative bool
 }
 
-// RetryPolicy governs task recovery on the simulated cluster, mirroring
+// retryPolicy governs task recovery on the simulated cluster, mirroring
 // Hadoop's mapred.map/reduce.max.attempts and host blacklisting.
-type RetryPolicy struct {
+type retryPolicy struct {
 	// MaxAttempts is the per-task attempt budget including the first run
 	// (Hadoop default 4). Crashed attempts consume it; killed ones do not.
 	MaxAttempts int
@@ -305,7 +305,7 @@ type RetryPolicy struct {
 	BackoffFactor float64
 	// MaxBackoff caps the exponential growth: no single retry delay
 	// exceeds it, however many attempts have failed. 0 means
-	// DefaultRetryPolicy.MaxBackoff; a task that legitimately needs
+	// defaultRetryPolicy.MaxBackoff; a task that legitimately needs
 	// uncapped growth can set it to a huge value, but an uncapped
 	// default turns a long retry tail into hours of virtual idle time.
 	MaxBackoff time.Duration
@@ -315,8 +315,8 @@ type RetryPolicy struct {
 	BlacklistAfter int
 }
 
-// DefaultRetryPolicy mirrors a stock Hadoop configuration.
-var DefaultRetryPolicy = RetryPolicy{
+// defaultRetryPolicy mirrors a stock Hadoop configuration.
+var defaultRetryPolicy = retryPolicy{
 	MaxAttempts:    4,
 	Backoff:        3 * time.Second,
 	BackoffFactor:  2,
@@ -325,30 +325,30 @@ var DefaultRetryPolicy = RetryPolicy{
 }
 
 // withDefaults fills zero fields.
-func (p RetryPolicy) withDefaults() RetryPolicy {
+func (p retryPolicy) withDefaults() retryPolicy {
 	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = DefaultRetryPolicy.MaxAttempts
+		p.MaxAttempts = defaultRetryPolicy.MaxAttempts
 	}
 	if p.Backoff <= 0 {
-		p.Backoff = DefaultRetryPolicy.Backoff
+		p.Backoff = defaultRetryPolicy.Backoff
 	}
 	if p.BackoffFactor < 1 {
-		p.BackoffFactor = DefaultRetryPolicy.BackoffFactor
+		p.BackoffFactor = defaultRetryPolicy.BackoffFactor
 	}
 	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = DefaultRetryPolicy.MaxBackoff
+		p.MaxBackoff = defaultRetryPolicy.MaxBackoff
 	}
 	if p.BlacklistAfter <= 0 {
-		p.BlacklistAfter = DefaultRetryPolicy.BlacklistAfter
+		p.BlacklistAfter = defaultRetryPolicy.BlacklistAfter
 	}
 	return p
 }
 
-// BackoffFor returns the capped exponential delay before the retry that
+// backoffFor returns the capped exponential delay before the retry that
 // follows the n-th crashed attempt (n >= 1): Backoff*BackoffFactor^(n-1),
 // never exceeding MaxBackoff (when set). Seeded jitter is layered on top
 // by the fault simulator via faults.Backoff.
-func (p RetryPolicy) BackoffFor(n int) time.Duration {
+func (p retryPolicy) backoffFor(n int) time.Duration {
 	if n < 1 {
 		n = 1
 	}
@@ -389,10 +389,10 @@ func (e *TaskFailedError) Error() string {
 type Job[I any, K Key, V any] struct {
 	Name  string
 	Input []I
-	// SplitSize is the input records per map task. 0 sizes splits so the
+	// splitSize is the input records per map task. 0 sizes splits so the
 	// cluster runs two waves of map tasks per slot, every slot getting
 	// work.
-	SplitSize int
+	splitSize int
 	Map       func(in I, emit func(K, V)) error
 	// Combine optionally pre-aggregates map output per task.
 	Combine func(key K, values []V, emit func(K, V)) error

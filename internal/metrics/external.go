@@ -5,10 +5,11 @@ import (
 	"math"
 )
 
-// Additional external quality measures beyond the paper's W.Acc: purity,
-// normalized mutual information (NMI) and adjusted Rand index (ARI) — the
-// standard trio in clustering literature, useful when comparing against
-// modern binning tools whose papers report them.
+// Additional external quality measures beyond the paper's W.Acc (which is
+// purity as a percentage): normalized mutual information (NMI) and
+// adjusted Rand index (ARI) — with purity, the standard trio in clustering
+// literature, useful when comparing against modern binning tools whose
+// papers report them.
 
 // contingency builds the cluster × class contingency table.
 func contingency(c Clustering, truth []string) (table map[int]map[string]int, clusterSizes map[int]int, classSizes map[string]int, n int, err error) {
@@ -31,16 +32,6 @@ func contingency(c Clustering, truth []string) (table map[int]map[string]int, cl
 		n++
 	}
 	return table, clusterSizes, classSizes, n, nil
-}
-
-// Purity is the fraction of reads assigned to their cluster's majority
-// class — numerically identical to W.Acc/100 but returned in [0,1].
-func Purity(c Clustering, truth []string) (float64, error) {
-	acc, err := WeightedAccuracy(c, truth)
-	if err != nil {
-		return 0, err
-	}
-	return acc / 100, nil
 }
 
 // NMI computes normalized mutual information between the clustering and

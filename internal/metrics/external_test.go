@@ -10,19 +10,6 @@ func perfectCase() (Clustering, []string) {
 	return Clustering{0, 0, 1, 1, 2, 2}, []string{"a", "a", "b", "b", "c", "c"}
 }
 
-func TestPurity(t *testing.T) {
-	c, truth := perfectCase()
-	p, err := Purity(c, truth)
-	if err != nil || p != 1 {
-		t.Fatalf("p=%v err=%v", p, err)
-	}
-	mixed := Clustering{0, 0, 0, 0}
-	p, err = Purity(mixed, []string{"a", "a", "a", "b"})
-	if err != nil || p != 0.75 {
-		t.Fatalf("p=%v err=%v", p, err)
-	}
-}
-
 func TestNMIPerfect(t *testing.T) {
 	c, truth := perfectCase()
 	v, err := NMI(c, truth)
@@ -122,8 +109,8 @@ func TestExternalMetricsLengthMismatch(t *testing.T) {
 	if _, err := ARI(Clustering{0}, []string{"a", "b"}); err == nil {
 		t.Error("ARI mismatch accepted")
 	}
-	if _, err := Purity(Clustering{0}, []string{"a", "b"}); err == nil {
-		t.Error("Purity mismatch accepted")
+	if _, err := WeightedAccuracy(Clustering{0}, []string{"a", "b"}); err == nil {
+		t.Error("W.Acc mismatch accepted")
 	}
 }
 
@@ -144,7 +131,7 @@ func TestExternalMetricsBoundsProperty(t *testing.T) {
 		}
 		nmi, err1 := NMI(c, truth)
 		ari, err2 := ARI(c, truth)
-		pur, err3 := Purity(c, truth)
+		acc, err3 := WeightedAccuracy(c, truth)
 		if err1 != nil || err2 != nil || err3 != nil {
 			return false
 		}
@@ -154,7 +141,7 @@ func TestExternalMetricsBoundsProperty(t *testing.T) {
 		if ari < -1-1e-9 || ari > 1+1e-9 {
 			return false
 		}
-		return pur >= 0 && pur <= 1
+		return acc >= 0 && acc <= 100
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

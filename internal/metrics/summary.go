@@ -2,8 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 )
 
@@ -68,23 +66,4 @@ func FormatDuration(d time.Duration) string {
 		return fmt.Sprintf("%dm %02ds", m, s)
 	}
 	return fmt.Sprintf("%.1fs", d.Seconds())
-}
-
-// ClusterSizeHistogram returns "size -> #clusters of that size" sorted
-// ascending as a printable string, useful in example programs.
-func ClusterSizeHistogram(c Clustering) string {
-	bySize := make(map[int]int)
-	for _, n := range c.Sizes() {
-		bySize[n]++
-	}
-	sizes := make([]int, 0, len(bySize))
-	for s := range bySize {
-		sizes = append(sizes, s)
-	}
-	sort.Ints(sizes)
-	var sb strings.Builder
-	for _, s := range sizes {
-		fmt.Fprintf(&sb, "%d reads x %d clusters\n", s, bySize[s])
-	}
-	return sb.String()
 }

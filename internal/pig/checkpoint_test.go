@@ -2,12 +2,14 @@ package pig
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"github.com/metagenomics/mrmcminh/internal/checkpoint"
 	"github.com/metagenomics/mrmcminh/internal/dfs"
 	"github.com/metagenomics/mrmcminh/internal/faults"
+	"github.com/metagenomics/mrmcminh/internal/trace"
 )
 
 const storeScript = `
@@ -42,6 +44,8 @@ func dirJournal(t *testing.T, dir string) *checkpoint.Journal {
 
 func TestStoreGoesThroughCommitProtocol(t *testing.T) {
 	ctx := storeContext(t, nil, false)
+	rec := trace.New()
+	ctx.Engine.Trace = rec
 	if _, err := MustCompile(storeScript).Run(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -51,6 +55,19 @@ func TestStoreGoesThroughCommitProtocol(t *testing.T) {
 	}
 	if !ctx.FS.Exists("/out/_SUCCESS") {
 		t.Fatal("STORE did not finalize with _SUCCESS")
+	}
+	if staged := ctx.FS.List("/out/_temporary"); len(staged) != 0 {
+		t.Fatalf("staging survived the commit: %v", staged)
+	}
+	var commits []string
+	for _, sp := range rec.Spans() {
+		if sp.Kind == trace.KindCommit {
+			commits = append(commits, fmt.Sprintf("%s node=%d %s %s", sp.Name, sp.Node, sp.Detail, sp.Status))
+		}
+	}
+	want := []string{"commit.task[0] node=-1 /out attempt 0 committed", "commit.job node=0 /out committed"}
+	if !reflect.DeepEqual(commits, want) {
+		t.Fatalf("commit spans %q, want %q", commits, want)
 	}
 }
 

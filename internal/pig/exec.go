@@ -473,17 +473,22 @@ func (ex *executor) store(st *StoreStmt) error {
 		}
 	}
 
-	oc := mapreduce.NewOutputCommitter(ex.ctx.FS, path)
-	oc.SetTrace(ex.ctx.Engine.Trace)
-	if err := oc.WriteAttemptFile(0, 0, "part-00000", data); err != nil {
+	// Hadoop's FileOutputCommitter protocol, for the one task attempt
+	// (task 0, attempt 0) a STORE runs.
+	fs, rec := ex.ctx.FS, ex.ctx.Engine.Trace
+	staged := path + "/_temporary/attempt_0_0"
+	if err := fs.WriteFile(staged+"/part-00000", data); err != nil {
 		return fmt.Errorf("pig: line %d: storing %q: %w", st.Line, path, err)
 	}
-	if err := oc.CommitTask(0, 0); err != nil {
+	if err := fs.RenameDir(staged, path); err != nil {
 		return fmt.Errorf("pig: line %d: storing %q: %w", st.Line, path, err)
 	}
-	if err := oc.CommitJob(); err != nil {
+	commitSpan(rec, "commit.task[0]", -1, path+" attempt 0")
+	fs.RemoveAll(path + "/_temporary")
+	if err := fs.WriteFile(path+"/_SUCCESS", nil); err != nil {
 		return fmt.Errorf("pig: line %d: storing %q: %w", st.Line, path, err)
 	}
+	commitSpan(rec, "commit.job", 0, path)
 	if df := ex.ctx.Engine.Faults; df.DriverCrashAfter(stage) {
 		return &faults.DriverCrashError{Stage: stage}
 	}
@@ -492,6 +497,21 @@ func (ex *executor) store(st *StoreStmt) error {
 		ex.res.Restored = append(ex.res.Restored, path)
 	}
 	return nil
+}
+
+// commitSpan records one step of STORE's output commit.
+func commitSpan(rec *trace.Recorder, name string, node int, detail string) {
+	if rec.Enabled() {
+		rec.Emit(trace.Span{
+			Kind:   trace.KindCommit,
+			Name:   name,
+			Node:   node,
+			Detail: detail,
+			Status: "committed",
+			VStart: rec.VirtualNow(),
+			RStart: rec.RealNow(),
+		})
+	}
 }
 
 // ---- helpers shared with FOREACH ----

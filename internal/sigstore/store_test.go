@@ -356,8 +356,8 @@ func TestViewsBuiltConcurrently(t *testing.T) {
 			v := s.View(minhash.SetOverlap)
 			for i := 0; i < rows; i++ {
 				j := (i*7919 + 1) % rows
-				if !slices.Equal(v.Prepared(i).Vals, prep[i].Vals) {
-					errs <- fmt.Errorf("row %d: Vals %v, want %v", i, v.Prepared(i).Vals, prep[i].Vals)
+				if !slices.Equal(v.prep[i].Vals, prep[i].Vals) {
+					errs <- fmt.Errorf("row %d: Vals %v, want %v", i, v.prep[i].Vals, prep[i].Vals)
 					return
 				}
 				if got, want := v.Similarity(i, j), minhash.SetOverlap.SimilarityPrepared(prep[i], prep[j]); got != want {

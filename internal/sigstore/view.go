@@ -133,12 +133,3 @@ func (v *View) PackedSig(i int) minhash.BBitSignature {
 	}
 	return minhash.BBitSignature{}
 }
-
-// Prepared returns the cached Prepared view for i (full views only; the
-// zero value on packed views).
-func (v *View) Prepared(i int) minhash.Prepared {
-	if v.bits == 0 {
-		return v.prep[i]
-	}
-	return minhash.Prepared{}
-}

@@ -36,7 +36,6 @@ const (
 	KindDFSWrite
 	KindPigOp
 	KindCommit
-	KindAbort
 	KindSpill
 	KindMerge
 	KindIngest
@@ -66,8 +65,6 @@ func (k Kind) String() string {
 		return "pig.op"
 	case KindCommit:
 		return "commit"
-	case KindAbort:
-		return "abort"
 	case KindSpill:
 		return "spill"
 	case KindMerge:
