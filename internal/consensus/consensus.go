@@ -40,7 +40,7 @@ func Build(reads []fasta.Record, labels metrics.Clustering, reps map[int]int, op
 	if len(reads) != len(labels) {
 		return nil, fmt.Errorf("consensus: %d reads for %d labels", len(reads), len(labels))
 	}
-	if opt.MinColumnSupport < 0 || opt.MinColumnSupport > 1 {
+	if !(opt.MinColumnSupport >= 0 && opt.MinColumnSupport <= 1) {
 		return nil, fmt.Errorf("consensus: MinColumnSupport %v out of [0,1]", opt.MinColumnSupport)
 	}
 	members := labels.Members()

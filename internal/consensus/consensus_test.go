@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -140,6 +141,9 @@ func TestConsensusValidation(t *testing.T) {
 	}
 	if _, err := Build(reads, metrics.Clustering{0}, map[int]int{0: 0}, Options{MinColumnSupport: 2}); err == nil {
 		t.Error("bad support accepted")
+	}
+	if _, err := Build(reads, metrics.Clustering{0}, map[int]int{0: 0}, Options{MinColumnSupport: math.NaN()}); err == nil {
+		t.Error("support NaN accepted")
 	}
 }
 

@@ -166,7 +166,7 @@ func (p Plan) Validate() error {
 		return fmt.Errorf("faults: crash probability %v out of [0,1]", p.TaskCrashProb)
 	}
 	for _, s := range p.SlowNodes {
-		if s.Factor < 1 {
+		if !(s.Factor >= 1) {
 			return fmt.Errorf("faults: slow node %d factor %v must be >= 1", s.Node, s.Factor)
 		}
 	}

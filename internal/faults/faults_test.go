@@ -154,6 +154,12 @@ func TestParsePlan(t *testing.T) {
 	if err := (Plan{TaskCrashProb: math.NaN()}).Validate(); err == nil {
 		t.Fatal("plan with crash probability NaN accepted")
 	}
+	if _, err := ParsePlan("slow=1@nan", 1); err == nil {
+		t.Fatal("slow factor NaN accepted")
+	}
+	if err := (Plan{SlowNodes: []SlowNode{{Node: 0, Factor: math.NaN()}}}).Validate(); err == nil {
+		t.Fatal("plan with slow factor NaN accepted")
+	}
 	for _, unknown := range []string{"bogus=1", "dfsfail=1", "blockerr=*:-1:100", "chaos=1"} {
 		if _, err := ParsePlan(unknown, 1); err == nil || !strings.Contains(err.Error(), "unknown directive") {
 			t.Fatalf("%s: %v, want an unknown directive", unknown, err)

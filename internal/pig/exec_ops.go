@@ -258,7 +258,7 @@ func (ex *executor) sample(st *SampleStmt) error {
 		return err
 	}
 	frac, err := AsFloat(fv)
-	if err != nil || frac < 0 || frac > 1 {
+	if err != nil || !(frac >= 0 && frac <= 1) {
 		return fmt.Errorf("pig: line %d: SAMPLE needs a fraction in [0,1], got %v", st.Line, fv)
 	}
 	rng := rand.New(rand.NewSource(ex.ctx.Seed*31 + int64(st.Line)))

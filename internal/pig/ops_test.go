@@ -562,6 +562,7 @@ func TestSampleValidation(t *testing.T) {
 	for _, src := range []string{
 		"A = LOAD '/in'; S = SAMPLE A 2;",
 		"A = LOAD '/in'; S = SAMPLE A 'half';",
+		"A = LOAD '/in'; S = SAMPLE A 'NaN';",
 	} {
 		script := MustCompile(src)
 		if _, err := script.Run(ctx); err == nil {

@@ -97,10 +97,10 @@ func (o AmpliconOptions) Validate() error {
 	if o.ReadLength < 10 {
 		return fmt.Errorf("simulate: amplicon read length %d too short", o.ReadLength)
 	}
-	if o.ErrorRate < 0 || o.ErrorRate > 1 {
+	if !(o.ErrorRate >= 0 && o.ErrorRate <= 1) {
 		return fmt.Errorf("simulate: error rate %v out of [0,1]", o.ErrorRate)
 	}
-	if o.Skew < 0 || o.Skew > 1 {
+	if !(o.Skew >= 0 && o.Skew <= 1) {
 		return fmt.Errorf("simulate: skew %v out of [0,1]", o.Skew)
 	}
 	return nil

@@ -83,7 +83,7 @@ func GenerateGenome(name string, length int, gc float64, seed int64) (*Genome, e
 	if length < 1 {
 		return nil, fmt.Errorf("simulate: genome length must be positive, got %d", length)
 	}
-	if gc < 0 || gc > 1 {
+	if !(gc >= 0 && gc <= 1) {
 		return nil, fmt.Errorf("simulate: GC content %v out of [0,1]", gc)
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -102,7 +102,7 @@ func GenerateGenome(name string, length int, gc float64, seed int64) (*Genome, e
 // base: each position mutates with probability div (substitutions), plus a
 // sprinkling of short indels to keep alignments honest.
 func DeriveRelative(base *Genome, name string, div float64, seed int64) (*Genome, error) {
-	if div < 0 || div > 1 {
+	if !(div >= 0 && div <= 1) {
 		return nil, fmt.Errorf("simulate: divergence %v out of [0,1]", div)
 	}
 	rng := rand.New(rand.NewSource(seed))

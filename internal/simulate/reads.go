@@ -65,7 +65,7 @@ func (o ReadOptions) Validate() error {
 	if o.Jitter < 0 || o.Jitter >= o.Length {
 		return fmt.Errorf("simulate: jitter %d out of [0,length)", o.Jitter)
 	}
-	if o.ErrorRate < 0 || o.ErrorRate > 1 {
+	if !(o.ErrorRate >= 0 && o.ErrorRate <= 1) {
 		return fmt.Errorf("simulate: error rate %v out of [0,1]", o.ErrorRate)
 	}
 	return nil

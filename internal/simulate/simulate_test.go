@@ -29,6 +29,9 @@ func TestGenerateGenomeValidation(t *testing.T) {
 	if _, err := GenerateGenome("x", 10, 1.5, 1); err == nil {
 		t.Error("bad GC accepted")
 	}
+	if _, err := GenerateGenome("x", 10, math.NaN(), 1); err == nil {
+		t.Error("GC NaN accepted")
+	}
 }
 
 func TestGenerateGenomeDeterministic(t *testing.T) {
@@ -69,6 +72,9 @@ func TestDeriveRelativeValidation(t *testing.T) {
 	}
 	if _, err := DeriveRelative(base, "rel", 1.1, 1); err == nil {
 		t.Error("divergence > 1 accepted")
+	}
+	if _, err := DeriveRelative(base, "rel", math.NaN(), 1); err == nil {
+		t.Error("divergence NaN accepted")
 	}
 }
 
@@ -146,6 +152,7 @@ func TestReadsValidation(t *testing.T) {
 		{Count: 1, Length: 0},
 		{Count: 1, Length: 100, Jitter: 100},
 		{Count: 1, Length: 100, ErrorRate: 2},
+		{Count: 1, Length: 100, ErrorRate: math.NaN()},
 	}
 	for i, o := range bad {
 		if _, _, err := comm.Reads(o); err == nil {
@@ -262,6 +269,8 @@ func TestAmpliconsValidation(t *testing.T) {
 		{Taxa: 1, ReadsPerTaxon: 1, ReadLength: 5},
 		{Taxa: 1, ReadsPerTaxon: 1, ReadLength: 60, ErrorRate: 2},
 		{Taxa: 1, ReadsPerTaxon: 1, ReadLength: 60, Skew: 2},
+		{Taxa: 1, ReadsPerTaxon: 1, ReadLength: 60, ErrorRate: math.NaN()},
+		{Taxa: 1, ReadsPerTaxon: 1, ReadLength: 60, Skew: math.NaN()},
 	}
 	for i, o := range bad {
 		if _, _, err := Amplicons(o); err == nil {

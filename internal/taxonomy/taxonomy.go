@@ -85,10 +85,10 @@ func NewClassifier(opt Options) (*Classifier, error) {
 	if opt.K < 1 || opt.K > kmer.MaxK {
 		return nil, fmt.Errorf("taxonomy: k=%d out of range", opt.K)
 	}
-	if opt.MinContainment < 0 || opt.MinContainment > 1 {
+	if !(opt.MinContainment >= 0 && opt.MinContainment <= 1) {
 		return nil, fmt.Errorf("taxonomy: MinContainment %v out of [0,1]", opt.MinContainment)
 	}
-	if opt.AmbiguityBand < 0 || opt.AmbiguityBand > 1 {
+	if !(opt.AmbiguityBand >= 0 && opt.AmbiguityBand <= 1) {
 		return nil, fmt.Errorf("taxonomy: AmbiguityBand %v out of [0,1]", opt.AmbiguityBand)
 	}
 	return &Classifier{

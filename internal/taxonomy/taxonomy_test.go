@@ -1,6 +1,7 @@
 package taxonomy
 
 import (
+	"math"
 	"testing"
 
 	"github.com/metagenomics/mrmcminh/internal/simulate"
@@ -120,6 +121,12 @@ func TestClassifierValidation(t *testing.T) {
 	}
 	if _, err := NewClassifier(Options{AmbiguityBand: -1}); err == nil {
 		t.Error("bad AmbiguityBand accepted")
+	}
+	if _, err := NewClassifier(Options{MinContainment: math.NaN()}); err == nil {
+		t.Error("MinContainment NaN accepted")
+	}
+	if _, err := NewClassifier(Options{AmbiguityBand: math.NaN()}); err == nil {
+		t.Error("AmbiguityBand NaN accepted")
 	}
 	c, err := NewClassifier(Options{})
 	if err != nil {
