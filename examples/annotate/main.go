@@ -89,7 +89,12 @@ func main() {
 	for id := range assignments {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(a, b int) bool { return sizes[ids[a]] > sizes[ids[b]] })
+	sort.Slice(ids, func(a, b int) bool {
+		if sa, sb := sizes[ids[a]], sizes[ids[b]]; sa != sb {
+			return sa > sb
+		}
+		return ids[a] < ids[b]
+	})
 	fmt.Printf("%-8s %6s %-30s %11s\n", "cluster", "reads", "assignment", "containment")
 	shown := 0
 	for _, id := range ids {

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 	"strings"
 
 	"github.com/metagenomics/mrmcminh"
@@ -49,8 +50,14 @@ func main() {
 		}
 		fmt.Printf("%v: %d reads -> %d clusters (modelled 8-node time %v)\n",
 			mode, len(reads), res.NumClusters(), res.Virtual.Round(1e9))
-		for id, members := range res.ClustersByID() {
-			fmt.Printf("  cluster %d: %v\n", id, members)
+		clusters := res.ClustersByID()
+		ids := make([]int, 0, len(clusters))
+		for id := range clusters {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		for _, id := range ids {
+			fmt.Printf("  cluster %d: %v\n", id, clusters[id])
 		}
 	}
 

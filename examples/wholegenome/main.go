@@ -56,7 +56,10 @@ func main() {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(a, b int) bool {
-		return clusterSize(composition[ids[a]]) > clusterSize(composition[ids[b]])
+		if sa, sb := clusterSize(composition[ids[a]]), clusterSize(composition[ids[b]]); sa != sb {
+			return sa > sb
+		}
+		return ids[a] < ids[b]
 	})
 	fmt.Println("largest clusters by species composition:")
 	for _, id := range ids[:min(5, len(ids))] {
