@@ -204,7 +204,8 @@ func (fs *FileSystem) RenameDir(fromPrefix, toPrefix string) error {
 
 // RemoveAll deletes every file under the directory prefix (and prefix
 // itself if it names a file), returning how many files were dropped.
-// Removing nothing is not an error: abort paths call this unconditionally.
+// Removing nothing is not an error: STORE calls this on a staging tree
+// its commit rename has already emptied.
 func (fs *FileSystem) RemoveAll(prefix string) int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
