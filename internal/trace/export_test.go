@@ -112,3 +112,33 @@ func TestWriteJSONL(t *testing.T) {
 		t.Fatalf("first line = %v", first)
 	}
 }
+
+// TestWriteFilePicksFormatByExtension checks that ".jsonl" and ".ndjson"
+// paths get one span per line and any other path the Chrome format,
+// byte for byte what the writers produce.
+func TestWriteFilePicksFormatByExtension(t *testing.T) {
+	var jsonl, chrome bytes.Buffer
+	if err := WriteJSONL(&jsonl, goldenSpans()); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteChromeTrace(&chrome, goldenSpans()); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for name, want := range map[string][]byte{"t.jsonl": jsonl.Bytes(), "t.ndjson": jsonl.Bytes(), "t.json": chrome.Bytes(), "t": chrome.Bytes()} {
+		path := filepath.Join(dir, name)
+		if err := WriteFile(path, goldenSpans()); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: wrong format (%d bytes, want %d)", name, len(got), len(want))
+		}
+	}
+	if err := WriteFile(filepath.Join(dir, "missing", "t.json"), goldenSpans()); err == nil {
+		t.Error("WriteFile into a missing directory succeeded")
+	}
+}

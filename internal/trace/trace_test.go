@@ -185,3 +185,22 @@ func TestUtilizationSummaryEmpty(t *testing.T) {
 		t.Fatalf("empty summary = %q", text)
 	}
 }
+
+// TestKindNamesAreDistinct checks that every kind exports under its own
+// name and that a value past the last kind reads "unknown".
+func TestKindNamesAreDistinct(t *testing.T) {
+	seen := map[string]Kind{}
+	for k := KindJob; k <= KindSnapshot; k++ {
+		name := k.String()
+		if name == "unknown" {
+			t.Errorf("kind %d has no name", k)
+		}
+		if prev, ok := seen[name]; ok {
+			t.Errorf("kinds %d and %d share the name %q", prev, k, name)
+		}
+		seen[name] = k
+	}
+	if got := (KindSnapshot + 1).String(); got != "unknown" {
+		t.Errorf("kind past the last reads %q", got)
+	}
+}
